@@ -1,4 +1,4 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels with a pure-numpy implementation and an optional numba one.
 
 Backend selection is driven by the WORDLM_KERNELS environment variable:
 
@@ -6,16 +6,21 @@ Backend selection is driven by the WORDLM_KERNELS environment variable:
   numba             require numba, raise if unavailable
   numpy             force the pure-numpy implementations
 
-Both backends implement the same math: float32 arrays in and out, float64
-accumulation inside reductions. ``benchmarks/bench_kernels.py`` compares them.
-All 2-D inputs are treated as rows; callers flatten leading dimensions.
+``_np_<name>`` is the numpy implementation of kernel ``<name>`` and
+``_nb_<name>`` its numba twin. ``REGISTRY`` maps each kernel name to its
+implementations by backend ("numpy" always, "numba" when compiled), and the
+chosen one is bound as the module global ``<name>`` that callers use. Both
+backends implement the same math: float32 arrays in and out, float64
+accumulation inside reductions; ``tests/test_kernels.py`` checks their parity
+when numba is importable. All 2-D inputs are treated as rows; callers flatten
+leading dimensions.
 """
 
 import math
 import os
 
 import numpy as np
-from scipy.special import erf as _np_erf
+from scipy.special import erf as _erf
 
 _INV_SQRT2 = 0.7071067811865476
 _SQRT_2_OVER_PI = 0.7978845608028654
@@ -30,12 +35,12 @@ _TANH_COEFF = 0.044715
 
 def _np_gelu_erf_fwd(x):
     x64 = x.astype(np.float64)
-    return (x64 * 0.5 * (1.0 + _np_erf(x64 * _INV_SQRT2))).astype(np.float32)
+    return (x64 * 0.5 * (1.0 + _erf(x64 * _INV_SQRT2))).astype(np.float32)
 
 
 def _np_gelu_erf_bwd(x, gout):
     x64 = x.astype(np.float64)
-    cdf = 0.5 * (1.0 + _np_erf(x64 * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf(x64 * _INV_SQRT2))
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x64 * x64)
     return (gout.astype(np.float64) * (cdf + x64 * pdf)).astype(np.float32)
 
@@ -344,52 +349,17 @@ if _HAS_NUMBA:
             out[ids[i]] += vals[i]
 
 
-USE_NUMBA = _HAS_NUMBA and _REQUESTED != "numpy"
-BACKEND = "numba" if USE_NUMBA else "numpy"
 
-if USE_NUMBA:
-    gelu_erf_fwd = _nb_gelu_erf_fwd
-    gelu_erf_bwd = _nb_gelu_erf_bwd
-    gelu_tanh_fwd = _nb_gelu_tanh_fwd
-    gelu_tanh_bwd = _nb_gelu_tanh_bwd
-    layer_norm_fwd = _nb_layer_norm_fwd
-    layer_norm_bwd = _nb_layer_norm_bwd
-    softmax_rows = _nb_softmax_rows
-    softmax_rows_bwd = _nb_softmax_rows_bwd
-    cross_entropy_rows_fwd = _nb_cross_entropy_rows_fwd
-    cross_entropy_rows_bwd = _nb_cross_entropy_rows_bwd
-    adam_update = _nb_adam_update
-    scatter_add_rows = _nb_scatter_add_rows
-    scatter_add_vec = _nb_scatter_add_vec
-else:
-    gelu_erf_fwd = _np_gelu_erf_fwd
-    gelu_erf_bwd = _np_gelu_erf_bwd
-    gelu_tanh_fwd = _np_gelu_tanh_fwd
-    gelu_tanh_bwd = _np_gelu_tanh_bwd
-    layer_norm_fwd = _np_layer_norm_fwd
-    layer_norm_bwd = _np_layer_norm_bwd
-    softmax_rows = _np_softmax_rows
-    softmax_rows_bwd = _np_softmax_rows_bwd
-    cross_entropy_rows_fwd = _np_cross_entropy_rows_fwd
-    cross_entropy_rows_bwd = _np_cross_entropy_rows_bwd
-    adam_update = _np_adam_update
-    scatter_add_rows = _np_scatter_add_rows
-    scatter_add_vec = _np_scatter_add_vec
+def _registry() -> dict:
+    """{kernel name: {backend: implementation}} from the _np_/_nb_ prefixes."""
+    registry = {}
+    for backend, prefix in (("numpy", "_np_"), ("numba", "_nb_")):
+        for key, fn in globals().items():
+            if key.startswith(prefix):
+                registry.setdefault(key[len(prefix):], {})[backend] = fn
+    return registry
 
-NUMPY_IMPLS = {
-    "gelu_erf_fwd": _np_gelu_erf_fwd,
-    "gelu_erf_bwd": _np_gelu_erf_bwd,
-    "gelu_tanh_fwd": _np_gelu_tanh_fwd,
-    "gelu_tanh_bwd": _np_gelu_tanh_bwd,
-    "layer_norm_fwd": _np_layer_norm_fwd,
-    "layer_norm_bwd": _np_layer_norm_bwd,
-    "softmax_rows": _np_softmax_rows,
-    "softmax_rows_bwd": _np_softmax_rows_bwd,
-    "cross_entropy_rows_fwd": _np_cross_entropy_rows_fwd,
-    "cross_entropy_rows_bwd": _np_cross_entropy_rows_bwd,
-    "adam_update": _np_adam_update,
-    "scatter_add_rows": _np_scatter_add_rows,
-    "scatter_add_vec": _np_scatter_add_vec,
-}
 
-ACTIVE_IMPLS = {name: globals()[name] for name in NUMPY_IMPLS}
+REGISTRY = _registry()
+BACKEND = "numba" if _HAS_NUMBA else "numpy"
+globals().update({name: impls.get(BACKEND, impls["numpy"]) for name, impls in REGISTRY.items()})

@@ -18,7 +18,6 @@ from .errors import ContractError, ShapeError
 from .sampling import BatchVocab
 from .seeding import substream
 from .tensor import Tensor
-from .vocab import EncodedSequence
 
 VARIANTS = ("direct", "projected")
 
@@ -208,93 +207,13 @@ class WordBertModel:
     # forward passes
     # ------------------------------------------------------------------
 
-    def embed(self, seq: EncodedSequence, rng=None, training: bool = False) -> Tensor:
-        """Word (and projection) lookup plus learned position embeddings."""
-        ids = np.asarray(seq.ids, dtype=np.int64)
-        t_len = ids.shape[0]
-        if t_len > self.config.max_positions:
-            raise ShapeError(
-                f"sequence length {t_len} exceeds max_positions {self.config.max_positions}"
-            )
-        rows = T.gather_rows(self.params["embedding.word"], ids)
-        if self.config.variant == "projected":
-            rows = T.matmul(rows, self.params["embedding.projection"])
-        pos = T.gather_rows(self.params["embedding.position"], np.arange(t_len))
-        x = T.add(rows, pos)
-        if training and self.config.dropout > 0.0:
-            x = T.dropout(x, self.config.dropout, rng)
-        return x
-
-    def encode_sequence(self, embeddings: Tensor, attention_mask, rng=None, training=False) -> Tensor:
-        """L layers of masked multi-head self-attention + feed-forward."""
-        mask = np.asarray(attention_mask, dtype=np.float32)
-        t_len = embeddings.data.shape[0]
-        if mask.shape != (t_len,):
-            raise ShapeError(f"attention mask shape {mask.shape} does not match length {t_len}")
-        # additive bias: 0 on real positions, -1e9 on padding key columns
-        mask_bias = Tensor((mask - 1.0) * np.float32(1e9))
-        x = embeddings
-        for i in range(self.config.num_layers):
-            x = self._layer(i, x, mask_bias, rng, training)
-        return x
-
-    def _layer(self, i: int, x: Tensor, mask_bias: Tensor, rng, training: bool) -> Tensor:
-        cfg = self.config
-        p = self.params
-        pre = f"encoder.{i}."
-        t_len = x.data.shape[0]
-        a, d = cfg.num_heads, cfg.head_dim
-
-        q = T.add(T.matmul(x, p[pre + "attention.query.weight"]), p[pre + "attention.query.bias"])
-        k = T.add(T.matmul(x, p[pre + "attention.key.weight"]), p[pre + "attention.key.bias"])
-        v = T.add(T.matmul(x, p[pre + "attention.value.weight"]), p[pre + "attention.value.bias"])
-        qh = T.transpose(T.reshape(q, (t_len, a, d)), (1, 0, 2))
-        kh = T.transpose(T.reshape(k, (t_len, a, d)), (1, 2, 0))
-        vh = T.transpose(T.reshape(v, (t_len, a, d)), (1, 0, 2))
-        scores = T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(d))
-        scores = T.add(scores, mask_bias)
-        attn = T.softmax(scores)
-        if training and cfg.dropout > 0.0:
-            attn = T.dropout(attn, cfg.dropout, rng)
-        ctx = T.reshape(T.transpose(T.matmul(attn, vh), (1, 0, 2)), (t_len, cfg.hidden))
-        attn_out = T.add(
-            T.matmul(ctx, p[pre + "attention.output.weight"]), p[pre + "attention.output.bias"]
-        )
-        if training and cfg.dropout > 0.0:
-            attn_out = T.dropout(attn_out, cfg.dropout, rng)
-        x = T.layer_norm(
-            T.add(x, attn_out),
-            p[pre + "attention.norm.gamma"],
-            p[pre + "attention.norm.beta"],
-            cfg.layer_norm_eps,
-        )
-
-        inner = T.gelu(
-            T.add(T.matmul(x, p[pre + "ffn.inner.weight"]), p[pre + "ffn.inner.bias"]),
-            approx=cfg.gelu_approx,
-        )
-        ffn_out = T.add(T.matmul(inner, p[pre + "ffn.output.weight"]), p[pre + "ffn.output.bias"])
-        if training and cfg.dropout > 0.0:
-            ffn_out = T.dropout(ffn_out, cfg.dropout, rng)
-        return T.layer_norm(
-            T.add(x, ffn_out),
-            p[pre + "ffn.norm.gamma"],
-            p[pre + "ffn.norm.beta"],
-            cfg.layer_norm_eps,
-        )
-
-    def hidden_states(self, seq: EncodedSequence, rng=None, training=False) -> Tensor:
-        return self.encode_sequence(
-            self.embed(seq, rng=rng, training=training), seq.attention_mask, rng=rng,
-            training=training,
-        )
-
     def encode_batch(self, input_ids, attention_masks, rng=None, training=False) -> Tensor:
-        """Whole-batch forward over equal-length sequences.
+        """Embeddings plus L encoder layers over a batch of equal-length sequences.
 
-        Same math as per-sequence embed + encode_sequence, with batch and head
-        axes folded so attention stays on rank-3 tensors. Returns hidden
-        states flattened to [B*T, H]; position (b, t) lives at row b*T + t.
+        Word (and projection) lookup plus learned position embeddings, then
+        masked multi-head self-attention + feed-forward per layer, with batch
+        and head axes folded so attention stays on rank-3 tensors. Returns
+        hidden states flattened to [B*T, H]; position (b, t) lives at row b*T + t.
         """
         cfg = self.config
         p = self.params
@@ -316,10 +235,22 @@ class WordBertModel:
         if training and cfg.dropout > 0.0:
             x = T.dropout(x, cfg.dropout, rng)
 
-        a, d = cfg.num_heads, cfg.head_dim
+        a = cfg.num_heads
         # one additive bias row per (sequence, head): 0 real, -1e9 padding keys
         bias = np.repeat((mask - 1.0) * np.float32(1e9), a, axis=0).reshape(b_sz * a, 1, t_len)
         mask_bias = Tensor(bias)
+        for i in range(cfg.num_layers):
+            x = self._layer(i, x, mask_bias, b_sz, t_len, rng, training)
+        return x
+
+    def _layer(
+        self, i: int, x: Tensor, mask_bias: Tensor, b_sz: int, t_len: int, rng, training: bool
+    ) -> Tensor:
+        """Encoder layer i on x [B*T, H]: post-norm self-attention, then feed-forward."""
+        cfg = self.config
+        p = self.params
+        pre = f"encoder.{i}."
+        a, d = cfg.num_heads, cfg.head_dim
 
         def split_heads(t2d, transpose_to):
             return T.reshape(
@@ -327,47 +258,44 @@ class WordBertModel:
                 (b_sz * a, t_len, d) if transpose_to == (0, 2, 1, 3) else (b_sz * a, d, t_len),
             )
 
-        for i in range(cfg.num_layers):
-            pre = f"encoder.{i}."
-            q = T.add(T.matmul(x, p[pre + "attention.query.weight"]), p[pre + "attention.query.bias"])
-            k = T.add(T.matmul(x, p[pre + "attention.key.weight"]), p[pre + "attention.key.bias"])
-            v = T.add(T.matmul(x, p[pre + "attention.value.weight"]), p[pre + "attention.value.bias"])
-            qh = split_heads(q, (0, 2, 1, 3))
-            kh = split_heads(k, (0, 2, 3, 1))
-            vh = split_heads(v, (0, 2, 1, 3))
-            scores = T.add(T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(d)), mask_bias)
-            attn = T.softmax(scores)
-            if training and cfg.dropout > 0.0:
-                attn = T.dropout(attn, cfg.dropout, rng)
-            ctx = T.reshape(
-                T.transpose(T.reshape(T.matmul(attn, vh), (b_sz, a, t_len, d)), (0, 2, 1, 3)),
-                (b_sz * t_len, cfg.hidden),
-            )
-            attn_out = T.add(
-                T.matmul(ctx, p[pre + "attention.output.weight"]), p[pre + "attention.output.bias"]
-            )
-            if training and cfg.dropout > 0.0:
-                attn_out = T.dropout(attn_out, cfg.dropout, rng)
-            x = T.layer_norm(
-                T.add(x, attn_out),
-                p[pre + "attention.norm.gamma"],
-                p[pre + "attention.norm.beta"],
-                cfg.layer_norm_eps,
-            )
-            inner = T.gelu(
-                T.add(T.matmul(x, p[pre + "ffn.inner.weight"]), p[pre + "ffn.inner.bias"]),
-                approx=cfg.gelu_approx,
-            )
-            ffn_out = T.add(T.matmul(inner, p[pre + "ffn.output.weight"]), p[pre + "ffn.output.bias"])
-            if training and cfg.dropout > 0.0:
-                ffn_out = T.dropout(ffn_out, cfg.dropout, rng)
-            x = T.layer_norm(
-                T.add(x, ffn_out),
-                p[pre + "ffn.norm.gamma"],
-                p[pre + "ffn.norm.beta"],
-                cfg.layer_norm_eps,
-            )
-        return x
+        q = T.add(T.matmul(x, p[pre + "attention.query.weight"]), p[pre + "attention.query.bias"])
+        k = T.add(T.matmul(x, p[pre + "attention.key.weight"]), p[pre + "attention.key.bias"])
+        v = T.add(T.matmul(x, p[pre + "attention.value.weight"]), p[pre + "attention.value.bias"])
+        qh = split_heads(q, (0, 2, 1, 3))
+        kh = split_heads(k, (0, 2, 3, 1))
+        vh = split_heads(v, (0, 2, 1, 3))
+        scores = T.add(T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(d)), mask_bias)
+        attn = T.softmax(scores)
+        if training and cfg.dropout > 0.0:
+            attn = T.dropout(attn, cfg.dropout, rng)
+        ctx = T.reshape(
+            T.transpose(T.reshape(T.matmul(attn, vh), (b_sz, a, t_len, d)), (0, 2, 1, 3)),
+            (b_sz * t_len, cfg.hidden),
+        )
+        attn_out = T.add(
+            T.matmul(ctx, p[pre + "attention.output.weight"]), p[pre + "attention.output.bias"]
+        )
+        if training and cfg.dropout > 0.0:
+            attn_out = T.dropout(attn_out, cfg.dropout, rng)
+        x = T.layer_norm(
+            T.add(x, attn_out),
+            p[pre + "attention.norm.gamma"],
+            p[pre + "attention.norm.beta"],
+            cfg.layer_norm_eps,
+        )
+        inner = T.gelu(
+            T.add(T.matmul(x, p[pre + "ffn.inner.weight"]), p[pre + "ffn.inner.bias"]),
+            approx=cfg.gelu_approx,
+        )
+        ffn_out = T.add(T.matmul(inner, p[pre + "ffn.output.weight"]), p[pre + "ffn.output.bias"])
+        if training and cfg.dropout > 0.0:
+            ffn_out = T.dropout(ffn_out, cfg.dropout, rng)
+        return T.layer_norm(
+            T.add(x, ffn_out),
+            p[pre + "ffn.norm.gamma"],
+            p[pre + "ffn.norm.beta"],
+            cfg.layer_norm_eps,
+        )
 
     def output_rows(self, ids) -> Tensor:
         """Tied MLM output rows for the given word ids, in H-space."""

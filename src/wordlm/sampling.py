@@ -15,7 +15,7 @@ from .vocab import NUM_SPECIALS
 
 
 class BatchVocab:
-    """Sorted global word ids with the inverse global->local map."""
+    """Sorted, de-duplicated global word ids; remap_targets gives the local index."""
 
     def __init__(self, global_ids):
         ids = np.unique(np.asarray(global_ids, dtype=np.int64))
@@ -23,10 +23,6 @@ class BatchVocab:
 
     def __len__(self) -> int:
         return int(self.global_ids.shape[0])
-
-    @property
-    def local_of(self) -> dict[int, int]:
-        return {int(g): i for i, g in enumerate(self.global_ids)}
 
     def __contains__(self, global_id) -> bool:
         i = np.searchsorted(self.global_ids, global_id)

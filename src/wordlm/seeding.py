@@ -8,8 +8,6 @@ import zlib
 
 import numpy as np
 
-_STREAMS = ("init", "masking", "sampling", "batch", "dropout", "data")
-
 
 def substream(seed: int, name: str, step: int = 0) -> np.random.Generator:
     """Generator for a named stream at a given step, stable across runs."""

@@ -300,17 +300,6 @@ def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     return _make(losses, (logits,), bw)
 
 
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Scalar -log softmax(logits)[target] for a 1-D logit vector."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"expected 1-D logits, got shape {logits.data.shape}")
-    v = logits.data.shape[0]
-    if not 0 <= int(target) < v:
-        raise IndexError(f"target {target} outside [0, {v})")
-    losses = cross_entropy_rows(reshape(logits, (1, v)), np.array([int(target)]))
-    return reshape(losses, ())
-
-
 # ---------------------------------------------------------------------------
 # reductions, indexing, shape ops
 # ---------------------------------------------------------------------------
@@ -381,34 +370,9 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _make(data, (x,), bw)
 
 
-def concat_rows(tensors) -> Tensor:
-    """Stack 2-D tensors along axis 0."""
-    tensors = list(tensors)
-    cols = tensors[0].data.shape[1]
-    for t in tensors:
-        if t.data.ndim != 2 or t.data.shape[1] != cols:
-            raise ShapeError(
-                f"concat_rows expects 2-D tensors with {cols} columns, got {t.data.shape}"
-            )
-    data = np.concatenate([t.data for t in tensors], axis=0)
-    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.accumulate_grad(g[lo:hi])
-
-    return _make(data, tuple(tensors), bw)
-
-
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when p == 0."""
     if p <= 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p).astype(np.float32) / np.float32(1.0 - p)
     return mul(x, Tensor(keep))
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.zero_grad()

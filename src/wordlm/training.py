@@ -48,14 +48,6 @@ class MaskedBatch:
         self.target_global_ids = np.asarray(target_global_ids, dtype=np.int64)
 
     @property
-    def target_positions(self) -> list[tuple[int, int]]:
-        return [
-            (b, int(p))
-            for b, positions in enumerate(self.positions_per_seq)
-            for p in positions
-        ]
-
-    @property
     def num_targets(self) -> int:
         return int(self.target_global_ids.shape[0])
 

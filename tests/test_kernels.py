@@ -1,4 +1,4 @@
-"""Backend parity and selection tests for the numba/numpy kernel pair."""
+"""Kernel registry, backend selection, and numba/numpy parity tests."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ import pytest
 from wordlm import kernels
 
 RNG = np.random.default_rng(99)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
 
 
 def _rel(a, b):
@@ -19,8 +20,40 @@ def _rel(a, b):
 
 
 needs_numba = pytest.mark.skipif(
-    not kernels.USE_NUMBA, reason="active backend is numpy; parity is trivial"
+    kernels.BACKEND != "numba", reason="active backend is numpy; parity is trivial"
 )
+
+KERNEL_NAMES = {
+    "gelu_erf_fwd", "gelu_erf_bwd", "gelu_tanh_fwd", "gelu_tanh_bwd",
+    "layer_norm_fwd", "layer_norm_bwd", "softmax_rows", "softmax_rows_bwd",
+    "cross_entropy_rows_fwd", "cross_entropy_rows_bwd", "adam_update",
+    "scatter_add_rows", "scatter_add_vec",
+}
+
+
+def _nb(name):
+    return kernels.REGISTRY[name]["numba"]
+
+
+def _np(name):
+    return kernels.REGISTRY[name]["numpy"]
+
+
+def _numba_importable():
+    try:
+        import numba  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+class TestRegistry:
+    def test_every_kernel_is_a_global_bound_to_the_active_impl(self):
+        assert set(kernels.REGISTRY) == KERNEL_NAMES
+        for name, impls in kernels.REGISTRY.items():
+            assert set(impls) <= {"numpy", "numba"}
+            assert "numpy" in impls
+            assert kernels.__dict__[name] is impls.get(kernels.BACKEND, impls["numpy"])
 
 
 @needs_numba
@@ -36,44 +69,44 @@ class TestBackendParity:
             ("gelu_erf_fwd", "gelu_erf_bwd"),
             ("gelu_tanh_fwd", "gelu_tanh_bwd"),
         ):
-            assert _rel(kernels.ACTIVE_IMPLS[fwd](self.x), kernels.NUMPY_IMPLS[fwd](self.x)) <= 1e-6
+            assert _rel(_nb(fwd)(self.x), _np(fwd)(self.x)) <= 1e-6
             assert (
                 _rel(
-                    kernels.ACTIVE_IMPLS[bwd](self.x, self.gout),
-                    kernels.NUMPY_IMPLS[bwd](self.x, self.gout),
+                    _nb(bwd)(self.x, self.gout),
+                    _np(bwd)(self.x, self.gout),
                 )
                 <= 1e-6
             )
 
     def test_layer_norm_parity(self):
         eps = np.float32(1e-5)
-        y1, m1, i1 = kernels.ACTIVE_IMPLS["layer_norm_fwd"](self.x, self.gamma, self.beta, eps)
-        y2, m2, i2 = kernels.NUMPY_IMPLS["layer_norm_fwd"](self.x, self.gamma, self.beta, eps)
+        y1, m1, i1 = _nb("layer_norm_fwd")(self.x, self.gamma, self.beta, eps)
+        y2, m2, i2 = _np("layer_norm_fwd")(self.x, self.gamma, self.beta, eps)
         assert _rel(y1, y2) <= 1e-6
-        g1 = kernels.ACTIVE_IMPLS["layer_norm_bwd"](self.x, self.gamma, m1, i1, self.gout)
-        g2 = kernels.NUMPY_IMPLS["layer_norm_bwd"](self.x, self.gamma, m2, i2, self.gout)
+        g1 = _nb("layer_norm_bwd")(self.x, self.gamma, m1, i1, self.gout)
+        g2 = _np("layer_norm_bwd")(self.x, self.gamma, m2, i2, self.gout)
         for a, b in zip(g1, g2):
             assert _rel(a, b) <= 1e-5
 
     def test_softmax_and_cross_entropy_parity(self):
-        p1 = kernels.ACTIVE_IMPLS["softmax_rows"](self.x)
-        p2 = kernels.NUMPY_IMPLS["softmax_rows"](self.x)
+        p1 = _nb("softmax_rows")(self.x)
+        p2 = _np("softmax_rows")(self.x)
         assert _rel(p1, p2) <= 1e-6
         assert (
             _rel(
-                kernels.ACTIVE_IMPLS["softmax_rows_bwd"](p1, self.gout),
-                kernels.NUMPY_IMPLS["softmax_rows_bwd"](p2, self.gout),
+                _nb("softmax_rows_bwd")(p1, self.gout),
+                _np("softmax_rows_bwd")(p2, self.gout),
             )
             <= 1e-6
         )
-        l1 = kernels.ACTIVE_IMPLS["cross_entropy_rows_fwd"](self.x, self.targets)
-        l2 = kernels.NUMPY_IMPLS["cross_entropy_rows_fwd"](self.x, self.targets)
+        l1 = _nb("cross_entropy_rows_fwd")(self.x, self.targets)
+        l2 = _np("cross_entropy_rows_fwd")(self.x, self.targets)
         assert _rel(l1, l2) <= 1e-6
         gvec = RNG.standard_normal(7).astype(np.float32)
         assert (
             _rel(
-                kernels.ACTIVE_IMPLS["cross_entropy_rows_bwd"](self.x, self.targets, gvec),
-                kernels.NUMPY_IMPLS["cross_entropy_rows_bwd"](self.x, self.targets, gvec),
+                _nb("cross_entropy_rows_bwd")(self.x, self.targets, gvec),
+                _np("cross_entropy_rows_bwd")(self.x, self.targets, gvec),
             )
             <= 1e-6
         )
@@ -85,8 +118,8 @@ class TestBackendParity:
         p2, m1, v1 = p1.copy(), np.zeros(shape, np.float32), np.zeros(shape, np.float32)
         m2, v2 = m1.copy(), v1.copy()
         for t in range(1, 4):
-            kernels.ACTIVE_IMPLS["adam_update"](p1, g, m1, v1, t, 0.01, 0.9, 0.999, 1e-8)
-            kernels.NUMPY_IMPLS["adam_update"](p2, g, m2, v2, t, 0.01, 0.9, 0.999, 1e-8)
+            _nb("adam_update")(p1, g, m1, v1, t, 0.01, 0.9, 0.999, 1e-8)
+            _np("adam_update")(p2, g, m2, v2, t, 0.01, 0.9, 0.999, 1e-8)
         assert _rel(p1, p2) <= 1e-6
         assert _rel(m1, m2) <= 1e-6
         assert _rel(v1, v2) <= 1e-6
@@ -96,20 +129,21 @@ class TestBackendParity:
         rows = RNG.standard_normal((5, 3)).astype(np.float32)
         out1 = np.zeros((6, 3), np.float32)
         out2 = np.zeros((6, 3), np.float32)
-        kernels.ACTIVE_IMPLS["scatter_add_rows"](out1, ids, rows)
-        kernels.NUMPY_IMPLS["scatter_add_rows"](out2, ids, rows)
+        _nb("scatter_add_rows")(out1, ids, rows)
+        _np("scatter_add_rows")(out2, ids, rows)
         np.testing.assert_allclose(out1, out2, atol=1e-7)
         vals = rows[:, 0].copy()
         v1 = np.zeros(6, np.float32)
         v2 = np.zeros(6, np.float32)
-        kernels.ACTIVE_IMPLS["scatter_add_vec"](v1, ids, vals)
-        kernels.NUMPY_IMPLS["scatter_add_vec"](v2, ids, vals)
+        _nb("scatter_add_vec")(v1, ids, vals)
+        _np("scatter_add_vec")(v2, ids, vals)
         np.testing.assert_allclose(v1, v2, atol=1e-7)
 
 
 class TestBackendSelection:
     def _probe(self, env_value):
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         if env_value is None:
             env.pop("WORDLM_KERNELS", None)
         else:
@@ -132,6 +166,12 @@ class TestBackendSelection:
             assert out.stdout.strip() == "numba"
         else:
             assert "numba" in out.stderr
+
+    @pytest.mark.parametrize("env_value", [None, "auto"])
+    def test_auto_uses_numba_when_importable_else_numpy(self, env_value):
+        out = self._probe(env_value)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == ("numba" if _numba_importable() else "numpy")
 
     def test_invalid_flag_rejected(self):
         out = self._probe("gpu")

@@ -41,6 +41,11 @@ def seq_of(ids):
     return EncodedSequence(ids, mask, int((ids >= 5).sum()))
 
 
+def encode(model, seq):
+    """encode_batch on a batch of one; [T, H] hidden states."""
+    return model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
+
+
 class TestConfig:
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ContractError, match="divisible"):
@@ -59,23 +64,25 @@ class TestConfig:
 
 
 class TestEmbed:
+    """With zero layers, encode_batch returns the word + position embedding sum."""
+
     def test_position_decomposition(self):
-        model = WordBertModel(toy_config(), seed=1)
-        out = model.embed(seq_of([7, 7])).data
+        model = WordBertModel(toy_config(num_layers=0), seed=1)
+        out = encode(model, seq_of([7, 7])).data
         pos = model.params["embedding.position"].data
         np.testing.assert_allclose(out[1] - out[0], pos[1] - pos[0], atol=1e-6)
 
     def test_projected_zero_map_leaves_positions(self):
-        cfg = toy_config(variant="projected", embed_dim=8, freeze_embeddings=True)
+        cfg = toy_config(num_layers=0, variant="projected", embed_dim=8, freeze_embeddings=True)
         wv = np.random.default_rng(0).standard_normal((40, 8)).astype(np.float32)
         model = WordBertModel(cfg, seed=2, word_vectors=wv, projection=np.zeros((8, 16), np.float32))
-        out = model.embed(seq_of([2, 9, 3])).data
+        out = encode(model, seq_of([2, 9, 3])).data
         np.testing.assert_array_equal(out, model.params["embedding.position"].data[:3])
 
     def test_length_error(self):
-        model = WordBertModel(toy_config(), seed=3)
+        model = WordBertModel(toy_config(num_layers=0), seed=3)
         with pytest.raises(ShapeError, match="max_positions"):
-            model.embed(seq_of([1] * 25))
+            encode(model, seq_of([1] * 25))
 
     def test_frozen_embeddings_survive_a_training_step(self):
         cfg = toy_config(variant="projected", embed_dim=8, freeze_embeddings=True)
@@ -85,7 +92,7 @@ class TestEmbed:
         w_before = model.params["embedding.projection"].data.copy()
 
         seq = seq_of([2, 8, 9, 10, 3])
-        hidden = model.hidden_states(seq)
+        hidden = encode(model, seq)
         picked = T.gather_rows(hidden, [2])
         logits = model.mlm_logits(picked, BatchVocab(np.arange(40)))
         loss = T.mean(T.cross_entropy_rows(logits, [9]))
@@ -102,8 +109,7 @@ class TestEmbed:
 class TestEncoder:
     def test_single_token_shape(self):
         model = WordBertModel(toy_config(), seed=5)
-        emb = model.embed(seq_of([2]))
-        out = model.encode_sequence(emb, [1])
+        out = encode(model, seq_of([2]))
         assert out.data.shape == (1, 16)
 
     def test_padding_does_not_change_real_positions(self):
@@ -111,14 +117,14 @@ class TestEncoder:
         short = seq_of([2, 7, 8, 3])
         for extra in (1, 4, 9):
             longer = seq_of([2, 7, 8, 3] + [0] * extra)
-            a = model.hidden_states(short).data
-            b = model.hidden_states(longer).data
+            a = encode(model, short).data
+            b = encode(model, longer).data
             assert np.abs(b[:4] - a).max() <= 1e-5
 
     def test_matches_straight_line_reference(self):
         model = WordBertModel(toy_config(), seed=7)
         seq = seq_of([2, 6, 7, 8, 9, 3, 0, 0])
-        got = model.hidden_states(seq).data
+        got = encode(model, seq).data
         expected = ref_hidden(params64(model), model.config, seq.ids, seq.attention_mask)
         assert np.abs(got - expected).max() <= 1e-4
 
@@ -129,18 +135,17 @@ class TestEncoder:
         c = WordBertModel(toy_config(), seed=12)
         assert a.checksum() != c.checksum()
 
-    def test_batched_forward_matches_per_sequence(self):
+    def test_batched_forward_matches_reference(self):
         model = WordBertModel(toy_config(), seed=16)
         seqs = [seq_of([2, 6, 7, 3, 0, 0]), seq_of([2, 9, 10, 11, 12, 3])]
         ids = np.stack([s.ids for s in seqs])
         masks = np.stack([s.attention_mask for s in seqs])
         flat = model.encode_batch(ids, masks).data
         t_len = ids.shape[1]
+        p = params64(model)
         for b, seq in enumerate(seqs):
-            single = model.hidden_states(seq).data
-            real = seq.attention_mask == 1
-            got = flat[b * t_len : (b + 1) * t_len][real]
-            assert np.abs(got - single[real]).max() <= 1e-5
+            expected = ref_hidden(p, model.config, seq.ids, seq.attention_mask)
+            assert np.abs(flat[b * t_len : (b + 1) * t_len] - expected).max() <= 1e-4
 
 
 class TestMlmLogits:
@@ -193,14 +198,14 @@ class TestMlmLogits:
             model.mlm_logits(self.rand_hidden(model), BatchVocab([]))
 
     def test_weight_tying_single_storage(self):
-        model = WordBertModel(toy_config(), seed=13)
+        model = WordBertModel(toy_config(num_layers=0), seed=13)
         hidden = self.rand_hidden(model)
         seq = seq_of([2, 17, 3])
         before_logits = model.full_vocab_logits(hidden).data.copy()
-        before_embed = model.embed(seq).data.copy()
+        before_embed = encode(model, seq).data.copy()
         model.params["embedding.word"].data[17] += 1.0
         after_logits = model.full_vocab_logits(hidden).data
-        after_embed = model.embed(seq).data
+        after_embed = encode(model, seq).data
         changed = np.abs(after_logits - before_logits).max(axis=0)
         assert changed[17] > 0
         assert np.all(changed[np.arange(40) != 17] == 0)

@@ -155,7 +155,3 @@ class TestRemapTargets:
         bv = BatchVocab([0, 1, 2, 3, 4, 10])
         with pytest.raises(ContractError, match="sampler bug"):
             remap_targets([11], bv)
-
-    def test_local_of_matches(self):
-        bv = BatchVocab([4, 2, 0, 1, 3, 40, 20])
-        assert bv.local_of == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 20: 5, 40: 6}

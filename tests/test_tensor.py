@@ -201,48 +201,48 @@ class TestLayerNorm:
 
 
 class TestSoftmaxCrossEntropy:
+    """cross_entropy_rows on single [1, V] rows against scalar oracles."""
+
+    @staticmethod
+    def ce(logits, target):
+        return T.cross_entropy_rows(Tensor(np.asarray(logits)[None, :]), [target]).data[0]
+
     def test_uniform_logits(self):
-        logits = Tensor(np.zeros(500, dtype=np.float32))
-        loss = T.softmax_cross_entropy(logits, 123)
-        assert abs(loss.item() - np.log(500.0)) <= 1e-4
+        loss = self.ce(np.zeros(500, dtype=np.float32), 123)
+        assert abs(loss - np.log(500.0)) <= 1e-4
 
     def test_saturated_target(self):
         logits = np.zeros(40, dtype=np.float32)
         logits[7] = 30.0
-        loss = T.softmax_cross_entropy(Tensor(logits), 7)
-        assert loss.item() < 1e-9
+        assert self.ce(logits, 7) < 1e-9
 
     def test_matches_direct_sum_oracle(self):
         logits = RNG(13).standard_normal(5).astype(np.float32)
-        loss = T.softmax_cross_entropy(Tensor(logits), 2)
-        assert abs(loss.item() - cross_entropy_direct(logits, 2)) <= 1e-6
+        assert abs(self.ce(logits, 2) - cross_entropy_direct(logits, 2)) <= 1e-6
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            T.softmax_cross_entropy(Tensor(np.zeros(4, np.float32)), 4)
+            self.ce(np.zeros(4, np.float32), 4)
         with pytest.raises(IndexError):
-            T.softmax_cross_entropy(Tensor(np.zeros(4, np.float32)), -1)
+            self.ce(np.zeros(4, np.float32), -1)
 
     def test_shift_invariance(self):
         logits = RNG(14).standard_normal(64).astype(np.float32)
-        base = T.softmax_cross_entropy(Tensor(logits), 5).item()
+        base = self.ce(logits, 5)
         for c in (-37.5, 11.25, 48.0):
-            shifted = T.softmax_cross_entropy(
-                Tensor(logits + np.float32(c)), 5
-            ).item()
+            shifted = self.ce(logits + np.float32(c), 5)
             assert abs(shifted - base) <= 1e-5
 
     def test_large_logits_do_not_overflow(self):
         logits = (RNG(15).standard_normal(100) * 1e4).astype(np.float32)
-        loss = T.softmax_cross_entropy(Tensor(logits), 3)
-        assert np.isfinite(loss.item())
+        assert np.isfinite(self.ce(logits, 3))
 
     def test_grad_vs_finite_differences(self):
         logits = RNG(16).standard_normal(12).astype(np.float32)
-        tl = Tensor(logits, requires_grad=True)
-        T.softmax_cross_entropy(tl, 4).backward()
+        tl = Tensor(logits[None, :], requires_grad=True)
+        T.tensor_sum(T.cross_entropy_rows(tl, [4])).backward()
         fd = central_diff_grad(lambda v: cross_entropy_direct(v, 4), logits)
-        assert rel_error(tl.grad, fd) <= 1e-3
+        assert rel_error(tl.grad[0], fd) <= 1e-3
 
     def test_rows_variant_matches_single(self):
         rng = RNG(17)
@@ -250,8 +250,7 @@ class TestSoftmaxCrossEntropy:
         targets = rng.integers(0, 11, size=6)
         rows = T.cross_entropy_rows(Tensor(logits), targets).data
         for i in range(6):
-            single = T.softmax_cross_entropy(Tensor(logits[i]), int(targets[i]))
-            assert abs(rows[i] - single.item()) <= 1e-6
+            assert abs(rows[i] - self.ce(logits[i], int(targets[i]))) <= 1e-6
 
 
 class TestSoftmax:
@@ -369,15 +368,6 @@ class TestShapeOps:
         y = T.transpose(T.reshape(tx, (6, 4)), (1, 0))
         T.tensor_sum(T.mul(y, y)).backward()
         np.testing.assert_allclose(tx.grad, 2 * x, rtol=1e-6)
-
-    def test_concat_rows_splits_gradient(self):
-        a = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
-        b = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
-        out = T.concat_rows([a, b])
-        assert out.data.shape == (3, 3)
-        T.tensor_sum(T.mul(out, Tensor(np.arange(9, dtype=np.float32).reshape(3, 3)))).backward()
-        np.testing.assert_array_equal(a.grad, np.arange(6, dtype=np.float32).reshape(2, 3))
-        np.testing.assert_array_equal(b.grad, np.array([[6, 7, 8]], dtype=np.float32))
 
     def test_dropout_identity_when_p_zero(self):
         x = Tensor(np.ones(5, np.float32), requires_grad=True)

@@ -41,6 +41,11 @@ def synth_seq(n_words, length=None, rng=None, with_unk=False):
     return EncodedSequence(np.array(ids), np.array(mask), n_words)
 
 
+def target_positions(masked):
+    """(sequence, position) of every target, in target_global_ids order."""
+    return [(b, int(p)) for b, positions in enumerate(masked.positions_per_seq) for p in positions]
+
+
 def toy_model(seed=0, **kw):
     cfg = dict(
         vocab_size=VOCAB_SIZE, num_layers=2, num_heads=2, hidden=16,
@@ -81,7 +86,7 @@ class TestApplyMasking:
         masked = apply_masking(seqs, policy, np.random.default_rng(4), VOCAB_SIZE)
         np.testing.assert_array_equal(masked.input_ids[0], original)
         assert masked.num_targets >= 1
-        for (b, p), tgt in zip(masked.target_positions, masked.target_global_ids):
+        for (b, p), tgt in zip(target_positions(masked), masked.target_global_ids):
             assert original[p] == tgt
 
     def test_specials_never_selected(self):
@@ -130,7 +135,7 @@ class TestApplyMasking:
         )
         n_mask = n_same = 0
         total = masked.num_targets
-        for (b, p), tgt in zip(masked.target_positions, masked.target_global_ids):
+        for (b, p), tgt in zip(target_positions(masked), masked.target_global_ids):
             got = masked.input_ids[b, p]
             if got == MASK_ID:
                 n_mask += 1
