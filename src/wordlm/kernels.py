@@ -10,8 +10,12 @@ Backend selection is driven by the WORDLM_KERNELS environment variable:
 ``_nb_<name>`` its numba twin. ``REGISTRY`` maps each kernel name to its
 implementations by backend ("numpy" always, "numba" when compiled), and the
 chosen one is bound as the module global ``<name>`` that callers use. Both
-backends implement the same math: float32 arrays in and out, float64
-accumulation inside reductions; ``tests/test_kernels.py`` checks their parity
+backends implement the same math on float32 arrays in and out. The numpy
+elementwise kernels (GELU, Adam) compute in float32 on their float32 inputs;
+Adam updates param, m and v in place, chunk by chunk, through one scratch
+buffer per call. The reductions (layer norm, softmax, cross-entropy) accumulate
+in float64. The numba twins compute in float64 scalars and match the numpy
+kernels within the parity tolerances of ``tests/test_kernels.py``, which runs
 when numba is importable. All 2-D inputs are treated as rows; callers flatten
 leading dimensions.
 """
@@ -22,10 +26,15 @@ import os
 import numpy as np
 from scipy.special import erf as _erf
 
+from .errors import ContractError
+
 _INV_SQRT2 = 0.7071067811865476
 _SQRT_2_OVER_PI = 0.7978845608028654
 _INV_SQRT_2PI = 0.3989422804014327
 _TANH_COEFF = 0.044715
+# Floats per Adam chunk: the chunk's slices of param, grad, m, v and the
+# scratch buffer (5 x 64 KiB) stay in L2 while it is updated.
+_ADAM_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -34,30 +43,66 @@ _TANH_COEFF = 0.044715
 
 
 def _np_gelu_erf_fwd(x):
-    x64 = x.astype(np.float64)
-    return (x64 * 0.5 * (1.0 + _erf(x64 * _INV_SQRT2))).astype(np.float32)
+    y = _erf(x * np.float32(_INV_SQRT2))
+    y += 1.0
+    y *= x
+    y *= 0.5
+    return y
 
 
 def _np_gelu_erf_bwd(x, gout):
-    x64 = x.astype(np.float64)
-    cdf = 0.5 * (1.0 + _erf(x64 * _INV_SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x64 * x64)
-    return (gout.astype(np.float64) * (cdf + x64 * pdf)).astype(np.float32)
+    cdf = _erf(x * np.float32(_INV_SQRT2))
+    cdf += 1.0
+    cdf *= 0.5
+    xpdf = x * x
+    xpdf *= -0.5
+    np.exp(xpdf, out=xpdf)
+    xpdf *= _INV_SQRT_2PI
+    xpdf *= x
+    cdf += xpdf
+    cdf *= gout
+    return cdf
+
+
+def _tanh_arg(x, x2):
+    """sqrt(2/pi) * (x + c x^3), written x (1 + c x^2) so that x^3 cannot overflow."""
+    u = x2 * np.float32(_TANH_COEFF)
+    u += 1.0
+    u *= x
+    u *= _SQRT_2_OVER_PI
+    return u
 
 
 def _np_gelu_tanh_fwd(x):
-    x64 = x.astype(np.float64)
-    inner = _SQRT_2_OVER_PI * (x64 + _TANH_COEFF * x64**3)
-    return (0.5 * x64 * (1.0 + np.tanh(inner))).astype(np.float32)
+    y = np.tanh(_tanh_arg(x, x * x))
+    y += 1.0
+    y *= x
+    y *= 0.5
+    return y
 
 
 def _np_gelu_tanh_bwd(x, gout):
-    x64 = x.astype(np.float64)
-    inner = _SQRT_2_OVER_PI * (x64 + _TANH_COEFF * x64**3)
-    t = np.tanh(inner)
-    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _TANH_COEFF * x64 * x64)
-    local = 0.5 * (1.0 + t) + 0.5 * x64 * (1.0 - t * t) * dinner
-    return (gout.astype(np.float64) * local).astype(np.float32)
+    # 0.5 * (1 + tanh(u) + x sech(u)^2 du/dx), du/dx = sqrt(2/pi) (1 + 3c x^2).
+    # sech^2 = 4e / (1 + e)^2 with e = exp(-2|u|) in (0, 1]: no overflow, and no
+    # cancellation as in 1 - tanh^2 where tanh(u) is near +-1.
+    dudx = x * x
+    u = _tanh_arg(x, dudx)
+    dudx *= 3.0 * _TANH_COEFF * _SQRT_2_OVER_PI
+    dudx += _SQRT_2_OVER_PI
+    e = np.abs(u)
+    e *= -2.0
+    np.exp(e, out=e)
+    local = e + 1.0
+    local *= local
+    np.divide(e, local, out=local)
+    local *= 4.0
+    local *= dudx
+    local *= x
+    local += np.tanh(u, out=u)
+    local += 1.0
+    local *= 0.5
+    local *= gout
+    return local
 
 
 def _np_layer_norm_fwd(x, gamma, beta, eps):
@@ -117,16 +162,31 @@ def _np_cross_entropy_rows_bwd(logits, targets, gout):
 
 
 def _np_adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
-    g64 = grad.astype(np.float64)
-    m64 = beta1 * m.astype(np.float64) + (1.0 - beta1) * g64
-    v64 = beta2 * v.astype(np.float64) + (1.0 - beta2) * g64 * g64
-    m[...] = m64.astype(np.float32)
-    v[...] = v64.astype(np.float32)
-    mhat = m.astype(np.float64) / (1.0 - beta1**t)
-    vhat = v.astype(np.float64) / (1.0 - beta2**t)
-    param[...] = (param.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)).astype(
-        np.float32
-    )
+    # In place on flat views; reshape(-1) of a non-C-contiguous array is a copy
+    # and the update would be lost.
+    if not (param.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+        raise ContractError("adam_update needs C-contiguous param, m and v")
+    pf, gf, mf, vf = param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+    # lr * mhat / (sqrt(vhat) + eps) == step * m / (sqrt(v) * inv_sqrt_bc2 + eps)
+    step = lr / (1.0 - beta1**t)
+    inv_sqrt_bc2 = 1.0 / math.sqrt(1.0 - beta2**t)
+    scratch = np.empty(min(pf.size, _ADAM_CHUNK), np.float32)
+    for lo in range(0, pf.size, _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, pf.size)
+        p, g, mc, vc, s = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi], scratch[: hi - lo]
+        mc *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        mc += s
+        vc *= beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - beta2
+        vc += s
+        np.sqrt(vc, out=s)
+        s *= inv_sqrt_bc2
+        s += eps
+        np.divide(mc, s, out=s)
+        s *= step
+        p -= s
 
 
 def _np_scatter_add_rows(out, ids, rows):

@@ -1,4 +1,10 @@
-"""Adam optimizer with bias correction, applied in place to float32 tensors."""
+"""Adam optimizer with bias correction, applied in place to float32 tensors.
+
+Dense Adam (Kingma & Ba, arXiv 1412.6980): every step decays the moments of
+every element, including rows of the embedding table whose gradient is zero.
+The numpy kernel computes the update in float32, in place; tests check it
+against the float64 oracle ``tests/oracles.py::adam_update64``.
+"""
 
 from __future__ import annotations
 
@@ -29,6 +35,11 @@ def adam_step(
     """One bias-corrected Adam update; increments ``state.step_count``."""
     if param.grad is None:
         raise ContractError("adam_step requires param.grad to be populated")
+    if param.grad.shape != param.data.shape:
+        raise ContractError(
+            f"gradient shape {param.grad.shape} does not match "
+            f"parameter shape {param.data.shape}"
+        )
     if state.first_moment.shape != param.data.shape:
         raise ContractError(
             f"optimizer state shape {state.first_moment.shape} does not match "

@@ -36,6 +36,23 @@ def gelu_tanh64(x):
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
+def adam_update64(param, grad, m, v, t, lr, beta1, beta2, eps):
+    """Bias-corrected Adam in float64 math, float32 storage, in place.
+
+    Reference for the float32 chunked numpy ``adam_update`` kernel.
+    """
+    g64 = grad.astype(np.float64)
+    m64 = beta1 * m.astype(np.float64) + (1.0 - beta1) * g64
+    v64 = beta2 * v.astype(np.float64) + (1.0 - beta2) * g64 * g64
+    m[...] = m64.astype(np.float32)
+    v[...] = v64.astype(np.float32)
+    mhat = m.astype(np.float64) / (1.0 - beta1**t)
+    vhat = v.astype(np.float64) / (1.0 - beta2**t)
+    param[...] = (param.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)).astype(
+        np.float32
+    )
+
+
 def layer_norm_two_pass(x, gamma, beta, eps):
     """Reference normalization with explicit two-pass mean/variance."""
     x = np.asarray(x, dtype=np.float64)

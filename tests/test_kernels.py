@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import gelu64, gelu_tanh64
 from wordlm import kernels
 
 RNG = np.random.default_rng(99)
@@ -54,6 +55,32 @@ class TestRegistry:
             assert set(impls) <= {"numpy", "numba"}
             assert "numpy" in impls
             assert kernels.__dict__[name] is impls.get(kernels.BACKEND, impls["numpy"])
+
+
+class TestGeluRange:
+    """Every GELU implementation against the float64 oracles over [-40, 40]."""
+
+    # Max |difference|: the float32 numpy kernels reach 4.6e-7, float64 math
+    # rounded to float32 2.4e-7 (half an ulp of outputs up to ~6).
+    ATOL = 1e-6
+    x = np.concatenate([np.linspace(-40.0, 40.0, 16001), [0.0, 1e-30, -1e-30]]).astype(
+        np.float32
+    )
+
+    @pytest.mark.parametrize("name,oracle", [("gelu_erf", gelu64), ("gelu_tanh", gelu_tanh64)])
+    def test_forward_and_backward(self, name, oracle):
+        x64 = self.x.astype(np.float64)
+        h = 1e-5  # central difference of the float64 oracle: error ~1e-10
+        dref = (oracle(x64 + h) - oracle(x64 - h)) / (2 * h)
+        gout = np.full_like(self.x, 2.0)
+        for backend, fwd in kernels.REGISTRY[f"{name}_fwd"].items():
+            bwd = kernels.REGISTRY[f"{name}_bwd"][backend]
+            y = fwd(self.x)
+            d = bwd(self.x, gout)
+            assert y.dtype == d.dtype == np.float32, backend
+            assert np.isfinite(y).all() and np.isfinite(d).all(), backend
+            assert np.abs(y - oracle(x64)).max() <= self.ATOL, backend
+            assert np.abs(d - 2.0 * dref).max() <= self.ATOL, backend
 
 
 @needs_numba

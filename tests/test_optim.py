@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles import adam_update64
+from wordlm import kernels
 from wordlm.errors import ContractError
 from wordlm.optim import Adam, AdamState, adam_step
 from wordlm.tensor import Tensor
+from wordlm.training import TrainConfig, lr_at
+
+np_adam_update = kernels.REGISTRY["adam_update"]["numpy"]
+CHUNK = kernels._ADAM_CHUNK
 
 
 def reference_adam_trajectory(x0, grad_fn, lr, beta1, beta2, eps, steps):
@@ -72,6 +78,70 @@ class TestAdamStep:
         with pytest.raises(ContractError):
             adam_step(p, AdamState(q), lr=0.1)
 
+    def test_grad_shape_mismatch_raises(self):
+        # (3,) broadcasts against (2, 3); the update must not silently accept it
+        p = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        p.grad = np.ones(3, np.float32)
+        with pytest.raises(ContractError, match="gradient shape"):
+            adam_step(p, AdamState(p), lr=0.1)
+
+    @pytest.mark.parametrize("which", ["param", "m", "v"])
+    def test_numpy_kernel_refuses_non_contiguous_buffers(self, which):
+        arrays = {k: np.zeros((4, 6), np.float32) for k in ("param", "m", "v")}
+        arrays[which] = np.zeros((6, 4), np.float32).T
+        with pytest.raises(ContractError, match="C-contiguous"):
+            np_adam_update(
+                arrays["param"], np.ones((4, 6), np.float32), arrays["m"], arrays["v"],
+                1, 0.1, 0.9, 0.999, 1e-8,
+            )
+
+
+class TestAdamAgainstFloat64Oracle:
+    """The float32 numpy kernel against the float64 oracle."""
+
+    TOL = 1e-6  # max |param difference|, float32 storage on both sides
+
+    @staticmethod
+    def _run_both(p0, grads, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+        p32, p64 = p0.copy(), p0.copy()
+        m32, v32 = np.zeros_like(p0), np.zeros_like(p0)
+        m64, v64 = np.zeros_like(p0), np.zeros_like(p0)
+        for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+            np_adam_update(p32, g, m32, v32, t, lr, beta1, beta2, eps)
+            adam_update64(p64, g, m64, v64, t, lr, beta1, beta2, eps)
+        return (p32, m32, v32), (p64, m64, v64)
+
+    def test_200_step_sparse_trajectory_with_warmup(self):
+        rng = np.random.default_rng(5)
+        rows, cols, steps = 400, 24, 200
+        cfg = TrainConfig(peak_lr=1e-3, warmup_steps=20, total_steps=steps)
+        p0 = (0.02 * rng.standard_normal((rows, cols))).astype(np.float32)
+        grads = []
+        for _ in range(steps):
+            # like the embedding table: only the rows in the batch get a gradient
+            g = np.zeros((rows, cols), np.float32)
+            hit = rng.choice(rows, size=rows // 20, replace=False)
+            g[hit] = rng.standard_normal((hit.size, cols)).astype(np.float32)
+            grads.append(g)
+        lrs = [lr_at(t, cfg) for t in range(1, steps + 1)]
+        ours, ref = self._run_both(p0, grads, lrs)
+        assert np.abs(ours[0] - p0).max() > 100 * self.TOL  # the parameters did move
+        for a, b in zip(ours, ref):  # param, m, v
+            assert np.abs(a - b).max() <= self.TOL
+
+    @pytest.mark.parametrize(
+        "size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7],
+        ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+7"],
+    )
+    def test_every_element_updated_once_at_chunk_boundaries(self, size):
+        rng = np.random.default_rng(size)
+        p0 = rng.standard_normal(size).astype(np.float32)
+        grads = [rng.standard_normal(size).astype(np.float32) for _ in range(3)]
+        # each step moves every element by about lr >> TOL, so a skipped or
+        # doubled element shows
+        (p32, _, _), (p64, _, _) = self._run_both(p0, grads, [1e-2] * 3)
+        assert np.abs(p32 - p64).max() <= self.TOL
+
 
 class TestAdamWrapper:
     def test_steps_all_params_and_zeroes(self):
@@ -88,3 +158,39 @@ class TestAdamWrapper:
             assert np.all(p.data < 1.0)
         opt.zero_grad()
         assert all(p.grad is None for p in params.values())
+
+    def test_interleaved_instances_match_sequential(self):
+        """No state leaks between calls: stepping two optimizers in alternation
+        gives the same bits as stepping them one after the other."""
+
+        def make(seed):
+            rng = np.random.default_rng(seed)
+            shapes = {"table": (CHUNK // 8 + 3, 16), "bias": (5,)}
+            params = {k: Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                      for k, s in shapes.items()}
+            grads = [{k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+                     for _ in range(4)]
+            return Adam(params), grads
+
+        def step(opt, grads, i):
+            for k, p in opt.params.items():
+                p.grad = grads[i][k]
+            opt.step(lr=1e-2)
+
+        seq = [make(1), make(2)]
+        for opt, grads in seq:
+            for i in range(4):
+                step(opt, grads, i)
+        alt = [make(1), make(2)]
+        for i in range(4):
+            for opt, grads in alt:
+                step(opt, grads, i)
+        def state_bytes(opt):
+            return [
+                a.tobytes()
+                for name, p in opt.params.items()
+                for a in (p.data, opt.states[name].first_moment, opt.states[name].second_moment)
+            ]
+
+        for (a, _), (b, _) in zip(seq, alt):
+            assert state_bytes(a) == state_bytes(b)
