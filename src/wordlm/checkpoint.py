@@ -10,7 +10,8 @@ a model can be reconstructed from the file alone.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -21,6 +22,12 @@ from .tensor import Tensor
 
 _MAGIC = "#wordlm-checkpoint v1"
 _SEPARATOR = b"---\n"
+# Value types a manifest may give each ModelConfig field (an int is a valid float).
+_CONFIG_TYPES = {
+    key: (float, int) if hint is float else (hint,)
+    for key, hint in get_type_hints(ModelConfig).items()
+}
+_REQUIRED_CONFIG = [f.name for f in fields(ModelConfig) if f.default is MISSING]
 
 
 def config_digest(text: str) -> str:
@@ -93,7 +100,11 @@ class Checkpoint:
     manifest: str
 
 
-def read_manifest(path) -> tuple[dict, bytes]:
+def read_manifest(path) -> tuple[dict, memoryview]:
+    """Parse and check the manifest; the payload is a view of the file's bytes.
+
+    Any malformed line raises ``IntegrityError`` naming the file and the line.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.find(_SEPARATOR)
@@ -103,38 +114,50 @@ def read_manifest(path) -> tuple[dict, bytes]:
         manifest_text = blob[:sep].decode("utf-8")
     except UnicodeDecodeError as err:
         raise IntegrityError(f"{path}: manifest is not UTF-8: {err}") from err
-    payload = blob[sep + len(_SEPARATOR):]
+    payload = memoryview(blob)[sep + len(_SEPARATOR):]
 
     info = {"model_config": {}, "opt_steps": {}, "tensors": {}, "manifest": manifest_text}
     lines = manifest_text.rstrip("\n").split("\n")
     if not lines or lines[0] != _MAGIC:
         raise IntegrityError(f"{path}: not a {_MAGIC} file")
-    declared = None
-    for line in lines[1:]:
-        fields = line.split(" ")
-        if fields[0] == "step":
-            info["step"] = int(fields[1])
-        elif fields[0] == "seed":
-            info["seed"] = int(fields[1])
-        elif fields[0] == "config_digest":
-            info["digest"] = fields[1]
-        elif fields[0] == "model_config":
-            info["model_config"][fields[1]] = _parse_value(" ".join(fields[2:]))
-        elif fields[0] == "opt_step":
-            info["opt_steps"][fields[1]] = int(fields[2])
-        elif fields[0] == "tensor":
-            name, dtype, shape_s, offset, length = fields[1:6]
-            if dtype != "f32":
-                raise IntegrityError(f"{path}: unsupported dtype {dtype} for {name}")
-            shape = tuple(int(d) for d in shape_s.split("x")) if shape_s else ()
-            info["tensors"][name] = (shape, int(offset), int(length))
-        elif fields[0] == "payload_bytes":
-            declared = int(fields[1])
-        else:
-            raise IntegrityError(f"{path}: unknown manifest line {line!r}")
+    tensor_lines = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{lineno}"
+        parts = line.split(" ")
+        try:
+            if parts[0] in ("step", "seed", "payload_bytes"):
+                info[parts[0]] = int(parts[1])
+            elif parts[0] == "config_digest":
+                info["digest"] = parts[1]
+            elif parts[0] == "model_config":
+                key, value = parts[1], _parse_value(" ".join(parts[2:]))
+                if key not in _CONFIG_TYPES:
+                    raise IntegrityError(f"{where}: unknown model_config key {key!r}")
+                if type(value) not in _CONFIG_TYPES[key]:
+                    raise IntegrityError(f"{where}: model_config {key} has invalid value {value!r}")
+                info["model_config"][key] = value
+            elif parts[0] == "opt_step":
+                info["opt_steps"][parts[1]] = int(parts[2])
+            elif parts[0] == "tensor":
+                _, name, dtype, shape_s, offset, length = parts
+                if dtype != "f32":
+                    raise IntegrityError(f"{where}: unsupported dtype {dtype} for {name}")
+                shape = tuple(int(d) for d in shape_s.split("x")) if shape_s else ()
+                offset, length = int(offset), int(length)
+                if min(offset, *shape) < 0:
+                    raise IntegrityError(f"{where}: negative offset or dimension for {name}")
+                info["tensors"][name] = (shape, offset, length)
+                tensor_lines[name] = where
+            else:
+                raise IntegrityError(f"{where}: unknown manifest line {line!r}")
+        except (ValueError, IndexError) as err:
+            raise IntegrityError(f"{where}: malformed manifest line {line!r}") from err
 
-    if declared is None:
-        raise IntegrityError(f"{path}: manifest missing payload_bytes")
+    missing = [key for key in ("step", "seed", "payload_bytes") if key not in info]
+    missing += [f"model_config {key}" for key in _REQUIRED_CONFIG if key not in info["model_config"]]
+    if missing:
+        raise IntegrityError(f"{path}: manifest missing {', '.join(missing)}")
+    declared = info["payload_bytes"]
     if declared != len(payload):
         raise IntegrityError(
             f"{path}: payload size mismatch: expected {declared} bytes, got {len(payload)}"
@@ -146,12 +169,24 @@ def read_manifest(path) -> tuple[dict, bytes]:
                 f"{path}: tensor {name} expects {expected} bytes at offset {offset}, "
                 f"payload has {len(payload)}"
             )
+        for half, other in (("optimizer.m.", "optimizer.v."), ("optimizer.v.", "optimizer.m.")):
+            twin = other + name[len(half):]
+            if name.startswith(half) and twin not in info["tensors"]:
+                raise IntegrityError(f"{tensor_lines[name]}: {name} has no {twin}")
     return info, payload
 
 
-def _tensor_from(payload: bytes, shape, offset, length) -> np.ndarray:
-    flat = np.frombuffer(payload[offset : offset + length], dtype="<f4")
-    return flat.reshape(shape).copy()
+def _tensor_from(payload: memoryview, shape, offset, length) -> np.ndarray:
+    """Read-only float32 view of one tensor's bytes in the payload."""
+    return np.frombuffer(payload, dtype="<f4", count=length // 4, offset=offset).reshape(shape)
+
+
+def _assign(path, name, target: np.ndarray, arr: np.ndarray):
+    if target.shape != arr.shape:
+        raise IntegrityError(
+            f"{path}: tensor {name} shape {arr.shape} does not match model {target.shape}"
+        )
+    target[...] = arr
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -161,31 +196,28 @@ def load_checkpoint(path) -> Checkpoint:
     seed = info["seed"]
 
     kwargs = {}
-    if config.variant == "projected":
-        shape, offset, length = info["tensors"]["embedding.word"]
-        kwargs["word_vectors"] = _tensor_from(payload, shape, offset, length)
+    if config.variant == "projected" and "embedding.word" in info["tensors"]:
+        kwargs["word_vectors"] = _tensor_from(payload, *info["tensors"]["embedding.word"])
     model = WordBertModel(config, seed=seed, **kwargs)
+    absent = sorted(set(model.params) - set(info["tensors"]))
+    if absent:
+        raise IntegrityError(f"{path}: manifest has no tensor {', '.join(absent)}")
 
     for name, (shape, offset, length) in info["tensors"].items():
         if name.startswith("optimizer."):
             continue
         arr = _tensor_from(payload, shape, offset, length)
         if name in model.params:
-            if model.params[name].data.shape != arr.shape:
-                raise IntegrityError(
-                    f"{path}: tensor {name} shape {arr.shape} does not match model "
-                    f"{model.params[name].data.shape}"
-                )
-            model.params[name].data[...] = arr
-        else:  # task heads re-attach as trainable parameters
-            model.params[name] = Tensor(arr, requires_grad=True)
+            _assign(path, name, model.params[name].data, arr)
+        else:  # task heads re-attach as trainable parameters, so they need their own memory
+            model.params[name] = Tensor(arr.copy(), requires_grad=True)
 
     optimizer = Adam(model.trainable_parameters())
     for name, state in optimizer.states.items():
         m_key, v_key = f"optimizer.m.{name}", f"optimizer.v.{name}"
         if m_key in info["tensors"]:
-            state.first_moment[...] = _tensor_from(payload, *info["tensors"][m_key])
-            state.second_moment[...] = _tensor_from(payload, *info["tensors"][v_key])
+            _assign(path, m_key, state.first_moment, _tensor_from(payload, *info["tensors"][m_key]))
+            _assign(path, v_key, state.second_moment, _tensor_from(payload, *info["tensors"][v_key]))
             state.step_count = info["opt_steps"].get(name, 0)
     return Checkpoint(
         model=model,

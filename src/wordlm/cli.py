@@ -8,14 +8,16 @@ one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
 from .checkpoint import config_digest, load_checkpoint, read_manifest, save_checkpoint
 from .config import RunConfig
-from .errors import ConfigError, WordlmError
+from .errors import ConfigError, ContractError, WordlmError
 from .evaluation import (
     BUCKET_NAMES,
     FrequencyBuckets,
@@ -62,7 +64,13 @@ def _read_lines(path) -> list[str]:
 
 
 def _load_npz_array(path, key):
-    with np.load(path) as z:
+    try:
+        z = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise ContractError(f"{path}: not an npz archive: {err}") from err
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ContractError(f"{path}: not an npz archive (a bare .npy array)")
+    with z:
         if key not in z.files:
             raise WordlmError(f"{path} does not contain array {key!r} (has {z.files})")
         return z[key].astype(np.float32)
@@ -109,6 +117,8 @@ def cmd_pretrain_projection(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    if args.steps is not None and args.steps < 1:
+        raise ContractError(f"--steps must be >= 1, got {args.steps}")
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"train.seed={args.seed}")
@@ -211,15 +221,19 @@ def cmd_eval_tag(args) -> int:
 
 
 def cmd_eval_span(args) -> int:
-    import json
-
     golds = load_span_items(args.gold)
     preds = []
     with open(args.pred, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                obj = json.loads(line)
-                preds.append((obj["start"], obj["end"]))
+                try:
+                    obj = json.loads(line)
+                    preds.append((obj["start"], obj["end"]))
+                except (json.JSONDecodeError, KeyError, TypeError) as err:
+                    raise ContractError(
+                        f"{args.pred}:{lineno}: not a JSON object with start and end: "
+                        f"{line.strip()!r}"
+                    ) from err
     if len(golds) != len(preds):
         raise WordlmError(f"gold has {len(golds)} items, pred has {len(preds)}")
     ems, f1s = [], []

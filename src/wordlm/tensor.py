@@ -237,7 +237,7 @@ def gelu(x: Tensor, approx: bool = False) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            x.accumulate_grad(bwd(x.data, np.ascontiguousarray(g)))
+            x.accumulate_grad(bwd(x.data, g))
 
     return _make(data, (x,), bw)
 
@@ -250,12 +250,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm expects gamma/beta of shape ({h},), "
             f"got {gamma.data.shape} and {beta.data.shape}"
         )
-    rows = np.ascontiguousarray(x.data.reshape(-1, h))
+    rows = x.data.reshape(-1, h)
     y, mean, inv_std = kernels.layer_norm_fwd(rows, gamma.data, beta.data, np.float32(eps))
 
     def bw(g):
         gin, dgamma, dbeta = kernels.layer_norm_bwd(
-            rows, gamma.data, mean, inv_std, np.ascontiguousarray(g.reshape(-1, h))
+            rows, gamma.data, mean, inv_std, g.reshape(-1, h)
         )
         if x.requires_grad:
             x.accumulate_grad(gin.reshape(x.data.shape))
@@ -270,12 +270,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def softmax(x: Tensor) -> Tensor:
     """Stable softmax over the last axis."""
     h = x.data.shape[-1]
-    rows = np.ascontiguousarray(x.data.reshape(-1, h))
+    rows = x.data.reshape(-1, h)
     probs = kernels.softmax_rows(rows)
 
     def bw(g):
         if x.requires_grad:
-            gin = kernels.softmax_rows_bwd(probs, np.ascontiguousarray(g.reshape(-1, h)))
+            gin = kernels.softmax_rows_bwd(probs, g.reshape(-1, h))
             x.accumulate_grad(gin.reshape(x.data.shape))
 
     return _make(probs.reshape(x.data.shape), (x,), bw)
@@ -289,12 +289,11 @@ def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
         raise ShapeError(f"targets shape {targets.shape} does not match {m} rows")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"target id outside [0, {v})")
-    rows = np.ascontiguousarray(logits.data)
-    losses = kernels.cross_entropy_rows_fwd(rows, targets)
+    losses = kernels.cross_entropy_rows_fwd(logits.data, targets)
 
     def bw(g):
         if logits.requires_grad:
-            grad = kernels.cross_entropy_rows_bwd(rows, targets, np.ascontiguousarray(g))
+            grad = kernels.cross_entropy_rows_bwd(logits.data, targets, g)
             logits.accumulate_grad(grad)
 
     return _make(losses, (logits,), bw)
@@ -341,9 +340,9 @@ def gather_rows(table: Tensor, ids) -> Tensor:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             if table.data.ndim == 1:
-                kernels.scatter_add_vec(table.grad, ids, np.ascontiguousarray(g))
+                kernels.scatter_add_vec(table.grad, ids, g)
             else:
-                kernels.scatter_add_rows(table.grad, ids, np.ascontiguousarray(g))
+                kernels.scatter_add_rows(table.grad, ids, g)
 
     return _make(data, (table,), bw)
 

@@ -114,10 +114,15 @@ class WordVocab:
                 raise ContractError(f"{path}: not a wordvocab {SEGMENTATION_VERSION} file")
             lowercase = header[len(_HEADER_PREFIX):] == "true"
             words, freqs = [], []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 word, _, freq = line.rstrip("\n").partition("\t")
+                try:
+                    freqs.append(int(freq))
+                except ValueError as err:
+                    raise ContractError(
+                        f"{path}:{lineno}: frequency {freq!r} is not an integer"
+                    ) from err
                 words.append(word)
-                freqs.append(int(freq))
         return cls(words, freqs, lowercase=lowercase)
 
 

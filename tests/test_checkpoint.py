@@ -1,5 +1,7 @@
 """Checkpoint archive round-trip, integrity, and resume-equivalence tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,25 @@ def corpus_and_vocab():
     rng = np.random.default_rng(50)
     lines = [" ".join(rng.choice(words, size=5)) for _ in range(20)]
     return lines, build_vocabulary({w: 5 for w in words}, k=8)
+
+
+def _rewrite_manifest_line(tmp_path, prefix, replacement):
+    """Save a small checkpoint with Adam state, then replace (or, for None, drop)
+    its manifest line starting with ``prefix``; ``{}`` in the replacement is
+    filled with the line's payload offset."""
+    path = tmp_path / "c.ckpt"
+    model = small_model(seed=9)
+    save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
+    manifest, payload = path.read_bytes().split(b"---\n", 1)
+    lines = []
+    for line in manifest.decode().split("\n"):
+        if line.startswith(prefix):
+            if replacement is None:
+                continue
+            line = replacement.format(*line.split(" ")[4:5])
+        lines.append(line)
+    path.write_bytes("\n".join(lines).encode() + b"---\n" + payload)
+    return path, lines
 
 
 class TestRoundTrip:
@@ -59,6 +80,20 @@ class TestRoundTrip:
         loaded = load_checkpoint(p1)
         save_checkpoint(loaded.model, loaded.optimizer, loaded.step, p2, digest=loaded.digest)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_loaded_label_head_is_writable_and_trains(self, tmp_path):
+        model = small_model(seed=5)
+        model.add_label_head("tags", 3)
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
+        loaded = load_checkpoint(path)
+        head = loaded.model.params["head.tags.weight"]
+        np.testing.assert_array_equal(head.data, model.params["head.tags.weight"].data)
+        assert head.requires_grad and head.data.flags.writeable
+        head.grad = np.ones_like(head.data)
+        before = head.data.copy()
+        loaded.optimizer.step(lr=0.01)
+        np.testing.assert_allclose(head.data, before - 0.01, atol=1e-6)
 
     def test_projected_variant_round_trip(self, tmp_path):
         wv = np.random.default_rng(5).standard_normal((30, 6)).astype(np.float32)
@@ -97,6 +132,47 @@ class TestIntegrity:
         path = tmp_path / "nosep.ckpt"
         path.write_bytes(b"#wordlm-checkpoint v1\nstep 0\n")
         with pytest.raises(IntegrityError, match="separator"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "prefix,replacement,message",
+        [
+            ("step ", "step x", "malformed manifest line 'step x'"),
+            ("tensor mlm.bias ", "tensor mlm.bias f32 30 0", "malformed manifest line"),
+            ("tensor mlm.bias ", "tensor mlm.bias f32 30 -4 120",
+             "negative offset or dimension for mlm.bias"),
+            ("model_config hidden ", "model_config depth 3", "unknown model_config key 'depth'"),
+            ("model_config hidden ", "model_config hidden eight",
+             "model_config hidden has invalid value 'eight'"),
+            ("tensor optimizer.v.mlm.bias ", None,
+             "optimizer.m.mlm.bias has no optimizer.v.mlm.bias"),
+        ],
+        ids=["step-not-int", "tensor-too-few-fields", "negative-offset", "unknown-config-key",
+             "config-value-type", "moment-without-twin"],
+    )
+    def test_corrupt_manifest_line_names_file_and_line(self, tmp_path, prefix, replacement, message):
+        path, lines = _rewrite_manifest_line(tmp_path, prefix, replacement)
+        # the named line is the edited one, or the surviving half of a moment pair
+        named = replacement or "tensor optimizer.m.mlm.bias "
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(named))
+        for read in (read_manifest, load_checkpoint):
+            with pytest.raises(IntegrityError, match=re.escape(f"{path}:{lineno}: {message}")):
+                read(path)
+
+    @pytest.mark.parametrize(
+        "prefix,replacement,message",
+        [
+            ("step ", None, "manifest missing step"),
+            ("model_config vocab_size ", None, "manifest missing model_config vocab_size"),
+            ("tensor mlm.bias ", None, "manifest has no tensor mlm.bias"),
+            ("tensor optimizer.m.mlm.bias ", "tensor optimizer.m.mlm.bias f32 3x10 {} 120",
+             "tensor optimizer.m.mlm.bias shape (3, 10) does not match model (30,)"),
+        ],
+        ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape"],
+    )
+    def test_inconsistent_manifest_names_file(self, tmp_path, prefix, replacement, message):
+        path, _ = _rewrite_manifest_line(tmp_path, prefix, replacement)
+        with pytest.raises(IntegrityError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(path)
 
     def test_manifest_lists_tensors(self, tmp_path):

@@ -230,3 +230,50 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("wordlm: error:") and err.count("\n") == 1
+
+    def test_corrupt_checkpoint_is_plain_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"#wordlm-checkpoint v1\nstep x\npayload_bytes 0\n---\n")
+        assert main(["inspect-checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"wordlm: error: {path}:2:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,content,where",
+        [
+            ("pretrain", "#wordvocab v1 lowercase=true\n[PAD]\t0\n[UNK]\tmany\n", ":3:"),
+            ("pretrain-projection", "not an archive\n", ":"),
+            ("eval-span", '{"start": 1, "end": 1}\n{"start": 1,\n', ":2:"),
+            ("eval-span", '{"start": 1}\n', ":1:"),
+        ],
+        ids=["vocab-frequency", "npz", "span-json", "span-fields"],
+    )
+    def test_malformed_input_is_plain_error(self, workdir, capsys, command, content, where):
+        tmp, corpus, cfg = workdir
+        bad, gold, out = tmp / "bad", tmp / "gold.jsonl", tmp / "out"
+        bad.write_text(content)
+        gold.write_text(json.dumps({"context_words": ["w0", "w1"], "question_words": ["q"],
+                                    "gold_spans": [[0, 0]]}) + "\n")
+        args = {
+            "pretrain": ["--config", str(cfg), "--corpus", str(corpus), "--vocab", str(bad),
+                         "--out", str(out)],
+            "pretrain-projection": ["--pairs", str(bad), "--out", str(out)],
+            "eval-span": ["--pred", str(bad), "--gold", str(gold)],
+        }[command]
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"wordlm: error: {bad}{where}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_pretrain_zero_steps_rejected_before_output(self, workdir, capsys):
+        tmp, corpus, cfg = workdir
+        vocab = tmp / "vocab.tsv"
+        run_ok(["build-vocab", "--corpus", str(corpus), "--k", "50", "--out", str(vocab)])
+        capsys.readouterr()
+        out = tmp / "zero"
+        code = main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                     "--vocab", str(vocab), "--out", str(out), "--steps", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wordlm: error: --steps must be >= 1") and err.count("\n") == 1
+        assert not out.exists()
