@@ -5,17 +5,21 @@ array with name, dtype, shape, byte offset, byte length), a ``---`` separator
 line, then the raw payload. Tensors are sorted by name, so save -> load ->
 save is byte-identical. The manifest also carries the model configuration so
 a model can be reconstructed from the file alone.
+
+A save streams each tensor's bytes into ``<path>.tmp``, fsyncs it and renames
+it onto ``path``, so a crash mid-save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import ContractError, IntegrityError
 from .model import ModelConfig, WordBertModel
 from .optim import Adam
 from .tensor import Tensor
@@ -60,7 +64,7 @@ def save_checkpoint(
     path,
     digest: str = "-",
 ):
-    """Write model (and optimizer state) to the archive format."""
+    """Write model (and optimizer state) to the archive format, atomically."""
     tensors: dict[str, np.ndarray] = {name: t.data for name, t in model.parameters().items()}
     opt_steps = {}
     if optimizer is not None:
@@ -75,19 +79,28 @@ def save_checkpoint(
     for name in sorted(opt_steps):
         lines.append(f"opt_step {name} {opt_steps[name]}")
 
-    payload = bytearray()
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+    arrays = {name: np.ascontiguousarray(tensors[name], dtype="<f4") for name in sorted(tensors)}
+    offset = 0
+    for name, arr in arrays.items():
         shape = "x".join(str(d) for d in arr.shape)
-        raw = arr.tobytes()
-        lines.append(f"tensor {name} f32 {shape} {len(payload)} {len(raw)}")
-        payload.extend(raw)
-    lines.append(f"payload_bytes {len(payload)}")
+        lines.append(f"tensor {name} f32 {shape} {offset} {arr.nbytes}")
+        offset += arr.nbytes
+    lines.append(f"payload_bytes {offset}")
 
-    with open(path, "wb") as fh:
-        fh.write("\n".join(lines).encode("utf-8") + b"\n")
-        fh.write(_SEPARATOR)
-        fh.write(bytes(payload))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write("\n".join(lines).encode("utf-8") + b"\n")
+            fh.write(_SEPARATOR)
+            for arr in arrays.values():
+                fh.write(arr)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -193,6 +206,10 @@ def load_checkpoint(path) -> Checkpoint:
     """Reconstruct model, optimizer state, and step from an archive."""
     info, payload = read_manifest(path)
     config = ModelConfig.from_dict(info["model_config"])
+    try:
+        config.validate()
+    except ContractError as err:
+        raise IntegrityError(f"{path}: invalid model_config: {err}") from err
     seed = info["seed"]
 
     kwargs = {}

@@ -143,14 +143,15 @@ def probe_topk(
             flat = model.encode_batch(ids[None, :], seq.attention_mask[None, :])
             rows = T.gather_rows(flat, [p for p, _ in scored])
             logits = model.full_vocab_logits(rows).data
-            ranked = np.argsort(-logits, axis=1, kind="stable")
-            for r, (_, gold) in enumerate(scored):
+            for row, (_, gold) in zip(logits, scored):
                 totals[ex.bucket] += 1
                 gold_id = vocab.id_of.get(gold)
                 if gold_id is None:
                     oov[ex.bucket] += 1
                     continue
-                rank = int(np.where(ranked[r] == gold_id)[0][0])
+                # ids scoring above gold, plus lower ids tying with it
+                g = row[gold_id]
+                rank = np.count_nonzero(row > g) + np.count_nonzero(row[:gold_id] == g)
                 for k in ks:
                     if rank < k:
                         hits[ex.bucket][k] += 1
@@ -189,6 +190,7 @@ def score_cloze(
 ) -> int:
     """Index of the option with the highest MLM log-probability at the blank.
 
+    Every option shares the blank's normalizer, so the highest logit wins.
     Out-of-vocabulary options score -inf; ties break toward the lower index.
     """
     item.validate()
@@ -205,11 +207,7 @@ def score_cloze(
     with T.no_grad():
         flat = model.encode_batch(ids[None, :], seq.attention_mask[None, :])
         logits = model.full_vocab_logits(T.gather_rows(flat, [blank + 1])).data[0]
-    logits = logits.astype(np.float64)
-    log_z = logits.max() + np.log(np.exp(logits - logits.max()).sum())
-    scores = np.array(
-        [-np.inf if i is None else logits[i] - log_z for i in option_ids]
-    )
+    scores = np.array([-np.inf if i is None else logits[i] for i in option_ids])
     return int(np.argmax(scores))
 
 

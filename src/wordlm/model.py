@@ -15,7 +15,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .sampling import BatchVocab
 from .seeding import substream
 from .tensor import Tensor
 
@@ -297,19 +296,13 @@ class WordBertModel:
             cfg.layer_norm_eps,
         )
 
-    def output_rows(self, ids) -> Tensor:
-        """Tied MLM output rows for the given word ids, in H-space."""
+    def mlm_logits(self, hidden: Tensor, ids: np.ndarray) -> Tensor:
+        """hidden [M,H] -> logits [M, len(ids)] against the tied rows + bias of ids."""
+        if len(ids) == 0:
+            raise ContractError("batch vocabulary is empty")
         rows = T.gather_rows(self.params["embedding.word"], ids)
         if self.config.variant == "projected":
             rows = T.matmul(rows, self.params["embedding.projection"])
-        return rows
-
-    def mlm_logits(self, hidden: Tensor, batch_vocab: BatchVocab) -> Tensor:
-        """hidden [M,H] -> logits [M, |batch_vocab|] against tied rows + bias."""
-        if len(batch_vocab) == 0:
-            raise ContractError("batch vocabulary is empty")
-        ids = batch_vocab.global_ids
-        rows = self.output_rows(ids)
         bias = T.gather_rows(self.params["mlm.bias"], ids)
         return T.add(T.matmul(hidden, T.transpose(rows, (1, 0))), bias)
 

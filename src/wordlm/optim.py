@@ -73,7 +73,3 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is not None:
                 adam_step(p, self.states[name], lr, self.beta1, self.beta2, self.eps)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()

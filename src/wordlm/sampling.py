@@ -3,7 +3,9 @@
 Each training batch scores its masked positions against a restricted
 vocabulary: the five specials, a uniform without-replacement sample of
 non-special ids, every word present in the batch, and (when a neighbor index
-is supplied) the top-k cosine neighbors of each masked target word.
+is supplied) the top-k cosine neighbors of each masked target word. A batch
+vocabulary is a plain sorted, de-duplicated int64 array of global word ids;
+``remap_targets`` gives each target's column in it.
 """
 
 from __future__ import annotations
@@ -14,59 +16,40 @@ from .errors import ContractError
 from .vocab import NUM_SPECIALS
 
 
-class BatchVocab:
-    """Sorted, de-duplicated global word ids; remap_targets gives the local index."""
-
-    def __init__(self, global_ids):
-        ids = np.unique(np.asarray(global_ids, dtype=np.int64))
-        self.global_ids = ids
-
-    def __len__(self) -> int:
-        return int(self.global_ids.shape[0])
-
-    def __contains__(self, global_id) -> bool:
-        i = np.searchsorted(self.global_ids, global_id)
-        return i < len(self.global_ids) and self.global_ids[i] == global_id
-
-
 def sample_batch_vocab(
     batch_word_ids,
-    masked_target_ids,
+    target_ids,
     vocab_size: int,
-    sample_size: int = 30_000,
+    sample_size: int,
+    rng: np.random.Generator,
     neighbor_index: "NeighborIndex | None" = None,
     k: int = 10,
-    rng: np.random.Generator | None = None,
-) -> BatchVocab:
-    """Specials + uniform sample + batch words (+ target neighbors)."""
+) -> np.ndarray:
+    """Sorted unique ids: specials + uniform sample + batch words + targets (+ neighbors)."""
     if sample_size < 1:
         raise ContractError(f"sample_size must be >= 1, got {sample_size}")
-    if rng is None:
-        rng = np.random.default_rng()
-    batch_word_ids = np.asarray(sorted(batch_word_ids), dtype=np.int64)
-    masked_target_ids = np.asarray(sorted(masked_target_ids), dtype=np.int64)
-
     n_non_special = vocab_size - NUM_SPECIALS
     if sample_size >= n_non_special:
-        return BatchVocab(np.arange(vocab_size, dtype=np.int64))
+        return np.arange(vocab_size, dtype=np.int64)
 
+    target_ids = np.asarray(target_ids, dtype=np.int64)
     sampled = rng.choice(n_non_special, size=sample_size, replace=False) + NUM_SPECIALS
     parts = [
         np.arange(NUM_SPECIALS, dtype=np.int64),
         sampled.astype(np.int64),
-        batch_word_ids,
-        masked_target_ids,
+        np.asarray(batch_word_ids, dtype=np.int64),
+        target_ids,
     ]
-    if neighbor_index is not None and masked_target_ids.size:
-        parts.append(neighbor_index.neighbors_of_many(masked_target_ids, k=k))
-    return BatchVocab(np.concatenate(parts))
+    if neighbor_index is not None and target_ids.size:
+        parts.append(neighbor_index.neighbors_of_many(target_ids, k=k))
+    return np.unique(np.concatenate(parts))
 
 
-def remap_targets(global_targets, bv: BatchVocab) -> np.ndarray:
-    """Local indices such that bv.global_ids[local] == global."""
-    targets = np.asarray(global_targets, dtype=np.int64)
-    local = np.searchsorted(bv.global_ids, targets)
-    bad = (local >= len(bv.global_ids)) | (bv.global_ids[np.minimum(local, len(bv.global_ids) - 1)] != targets)
+def remap_targets(targets, batch_ids: np.ndarray) -> np.ndarray:
+    """Local indices such that batch_ids[local] == targets."""
+    targets = np.asarray(targets, dtype=np.int64)
+    local = np.searchsorted(batch_ids, targets)
+    bad = (local >= len(batch_ids)) | (batch_ids[np.minimum(local, len(batch_ids) - 1)] != targets)
     if bad.any():
         missing = targets[bad][:5].tolist()
         raise ContractError(f"targets absent from batch vocabulary (sampler bug): {missing}")

@@ -1,5 +1,10 @@
 """MLM masking, restricted-softmax loss, projection pretraining, train loop.
 
+A step passes plain arrays between its stages: masking yields the corrupted
+ids, the flat row index of every target in the [B*T, H] hidden states and the
+targets' gold ids; the batch vocabulary is a sorted id array; the loss gathers
+the target rows and scores them against that vocabulary only.
+
 Every random decision flows from (seed, stream name, step), so a run is fully
 determined by its seed and config, and training can resume from a checkpoint
 without replaying earlier steps.
@@ -15,7 +20,7 @@ from . import tensor as T
 from .errors import ContractError
 from .model import WordBertModel
 from .optim import Adam
-from .sampling import BatchVocab, NeighborIndex, remap_targets, sample_batch_vocab
+from .sampling import NeighborIndex, remap_targets, sample_batch_vocab
 from .seeding import substream
 from .tensor import Tensor
 from .vocab import MASK_ID, NUM_SPECIALS, EncodedSequence, WordVocab, encode, segment_words
@@ -40,11 +45,11 @@ class MaskingPolicy:
 
 
 class MaskedBatch:
-    """Corrupted inputs plus the positions and gold ids of every target."""
+    """Corrupted inputs [B, T] plus the flat row (b*T + t) and gold id of every target."""
 
-    def __init__(self, input_ids, positions_per_seq, target_global_ids):
+    def __init__(self, input_ids, positions, target_global_ids):
         self.input_ids = np.asarray(input_ids, dtype=np.int64)
-        self.positions_per_seq = [np.asarray(p, dtype=np.int64) for p in positions_per_seq]
+        self.positions = np.asarray(positions, dtype=np.int64)
         self.target_global_ids = np.asarray(target_global_ids, dtype=np.int64)
 
     @property
@@ -70,19 +75,19 @@ def apply_masking(
     if len(lengths) != 1:
         raise ContractError(f"batch sequences must share one length, got {sorted(lengths)}")
     input_ids = np.stack([seq.ids for seq in batch]).astype(np.int64)
-    positions_per_seq = []
+    t_len = input_ids.shape[1]
+    positions = []
     targets = []
     for b in range(input_ids.shape[0]):
         ids = input_ids[b]
         maskable = np.where(ids >= NUM_SPECIALS)[0]
         if maskable.size == 0:
-            positions_per_seq.append(np.empty(0, dtype=np.int64))
             continue
         draws = rng.random(maskable.size)
         selected = maskable[draws < policy.mask_ratio]
         if selected.size == 0:
             selected = maskable[[rng.integers(0, maskable.size)]]
-        positions_per_seq.append(selected)
+        positions.extend(selected + b * t_len)
         for pos in selected:
             targets.append(int(ids[pos]))
             u = rng.random()
@@ -91,41 +96,26 @@ def apply_masking(
             elif u < policy.replace_mask + policy.replace_random:
                 ids[pos] = rng.integers(NUM_SPECIALS, vocab_size)
             # else: keep the original id
-    return MaskedBatch(input_ids, positions_per_seq, targets)
+    return MaskedBatch(input_ids, positions, targets)
 
 
 def mlm_loss(
     model: WordBertModel,
     masked: MaskedBatch,
-    bv: BatchVocab,
+    batch_ids: np.ndarray,
     rng=None,
     training: bool = False,
 ) -> Tensor:
-    """Mean cross-entropy over all masked positions, restricted to bv."""
+    """Mean cross-entropy over all masked positions, restricted to the sorted batch_ids."""
     if masked.num_targets == 0:
         raise ContractError("masked batch contains no targets")
-    local_targets = remap_targets(masked.target_global_ids, bv)
+    local_targets = remap_targets(masked.target_global_ids, batch_ids)
     hidden_flat = model.encode_batch(
         masked.input_ids, masked.attention_masks(), rng=rng, training=training
     )
-    t_len = masked.input_ids.shape[1]
-    flat_positions = np.concatenate(
-        [pos + b * t_len for b, pos in enumerate(masked.positions_per_seq) if pos.size]
-    )
-    picked = T.gather_rows(hidden_flat, flat_positions)
-    logits = model.mlm_logits(picked, bv)
+    picked = T.gather_rows(hidden_flat, masked.positions)
+    logits = model.mlm_logits(picked, batch_ids)
     return T.mean(T.cross_entropy_rows(logits, local_targets))
-
-
-def mlm_loss_full_vocab(model, masked, rng=None, training=False) -> Tensor:
-    """Unrestricted full-softmax MLM loss (identity batch vocabulary)."""
-    return mlm_loss(
-        model,
-        masked,
-        BatchVocab(np.arange(model.config.vocab_size)),
-        rng=rng,
-        training=training,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +272,19 @@ def train(
         masked = apply_masking(
             batch, policy, substream(cfg.seed, "masking", step), vocab_size
         )
-        batch_word_ids = set(int(i) for i in np.unique(masked.input_ids) if i >= NUM_SPECIALS)
-        target_ids = set(int(i) for i in masked.target_global_ids)
-        bv = sample_batch_vocab(
-            batch_word_ids | target_ids,
-            target_ids,
+        batch_ids = sample_batch_vocab(
+            masked.input_ids[masked.input_ids >= NUM_SPECIALS],
+            masked.target_global_ids,
             vocab_size=vocab_size,
             sample_size=cfg.sample_size,
+            rng=substream(cfg.seed, "sampling", step),
             neighbor_index=neighbor_index,
             k=cfg.neighbor_k,
-            rng=substream(cfg.seed, "sampling", step),
         )
         loss = mlm_loss(
             model,
             masked,
-            bv,
+            batch_ids,
             rng=substream(cfg.seed, "dropout", step) if use_dropout else None,
             training=use_dropout,
         )

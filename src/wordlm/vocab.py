@@ -92,13 +92,6 @@ class WordVocab:
     def size(self) -> int:
         return len(self.words)
 
-    @property
-    def special_ids(self) -> tuple[int, ...]:
-        return tuple(range(NUM_SPECIALS))
-
-    def __len__(self) -> int:
-        return len(self.words)
-
     def save(self, path):
         lines = [f"{_HEADER_PREFIX}{'true' if self.lowercase else 'false'}"]
         for word, freq in zip(self.words, self.frequency):

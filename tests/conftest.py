@@ -33,6 +33,20 @@ def masked_top1_accuracy(model, vocab, lines, max_length):
     return hits / total
 
 
+def restricted_loss64(model, masked, ids):
+    """Mean masked-word loss, softmax renormalised over the columns ids of the
+    full-vocabulary logits at the masked rows, in float64 numpy (not mlm_loss's head)."""
+    with T.no_grad():
+        flat = model.encode_batch(masked.input_ids, masked.attention_masks())
+        logits = model.full_vocab_logits(T.gather_rows(flat, masked.positions)).data
+    logits = logits.astype(np.float64)
+    kept = logits[:, np.asarray(ids)]
+    top = kept.max(axis=1)
+    lse = top + np.log(np.exp(kept - top[:, None]).sum(axis=1))
+    gold = logits[np.arange(len(logits)), masked.target_global_ids]
+    return float(np.mean(lse - gold))
+
+
 @pytest.fixture(scope="session")
 def overfit_bundle():
     """2-layer H=64 model memorizing a 100-sentence synthetic corpus."""

@@ -89,3 +89,14 @@ def ref_mlm_loss(p, cfg, batch, bv_ids):
             lse = m + np.log(np.exp(logits - m).sum())
             losses.append(lse - logits[tgt])
     return float(np.mean(losses))
+
+
+def per_sequence(masked, bv_ids):
+    """ref_mlm_loss's batch list for a masked batch: flat row b*T + t is (b, t)."""
+    seq, pos = np.divmod(masked.positions, masked.input_ids.shape[1])
+    local = np.searchsorted(bv_ids, masked.target_global_ids)
+    masks = masked.attention_masks()
+    return [
+        (masked.input_ids[b], masks[b], pos[seq == b], local[seq == b])
+        for b in range(masked.input_ids.shape[0])
+    ]

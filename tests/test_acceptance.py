@@ -12,7 +12,7 @@ from scipy import stats
 
 from wordlm import tensor as T
 from wordlm.model import ModelConfig, WordBertModel, parameter_counts
-from wordlm.sampling import BatchVocab, NeighborIndex, sample_batch_vocab
+from wordlm.sampling import NeighborIndex, sample_batch_vocab
 from wordlm.tensor import Tensor
 from wordlm.training import (
     MaskingPolicy,
@@ -21,7 +21,6 @@ from wordlm.training import (
     apply_masking,
     lr_at,
     mlm_loss,
-    mlm_loss_full_vocab,
     pretrain_projection,
     projection_mse,
     train,
@@ -40,9 +39,9 @@ from wordlm.evaluation import (
     score_cloze,
 )
 
-from conftest import masked_top1_accuracy
+from conftest import masked_top1_accuracy, restricted_loss64
 from oracles import central_diff_grad, cosine_distance, gelu64, gelu_tanh64, rel_error, softmax64
-from reference_model import params64, ref_mlm_loss
+from reference_model import params64, per_sequence, ref_mlm_loss
 from test_sampling import brute_force_topk
 
 
@@ -176,7 +175,7 @@ def _acceptance_model_and_batch():
     extra = np.random.default_rng(205).choice(
         np.arange(NUM_SPECIALS, vocab_size), size=15, replace=False
     )
-    bv = BatchVocab(np.concatenate([np.arange(NUM_SPECIALS), extra, masked.target_global_ids]))
+    bv = np.unique(np.concatenate([np.arange(NUM_SPECIALS), extra, masked.target_global_ids]))
     return model, masked, bv
 
 
@@ -197,17 +196,10 @@ def test_criterion_01_gradient_correctness():
     loss.backward()
 
     p64 = params64(model)
-    from wordlm.sampling import remap_targets
-
-    locals_ = remap_targets(masked.target_global_ids, bv)
-    batch64, i = [], 0
-    masks = masked.attention_masks()
-    for b, positions in enumerate(masked.positions_per_seq):
-        batch64.append((masked.input_ids[b], masks[b], positions, locals_[i : i + positions.size]))
-        i += positions.size
+    batch64 = per_sequence(masked, bv)
 
     def loss_at(p):
-        return ref_mlm_loss(p, model.config, batch64, bv.global_ids)
+        return ref_mlm_loss(p, model.config, batch64, bv)
 
     all_analytic, all_fd = [], []
     h = 1e-3
@@ -260,7 +252,8 @@ def test_criterion_02_restriction_identity():
     )
     model.params["mlm.bias"].data[:] = np.random.default_rng(207).standard_normal(vocab_size) * 0.2
     rng = np.random.default_rng(208)
-    worst = 0.0
+    subset_rng = np.random.default_rng(213)
+    worst = {"full": 0.0, "subset": 0.0}
     for _ in range(100):
         seqs = []
         for _ in range(3):
@@ -268,11 +261,16 @@ def test_criterion_02_restriction_identity():
             ids = np.array([CLS_ID] + body + [SEP_ID] + [0] * (10 - 2 - len(body)))
             seqs.append(EncodedSequence(ids, (ids != 0).astype(np.int64), len(body)))
         masked = apply_masking(seqs, MaskingPolicy(), rng, vocab_size)
-        restricted = mlm_loss(model, masked, BatchVocab(np.arange(vocab_size))).item()
-        full = mlm_loss_full_vocab(model, masked).item()
-        worst = max(worst, abs(restricted - full))
-    assert worst <= 1e-6
-    report(2, f"restricted == full-softmax loss on 100 random batches, max gap {worst:.1e}")
+        sampled = subset_rng.choice(np.arange(NUM_SPECIALS, vocab_size), size=10, replace=False)
+        subset = np.unique(
+            np.concatenate([np.arange(NUM_SPECIALS), masked.target_global_ids, sampled])
+        )
+        for name, ids in (("full", np.arange(vocab_size)), ("subset", subset)):
+            gap = abs(mlm_loss(model, masked, ids).item() - restricted_loss64(model, masked, ids))
+            worst[name] = max(worst[name], gap)
+    assert max(worst.values()) <= 1e-6, worst
+    report(2, f"restricted head == float64 softmax over full-vocabulary logits on 100 random "
+              f"batches, max gap {worst['full']:.1e} (all ids), {worst['subset']:.1e} (subset)")
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +287,8 @@ def test_criterion_03_sampler_soundness():
         batch = set(rng.integers(NUM_SPECIALS, vocab_size, size=int(rng.integers(5, 120))).tolist())
         masked = set(rng.choice(sorted(batch), size=min(len(batch), 6), replace=False).tolist())
         bv = sample_batch_vocab(
-            batch, masked, vocab_size=vocab_size, sample_size=sample_size,
-            neighbor_index=index, k=k, rng=rng,
+            sorted(batch), sorted(masked), vocab_size=vocab_size, sample_size=sample_size,
+            rng=rng, neighbor_index=index, k=k,
         )
         missing = [t for t in masked if t not in bv]
         assert not missing, f"masked targets missing from batch vocab: {missing}"
@@ -299,9 +297,9 @@ def test_criterion_03_sampler_soundness():
     counts = np.zeros(vocab_size, dtype=np.int64)
     chi_rng = np.random.default_rng(211)
     for _ in range(1000):
-        bv = sample_batch_vocab(set(), set(), vocab_size=vocab_size,
+        bv = sample_batch_vocab([], [], vocab_size=vocab_size,
                                 sample_size=sample_size, rng=chi_rng)
-        counts[bv.global_ids] += 1
+        counts[bv] += 1
     _, pvalue = stats.chisquare(counts[NUM_SPECIALS:])
     assert pvalue > 0.001
     report(3, f"1000 batches: 100% target membership, size bound held, "

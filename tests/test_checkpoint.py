@@ -1,6 +1,8 @@
 """Checkpoint archive round-trip, integrity, and resume-equivalence tests."""
 
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,8 +169,10 @@ class TestIntegrity:
             ("tensor mlm.bias ", None, "manifest has no tensor mlm.bias"),
             ("tensor optimizer.m.mlm.bias ", "tensor optimizer.m.mlm.bias f32 3x10 {} 120",
              "tensor optimizer.m.mlm.bias shape (3, 10) does not match model (30,)"),
+            ("model_config num_heads ", "model_config num_heads 3",
+             "invalid model_config: hidden 8 not divisible by num_heads 3"),
         ],
-        ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape"],
+        ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape", "invalid-config"],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, prefix, replacement, message):
         path, _ = _rewrite_manifest_line(tmp_path, prefix, replacement)
@@ -184,6 +188,37 @@ class TestIntegrity:
         assert "embedding.word" in info["tensors"]
         shape, offset, length = info["tensors"]["embedding.word"]
         assert shape == (30, 8) and length == 30 * 8 * 4
+
+
+class TestSave:
+    def test_save_streams_tensors_without_copying_payload(self, tmp_path):
+        model = small_model(vocab_size=4_000, hidden=32, embed_dim=32)
+        opt = Adam(model.trainable_parameters())
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, opt, 0, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        _, payload = read_manifest(path)
+        assert peak < 0.1 * len(payload), f"peak {peak} B for a {len(payload)} B payload"
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model = small_model(seed=4)
+        path = tmp_path / "keep.ckpt"
+        save_checkpoint(model, None, 1, path)
+        before = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        model.params["mlm.bias"].data[:] = 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, None, 2, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.ckpt"]
 
 
 class TestResume:

@@ -150,6 +150,17 @@ class TestProbeTopk:
             report_all[bucket] = report["total"][bucket]
         assert all(n > 0 for n in report_all.values())
 
+    def test_ties_rank_lower_ids_first(self, buckets, probe_model_and_vocab):
+        model, vocab = probe_model_and_vocab
+        model.params["embedding.word"].data[:] = 0.0
+        model.params["mlm.bias"].data[:] = 0.0  # every logit is 0
+        for gold_id in (5, vocab.size // 2, vocab.size - 1):
+            gold = vocab.words[gold_id]
+            probes = [ProbeExample([gold, "hi0"], [0], [gold], "Low")]
+            ks = (gold_id, gold_id + 1)
+            report = probe_topk(model, vocab, probes, ks=ks)
+            assert report["accuracy"]["Low"] == {gold_id: 0.0, gold_id + 1: 1.0}
+
     def test_oov_gold_counts_as_miss_and_tallied(self, buckets, probe_model_and_vocab):
         model, vocab = probe_model_and_vocab
         probes = [ProbeExample(["mystery", "hi0"], [0], ["mystery"], "Rare")]

@@ -13,7 +13,6 @@ from wordlm.model import (
     span_logits,
 )
 from wordlm.optim import Adam
-from wordlm.sampling import BatchVocab
 from wordlm.tensor import Tensor
 from wordlm.vocab import EncodedSequence
 
@@ -94,7 +93,7 @@ class TestEmbed:
         seq = seq_of([2, 8, 9, 10, 3])
         hidden = encode(model, seq)
         picked = T.gather_rows(hidden, [2])
-        logits = model.mlm_logits(picked, BatchVocab(np.arange(40)))
+        logits = model.mlm_logits(picked, np.arange(40))
         loss = T.mean(T.cross_entropy_rows(logits, [9]))
         loss.backward()
         opt = Adam(model.trainable_parameters())
@@ -158,26 +157,26 @@ class TestMlmLogits:
         model.params["mlm.bias"].data[:] = np.random.default_rng(14).standard_normal(40)
         hidden = self.rand_hidden(model)
         full = model.full_vocab_logits(hidden).data
-        restricted = model.mlm_logits(hidden, BatchVocab(np.arange(40))).data
+        restricted = model.mlm_logits(hidden, np.arange(40)).data
         np.testing.assert_array_equal(full, restricted)
 
     def test_zero_hidden_gives_bias(self):
         model = WordBertModel(toy_config(), seed=9)
         model.params["mlm.bias"].data[:] = np.arange(40, dtype=np.float32)
-        bv = BatchVocab([0, 1, 2, 3, 4, 11, 30])
+        bv = np.array([0, 1, 2, 3, 4, 11, 30])
         logits = model.mlm_logits(Tensor(np.zeros((2, 16), np.float32)), bv).data
-        np.testing.assert_array_equal(logits, np.tile(bv.global_ids.astype(np.float32), (2, 1)))
+        np.testing.assert_array_equal(logits, np.tile(bv.astype(np.float32), (2, 1)))
 
     def test_matches_per_word_dot_product_oracle(self):
         model = WordBertModel(toy_config(), seed=10)
         model.params["mlm.bias"].data[:] = np.random.default_rng(15).standard_normal(40)
         hidden = self.rand_hidden(model, rows=4)
-        bv = BatchVocab([0, 1, 2, 3, 4, 7, 20, 33])
+        bv = np.array([0, 1, 2, 3, 4, 7, 20, 33])
         got = model.mlm_logits(hidden, bv).data
         emb = model.params["embedding.word"].data.astype(np.float64)
         bias = model.params["mlm.bias"].data.astype(np.float64)
         for m in range(4):
-            for j, g in enumerate(bv.global_ids):
+            for j, g in enumerate(bv):
                 expected = float(hidden.data[m].astype(np.float64) @ emb[g] + bias[g])
                 assert abs(got[m, j] - expected) <= 1e-5
 
@@ -186,8 +185,7 @@ class TestMlmLogits:
         wv = np.random.default_rng(2).standard_normal((40, 8)).astype(np.float32)
         model = WordBertModel(cfg, seed=11, word_vectors=wv)
         hidden = self.rand_hidden(model, rows=2)
-        bv = BatchVocab(np.arange(40))
-        got = model.mlm_logits(hidden, bv).data
+        got = model.mlm_logits(hidden, np.arange(40)).data
         rows = wv.astype(np.float64) @ model.params["embedding.projection"].data.astype(np.float64)
         expected = hidden.data.astype(np.float64) @ rows.T
         np.testing.assert_allclose(got, expected, atol=1e-5)
@@ -195,7 +193,7 @@ class TestMlmLogits:
     def test_empty_batch_vocab_rejected(self):
         model = WordBertModel(toy_config(), seed=12)
         with pytest.raises(ContractError):
-            model.mlm_logits(self.rand_hidden(model), BatchVocab([]))
+            model.mlm_logits(self.rand_hidden(model), np.array([], dtype=np.int64))
 
     def test_weight_tying_single_storage(self):
         model = WordBertModel(toy_config(num_layers=0), seed=13)
@@ -284,15 +282,15 @@ class TestParameterCounts:
         cfg = toy_config()
         model = WordBertModel(cfg, seed=15)
         counts = parameter_counts(cfg)
-        actual_emb = model.params["embedding.word"].size
+        actual_emb = model.params["embedding.word"].data.size
         actual_transformer = sum(
-            t.size
+            t.data.size
             for name, t in model.params.items()
             if name.startswith("encoder.") or name == "embedding.position"
         )
         assert counts["embedding"] == actual_emb
         assert counts["transformer"] == actual_transformer
-        assert counts["mlm_head"] == model.params["mlm.bias"].size
+        assert counts["mlm_head"] == model.params["mlm.bias"].data.size
 
     def test_projected_counts_include_projection(self):
         cfg = ModelConfig(

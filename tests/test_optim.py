@@ -155,8 +155,11 @@ class TestAdamWrapper:
         for name, p in params.items():
             assert opt.states[name].step_count == 1
             assert np.all(p.data < 1.0)
-        opt.zero_grad()
+        for p in params.values():
+            p.zero_grad()
         assert all(p.grad is None for p in params.values())
+        opt.step(lr=0.5)  # parameters without a gradient are skipped
+        assert all(state.step_count == 1 for state in opt.states.values())
 
     def test_interleaved_instances_match_sequential(self):
         """No state leaks between calls: stepping two optimizers in alternation

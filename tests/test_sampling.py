@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from wordlm.errors import ContractError
-from wordlm.sampling import BatchVocab, NeighborIndex, remap_targets, sample_batch_vocab
+from wordlm.sampling import NeighborIndex, remap_targets, sample_batch_vocab
 from wordlm.vocab import NUM_SPECIALS
 
 
@@ -29,17 +29,18 @@ def brute_force_topk(embeddings, k):
 class TestSampleBatchVocab:
     def test_sample_exceeding_vocab_degenerates_to_full(self):
         bv = sample_batch_vocab(
-            {7, 9}, {7}, vocab_size=100, sample_size=30_000, rng=np.random.default_rng(0)
+            [7, 9], [7], vocab_size=100, sample_size=30_000, rng=np.random.default_rng(0)
         )
-        np.testing.assert_array_equal(bv.global_ids, np.arange(100))
+        np.testing.assert_array_equal(bv, np.arange(100))
 
     def test_empty_batch_is_sample_plus_specials(self):
         bv = sample_batch_vocab(
-            set(), set(), vocab_size=10_000, sample_size=200, rng=np.random.default_rng(1)
+            [], [], vocab_size=10_000, sample_size=200, rng=np.random.default_rng(1)
         )
+        assert bv.dtype == np.int64
         assert len(bv) == 200 + NUM_SPECIALS
         assert all(s in bv for s in range(NUM_SPECIALS))
-        assert np.all(np.diff(bv.global_ids) > 0)
+        assert np.all(np.diff(bv) > 0)
 
     def test_membership_and_size_bound_over_random_trials(self):
         rng = np.random.default_rng(2)
@@ -52,8 +53,8 @@ class TestSampleBatchVocab:
                 rng.choice(sorted(batch), size=min(len(batch), int(rng.integers(1, 6)))).tolist()
             )
             bv = sample_batch_vocab(
-                batch, masked, vocab_size=2_000, sample_size=50,
-                neighbor_index=index, k=k, rng=rng,
+                sorted(batch), sorted(masked), vocab_size=2_000, sample_size=50,
+                rng=rng, neighbor_index=index, k=k,
             )
             for t in masked:
                 assert t in bv
@@ -61,17 +62,17 @@ class TestSampleBatchVocab:
 
     def test_sample_size_zero_rejected(self):
         with pytest.raises(ContractError):
-            sample_batch_vocab(set(), set(), vocab_size=10, sample_size=0)
+            sample_batch_vocab([], [], vocab_size=10, sample_size=0, rng=np.random.default_rng(0))
 
     def test_resampling_freshness(self):
-        batch = {10, 11, 12}
+        batch = [10, 11, 12]
         seen = set()
         for seed in range(100):
             bv = sample_batch_vocab(
-                batch, {10}, vocab_size=10_000, sample_size=50,
+                batch, [10], vocab_size=10_000, sample_size=50,
                 rng=np.random.default_rng(seed),
             )
-            seen.add(tuple(bv.global_ids.tolist()))
+            seen.add(tuple(bv.tolist()))
         assert len(seen) == 100
 
     def test_inclusion_uniformity_chi_square(self):
@@ -80,8 +81,8 @@ class TestSampleBatchVocab:
         counts = np.zeros(vocab_size, dtype=np.int64)
         draws = 50_000
         for _ in range(draws):
-            bv = sample_batch_vocab(set(), set(), vocab_size=vocab_size, sample_size=10, rng=rng)
-            counts[bv.global_ids] += 1
+            bv = sample_batch_vocab([], [], vocab_size=vocab_size, sample_size=10, rng=rng)
+            counts[bv] += 1
         body = counts[NUM_SPECIALS:]
         _, pvalue = stats.chisquare(body)
         assert pvalue > 0.001
@@ -134,24 +135,21 @@ class TestNearestWords:
 
 class TestRemapTargets:
     def test_sorted_order_example(self):
-        bv = BatchVocab([0, 1, 2, 3, 4, 9, 17])
+        bv = np.array([0, 1, 2, 3, 4, 9, 17])
         np.testing.assert_array_equal(remap_targets([9, 17], bv), [5, 6])
 
     def test_identity_permutation(self):
-        bv = BatchVocab([0, 1, 2, 3, 4, 7, 8])
-        np.testing.assert_array_equal(
-            remap_targets(bv.global_ids, bv), np.arange(len(bv))
-        )
+        bv = np.array([0, 1, 2, 3, 4, 7, 8])
+        np.testing.assert_array_equal(remap_targets(bv, bv), np.arange(len(bv)))
 
     def test_randomized_inverse_property(self):
         rng = np.random.default_rng(8)
         ids = np.unique(rng.integers(0, 100_000, size=4_000))
-        bv = BatchVocab(ids)
-        targets = rng.choice(bv.global_ids, size=10_000, replace=True)
-        local = remap_targets(targets, bv)
-        np.testing.assert_array_equal(bv.global_ids[local], targets)
+        targets = rng.choice(ids, size=10_000, replace=True)
+        local = remap_targets(targets, ids)
+        np.testing.assert_array_equal(ids[local], targets)
 
     def test_absent_target_is_contract_violation(self):
-        bv = BatchVocab([0, 1, 2, 3, 4, 10])
+        bv = np.array([0, 1, 2, 3, 4, 10])
         with pytest.raises(ContractError, match="sampler bug"):
             remap_targets([11], bv)

@@ -5,7 +5,6 @@ import pytest
 
 from wordlm.errors import ContractError
 from wordlm.model import ModelConfig, WordBertModel
-from wordlm.sampling import BatchVocab, remap_targets
 from wordlm.tensor import Tensor
 from wordlm import tensor as T
 from wordlm.training import (
@@ -15,7 +14,6 @@ from wordlm.training import (
     apply_masking,
     lr_at,
     mlm_loss,
-    mlm_loss_full_vocab,
     pretrain_projection,
     projection_mse,
     train,
@@ -23,7 +21,8 @@ from wordlm.training import (
 )
 from wordlm.vocab import CLS_ID, MASK_ID, SEP_ID, UNK_ID, EncodedSequence, build_vocabulary
 
-from reference_model import params64, ref_mlm_loss
+from conftest import restricted_loss64
+from reference_model import params64, per_sequence, ref_mlm_loss
 
 VOCAB_SIZE = 40
 
@@ -43,7 +42,13 @@ def synth_seq(n_words, length=None, rng=None, with_unk=False):
 
 def target_positions(masked):
     """(sequence, position) of every target, in target_global_ids order."""
-    return [(b, int(p)) for b, positions in enumerate(masked.positions_per_seq) for p in positions]
+    t_len = masked.input_ids.shape[1]
+    return [divmod(int(p), t_len) for p in masked.positions]
+
+
+def positions_of(masked, b):
+    """Positions of sequence b's targets."""
+    return np.array([t for s, t in target_positions(masked) if s == b], dtype=np.int64)
 
 
 def toy_model(seed=0, **kw):
@@ -73,9 +78,9 @@ class TestApplyMasking:
         seqs = [synth_seq(6, rng=rng), synth_seq(4, length=8, rng=rng)]
         originals = np.stack([s.ids for s in seqs])
         masked = apply_masking(seqs, policy, np.random.default_rng(2), VOCAB_SIZE)
-        for b, positions in enumerate(masked.positions_per_seq):
+        for b in range(len(seqs)):
             real = np.where(originals[b] >= 5)[0]
-            np.testing.assert_array_equal(np.sort(positions), real)
+            np.testing.assert_array_equal(np.sort(positions_of(masked, b)), real)
             assert np.all(masked.input_ids[b][real] == MASK_ID)
         assert masked.num_targets == int((originals >= 5).sum())
 
@@ -89,6 +94,16 @@ class TestApplyMasking:
         for (b, p), tgt in zip(target_positions(masked), masked.target_global_ids):
             assert original[p] == tgt
 
+    def test_positions_are_flat_rows(self):
+        policy = MaskingPolicy(0.5, 0.0, 0.0, 1.0)
+        rng = np.random.default_rng(14)
+        seqs = [synth_seq(6, length=10, rng=rng) for _ in range(3)]
+        masked = apply_masking(seqs, policy, np.random.default_rng(15), VOCAB_SIZE)
+        assert np.all(np.diff(masked.positions) > 0)
+        np.testing.assert_array_equal(
+            masked.input_ids.reshape(-1)[masked.positions], masked.target_global_ids
+        )
+
     def test_specials_never_selected(self):
         rng = np.random.default_rng(5)
         seqs = [synth_seq(6, length=12, rng=rng, with_unk=True) for _ in range(20)]
@@ -96,8 +111,8 @@ class TestApplyMasking:
         masked = apply_masking(
             seqs, MaskingPolicy(1.0, 1.0, 0.0, 0.0), np.random.default_rng(6), VOCAB_SIZE
         )
-        for b, positions in enumerate(masked.positions_per_seq):
-            assert np.all(originals[b][positions] >= 5)
+        for b in range(len(seqs)):
+            assert np.all(originals[b][positions_of(masked, b)] >= 5)
         # structural tokens and [UNK] survive corruption untouched
         special_pos = originals < 5
         np.testing.assert_array_equal(masked.input_ids[special_pos], originals[special_pos])
@@ -108,8 +123,8 @@ class TestApplyMasking:
         masked = apply_masking(
             seqs, MaskingPolicy(mask_ratio=0.01), np.random.default_rng(8), VOCAB_SIZE
         )
-        for positions in masked.positions_per_seq:
-            assert positions.size >= 1
+        for b in range(len(seqs)):
+            assert positions_of(masked, b).size >= 1
 
     def test_zero_real_word_sequence_contributes_nothing(self):
         empty = EncodedSequence(
@@ -117,7 +132,7 @@ class TestApplyMasking:
         )
         masked = apply_masking([empty], MaskingPolicy(), np.random.default_rng(9), VOCAB_SIZE)
         assert masked.num_targets == 0
-        assert masked.positions_per_seq[0].size == 0
+        assert masked.positions.size == 0
 
     def test_selection_rate_concentrates_at_ratio(self):
         rng = np.random.default_rng(10)
@@ -155,15 +170,17 @@ class TestMlmLoss:
 
     def test_full_vocab_restriction_identity(self):
         model = toy_model(seed=21)
+        model.params["mlm.bias"].data[:] = np.random.default_rng(19).standard_normal(VOCAB_SIZE)
         masked = self.make_batch()
-        bv = BatchVocab(np.arange(VOCAB_SIZE))
-        restricted = mlm_loss(model, masked, bv).item()
-        full = mlm_loss_full_vocab(model, masked).item()
-        assert abs(restricted - full) <= 1e-6
+        extra = np.random.default_rng(18).choice(np.arange(5, VOCAB_SIZE), size=10, replace=False)
+        subset = np.unique(np.concatenate([np.arange(5), masked.target_global_ids, extra]))
+        for ids in (np.arange(VOCAB_SIZE), subset):
+            restricted = mlm_loss(model, masked, ids).item()
+            assert abs(restricted - restricted_loss64(model, masked, ids)) <= 1e-6
 
     def test_uniform_logits_give_log_bv_size(self):
         model = toy_model(seed=22)
-        bv = BatchVocab(np.arange(VOCAB_SIZE))
+        bv = np.arange(VOCAB_SIZE)
         zero_hidden = Tensor(np.zeros((4, 16), np.float32))
         logits = model.mlm_logits(zero_hidden, bv)
         losses = T.cross_entropy_rows(logits, [5, 9, 30, 2])
@@ -177,20 +194,9 @@ class TestMlmLoss:
         masked = self.make_batch(seed=25)
         rng = np.random.default_rng(26)
         extra = rng.choice(np.arange(5, VOCAB_SIZE), size=30, replace=False)
-        bv = BatchVocab(
-            np.concatenate([np.arange(5), extra, masked.target_global_ids])
-        )
+        bv = np.unique(np.concatenate([np.arange(5), extra, masked.target_global_ids]))
         got = mlm_loss(model, masked, bv).item()
-        locals_ = remap_targets(masked.target_global_ids, bv)
-        batch64, i = [], 0
-        masks = masked.attention_masks()
-        for b, positions in enumerate(masked.positions_per_seq):
-            n = positions.size
-            batch64.append(
-                (masked.input_ids[b], masks[b], positions, locals_[i : i + n])
-            )
-            i += n
-        expected = ref_mlm_loss(params64(model), model.config, batch64, bv.global_ids)
+        expected = ref_mlm_loss(params64(model), model.config, per_sequence(masked, bv), bv)
         assert abs(got - expected) <= 1e-5
 
     def test_no_targets_is_contract_error(self):
@@ -198,13 +204,13 @@ class TestMlmLoss:
         empty = EncodedSequence(np.array([CLS_ID, SEP_ID]), np.array([1, 1]), 0)
         masked = apply_masking([empty], MaskingPolicy(), np.random.default_rng(28), VOCAB_SIZE)
         with pytest.raises(ContractError):
-            mlm_loss(model, masked, BatchVocab(np.arange(VOCAB_SIZE)))
+            mlm_loss(model, masked, np.arange(VOCAB_SIZE))
 
     def test_loss_non_increasing_as_vocabulary_shrinks(self):
         model = toy_model(seed=29)
         masked = self.make_batch(seed=30)
-        big = BatchVocab(np.arange(VOCAB_SIZE))
-        small = BatchVocab(np.concatenate([np.arange(5), masked.target_global_ids]))
+        big = np.arange(VOCAB_SIZE)
+        small = np.unique(np.concatenate([np.arange(5), masked.target_global_ids]))
         assert mlm_loss(model, masked, small).item() <= mlm_loss(model, masked, big).item() + 1e-6
 
 
