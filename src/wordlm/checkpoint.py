@@ -4,7 +4,9 @@ Layout: a UTF-8 manifest block (one line per field, one ``tensor`` line per
 array with name, dtype, shape, byte offset, byte length), a ``---`` separator
 line, then the raw payload. Tensors are sorted by name, so save -> load ->
 save is byte-identical. The manifest also carries the model configuration so
-a model can be reconstructed from the file alone.
+a model can be reconstructed from the file alone. A load accepts exactly the
+tensors the model and its optimizer own: every parameter, and either no
+optimizer state or the moments and step count of every trainable parameter.
 
 A save streams each tensor's bytes into ``<path>.tmp``, fsyncs it and renames
 it onto ``path``, so a crash mid-save leaves the previous checkpoint intact.
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import ContractError, IntegrityError
 from .model import ModelConfig, WordBertModel
 from .optim import Adam
-from .tensor import Tensor
 
 _MAGIC = "#wordlm-checkpoint v1"
 _SEPARATOR = b"---\n"
@@ -110,7 +111,6 @@ class Checkpoint:
     step: int
     seed: int
     digest: str
-    manifest: str
 
 
 def read_manifest(path) -> tuple[dict, memoryview]:
@@ -129,7 +129,7 @@ def read_manifest(path) -> tuple[dict, memoryview]:
         raise IntegrityError(f"{path}: manifest is not UTF-8: {err}") from err
     payload = memoryview(blob)[sep + len(_SEPARATOR):]
 
-    info = {"model_config": {}, "opt_steps": {}, "tensors": {}, "manifest": manifest_text}
+    info = {"model_config": {}, "opt_steps": {}, "tensors": {}}
     lines = manifest_text.rstrip("\n").split("\n")
     if not lines or lines[0] != _MAGIC:
         raise IntegrityError(f"{path}: not a {_MAGIC} file")
@@ -216,31 +216,39 @@ def load_checkpoint(path) -> Checkpoint:
     if config.variant == "projected" and "embedding.word" in info["tensors"]:
         kwargs["word_vectors"] = _tensor_from(payload, *info["tensors"]["embedding.word"])
     model = WordBertModel(config, seed=seed, **kwargs)
-    absent = sorted(set(model.params) - set(info["tensors"]))
+    trainable = model.trainable_parameters()
+    tensors, opt_steps = info["tensors"], info["opt_steps"]
+    known = set(model.params) | {f"optimizer.{half}.{name}" for name in trainable for half in "mv"}
+    unknown = sorted(set(tensors) - known)
+    if unknown:
+        raise IntegrityError(f"{path}: unknown tensor {', '.join(unknown)}")
+    absent = sorted(set(model.params) - set(tensors))
     if absent:
         raise IntegrityError(f"{path}: manifest has no tensor {', '.join(absent)}")
+    stray = sorted(set(opt_steps) - set(trainable))
+    if stray:
+        raise IntegrityError(f"{path}: opt_step {', '.join(stray)} names no trainable parameter")
+    # read_manifest pairs every m with its v; optimizer state is all or nothing
+    with_moments = {name for name in trainable if f"optimizer.m.{name}" in tensors}
+    if with_moments or opt_steps:
+        for what, present in (("optimizer moments", with_moments), ("opt_step", opt_steps)):
+            missing = sorted(set(trainable) - set(present))
+            if missing:
+                raise IntegrityError(f"{path}: no {what} for {', '.join(missing)}")
 
-    for name, (shape, offset, length) in info["tensors"].items():
-        if name.startswith("optimizer."):
-            continue
-        arr = _tensor_from(payload, shape, offset, length)
-        if name in model.params:
-            _assign(path, name, model.params[name].data, arr)
-        else:  # task heads re-attach as trainable parameters, so they need their own memory
-            model.params[name] = Tensor(arr.copy(), requires_grad=True)
-
-    optimizer = Adam(model.trainable_parameters())
-    for name, state in optimizer.states.items():
+    for name, param in model.params.items():
+        _assign(path, name, param.data, _tensor_from(payload, *tensors[name]))
+    optimizer = Adam(trainable)
+    for name in with_moments:
+        state = optimizer.states[name]
         m_key, v_key = f"optimizer.m.{name}", f"optimizer.v.{name}"
-        if m_key in info["tensors"]:
-            _assign(path, m_key, state.first_moment, _tensor_from(payload, *info["tensors"][m_key]))
-            _assign(path, v_key, state.second_moment, _tensor_from(payload, *info["tensors"][v_key]))
-            state.step_count = info["opt_steps"].get(name, 0)
+        _assign(path, m_key, state.first_moment, _tensor_from(payload, *tensors[m_key]))
+        _assign(path, v_key, state.second_moment, _tensor_from(payload, *tensors[v_key]))
+        state.step_count = opt_steps[name]
     return Checkpoint(
         model=model,
         optimizer=optimizer,
         step=info["step"],
         seed=seed,
         digest=info.get("digest", "-"),
-        manifest=info["manifest"],
     )

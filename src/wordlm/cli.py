@@ -23,6 +23,7 @@ from .evaluation import (
     FrequencyBuckets,
     build_probe_set,
     cloze_accuracy,
+    is_int_pair,
     load_cloze_items,
     load_probe_examples,
     load_span_items,
@@ -228,17 +229,22 @@ def cmd_eval_span(args) -> int:
             if line.strip():
                 try:
                     obj = json.loads(line)
-                    preds.append((obj["start"], obj["end"]))
+                    pred = (obj["start"], obj["end"])
                 except (json.JSONDecodeError, KeyError, TypeError) as err:
                     raise ContractError(
                         f"{args.pred}:{lineno}: not a JSON object with start and end: "
                         f"{line.strip()!r}"
                     ) from err
+                if not is_int_pair(pred):
+                    raise ContractError(
+                        f"{args.pred}:{lineno}: start and end must be JSON integers: "
+                        f"{line.strip()!r}"
+                    )
+                preds.append(pred)
     if len(golds) != len(preds):
         raise WordlmError(f"gold has {len(golds)} items, pred has {len(preds)}")
     ems, f1s = [], []
     for item, pred in zip(golds, preds):
-        item.validate()
         # gold word spans shift +1 into encoded positions ([CLS] at 0)
         shifted = [(s + 1, e + 1) for s, e in item.gold_spans]
         em, f1 = span_em_f1(pred, shifted)

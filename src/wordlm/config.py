@@ -184,4 +184,6 @@ class RunConfig:
             raise ConfigError([f"bad value for eval.topk: {self['eval.topk']!r}"]) from err
         if not ks:
             raise ConfigError(["eval.topk must list at least one k"])
+        if min(ks) < 1:
+            raise ConfigError([f"bad value for eval.topk: {self['eval.topk']!r} (k must be >= 1)"])
         return ks

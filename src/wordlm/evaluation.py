@@ -84,8 +84,8 @@ def build_probe_set(
     corpus_lines,
     buckets: FrequencyBuckets,
     bucket_label: str,
+    rng: np.random.Generator,
     p: float = 0.15,
-    rng: np.random.Generator | None = None,
     lowercase: bool = True,
 ) -> list[ProbeExample]:
     """Mask each word of the chosen bucket with probability p, per sentence.
@@ -95,7 +95,6 @@ def build_probe_set(
     """
     if bucket_label not in BUCKET_NAMES:
         raise ContractError(f"unknown bucket {bucket_label!r}")
-    rng = rng or np.random.default_rng()
     examples = []
     for line in corpus_lines:
         words = segment_words(line, lowercase=lowercase)
@@ -121,7 +120,7 @@ def probe_topk(
     Gold words outside the vocabulary count as misses and are tallied as OOV.
     Returns {"accuracy": {bucket: {k: acc}}, "total": .., "oov": ..} per bucket.
     """
-    ks = tuple(sorted(set(int(k) for k in (ks if hasattr(ks, "__iter__") else [ks]))))
+    ks = tuple(sorted(set(int(k) for k in ks)))
     max_length = max_length or model.config.max_positions
     hits = {b: {k: 0 for k in ks} for b in BUCKET_NAMES}
     totals = {b: 0 for b in BUCKET_NAMES}
@@ -275,8 +274,6 @@ def tag_f1(pred_labels, gold_labels, mode: str = "span") -> tuple[float, float, 
         raise ContractError(f"mode must be span or token, got {mode!r}")
     if len(pred_labels) != len(gold_labels):
         raise ContractError("prediction and gold sets differ in sequence count")
-    if pred_labels and isinstance(pred_labels[0], str):
-        pred_labels, gold_labels = [pred_labels], [gold_labels]
 
     if mode == "token":
         correct = total = 0
@@ -315,6 +312,13 @@ def tag_f1(pred_labels, gold_labels, mode: str = "span") -> tuple[float, float, 
 NO_ANSWER = (0, 0)
 
 
+def is_int_pair(values) -> bool:
+    """Two JSON integers (bools excluded), as a list or tuple."""
+    return isinstance(values, (list, tuple)) and len(values) == 2 and all(
+        type(v) is int for v in values
+    )
+
+
 @dataclass
 class SpanItem:
     context_words: list[str]
@@ -322,7 +326,10 @@ class SpanItem:
     gold_spans: list[tuple[int, int]] = field(default_factory=list)
 
     def validate(self):
-        for start, end in self.gold_spans:
+        for span in self.gold_spans:
+            if not is_int_pair(span):
+                raise ContractError(f"gold span {span!r} is not a pair of integers")
+            start, end = span
             if not 0 <= start <= end < len(self.context_words):
                 raise ContractError(f"gold span ({start}, {end}) outside the context")
 
@@ -381,17 +388,21 @@ def _load_jsonl(path, kind):
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ContractError(f"{path}:{lineno}: invalid JSON: {err}") from err
+            if not isinstance(obj, dict):
+                raise ContractError(f"{path}:{lineno}: not a JSON object: {line!r}")
             unknown = set(obj) - set(fields)
             if unknown:
                 raise ContractError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
             missing = [f for f in fields if f not in obj and f != "gold_spans"]
             if missing:
                 raise ContractError(f"{path}:{lineno}: missing fields {missing}")
-            if kind == "span":
-                obj["gold_spans"] = [tuple(s) for s in obj.get("gold_spans", [])]
             record = cls(**obj)
-            if hasattr(record, "validate"):
+            try:
                 record.validate()
+            except (ContractError, TypeError) as err:  # TypeError: a field of the wrong JSON type
+                raise ContractError(f"{path}:{lineno}: {err}") from err
+            if kind == "span":
+                record.gold_spans = [tuple(s) for s in record.gold_spans]
             records.append(record)
     return records
 

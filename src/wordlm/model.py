@@ -2,8 +2,7 @@
 
 The MLM output weights are the input embedding rows themselves (direct
 variant) or their projection through the shared 300->H linear map (projected
-variant); there is no separate output matrix, only a per-word bias. Sequence
-labeling and span heads are small affine maps over per-position hidden states.
+variant); there is no separate output matrix, only a per-word bias.
 """
 
 from __future__ import annotations
@@ -164,7 +163,6 @@ class WordBertModel:
 
         params["mlm.bias"] = Tensor(np.zeros(config.vocab_size, np.float32), requires_grad=True)
         self.params = params
-        self._head_rng = rng
 
     # ------------------------------------------------------------------
     # parameter bookkeeping
@@ -186,21 +184,6 @@ class WordBertModel:
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(self.params[name].data).tobytes())
         return digest.hexdigest()
-
-    def add_label_head(self, name: str, num_classes: int):
-        """Affine [H,C] head for word-level classification."""
-        w = truncated_normal(self._head_rng, (self.config.hidden, num_classes), 0.02)
-        self.params[f"head.{name}.weight"] = Tensor(w, requires_grad=True)
-        self.params[f"head.{name}.bias"] = Tensor(np.zeros(num_classes, np.float32), requires_grad=True)
-
-    def add_span_head(self, name: str = "span"):
-        """Start/end scoring vectors for span extraction."""
-        self.params[f"head.{name}.start"] = Tensor(
-            truncated_normal(self._head_rng, (self.config.hidden,), 0.02), requires_grad=True
-        )
-        self.params[f"head.{name}.end"] = Tensor(
-            truncated_normal(self._head_rng, (self.config.hidden,), 0.02), requires_grad=True
-        )
 
     # ------------------------------------------------------------------
     # forward passes
@@ -315,20 +298,3 @@ class WordBertModel:
             rows = emb
         return T.add(T.matmul(hidden, T.transpose(rows, (1, 0))), self.params["mlm.bias"])
 
-
-def label_logits(hidden: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-position affine classification scores: [T,H] x [H,C] + [C]."""
-    t_len, h = hidden.data.shape
-    if weight.data.ndim != 2 or weight.data.shape[0] != h or bias.data.shape != (weight.data.shape[1],):
-        raise ShapeError(
-            f"label head shapes {weight.data.shape}/{bias.data.shape} do not fit hidden {hidden.data.shape}"
-        )
-    return T.add(T.matmul(hidden, weight), bias)
-
-
-def span_logits(hidden: Tensor, w_start: Tensor, w_end: Tensor) -> tuple[Tensor, Tensor]:
-    """Start/end scores per position; position 0 ([CLS]) encodes no-answer."""
-    t_len, h = hidden.data.shape
-    start = T.reshape(T.matmul(hidden, T.reshape(w_start, (h, 1))), (t_len,))
-    end = T.reshape(T.matmul(hidden, T.reshape(w_end, (h, 1))), (t_len,))
-    return start, end

@@ -14,6 +14,9 @@ from . import kernels
 from .errors import ContractError
 from .tensor import Tensor
 
+# Adam's decay rates and denominator term; checkpoints do not store them.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """First/second moment buffers plus step counter for one parameter."""
@@ -24,14 +27,7 @@ class AdamState:
         self.step_count = 0
 
 
-def adam_step(
-    param: Tensor,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def adam_step(param: Tensor, state: AdamState, lr: float):
     """One bias-corrected Adam update; increments ``state.step_count``."""
     if param.grad is None:
         raise ContractError("adam_step requires param.grad to be populated")
@@ -47,29 +43,19 @@ def adam_step(
         )
     state.step_count += 1
     kernels.adam_update(
-        param.data,
-        param.grad,
-        state.first_moment,
-        state.second_moment,
-        state.step_count,
-        float(lr),
-        float(beta1),
-        float(beta2),
-        float(eps),
+        param.data, param.grad, state.first_moment, state.second_moment,
+        state.step_count, float(lr), BETA1, BETA2, EPS,
     )
 
 
 class Adam:
     """Convenience wrapper owning one AdamState per named parameter."""
 
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = dict(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.states = {name: AdamState(p) for name, p in self.params.items()}
 
     def step(self, lr: float):
         for name, p in self.params.items():
             if p.grad is not None:
-                adam_step(p, self.states[name], lr, self.beta1, self.beta2, self.eps)
+                adam_step(p, self.states[name], lr)

@@ -164,14 +164,6 @@ def pretrain_projection(
     return w, losses
 
 
-def projection_mse(w: Tensor, pairs: list[ProjectionPair]) -> float:
-    """Elementwise-mean squared error of the fitted map on held-out pairs."""
-    x = np.stack([p.v_in for p in pairs]).astype(np.float64)
-    y = np.stack([p.v_out for p in pairs]).astype(np.float64)
-    pred = x @ w.data.astype(np.float64)
-    return float(((pred - y) ** 2).mean())
-
-
 # ---------------------------------------------------------------------------
 # schedule and train loop
 # ---------------------------------------------------------------------------
@@ -248,7 +240,6 @@ def train(
     optimizer: Adam | None = None,
     start_step: int = 0,
     num_steps: int | None = None,
-    dropout_training: bool = True,
 ) -> tuple[list[StepRecord], Adam]:
     """Run MLM training steps [start_step, start_step + num_steps).
 
@@ -264,7 +255,7 @@ def train(
         num_steps = cfg.total_steps - start_step
     records = []
     vocab_size = model.config.vocab_size
-    use_dropout = dropout_training and model.config.dropout > 0.0
+    use_dropout = model.config.dropout > 0.0
     for step in range(start_step, start_step + num_steps):
         batch_rng = substream(cfg.seed, "batch", step)
         line_ids = batch_rng.integers(0, len(pool), size=cfg.batch_size)

@@ -1,4 +1,4 @@
-"""Whole-word vocabulary: segmentation, counting, top-K construction, codec.
+"""Whole-word vocabulary: segmentation, counting, top-K construction, encoding.
 
 Segmentation rules (version v1, recorded in the vocab file header): split on
 whitespace, peel leading/trailing non-alphanumeric characters off each chunk
@@ -139,7 +139,6 @@ class EncodedSequence:
 
     ids: np.ndarray
     attention_mask: np.ndarray
-    word_count: int
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -160,16 +159,5 @@ def encode(words, vocab: WordVocab, max_length: int = 512) -> EncodedSequence:
     n_real = len(ids)
     ids.extend([PAD_ID] * (max_length - n_real))
     mask = [1] * n_real + [0] * (max_length - n_real)
-    word_count = sum(1 for i in body if i >= NUM_SPECIALS)
-    return EncodedSequence(np.array(ids), np.array(mask), word_count)
+    return EncodedSequence(np.array(ids), np.array(mask))
 
-
-def decode(ids, vocab: WordVocab) -> list[str]:
-    """Words for the non-special ids, in order."""
-    out = []
-    for i in np.asarray(ids, dtype=np.int64):
-        if i < 0 or i >= vocab.size:
-            raise IndexError(f"id {int(i)} outside vocabulary of size {vocab.size}")
-        if i >= NUM_SPECIALS:
-            out.append(vocab.words[int(i)])
-    return out

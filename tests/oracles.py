@@ -113,3 +113,10 @@ def cosine_distance(a, b):
     if na == 0.0 or nb == 0.0:
         return 1.0
     return float(1.0 - np.dot(a, b) / (na * nb))
+
+
+def projection_mse(w, pairs):
+    """Elementwise-mean squared error of the map w [E, H] on (v_in, v_out) pairs, in float64."""
+    x = np.stack([p.v_in for p in pairs]).astype(np.float64)
+    y = np.stack([p.v_out for p in pairs]).astype(np.float64)
+    return float(((x @ np.asarray(w, dtype=np.float64) - y) ** 2).mean())

@@ -22,7 +22,6 @@ from wordlm.training import (
     lr_at,
     mlm_loss,
     pretrain_projection,
-    projection_mse,
     train,
     write_metrics,
 )
@@ -40,7 +39,15 @@ from wordlm.evaluation import (
 )
 
 from conftest import masked_top1_accuracy, restricted_loss64
-from oracles import central_diff_grad, cosine_distance, gelu64, gelu_tanh64, rel_error, softmax64
+from oracles import (
+    central_diff_grad,
+    cosine_distance,
+    gelu64,
+    gelu_tanh64,
+    projection_mse,
+    rel_error,
+    softmax64,
+)
 from reference_model import params64, per_sequence, ref_mlm_loss
 from test_sampling import brute_force_topk
 
@@ -170,7 +177,7 @@ def _acceptance_model_and_batch():
     for _ in range(2):
         body = rng.integers(NUM_SPECIALS, vocab_size, size=8).tolist()
         ids = np.array([CLS_ID] + body + [SEP_ID])
-        seqs.append(EncodedSequence(ids, (ids != 0).astype(np.int64), len(body)))
+        seqs.append(EncodedSequence(ids, (ids != 0).astype(np.int64)))
     masked = apply_masking(seqs, MaskingPolicy(mask_ratio=0.3), np.random.default_rng(204), vocab_size)
     extra = np.random.default_rng(205).choice(
         np.arange(NUM_SPECIALS, vocab_size), size=15, replace=False
@@ -259,7 +266,7 @@ def test_criterion_02_restriction_identity():
         for _ in range(3):
             body = rng.integers(NUM_SPECIALS, vocab_size, size=int(rng.integers(3, 9))).tolist()
             ids = np.array([CLS_ID] + body + [SEP_ID] + [0] * (10 - 2 - len(body)))
-            seqs.append(EncodedSequence(ids, (ids != 0).astype(np.int64), len(body)))
+            seqs.append(EncodedSequence(ids, (ids != 0).astype(np.int64)))
         masked = apply_masking(seqs, MaskingPolicy(), rng, vocab_size)
         sampled = subset_rng.choice(np.arange(NUM_SPECIALS, vocab_size), size=10, replace=False)
         subset = np.unique(
@@ -337,7 +344,7 @@ def test_criterion_05_projection_recovery():
     held_x = rng.standard_normal((200, 300)).astype(np.float32)
     held = [ProjectionPair(x, x @ planted) for x in held_x]
     w, losses = pretrain_projection(pairs, lr=200.0, epochs=250, rng=rng)
-    held_mse = projection_mse(w, held)
+    held_mse = projection_mse(w.data, held)
     assert held_mse < 1e-3, f"held-out mse {held_mse}"
 
     v_in = np.zeros(300, np.float32)

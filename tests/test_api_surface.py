@@ -1,0 +1,69 @@
+"""Every public function, class and method of wordlm has a caller outside the tests.
+
+A name counts as called when it appears, as a bare name or as an attribute,
+in ``src/wordlm`` or ``perfbench`` (its smoke test excluded) anywhere but the
+body of its own definition. The match is by name only, so a method shares its
+callers with every other method of the same name.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wordlm"
+
+# Public names that may have no caller in the code base.
+ALLOWED = {
+    "main": "the `wordlm` console script in pyproject.toml calls it",
+    "tensor_sum": "acceptance criterion 01 reduces with it in its gradient checks",
+}
+
+
+def public_definitions():
+    """(module file, qualified name, bare name) of every public definition."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            out.append((path.name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        out.append((path.name, f"{node.name}.{item.name}", item.name))
+    return out
+
+
+def referenced_names():
+    """Names and attributes used in the library and the benchmark, each outside
+    the definitions that bear the same name."""
+    files = sorted(PACKAGE.glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_smoke.py"
+    )
+    seen = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            seen.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in files:
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return seen
+
+
+def test_every_public_name_has_a_non_test_caller():
+    definitions = public_definitions()
+    assert set(ALLOWED) <= {name for _, _, name in definitions}, "stale ALLOWED entry"
+    used = referenced_names()
+    uncalled = [
+        f"{module}:{qualified}"
+        for module, qualified, name in definitions
+        if name not in used and name not in ALLOWED
+    ]
+    assert not uncalled, f"public API that only tests call: {uncalled}"

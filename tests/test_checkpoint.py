@@ -31,10 +31,14 @@ def corpus_and_vocab():
     return lines, build_vocabulary({w: 5 for w in words}, k=8)
 
 
+MLM_BIAS_MOMENTS = ("tensor optimizer.m.mlm.bias ", "tensor optimizer.v.mlm.bias ")
+
+
 def _rewrite_manifest_line(tmp_path, prefix, replacement):
     """Save a small checkpoint with Adam state, then replace (or, for None, drop)
-    its manifest line starting with ``prefix``; ``{}`` in the replacement is
-    filled with the line's payload offset."""
+    its manifest lines starting with ``prefix`` (a string or a tuple of them);
+    ``{}`` in the replacement is filled with the line's payload offset, and a
+    callable replacement maps the old line to the new one."""
     path = tmp_path / "c.ckpt"
     model = small_model(seed=9)
     save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
@@ -44,7 +48,10 @@ def _rewrite_manifest_line(tmp_path, prefix, replacement):
         if line.startswith(prefix):
             if replacement is None:
                 continue
-            line = replacement.format(*line.split(" ")[4:5])
+            if callable(replacement):
+                line = replacement(line)
+            else:
+                line = replacement.format(*line.split(" ")[4:5])
         lines.append(line)
     path.write_bytes("\n".join(lines).encode() + b"---\n" + payload)
     return path, lines
@@ -53,7 +60,6 @@ def _rewrite_manifest_line(tmp_path, prefix, replacement):
 class TestRoundTrip:
     def test_tensors_bit_exact(self, tmp_path):
         model = small_model()
-        model.add_label_head("tags", 4)
         opt = Adam(model.trainable_parameters())
         for p in opt.params.values():
             p.grad = np.ones_like(p.data)
@@ -82,20 +88,6 @@ class TestRoundTrip:
         loaded = load_checkpoint(p1)
         save_checkpoint(loaded.model, loaded.optimizer, loaded.step, p2, digest=loaded.digest)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_loaded_label_head_is_writable_and_trains(self, tmp_path):
-        model = small_model(seed=5)
-        model.add_label_head("tags", 3)
-        path = tmp_path / "h.ckpt"
-        save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
-        loaded = load_checkpoint(path)
-        head = loaded.model.params["head.tags.weight"]
-        np.testing.assert_array_equal(head.data, model.params["head.tags.weight"].data)
-        assert head.requires_grad and head.data.flags.writeable
-        head.grad = np.ones_like(head.data)
-        before = head.data.copy()
-        loaded.optimizer.step(lr=0.01)
-        np.testing.assert_allclose(head.data, before - 0.01, atol=1e-6)
 
     def test_projected_variant_round_trip(self, tmp_path):
         wv = np.random.default_rng(5).standard_normal((30, 6)).astype(np.float32)
@@ -171,8 +163,18 @@ class TestIntegrity:
              "tensor optimizer.m.mlm.bias shape (3, 10) does not match model (30,)"),
             ("model_config num_heads ", "model_config num_heads 3",
              "invalid model_config: hidden 8 not divisible by num_heads 3"),
+            ("tensor mlm.bias ", "tensor head.tags.weight f32 30 {} 120",
+             "unknown tensor head.tags.weight"),
+            (MLM_BIAS_MOMENTS, lambda line: line.replace("mlm.bias", "bogus"),
+             "unknown tensor optimizer.m.bogus, optimizer.v.bogus"),
+            ("opt_step mlm.bias ", "opt_step bogus 0",
+             "opt_step bogus names no trainable parameter"),
+            (MLM_BIAS_MOMENTS, None, "no optimizer moments for mlm.bias"),
+            ("opt_step mlm.bias ", None, "no opt_step for mlm.bias"),
         ],
-        ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape", "invalid-config"],
+        ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape", "invalid-config",
+             "unknown-tensor", "unknown-moments", "unknown-opt-step", "partial-moments",
+             "partial-opt-steps"],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, prefix, replacement, message):
         path, _ = _rewrite_manifest_line(tmp_path, prefix, replacement)

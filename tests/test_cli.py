@@ -213,6 +213,10 @@ class TestEvalCommands:
         assert abs(counts["embedding"] - 384e6) / 384e6 < 0.02
 
 
+INTS_AT_1 = ":1: start and end must be JSON integers"
+INTS_AT_2 = ":2: start and end must be JSON integers"
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -239,28 +243,45 @@ class TestExitCodes:
         assert err.startswith(f"wordlm: error: {path}:2:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "command,content,where",
+        "case,content,where",
         [
             ("pretrain", "#wordvocab v1 lowercase=true\n[PAD]\t0\n[UNK]\tmany\n", ":3:"),
             ("pretrain-projection", "not an archive\n", ":"),
             ("eval-span", '{"start": 1, "end": 1}\n{"start": 1,\n', ":2:"),
             ("eval-span", '{"start": 1}\n', ":1:"),
+            ("eval-span", '{"start": 1, "end": 1}\n{"start": "x", "end": 3}\n', INTS_AT_2),
+            ("eval-span", '{"start": null, "end": 3}\n', INTS_AT_1),
+            ("eval-span", '{"start": 2.7, "end": 3}\n', INTS_AT_1),
+            ("eval-span", '{"start": true, "end": 3}\n', INTS_AT_1),
+            ("eval-span-gold", '{"context_words": ["w0"], "question_words": ["q"], '
+             '"gold_spans": [[1]]}\n', ":1: gold span [1] is not a pair of integers"),
+            ("eval-span-gold", '{"context_words": ["w0", "w1"], "question_words": ["q"], '
+             '"gold_spans": [[0, 1.0]]}\n', ":1: gold span [0, 1.0] is not a pair of integers"),
+            ("eval-span-gold", '{"context_words": ["w0"], "question_words": ["q"], '
+             '"gold_spans": [[5, 5]]}\n', ":1: gold span (5, 5) outside the context"),
+            ("eval-span-gold", "5\n", ":1: not a JSON object"),
+            ("eval-tag-gold", '{"words": 5, "gold_labels": []}\n', ":1:"),
         ],
-        ids=["vocab-frequency", "npz", "span-json", "span-fields"],
+        ids=["vocab-frequency", "npz", "span-json", "span-fields", "span-string", "span-null",
+             "span-float", "span-bool", "gold-span-short", "gold-span-float",
+             "gold-span-outside", "gold-not-object", "tag-field-type"],
     )
-    def test_malformed_input_is_plain_error(self, workdir, capsys, command, content, where):
+    def test_malformed_input_is_plain_error(self, workdir, capsys, case, content, where):
         tmp, corpus, cfg = workdir
         bad, gold, out = tmp / "bad", tmp / "gold.jsonl", tmp / "out"
         bad.write_text(content)
         gold.write_text(json.dumps({"context_words": ["w0", "w1"], "question_words": ["q"],
                                     "gold_spans": [[0, 0]]}) + "\n")
-        args = {
-            "pretrain": ["--config", str(cfg), "--corpus", str(corpus), "--vocab", str(bad),
-                         "--out", str(out)],
-            "pretrain-projection": ["--pairs", str(bad), "--out", str(out)],
-            "eval-span": ["--pred", str(bad), "--gold", str(gold)],
-        }[command]
-        assert main([command, *args]) == 1
+        argv = {
+            "pretrain": ["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                         "--vocab", str(bad), "--out", str(out)],
+            "pretrain-projection": ["pretrain-projection", "--pairs", str(bad), "--out", str(out)],
+            "eval-span": ["eval-span", "--pred", str(bad), "--gold", str(gold)],
+            # gold is read before pred, so the bad file fails first in either role
+            "eval-span-gold": ["eval-span", "--pred", str(bad), "--gold", str(bad)],
+            "eval-tag-gold": ["eval-tag", "--pred", str(bad), "--gold", str(bad)],
+        }[case]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"wordlm: error: {bad}{where}") and err.count("\n") == 1
         assert not out.exists()

@@ -109,3 +109,6 @@ class TestViews:
         bad = RunConfig.load(None, overrides=["eval.topk=one"], env={})
         with pytest.raises(ConfigError):
             bad.topk_list()
+        below_one = RunConfig.load(None, overrides=["eval.topk=0,-3"], env={})
+        with pytest.raises(ConfigError, match="eval.topk"):
+            below_one.topk_list()

@@ -1,17 +1,11 @@
-"""Model tests: embedding, encoder vs reference, tied MLM head, task heads."""
+"""Model tests: embedding, encoder vs reference, tied MLM head, parameter accounting."""
 
 import numpy as np
 import pytest
 
 from wordlm import tensor as T
 from wordlm.errors import ContractError, ShapeError
-from wordlm.model import (
-    ModelConfig,
-    WordBertModel,
-    label_logits,
-    parameter_counts,
-    span_logits,
-)
+from wordlm.model import ModelConfig, WordBertModel, parameter_counts
 from wordlm.optim import Adam
 from wordlm.tensor import Tensor
 from wordlm.vocab import EncodedSequence
@@ -37,7 +31,7 @@ def toy_config(**kw):
 def seq_of(ids):
     ids = np.asarray(ids, dtype=np.int64)
     mask = (ids != 0).astype(np.int64)
-    return EncodedSequence(ids, mask, int((ids >= 5).sum()))
+    return EncodedSequence(ids, mask)
 
 
 def encode(model, seq):
@@ -209,67 +203,6 @@ class TestMlmLogits:
         assert np.all(changed[np.arange(40) != 17] == 0)
         assert np.abs(after_embed[1] - before_embed[1]).max() > 0
         np.testing.assert_array_equal(after_embed[0], before_embed[0])
-
-
-class TestTaskHeads:
-    def test_zero_label_head_gives_bias(self):
-        rng = np.random.default_rng(16)
-        hidden = Tensor(rng.standard_normal((5, 16)).astype(np.float32))
-        bias = rng.standard_normal(7).astype(np.float32)
-        out = label_logits(hidden, Tensor(np.zeros((16, 7), np.float32)), Tensor(bias))
-        np.testing.assert_array_equal(out.data, np.tile(bias, (5, 1)))
-
-    def test_identity_head_reproduces_hidden(self):
-        hidden = Tensor(np.random.default_rng(17).standard_normal((1, 16)).astype(np.float32))
-        out = label_logits(hidden, Tensor(np.eye(16, dtype=np.float32)), Tensor(np.zeros(16, np.float32)))
-        np.testing.assert_allclose(out.data, hidden.data, atol=1e-6)
-
-    def test_label_logits_matches_matmul_oracle(self):
-        rng = np.random.default_rng(18)
-        hidden = rng.standard_normal((6, 16)).astype(np.float32)
-        w = rng.standard_normal((16, 4)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
-        out = label_logits(Tensor(hidden), Tensor(w), Tensor(b)).data
-        expected = hidden.astype(np.float64) @ w.astype(np.float64) + b
-        assert np.abs(out - expected).max() <= 1e-5
-
-    def test_label_head_shape_error(self):
-        with pytest.raises(ShapeError):
-            label_logits(
-                Tensor(np.zeros((5, 16), np.float32)),
-                Tensor(np.zeros((8, 4), np.float32)),
-                Tensor(np.zeros(4, np.float32)),
-            )
-
-    def test_span_same_vectors_give_equal_scores(self):
-        rng = np.random.default_rng(19)
-        hidden = Tensor(rng.standard_normal((5, 16)).astype(np.float32))
-        w = Tensor(rng.standard_normal(16).astype(np.float32))
-        start, end = span_logits(hidden, w, w)
-        np.testing.assert_array_equal(start.data, end.data)
-
-    def test_span_zero_head_gives_zero_scores(self):
-        hidden = Tensor(np.random.default_rng(20).standard_normal((4, 16)).astype(np.float32))
-        z = Tensor(np.zeros(16, np.float32))
-        start, end = span_logits(hidden, z, z)
-        np.testing.assert_array_equal(start.data, np.zeros(4, np.float32))
-        np.testing.assert_array_equal(end.data, np.zeros(4, np.float32))
-
-    def test_span_matches_dot_product_oracle(self):
-        rng = np.random.default_rng(21)
-        hidden = rng.standard_normal((5, 16)).astype(np.float32)
-        ws = rng.standard_normal(16).astype(np.float32)
-        we = rng.standard_normal(16).astype(np.float32)
-        start, end = span_logits(Tensor(hidden), Tensor(ws), Tensor(we))
-        np.testing.assert_allclose(start.data, hidden.astype(np.float64) @ ws, atol=1e-5)
-        np.testing.assert_allclose(end.data, hidden.astype(np.float64) @ we, atol=1e-5)
-
-    def test_registered_heads_are_parameters(self):
-        model = WordBertModel(toy_config(), seed=14)
-        model.add_label_head("tags", 9)
-        model.add_span_head()
-        assert model.params["head.tags.weight"].data.shape == (16, 9)
-        assert model.params["head.span.start"].data.shape == (16,)
 
 
 class TestParameterCounts:

@@ -46,7 +46,7 @@ class TestAdamStep:
         g[np.abs(g) < 0.1] = 0.5
         p = Tensor(np.zeros(50, np.float32), requires_grad=True)
         p.grad = g.copy()
-        adam_step(p, AdamState(p), lr=0.01, eps=1e-8)
+        adam_step(p, AdamState(p), lr=0.01)
         np.testing.assert_allclose(p.data, -0.01 * np.sign(g), rtol=1e-3)
 
     def test_ten_step_quadratic_matches_reference(self):
@@ -60,7 +60,7 @@ class TestAdamStep:
         got = []
         for _ in range(10):
             p.grad = np.array([grad_fn(float(p.data[0]))], np.float32)
-            adam_step(p, state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+            adam_step(p, state, lr=0.1)
             got.append(float(p.data[0]))
         np.testing.assert_allclose(got, expected, atol=1e-6)
         assert state.step_count == 10
