@@ -20,23 +20,26 @@ from .config import RunConfig
 from .errors import ConfigError, ContractError, WordlmError
 from .evaluation import (
     BUCKET_NAMES,
+    NO_ANSWER,
+    ClozeItem,
     FrequencyBuckets,
+    ProbeExample,
+    SpanItem,
+    TaggedSequence,
     build_probe_set,
     cloze_accuracy,
     is_int_pair,
-    load_cloze_items,
-    load_probe_examples,
-    load_span_items,
-    load_tagged_sequences,
+    load_records,
     probe_topk,
     save_probe_examples,
     span_em_f1,
     tag_f1,
 )
-from .model import WordBertModel, parameter_counts
+from .model import ModelConfig, WordBertModel, parameter_counts
 from .sampling import NeighborIndex
 from .seeding import substream
-from .training import pretrain_projection, train as run_training, write_metrics, ProjectionPair
+from .training import MaskingPolicy, TrainConfig, pretrain_projection, write_metrics
+from .training import train as run_training
 from .vocab import WordVocab, build_vocabulary, count_corpus_file
 
 _CLOZE_EXAMPLE = (
@@ -78,7 +81,7 @@ def _load_npz_array(path, key):
 
 
 def _build_model(cfg: RunConfig, vocab: WordVocab, word_vectors_path=None, projection_path=None):
-    model_cfg = cfg.model_config(vocab.size)
+    model_cfg = cfg.view(ModelConfig, vocab_size=vocab.size)
     kwargs = {}
     if model_cfg.variant == "projected":
         if word_vectors_path is None:
@@ -105,14 +108,9 @@ def cmd_build_vocab(args) -> int:
 def cmd_pretrain_projection(args) -> int:
     v_in = _load_npz_array(args.pairs, "v_in")
     v_out = _load_npz_array(args.pairs, "v_out")
-    if v_in.shape[0] != v_out.shape[0]:
-        raise WordlmError(f"pair count mismatch: {v_in.shape[0]} vs {v_out.shape[0]}")
-    pairs = [ProjectionPair(a, b) for a, b in zip(v_in, v_out)]
-    w, losses = pretrain_projection(
-        pairs, lr=args.lr, epochs=args.epochs, rng=substream(args.seed, "init")
-    )
+    w, losses = pretrain_projection(v_in, v_out, args.lr, args.epochs, substream(args.seed, "init"))
     np.savez(args.out, projection=w.data, final_loss=np.float32(losses[-1]))
-    print(f"fitted {v_in.shape[1]}x{v_out.shape[1]} projection on {len(pairs)} pairs, "
+    print(f"fitted {v_in.shape[1]}x{v_out.shape[1]} projection on {len(v_in)} pairs, "
           f"final mse {losses[-1]:.6g} -> {args.out}")
     return 0
 
@@ -124,6 +122,7 @@ def cmd_pretrain(args) -> int:
     if args.seed is not None:
         overrides.append(f"train.seed={args.seed}")
     cfg = RunConfig.load(args.config, overrides=overrides)
+    train_cfg, policy = cfg.view(TrainConfig), cfg.view(MaskingPolicy)
     vocab = WordVocab.load(args.vocab)
     corpus = _read_lines(args.corpus)
     model = _build_model(cfg, vocab, args.word_vectors, args.projection)
@@ -133,8 +132,7 @@ def cmd_pretrain(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     cfg.echo_into(args.out)
     records, optimizer = run_training(
-        corpus, vocab, model, cfg.train_config(),
-        policy=cfg.masking_policy(), neighbor_index=neighbor_index,
+        corpus, vocab, model, train_cfg, policy=policy, neighbor_index=neighbor_index,
         num_steps=args.steps,
     )
     write_metrics(records, os.path.join(args.out, "metrics.tsv"))
@@ -154,7 +152,7 @@ def cmd_probe(args) -> int:
     vocab = WordVocab.load(args.vocab)
     model = load_checkpoint(args.checkpoint).model
     if args.probes:
-        probes = load_probe_examples(args.probes)
+        probes = load_records(args.probes, ProbeExample)
     else:
         if not args.corpus:
             raise WordlmError("probe needs either --probes or --corpus")
@@ -198,7 +196,7 @@ def cmd_eval_cloze(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
     vocab = WordVocab.load(args.vocab)
     model = load_checkpoint(args.checkpoint).model
-    items = load_cloze_items(args.items)
+    items = load_records(args.items, ClozeItem)
     acc = cloze_accuracy(model, vocab, items, max_length=cfg["train.max_length"])
     print(f"cloze accuracy {acc:.4f} over {len(items)} items")
     if args.out:
@@ -210,8 +208,8 @@ def cmd_eval_cloze(args) -> int:
 
 
 def cmd_eval_tag(args) -> int:
-    gold = load_tagged_sequences(args.gold)
-    pred = load_tagged_sequences(args.pred)
+    gold = load_records(args.gold, TaggedSequence)
+    pred = load_records(args.pred, TaggedSequence)
     if len(gold) != len(pred):
         raise WordlmError(f"gold has {len(gold)} sequences, pred has {len(pred)}")
     p, r, f1 = tag_f1(
@@ -222,7 +220,7 @@ def cmd_eval_tag(args) -> int:
 
 
 def cmd_eval_span(args) -> int:
-    golds = load_span_items(args.gold)
+    golds = load_records(args.gold, SpanItem)
     preds = []
     with open(args.pred, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -240,6 +238,8 @@ def cmd_eval_span(args) -> int:
                         f"{args.pred}:{lineno}: start and end must be JSON integers: "
                         f"{line.strip()!r}"
                     )
+                if pred != NO_ANSWER and not 0 <= pred[0] <= pred[1]:
+                    raise ContractError(f"{args.pred}:{lineno}: invalid predicted span {pred}")
                 preds.append(pred)
     if len(golds) != len(preds):
         raise WordlmError(f"gold has {len(golds)} items, pred has {len(preds)}")
@@ -272,7 +272,7 @@ def cmd_inspect_checkpoint(args) -> int:
 
 def cmd_param_count(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
-    counts = parameter_counts(cfg.model_config(args.vocab_size))
+    counts = parameter_counts(cfg.view(ModelConfig, vocab_size=args.vocab_size))
     for key in ("transformer", "embedding", "mlm_head", "total"):
         print(f"{key}\t{counts[key]}")
     return 0

@@ -3,14 +3,18 @@
 Keys are sectioned with dots (model.hidden, train.peak_lr). Precedence:
 defaults < config file < WORDLM_<SECTION>_<KEY> environment variables < CLI
 overrides. Unknown keys and uncoercible values are rejected together, each
-named in the error.
+named in the error. A key backed by a ``ModelConfig``, ``TrainConfig`` or
+``MaskingPolicy`` field takes its type and default from that field.
 """
 
 from __future__ import annotations
 
 import os
+import re
+from dataclasses import fields
+from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .model import ModelConfig
 from .training import MaskingPolicy, TrainConfig
 
@@ -24,33 +28,23 @@ def _parse_bool(s: str) -> bool:
         raise ValueError(f"not a boolean: {s!r}")
 
 
+_RENAMED = {"num_layers": "layers", "num_heads": "heads"}
+
+# dataclass -> {field name: dotted key}; vocab_size and layer_norm_eps are not settings
+FIELD_KEYS = {
+    cls: {f.name: f"{section}.{_RENAMED.get(f.name, f.name)}" for f in fields(cls)
+          if f.name not in ("vocab_size", "layer_norm_eps")}
+    for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (MaskingPolicy, "train"))
+}
+
 # key -> (type converter, default)
 DECLARED_KEYS: dict[str, tuple] = {
-    "model.layers": (int, 12),
-    "model.heads": (int, 12),
-    "model.hidden": (int, 768),
-    "model.embed_dim": (int, 768),
-    "model.max_positions": (int, 512),
-    "model.variant": (str, "direct"),
-    "model.freeze_embeddings": (_parse_bool, False),
-    "model.dropout": (float, 0.1),
-    "model.gelu_approx": (_parse_bool, False),
+    keys[f.name]: (_parse_bool if hint is bool else hint, f.default)
+    for cls, keys in FIELD_KEYS.items() for f in fields(cls) if f.name in keys
+    for hint in [get_type_hints(cls)[f.name]]
+} | {
     "model.seed": (int, 0),
-    "train.peak_lr": (float, 5e-5),
-    "train.warmup_steps": (int, 5_000),
-    "train.total_steps": (int, 200_000),
-    "train.batch_size": (int, 32),
-    "train.seed": (int, 0),
-    "train.sample_size": (int, 30_000),
-    "train.max_length": (int, 512),
-    "train.neighbor_k": (int, 10),
     "train.use_neighbors": (_parse_bool, False),
-    "train.mask_ratio": (float, 0.15),
-    "train.replace_mask": (float, 0.8),
-    "train.replace_random": (float, 0.1),
-    "train.keep_original": (float, 0.1),
-    "vocab.k": (int, 500_000),
-    "vocab.lowercase": (_parse_bool, True),
     "eval.threshold_high": (int, 3_000),
     "eval.threshold_medium": (int, 300),
     "eval.threshold_low": (int, 3),
@@ -73,12 +67,7 @@ class RunConfig:
         return self.values[key]
 
     @classmethod
-    def load(
-        cls,
-        path=None,
-        overrides: list[str] | None = None,
-        env: dict | None = None,
-    ) -> "RunConfig":
+    def load(cls, path=None, overrides: list[str] | None = None, env: dict | None = None):
         env = os.environ if env is None else env
         values = {k: default for k, (_, default) in DECLARED_KEYS.items()}
         violations = []
@@ -139,43 +128,29 @@ class RunConfig:
         with open(os.path.join(out_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
             fh.write(self.text())
 
-    # ------------------------------------------------------------------
-    # typed views
-    # ------------------------------------------------------------------
+    def view(self, cls, **extra):
+        """Build ``cls`` from its keys plus the ``extra`` fields and validate it.
 
-    def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            num_layers=self["model.layers"],
-            num_heads=self["model.heads"],
-            hidden=self["model.hidden"],
-            embed_dim=self["model.embed_dim"],
-            max_positions=self["model.max_positions"],
-            variant=self["model.variant"],
-            freeze_embeddings=self["model.freeze_embeddings"],
-            dropout=self["model.dropout"],
-            gelu_approx=self["model.gelu_approx"],
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            peak_lr=self["train.peak_lr"],
-            warmup_steps=self["train.warmup_steps"],
-            total_steps=self["train.total_steps"],
-            batch_size=self["train.batch_size"],
-            seed=self["train.seed"],
-            sample_size=self["train.sample_size"],
-            max_length=self["train.max_length"],
-            neighbor_k=self["train.neighbor_k"],
-        )
-
-    def masking_policy(self) -> MaskingPolicy:
-        return MaskingPolicy(
-            mask_ratio=self["train.mask_ratio"],
-            replace_mask=self["train.replace_mask"],
-            replace_random=self["train.replace_random"],
-            keep_original=self["train.keep_original"],
-        )
+        Every violation becomes one ``ConfigError`` line, with each field name
+        outside quotes replaced by its key.
+        """
+        keys = FIELD_KEYS[cls]
+        obj = cls(**extra, **{name: self[key] for name, key in keys.items()})
+        violations = []
+        try:
+            obj.validate()
+        except ContractError as err:
+            field_name = r"'[^']*'|\b(" + "|".join(keys) + r")\b"
+            keyed = re.sub(field_name, lambda m: keys[m[1]] if m[1] else m[0], str(err))
+            violations = keyed.split("; ")
+        if cls is TrainConfig and obj.max_length > self["model.max_positions"]:
+            violations.append(
+                f"train.max_length {obj.max_length} exceeds "
+                f"model.max_positions {self['model.max_positions']}"
+            )
+        if violations:
+            raise ConfigError(violations)
+        return obj
 
     def topk_list(self) -> tuple[int, ...]:
         try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -73,6 +73,8 @@ class ProbeExample:
             raise ContractError(f"unknown bucket {self.bucket!r}")
         if len(self.masked_positions) != len(self.gold_words):
             raise ContractError("masked_positions and gold_words must align")
+        if any(type(pos) is not int for pos in self.masked_positions):
+            raise ContractError(f"masked_positions {self.masked_positions} are not all integers")
         if any(b <= a for a, b in zip(self.masked_positions, self.masked_positions[1:])):
             raise ContractError("masked_positions must be strictly increasing")
         for pos, gold in zip(self.masked_positions, self.gold_words):
@@ -177,8 +179,8 @@ class ClozeItem:
             raise ContractError(f"passage must contain exactly one {BLANK_SENTINEL}")
         if len(self.options) != 4 or len(set(self.options)) != 4:
             raise ContractError("cloze items need exactly 4 distinct options")
-        if not 0 <= self.answer_index < 4:
-            raise ContractError(f"answer_index {self.answer_index} outside 0-3")
+        if type(self.answer_index) is not int or not 0 <= self.answer_index < 4:
+            raise ContractError(f"answer_index {self.answer_index!r} is not an integer in 0-3")
 
 
 def score_cloze(
@@ -368,16 +370,11 @@ def span_em_f1(pred, gold_spans) -> tuple[float, float]:
 # JSON-lines IO
 # ---------------------------------------------------------------------------
 
-_LOADERS = {
-    "probes": (ProbeExample, ("words", "masked_positions", "gold_words", "bucket")),
-    "cloze": (ClozeItem, ("passage_words", "options", "answer_index")),
-    "tagged": (TaggedSequence, ("words", "gold_labels")),
-    "span": (SpanItem, ("context_words", "question_words", "gold_spans")),
-}
-
-
-def _load_jsonl(path, kind):
-    cls, fields = _LOADERS[kind]
+def load_records(path, cls) -> list:
+    """One validated ``cls`` record per nonblank JSON-lines line; the JSON keys
+    are its field names, and the fields without a default are required."""
+    names = {f.name for f in fields(cls)}
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -390,10 +387,10 @@ def _load_jsonl(path, kind):
                 raise ContractError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(obj, dict):
                 raise ContractError(f"{path}:{lineno}: not a JSON object: {line!r}")
-            unknown = set(obj) - set(fields)
+            unknown = set(obj) - names
             if unknown:
                 raise ContractError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-            missing = [f for f in fields if f not in obj and f != "gold_spans"]
+            missing = [name for name in required if name not in obj]
             if missing:
                 raise ContractError(f"{path}:{lineno}: missing fields {missing}")
             record = cls(**obj)
@@ -401,40 +398,13 @@ def _load_jsonl(path, kind):
                 record.validate()
             except (ContractError, TypeError) as err:  # TypeError: a field of the wrong JSON type
                 raise ContractError(f"{path}:{lineno}: {err}") from err
-            if kind == "span":
+            if cls is SpanItem:
                 record.gold_spans = [tuple(s) for s in record.gold_spans]
             records.append(record)
     return records
 
 
-def load_probe_examples(path) -> list[ProbeExample]:
-    return _load_jsonl(path, "probes")
-
-
-def load_cloze_items(path) -> list[ClozeItem]:
-    return _load_jsonl(path, "cloze")
-
-
-def load_tagged_sequences(path) -> list[TaggedSequence]:
-    return _load_jsonl(path, "tagged")
-
-
-def load_span_items(path) -> list[SpanItem]:
-    return _load_jsonl(path, "span")
-
-
 def save_probe_examples(examples, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "words": ex.words,
-                        "masked_positions": ex.masked_positions,
-                        "gold_words": ex.gold_words,
-                        "bucket": ex.bucket,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(ex), ensure_ascii=False) + "\n")

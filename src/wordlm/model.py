@@ -46,16 +46,18 @@ class ModelConfig:
         problems = []
         if self.vocab_size < 5:
             problems.append(f"vocab_size {self.vocab_size} must cover the specials")
-        if self.hidden % self.num_heads != 0:
+        if self.num_heads < 1:
+            problems.append(f"num_heads {self.num_heads} must be positive")
+        elif self.hidden % self.num_heads != 0:
             problems.append(f"hidden {self.hidden} not divisible by num_heads {self.num_heads}")
         if self.variant not in VARIANTS:
             problems.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "direct" and self.embed_dim != self.hidden:
             problems.append(
-                f"direct variant requires embed_dim == hidden ({self.embed_dim} != {self.hidden})"
+                f"variant 'direct' requires embed_dim == hidden ({self.embed_dim} != {self.hidden})"
             )
         if self.variant == "projected" and not self.freeze_embeddings:
-            problems.append("projected variant requires freeze_embeddings=true")
+            problems.append("variant 'projected' requires freeze_embeddings=true")
         if not 0.0 <= self.dropout < 1.0:
             problems.append(f"dropout {self.dropout} outside [0, 1)")
         if problems:

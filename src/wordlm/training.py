@@ -36,12 +36,15 @@ class MaskingPolicy:
     keep_original: float = 0.1
 
     def validate(self):
+        problems = []
         # ratio 1.0 admitted: the mask-everything policy is a supported degenerate case
         if not 0.0 < self.mask_ratio <= 1.0:
-            raise ContractError(f"mask_ratio {self.mask_ratio} outside (0, 1]")
+            problems.append(f"mask_ratio {self.mask_ratio} outside (0, 1]")
         total = self.replace_mask + self.replace_random + self.keep_original
         if abs(total - 1.0) > 1e-6:
-            raise ContractError(f"corruption fractions sum to {total}, expected 1")
+            problems.append(f"replace_mask + replace_random + keep_original sum to {total}, expected 1")
+        if problems:
+            raise ContractError("; ".join(problems))
 
 
 class MaskedBatch:
@@ -123,36 +126,23 @@ def mlm_loss(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProjectionPair:
-    """One overlapping word's source-space and target-space vectors."""
-
-    v_in: np.ndarray
-    v_out: np.ndarray
-
-
 def pretrain_projection(
-    pairs: list[ProjectionPair],
-    lr: float = 100.0,
-    epochs: int = 200,
-    rng: np.random.Generator | None = None,
+    v_in: np.ndarray, v_out: np.ndarray, lr: float, epochs: int, rng: np.random.Generator
 ) -> tuple[Tensor, list[float]]:
-    """Fit W minimizing mean squared error of W^T v_in against v_out.
+    """Fit W [E,H] minimizing mean squared error of v_in [N,E] @ W against v_out [N,H].
 
     Full-batch gradient descent on the elementwise-mean MSE; returns the
-    fitted map [E,H] and the per-epoch loss history (last entry is final).
+    fitted map and the per-epoch loss history (last entry is final).
     """
-    if not pairs:
-        raise ContractError("pretrain_projection requires at least one pair")
-    dims = {(np.asarray(p.v_in).shape, np.asarray(p.v_out).shape) for p in pairs}
-    if len(dims) != 1:
-        raise ContractError(f"inconsistent pair dimensions: {sorted(dims)}")
-    (e_dim,), (h_dim,) = dims.pop()
-    x = Tensor(np.stack([p.v_in for p in pairs]).astype(np.float32))
-    y = Tensor(np.stack([p.v_out for p in pairs]).astype(np.float32))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    w = Tensor((rng.standard_normal((e_dim, h_dim)) * 0.02).astype(np.float32), requires_grad=True)
+    if v_in.ndim != 2 or v_out.ndim != 2 or not 0 < v_in.shape[0] == v_out.shape[0]:
+        raise ContractError(
+            f"pretrain_projection needs v_in [N,E] and v_out [N,H] with N >= 1, "
+            f"got {v_in.shape} and {v_out.shape}"
+        )
+    x = Tensor(v_in.astype(np.float32))
+    y = Tensor(v_out.astype(np.float32))
+    w_init = rng.standard_normal((v_in.shape[1], v_out.shape[1])) * 0.02
+    w = Tensor(w_init.astype(np.float32), requires_grad=True)
     losses = []
     for _ in range(epochs):
         diff = T.sub(T.matmul(x, w), y)

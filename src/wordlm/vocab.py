@@ -58,19 +58,18 @@ def count_frequencies(documents, lowercase: bool = True) -> Counter:
 
 def count_corpus_file(path, lowercase: bool = True) -> Counter:
     """Count one-document-per-line corpus files, naming the file on failure."""
-    counts: Counter = Counter()
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as err:
         raise ContractError(f"unreadable document {path}: {err}") from err
+    lines = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         try:
-            text = line.decode("utf-8")
+            lines.append(line.decode("utf-8"))
         except UnicodeDecodeError as err:
             raise ContractError(f"unreadable document {path}:{lineno}: {err}") from err
-        counts.update(segment_words(text, lowercase=lowercase))
-    return counts
+    return count_frequencies(lines, lowercase=lowercase)
 
 
 class WordVocab:

@@ -115,8 +115,8 @@ def cosine_distance(a, b):
     return float(1.0 - np.dot(a, b) / (na * nb))
 
 
-def projection_mse(w, pairs):
-    """Elementwise-mean squared error of the map w [E, H] on (v_in, v_out) pairs, in float64."""
-    x = np.stack([p.v_in for p in pairs]).astype(np.float64)
-    y = np.stack([p.v_out for p in pairs]).astype(np.float64)
+def projection_mse(w, v_in, v_out):
+    """Elementwise-mean squared error of the map w [E, H] from v_in [N, E] to v_out [N, H], in float64."""
+    x = np.asarray(v_in, dtype=np.float64)
+    y = np.asarray(v_out, dtype=np.float64)
     return float(((x @ np.asarray(w, dtype=np.float64) - y) ** 2).mean())

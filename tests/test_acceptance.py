@@ -16,7 +16,6 @@ from wordlm.sampling import NeighborIndex, sample_batch_vocab
 from wordlm.tensor import Tensor
 from wordlm.training import (
     MaskingPolicy,
-    ProjectionPair,
     TrainConfig,
     apply_masking,
     lr_at,
@@ -340,18 +339,16 @@ def test_criterion_05_projection_recovery():
     rng = np.random.default_rng(213)
     planted = (rng.standard_normal((300, 768)) / np.sqrt(300)).astype(np.float32)
     xs = rng.standard_normal((500, 300)).astype(np.float32)
-    pairs = [ProjectionPair(x, x @ planted) for x in xs]
     held_x = rng.standard_normal((200, 300)).astype(np.float32)
-    held = [ProjectionPair(x, x @ planted) for x in held_x]
-    w, losses = pretrain_projection(pairs, lr=200.0, epochs=250, rng=rng)
-    held_mse = projection_mse(w.data, held)
+    w, losses = pretrain_projection(xs, xs @ planted, lr=200.0, epochs=250, rng=rng)
+    held_mse = projection_mse(w.data, held_x, held_x @ planted)
     assert held_mse < 1e-3, f"held-out mse {held_mse}"
 
     v_in = np.zeros(300, np.float32)
     v_in[0] = 1.0
     v_out = rng.standard_normal(768).astype(np.float32)
     _, single_losses = pretrain_projection(
-        [ProjectionPair(v_in, v_out)], lr=300.0, epochs=200, rng=rng
+        v_in[None], v_out[None], lr=300.0, epochs=200, rng=rng
     )
     assert single_losses[-1] < 1e-9, f"single-pair residual {single_losses[-1]}"
     elapsed = time.monotonic() - start

@@ -114,6 +114,37 @@ class TestPretrain:
         assert code == 3
         assert "model.depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting,keys",
+        [
+            ("train.mask_ratio=2", ["train.mask_ratio"]),
+            ("train.replace_mask=0.5",
+             ["train.replace_mask", "train.replace_random", "train.keep_original"]),
+            ("train.warmup_steps=12", ["train.warmup_steps", "train.total_steps"]),
+            ("train.batch_size=0", ["train.batch_size"]),
+            ("model.hidden=15", ["model.hidden", "model.heads", "model.embed_dim"]),
+            ("model.dropout=1.5", ["model.dropout"]),
+            ("model.variant=bogus", ["model.variant"]),
+            ("train.max_length=20", ["train.max_length", "model.max_positions"]),
+            ("vocab.k=3", ["vocab.k"]),
+        ],
+    )
+    def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
+        tmp, corpus, cfg = workdir
+        vocab = self._vocab(tmp, corpus)
+        capsys.readouterr()
+        out = tmp / "bad_run"
+        code = main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                     "--vocab", str(vocab), "--out", str(out), "--set", setting])
+        assert code == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and lines
+        assert all(line.startswith("wordlm: config error: ") for line in lines), lines
+        assert all(any(key in line for key in keys) for line in lines), lines
+        assert all(key in captured.err for key in keys), lines
+        assert not out.exists()
+
 
 @pytest.fixture
 def trained(workdir):
@@ -141,7 +172,7 @@ class TestEvalCommands:
 
     def test_probe_accepts_prebuilt_probes_and_matches_library(self, trained, capsys):
         from wordlm.checkpoint import load_checkpoint
-        from wordlm.evaluation import load_probe_examples, probe_topk
+        from wordlm.evaluation import ProbeExample, load_records, probe_topk
         from wordlm.vocab import WordVocab
 
         tmp, corpus, cfg, vocab, ckpt = trained
@@ -158,7 +189,7 @@ class TestEvalCommands:
 
         report = probe_topk(
             load_checkpoint(ckpt).model, WordVocab.load(vocab),
-            load_probe_examples(probes), ks=(1, 5, 10), max_length=8,
+            load_records(probes, ProbeExample), ks=(1, 5, 10), max_length=8,
         )
         table = {row.split("\t")[0]: row.split("\t") for row in out[1:]}
         for bucket in ("High", "Low"):
@@ -212,6 +243,14 @@ class TestEvalCommands:
         assert abs(counts["transformer"] - 85e6) / 85e6 < 0.02
         assert abs(counts["embedding"] - 384e6) / 384e6 < 0.02
 
+    def test_param_count_invalid_model_exits_3(self, capsys):
+        assert main(["param-count", "--vocab-size", "100", "--set", "model.heads=7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "wordlm: config error: model.hidden 768 not divisible by model.heads 7\n"
+        )
+
 
 INTS_AT_1 = ":1: start and end must be JSON integers"
 INTS_AT_2 = ":2: start and end must be JSON integers"
@@ -253,6 +292,8 @@ class TestExitCodes:
             ("eval-span", '{"start": null, "end": 3}\n', INTS_AT_1),
             ("eval-span", '{"start": 2.7, "end": 3}\n', INTS_AT_1),
             ("eval-span", '{"start": true, "end": 3}\n', INTS_AT_1),
+            ("eval-span", '{"start": 3, "end": 1}\n', ":1: invalid predicted span (3, 1)"),
+            ("eval-span", '{"start": -2, "end": 1}\n', ":1: invalid predicted span (-2, 1)"),
             ("eval-span-gold", '{"context_words": ["w0"], "question_words": ["q"], '
              '"gold_spans": [[1]]}\n', ":1: gold span [1] is not a pair of integers"),
             ("eval-span-gold", '{"context_words": ["w0", "w1"], "question_words": ["q"], '
@@ -263,7 +304,7 @@ class TestExitCodes:
             ("eval-tag-gold", '{"words": 5, "gold_labels": []}\n', ":1:"),
         ],
         ids=["vocab-frequency", "npz", "span-json", "span-fields", "span-string", "span-null",
-             "span-float", "span-bool", "gold-span-short", "gold-span-float",
+             "span-float", "span-bool", "span-reversed", "span-negative", "gold-span-short", "gold-span-float",
              "gold-span-outside", "gold-not-object", "tag-field-type"],
     )
     def test_malformed_input_is_plain_error(self, workdir, capsys, case, content, where):

@@ -1,9 +1,17 @@
 """Run-configuration parsing, merging, and validation tests."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from wordlm import cli, config
 from wordlm.config import DECLARED_KEYS, RunConfig, env_var_name
 from wordlm.errors import ConfigError
+from wordlm.model import ModelConfig
+from wordlm.training import MaskingPolicy, TrainConfig
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordlm"
 
 
 class TestLoading:
@@ -12,7 +20,6 @@ class TestLoading:
         assert cfg["model.hidden"] == 768
         assert cfg["train.peak_lr"] == 5e-5
         assert cfg["train.warmup_steps"] == 5_000
-        assert cfg["vocab.lowercase"] is True
 
     def test_file_values_override_defaults(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -86,9 +93,8 @@ class TestViews:
             overrides=["model.layers=2", "model.hidden=16", "model.embed_dim=16", "model.heads=2"],
             env={},
         )
-        mc = cfg.model_config(vocab_size=100)
-        mc.validate()
-        assert (mc.num_layers, mc.hidden, mc.vocab_size) == (2, 16, 100)
+        mc = cfg.view(ModelConfig, vocab_size=100)
+        assert (mc.num_layers, mc.num_heads, mc.hidden, mc.vocab_size) == (2, 2, 16, 100)
 
     def test_train_and_masking_views(self):
         cfg = RunConfig.load(
@@ -96,12 +102,41 @@ class TestViews:
             overrides=["train.mask_ratio=0.2", "train.total_steps=100", "train.warmup_steps=10"],
             env={},
         )
-        tc = cfg.train_config()
-        tc.validate()
+        tc = cfg.view(TrainConfig)
         assert tc.total_steps == 100
-        mp = cfg.masking_policy()
-        mp.validate()
+        mp = cfg.view(MaskingPolicy)
         assert mp.mask_ratio == 0.2
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = RunConfig.load(env={})
+        assert cfg.view(ModelConfig, vocab_size=100) == ModelConfig(vocab_size=100)
+        assert cfg.view(TrainConfig) == TrainConfig()
+        assert cfg.view(MaskingPolicy) == MaskingPolicy()
+        assert len(DECLARED_KEYS) == 28
+        assert {"model.layers", "model.heads"} <= set(DECLARED_KEYS)
+        assert not {"model.vocab_size", "model.layer_norm_eps", "vocab.k"} & set(DECLARED_KEYS)
+
+    @pytest.mark.parametrize(
+        "overrides,cls,expected",
+        [
+            (["model.heads=0"], ModelConfig, ["model.heads 0 must be positive"]),
+            (["model.variant=hidden"], ModelConfig,
+             ["model.variant must be one of ('direct', 'projected'), got 'hidden'"]),
+            (["train.mask_ratio=0", "train.keep_original=0.3"], MaskingPolicy,
+             ["train.mask_ratio 0.0 outside (0, 1]",
+              "train.replace_mask + train.replace_random + train.keep_original sum to 1.2, "
+              "expected 1"]),
+            (["train.max_length=600"], TrainConfig,
+             ["train.max_length 600 exceeds model.max_positions 512"]),
+        ],
+        ids=["heads-zero", "quoted-value-kept", "two-masking-violations", "max-length"],
+    )
+    def test_violations_name_keys(self, overrides, cls, expected):
+        cfg = RunConfig.load(None, overrides=overrides, env={})
+        extra = {"vocab_size": 100} if cls is ModelConfig else {}
+        with pytest.raises(ConfigError) as exc:
+            cfg.view(cls, **extra)
+        assert exc.value.violations == expected
 
     def test_topk_list(self):
         cfg = RunConfig.load(None, overrides=["eval.topk=1,5,10"], env={})
@@ -112,3 +147,18 @@ class TestViews:
         below_one = RunConfig.load(None, overrides=["eval.topk=0,-3"], env={})
         with pytest.raises(ConfigError, match="eval.topk"):
             below_one.topk_list()
+
+
+def test_every_declared_key_is_consumed():
+    """A key counts as consumed when ``src/wordlm`` reads it as ``cfg["key"]``
+    (or ``self["key"]``), or when the CLI builds a view of its dataclass."""
+    consumed = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("cfg", "self") and isinstance(node.slice, ast.Constant)):
+                consumed.add(node.slice.value)
+            if (path.name == "cli.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute) and node.func.attr == "view"):
+                consumed.update(config.FIELD_KEYS[getattr(cli, node.args[0].id)].values())
+    assert sorted(set(DECLARED_KEYS) - consumed) == []

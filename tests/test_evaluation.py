@@ -1,5 +1,6 @@
 """Probing, cloze, tagging, and span metric tests."""
 
+import json
 import logging
 
 import numpy as np
@@ -15,10 +16,8 @@ from wordlm.evaluation import (
     SpanItem,
     bucket_of,
     build_probe_set,
-    load_cloze_items,
-    load_probe_examples,
-    load_span_items,
-    load_tagged_sequences,
+    TaggedSequence,
+    load_records,
     probe_topk,
     save_probe_examples,
     score_cloze,
@@ -331,7 +330,7 @@ class TestJsonl:
         )
         path = tmp_path / "probes.jsonl"
         save_probe_examples(examples, path)
-        loaded = load_probe_examples(path)
+        loaded = load_records(path, ProbeExample)
         assert loaded == examples
 
     def test_cloze_loading(self, tmp_path):
@@ -339,13 +338,13 @@ class TestJsonl:
         path.write_text(
             '{"passage_words": ["a", "[BLANK]", "c"], "options": ["w", "x", "y", "z"], "answer_index": 2}\n'
         )
-        items = load_cloze_items(path)
+        items = load_records(path, ClozeItem)
         assert items[0].answer_index == 2
 
     def test_tagged_loading(self, tmp_path):
         path = tmp_path / "tags.jsonl"
         path.write_text('{"words": ["rome", "falls"], "gold_labels": ["B-LOC", "O"]}\n')
-        assert load_tagged_sequences(path)[0].gold_labels == ["B-LOC", "O"]
+        assert load_records(path, TaggedSequence)[0].gold_labels == ["B-LOC", "O"]
 
     def test_span_loading(self, tmp_path):
         path = tmp_path / "span.jsonl"
@@ -353,7 +352,7 @@ class TestJsonl:
             '{"context_words": ["rome", "fell", "late"], "question_words": ["when"], "gold_spans": [[2, 2]]}\n'
             '{"context_words": ["rome"], "question_words": ["who"]}\n'
         )
-        items = load_span_items(path)
+        items = load_records(path, SpanItem)
         assert items[0].gold_spans == [(2, 2)]
         assert items[1].gold_spans == []
 
@@ -361,10 +360,30 @@ class TestJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"words": ["a"], "gold_labels": ["O"], "extra": 1}\n')
         with pytest.raises(ContractError, match="unknown fields"):
-            load_tagged_sequences(path)
+            load_records(path, TaggedSequence)
 
     def test_invalid_json_named_with_line(self, tmp_path):
         path = tmp_path / "bad2.jsonl"
         path.write_text('{"words": ["a"], "gold_labels": ["O"]}\nnot json\n')
         with pytest.raises(ContractError, match="bad2.jsonl:2"):
-            load_tagged_sequences(path)
+            load_records(path, TaggedSequence)
+
+    @pytest.mark.parametrize(
+        "cls,record",
+        [
+            (ClozeItem, {"passage_words": ["a", "[BLANK]"], "options": ["w", "x", "y", "z"],
+                         "answer_index": True}),
+            (ClozeItem, {"passage_words": ["a", "[BLANK]"], "options": ["w", "x", "y", "z"],
+                         "answer_index": 1.0}),
+            (ClozeItem, {"passage_words": ["a", "[BLANK]"], "options": ["w", "x", "y", "z"],
+                         "answer_index": 1.5}),
+            (ProbeExample, {"words": ["a", "b"], "masked_positions": [False, True],
+                            "gold_words": ["a", "b"], "bucket": "Low"}),
+        ],
+        ids=["cloze-bool", "cloze-whole-float", "cloze-float", "probe-bools"],
+    )
+    def test_integer_fields_reject_bools_and_floats(self, tmp_path, cls, record):
+        path = tmp_path / "ints.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ContractError, match="ints.jsonl:1: .*integer"):
+            load_records(path, cls)

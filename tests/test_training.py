@@ -9,7 +9,6 @@ from wordlm.tensor import Tensor
 from wordlm import tensor as T
 from wordlm.training import (
     MaskingPolicy,
-    ProjectionPair,
     TrainConfig,
     apply_masking,
     lr_at,
@@ -219,10 +218,9 @@ class TestPretrainProjection:
         rng = np.random.default_rng(31)
         m = (rng.standard_normal((30, 50)) / np.sqrt(30)).astype(np.float32)
         xs = rng.standard_normal((160, 30)).astype(np.float32)
-        pairs = [ProjectionPair(x, x @ m) for x in xs]
-        held_out = [ProjectionPair(x, x @ m) for x in rng.standard_normal((50, 30)).astype(np.float32)]
-        w, losses = pretrain_projection(pairs, lr=8.0, epochs=300, rng=rng)
-        assert projection_mse(w.data, held_out) < 1e-3
+        held_out = rng.standard_normal((50, 30)).astype(np.float32)
+        w, losses = pretrain_projection(xs, xs @ m, lr=8.0, epochs=300, rng=rng)
+        assert projection_mse(w.data, held_out, held_out @ m) < 1e-3
         assert losses[-1] < losses[0]
 
     def test_single_basis_pair_exact_fit(self):
@@ -230,28 +228,31 @@ class TestPretrainProjection:
         v_in[0] = 1.0
         v_out = np.random.default_rng(32).standard_normal(50).astype(np.float32)
         w, losses = pretrain_projection(
-            [ProjectionPair(v_in, v_out)], lr=20.0, epochs=200, rng=np.random.default_rng(33)
+            v_in[None], v_out[None], lr=20.0, epochs=200, rng=np.random.default_rng(33)
         )
         assert losses[-1] < 1e-9
         np.testing.assert_allclose(w.data[0], v_out, atol=1e-4)
 
     def test_dimension_mismatch_rejected(self):
-        pairs = [
-            ProjectionPair(np.zeros(3, np.float32), np.zeros(4, np.float32)),
-            ProjectionPair(np.zeros(3, np.float32), np.zeros(5, np.float32)),
-        ]
-        with pytest.raises(ContractError):
-            pretrain_projection(pairs)
+        for v_in, v_out in [
+            (np.zeros((2, 3), np.float32), np.zeros((3, 4), np.float32)),  # pair counts differ
+            (np.zeros(3, np.float32), np.zeros(4, np.float32)),  # one pair, not [N, E]
+        ]:
+            with pytest.raises(ContractError):
+                pretrain_projection(v_in, v_out, lr=1.0, epochs=1, rng=np.random.default_rng(0))
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ContractError):
-            pretrain_projection([])
+            pretrain_projection(
+                np.zeros((0, 3), np.float32), np.zeros((0, 4), np.float32),
+                lr=1.0, epochs=1, rng=np.random.default_rng(0),
+            )
 
     def test_loss_monotone_under_small_step(self):
         rng = np.random.default_rng(34)
         m = (rng.standard_normal((20, 10)) / np.sqrt(20)).astype(np.float32)
-        pairs = [ProjectionPair(x, x @ m) for x in rng.standard_normal((60, 20)).astype(np.float32)]
-        _, losses = pretrain_projection(pairs, lr=1.0, epochs=120, rng=rng)
+        xs = rng.standard_normal((60, 20)).astype(np.float32)
+        _, losses = pretrain_projection(xs, xs @ m, lr=1.0, epochs=120, rng=rng)
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-9)
 
@@ -259,9 +260,8 @@ class TestPretrainProjection:
         rng = np.random.default_rng(35)
         xs = rng.standard_normal((22_860, 300)).astype(np.float32)
         ys = rng.standard_normal((22_860, 768)).astype(np.float32)
-        pairs = [ProjectionPair(x, y) for x, y in zip(xs, ys)]
-        assert len(pairs) == 22_860
-        w, losses = pretrain_projection(pairs, lr=1.0, epochs=2, rng=rng)
+        assert len(xs) == 22_860
+        w, losses = pretrain_projection(xs, ys, lr=1.0, epochs=2, rng=rng)
         assert w.data.shape == (300, 768)
         assert len(losses) == 2 and np.isfinite(losses).all()
 
