@@ -8,7 +8,6 @@ one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import zipfile
@@ -20,15 +19,14 @@ from .config import RunConfig
 from .errors import ConfigError, ContractError, WordlmError
 from .evaluation import (
     BUCKET_NAMES,
-    NO_ANSWER,
     ClozeItem,
     FrequencyBuckets,
     ProbeExample,
     SpanItem,
+    SpanPrediction,
     TaggedSequence,
     build_probe_set,
     cloze_accuracy,
-    is_int_pair,
     load_records,
     probe_topk,
     save_probe_examples,
@@ -149,6 +147,10 @@ def cmd_pretrain(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
+    buckets = cfg.view(FrequencyBuckets, reference_frequencies={})
+    ks = cfg.topk_list()
+    if not 0.0 < cfg["eval.mask_probability"] <= 1.0:
+        raise ConfigError([f"eval.mask_probability {cfg['eval.mask_probability']} outside (0, 1]"])
     vocab = WordVocab.load(args.vocab)
     model = load_checkpoint(args.checkpoint).model
     if args.probes:
@@ -157,15 +159,10 @@ def cmd_probe(args) -> int:
         if not args.corpus:
             raise WordlmError("probe needs either --probes or --corpus")
         ref_path = args.ref_corpus or args.corpus
-        buckets = FrequencyBuckets(
-            dict(count_corpus_file(ref_path, lowercase=vocab.lowercase)),
-            high=cfg["eval.threshold_high"],
-            medium=cfg["eval.threshold_medium"],
-            low=cfg["eval.threshold_low"],
-        )
+        buckets.reference_frequencies = dict(count_corpus_file(ref_path, lowercase=vocab.lowercase))
         lines = _read_lines(args.corpus)
         probes = []
-        for i, bucket in enumerate(BUCKET_NAMES):
+        for bucket in BUCKET_NAMES:
             probes.extend(
                 build_probe_set(
                     lines, buckets, bucket, p=cfg["eval.mask_probability"],
@@ -173,7 +170,6 @@ def cmd_probe(args) -> int:
                     lowercase=vocab.lowercase,
                 )
             )
-    ks = cfg.topk_list()
     report = probe_topk(model, vocab, probes, ks=ks, max_length=cfg["train.max_length"])
     header = "bucket\tmasked\toov" + "".join(f"\ttop-{k}" for k in ks)
     rows = [header]
@@ -221,33 +217,14 @@ def cmd_eval_tag(args) -> int:
 
 def cmd_eval_span(args) -> int:
     golds = load_records(args.gold, SpanItem)
-    preds = []
-    with open(args.pred, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    obj = json.loads(line)
-                    pred = (obj["start"], obj["end"])
-                except (json.JSONDecodeError, KeyError, TypeError) as err:
-                    raise ContractError(
-                        f"{args.pred}:{lineno}: not a JSON object with start and end: "
-                        f"{line.strip()!r}"
-                    ) from err
-                if not is_int_pair(pred):
-                    raise ContractError(
-                        f"{args.pred}:{lineno}: start and end must be JSON integers: "
-                        f"{line.strip()!r}"
-                    )
-                if pred != NO_ANSWER and not 0 <= pred[0] <= pred[1]:
-                    raise ContractError(f"{args.pred}:{lineno}: invalid predicted span {pred}")
-                preds.append(pred)
+    preds = load_records(args.pred, SpanPrediction)
     if len(golds) != len(preds):
         raise WordlmError(f"gold has {len(golds)} items, pred has {len(preds)}")
     ems, f1s = [], []
     for item, pred in zip(golds, preds):
         # gold word spans shift +1 into encoded positions ([CLS] at 0)
         shifted = [(s + 1, e + 1) for s, e in item.gold_spans]
-        em, f1 = span_em_f1(pred, shifted)
+        em, f1 = span_em_f1((pred.start, pred.end), shifted)
         ems.append(em)
         f1s.append(f1)
     print(f"em {np.mean(ems):.4f}\tf1 {np.mean(f1s):.4f} over {len(golds)} items")

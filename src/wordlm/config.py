@@ -3,8 +3,8 @@
 Keys are sectioned with dots (model.hidden, train.peak_lr). Precedence:
 defaults < config file < WORDLM_<SECTION>_<KEY> environment variables < CLI
 overrides. Unknown keys and uncoercible values are rejected together, each
-named in the error. A key backed by a ``ModelConfig``, ``TrainConfig`` or
-``MaskingPolicy`` field takes its type and default from that field.
+named in the error. A key backed by a dataclass field (``FIELD_KEYS``) takes
+its type and default from that field.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import fields
 from typing import get_type_hints
 
 from .errors import ConfigError, ContractError
+from .evaluation import FrequencyBuckets
 from .model import ModelConfig
 from .training import MaskingPolicy, TrainConfig
 
@@ -28,13 +29,18 @@ def _parse_bool(s: str) -> bool:
         raise ValueError(f"not a boolean: {s!r}")
 
 
-_RENAMED = {"num_layers": "layers", "num_heads": "heads"}
+_RENAMED = {
+    "num_layers": "layers", "num_heads": "heads",
+    "high": "threshold_high", "medium": "threshold_medium", "low": "threshold_low",
+}
 
-# dataclass -> {field name: dotted key}; vocab_size and layer_norm_eps are not settings
+# dataclass -> {field name: dotted key}; vocab_size, layer_norm_eps and the
+# reference frequencies are not settings
 FIELD_KEYS = {
     cls: {f.name: f"{section}.{_RENAMED.get(f.name, f.name)}" for f in fields(cls)
-          if f.name not in ("vocab_size", "layer_norm_eps")}
-    for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (MaskingPolicy, "train"))
+          if f.name not in ("vocab_size", "layer_norm_eps", "reference_frequencies")}
+    for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (MaskingPolicy, "train"),
+                         (FrequencyBuckets, "eval"))
 }
 
 # key -> (type converter, default)
@@ -45,9 +51,6 @@ DECLARED_KEYS: dict[str, tuple] = {
 } | {
     "model.seed": (int, 0),
     "train.use_neighbors": (_parse_bool, False),
-    "eval.threshold_high": (int, 3_000),
-    "eval.threshold_medium": (int, 300),
-    "eval.threshold_low": (int, 3),
     "eval.mask_probability": (float, 0.15),
     "eval.topk": (str, "1,5,10"),
 }
@@ -135,17 +138,17 @@ class RunConfig:
         outside quotes replaced by its key.
         """
         keys = FIELD_KEYS[cls]
-        obj = cls(**extra, **{name: self[key] for name, key in keys.items()})
         violations = []
         try:
+            obj = cls(**extra, **{name: self[key] for name, key in keys.items()})
             obj.validate()
         except ContractError as err:
             field_name = r"'[^']*'|\b(" + "|".join(keys) + r")\b"
             keyed = re.sub(field_name, lambda m: keys[m[1]] if m[1] else m[0], str(err))
             violations = keyed.split("; ")
-        if cls is TrainConfig and obj.max_length > self["model.max_positions"]:
+        if cls is TrainConfig and self["train.max_length"] > self["model.max_positions"]:
             violations.append(
-                f"train.max_length {obj.max_length} exceeds "
+                f"train.max_length {self['train.max_length']} exceeds "
                 f"model.max_positions {self['model.max_positions']}"
             )
         if violations:
@@ -153,12 +156,11 @@ class RunConfig:
         return obj
 
     def topk_list(self) -> tuple[int, ...]:
+        topk = self["eval.topk"]
         try:
-            ks = tuple(int(p) for p in self["eval.topk"].split(",") if p.strip())
-        except ValueError as err:
-            raise ConfigError([f"bad value for eval.topk: {self['eval.topk']!r}"]) from err
-        if not ks:
-            raise ConfigError(["eval.topk must list at least one k"])
-        if min(ks) < 1:
-            raise ConfigError([f"bad value for eval.topk: {self['eval.topk']!r} (k must be >= 1)"])
+            ks = tuple(int(p) for p in topk.split(",") if p.strip())
+        except ValueError:
+            ks = ()
+        if not ks or min(ks) < 1:
+            raise ConfigError([f"bad value for eval.topk: {topk!r} (a comma-separated list of k >= 1)"])
         return ks

@@ -38,12 +38,14 @@ class FrequencyBuckets:
     medium: int = 300
     low: int = 3
 
-    def __post_init__(self):
+    def validate(self):
         if not self.high > self.medium > self.low > 0:
             raise ContractError(
                 f"thresholds must satisfy high > medium > low > 0, "
                 f"got {self.high}/{self.medium}/{self.low}"
             )
+
+    __post_init__ = validate
 
 
 def bucket_of(word: str, buckets: FrequencyBuckets) -> str:
@@ -110,6 +112,17 @@ def build_probe_set(
     return examples
 
 
+def _masked_logits(model: WordBertModel, vocab: WordVocab, words, positions, max_length):
+    """Full-vocabulary logits [len(positions), V] with every word position masked at once."""
+    enc_positions = [pos + 1 for pos in positions]  # words shift one right of [CLS]
+    seq = encode(words, vocab, max_length)
+    ids = seq.ids.copy()
+    ids[enc_positions] = MASK_ID
+    with T.no_grad():
+        flat = model.encode_batch(ids[None, :], seq.attention_mask[None, :])
+        return model.full_vocab_logits(T.gather_rows(flat, enc_positions)).data
+
+
 def probe_topk(
     model: WordBertModel,
     vocab: WordVocab,
@@ -127,35 +140,26 @@ def probe_topk(
     hits = {b: {k: 0 for k in ks} for b in BUCKET_NAMES}
     totals = {b: 0 for b in BUCKET_NAMES}
     oov = {b: 0 for b in BUCKET_NAMES}
-    with T.no_grad():
-        for ex in probes:
-            ex.validate()
-            seq = encode(ex.words, vocab, max_length)
-            ids = seq.ids.copy()
-            scored = []
-            for pos, gold in zip(ex.masked_positions, ex.gold_words):
-                enc_pos = pos + 1  # words shift one right of [CLS]
-                if enc_pos >= max_length - 1:
-                    continue  # truncated away
-                ids[enc_pos] = MASK_ID
-                scored.append((enc_pos, gold))
-            if not scored:
+    for ex in probes:
+        ex.validate()
+        # words past the encoded window ([CLS] + max_length - 2 words) are truncated away
+        scored = [(pos, gold) for pos, gold in zip(ex.masked_positions, ex.gold_words)
+                  if pos + 1 < max_length - 1]
+        if not scored:
+            continue
+        logits = _masked_logits(model, vocab, ex.words, [pos for pos, _ in scored], max_length)
+        for row, (_, gold) in zip(logits, scored):
+            totals[ex.bucket] += 1
+            gold_id = vocab.id_of.get(gold)
+            if gold_id is None:
+                oov[ex.bucket] += 1
                 continue
-            flat = model.encode_batch(ids[None, :], seq.attention_mask[None, :])
-            rows = T.gather_rows(flat, [p for p, _ in scored])
-            logits = model.full_vocab_logits(rows).data
-            for row, (_, gold) in zip(logits, scored):
-                totals[ex.bucket] += 1
-                gold_id = vocab.id_of.get(gold)
-                if gold_id is None:
-                    oov[ex.bucket] += 1
-                    continue
-                # ids scoring above gold, plus lower ids tying with it
-                g = row[gold_id]
-                rank = np.count_nonzero(row > g) + np.count_nonzero(row[:gold_id] == g)
-                for k in ks:
-                    if rank < k:
-                        hits[ex.bucket][k] += 1
+            # ids scoring above gold, plus lower ids tying with it
+            g = row[gold_id]
+            rank = np.count_nonzero(row > g) + np.count_nonzero(row[:gold_id] == g)
+            for k in ks:
+                if rank < k:
+                    hits[ex.bucket][k] += 1
     accuracy = {
         b: {k: (hits[b][k] / totals[b] if totals[b] else 0.0) for k in ks}
         for b in BUCKET_NAMES
@@ -202,12 +206,7 @@ def score_cloze(
     option_ids = [vocab.id_of.get(o) for o in item.options]
     if all(i is None for i in option_ids):
         raise ContractError("every cloze option is out of vocabulary")
-    seq = encode(item.passage_words, vocab, max_length)
-    ids = seq.ids.copy()
-    ids[blank + 1] = MASK_ID
-    with T.no_grad():
-        flat = model.encode_batch(ids[None, :], seq.attention_mask[None, :])
-        logits = model.full_vocab_logits(T.gather_rows(flat, [blank + 1])).data[0]
+    logits = _masked_logits(model, vocab, item.passage_words, [blank], max_length)[0]
     scores = np.array([-np.inf if i is None else logits[i] for i in option_ids])
     return int(np.argmax(scores))
 
@@ -336,6 +335,20 @@ class SpanItem:
                 raise ContractError(f"gold span ({start}, {end}) outside the context")
 
 
+@dataclass
+class SpanPrediction:
+    """A predicted span in encoded positions: word i at i + 1, (0, 0) for no-answer."""
+
+    start: int
+    end: int
+
+    def validate(self):
+        if not is_int_pair((self.start, self.end)):
+            raise ContractError(f"start and end must be JSON integers: {self.start!r}, {self.end!r}")
+        if not 0 <= self.start <= self.end:
+            raise ContractError(f"invalid predicted span {(self.start, self.end)}")
+
+
 def _token_overlap_f1(a, b) -> float:
     overlap = min(a[1], b[1]) - max(a[0], b[0]) + 1
     if overlap <= 0:
@@ -353,8 +366,7 @@ def span_em_f1(pred, gold_spans) -> tuple[float, float]:
     no-answer.
     """
     pred = (int(pred[0]), int(pred[1]))
-    if pred != NO_ANSWER and not 0 <= pred[0] <= pred[1]:
-        raise ContractError(f"invalid predicted span {pred}")
+    SpanPrediction(*pred).validate()
     golds = [(int(s), int(e)) for s, e in gold_spans]
     if not golds:
         hit = 1.0 if pred == NO_ANSWER else 0.0

@@ -8,6 +8,7 @@ variant); there is no separate output matrix, only a per-word bias.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -81,16 +82,36 @@ def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return (x * std).astype(np.float32)
 
 
-def parameter_counts(config: ModelConfig) -> dict[str, int]:
-    """Analytic parameter accounting, without allocating anything."""
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in initialization order."""
     h, f = config.hidden, config.ffn_dim
-    per_layer = 4 * (h * h + h) + 2 * (2 * h) + (h * f + f) + (f * h + h)
-    counts = {
-        "transformer": config.max_positions * h + config.num_layers * per_layer,
-        "embedding": config.vocab_size * config.embed_dim
-        + (config.embed_dim * h if config.variant == "projected" else 0),
-        "mlm_head": config.vocab_size,
-    }
+    shapes = {"embedding.word": (config.vocab_size, config.embed_dim)}
+    if config.variant == "projected":
+        shapes["embedding.projection"] = (config.embed_dim, h)
+    shapes["embedding.position"] = (config.max_positions, h)
+    for i in range(config.num_layers):
+        pre = f"encoder.{i}."
+        for name in ("attention.query", "attention.key", "attention.value", "attention.output"):
+            shapes[pre + name + ".weight"] = (h, h)
+            shapes[pre + name + ".bias"] = (h,)
+        shapes[pre + "attention.norm.gamma"] = (h,)
+        shapes[pre + "attention.norm.beta"] = (h,)
+        shapes[pre + "ffn.inner.weight"] = (h, f)
+        shapes[pre + "ffn.inner.bias"] = (f,)
+        shapes[pre + "ffn.output.weight"] = (f, h)
+        shapes[pre + "ffn.output.bias"] = (h,)
+        shapes[pre + "ffn.norm.gamma"] = (h,)
+        shapes[pre + "ffn.norm.beta"] = (h,)
+    shapes["mlm.bias"] = (config.vocab_size,)
+    return shapes
+
+
+def parameter_counts(config: ModelConfig) -> dict[str, int]:
+    """Parameter totals by group, from the shapes alone (nothing is allocated)."""
+    group_of = {"embedding.word": "embedding", "embedding.projection": "embedding", "mlm.bias": "mlm_head"}
+    counts = {"transformer": 0, "embedding": 0, "mlm_head": 0}
+    for name, shape in parameter_shapes(config).items():
+        counts[group_of.get(name, "transformer")] += math.prod(shape)
     counts["total"] = sum(counts.values())
     return counts
 
@@ -108,63 +129,32 @@ class WordBertModel:
         config.validate()
         self.config = config
         self.seed = seed
-        rng = substream(seed, "init")
-        params: dict[str, Tensor] = {}
-
+        given = {}  # parameter name -> (argument name, array copied in)
         if config.variant == "projected":
             if word_vectors is None:
                 raise ContractError("projected variant requires pretrained word_vectors")
-            wv = np.asarray(word_vectors, dtype=np.float32)
-            if wv.shape != (config.vocab_size, config.embed_dim):
-                raise ShapeError(
-                    f"word_vectors shape {wv.shape} does not match "
-                    f"({config.vocab_size}, {config.embed_dim})"
-                )
-            params["embedding.word"] = Tensor(wv.copy(), requires_grad=not config.freeze_embeddings)
-            if projection is None:
-                proj = truncated_normal(rng, (config.embed_dim, config.hidden), 0.02)
+            given["embedding.word"] = ("word_vectors", word_vectors)
+            if projection is not None:
+                given["embedding.projection"] = ("projection", projection)
+        rng = substream(seed, "init")
+        self.params: dict[str, Tensor] = {}
+        for name, shape in parameter_shapes(config).items():
+            if name in given:
+                arg, value = given[name]
+                data = np.asarray(value, dtype=np.float32)
+                if data.shape != shape:
+                    raise ShapeError(f"{arg} shape {data.shape} does not match {shape}")
+                data = data.copy()
+            elif name == "embedding.word":
+                data = (rng.standard_normal(shape) * 0.02).astype(np.float32)
+            elif name.endswith(".gamma"):
+                data = np.ones(shape, np.float32)
+            elif name.endswith((".bias", ".beta")):
+                data = np.zeros(shape, np.float32)
             else:
-                proj = np.asarray(projection, dtype=np.float32)
-                if proj.shape != (config.embed_dim, config.hidden):
-                    raise ShapeError(
-                        f"projection shape {proj.shape} does not match "
-                        f"({config.embed_dim}, {config.hidden})"
-                    )
-            params["embedding.projection"] = Tensor(proj.copy(), requires_grad=True)
-        else:
-            emb = (rng.standard_normal((config.vocab_size, config.embed_dim)) * 0.02).astype(
-                np.float32
-            )
-            params["embedding.word"] = Tensor(emb, requires_grad=not config.freeze_embeddings)
-
-        params["embedding.position"] = Tensor(
-            truncated_normal(rng, (config.max_positions, config.hidden), 0.02),
-            requires_grad=True,
-        )
-
-        h, f = config.hidden, config.ffn_dim
-        for i in range(config.num_layers):
-            pre = f"encoder.{i}."
-            for name in ("attention.query", "attention.key", "attention.value", "attention.output"):
-                params[pre + name + ".weight"] = Tensor(
-                    truncated_normal(rng, (h, h), 0.02), requires_grad=True
-                )
-                params[pre + name + ".bias"] = Tensor(np.zeros(h, np.float32), requires_grad=True)
-            params[pre + "attention.norm.gamma"] = Tensor(np.ones(h, np.float32), requires_grad=True)
-            params[pre + "attention.norm.beta"] = Tensor(np.zeros(h, np.float32), requires_grad=True)
-            params[pre + "ffn.inner.weight"] = Tensor(
-                truncated_normal(rng, (h, f), 0.02), requires_grad=True
-            )
-            params[pre + "ffn.inner.bias"] = Tensor(np.zeros(f, np.float32), requires_grad=True)
-            params[pre + "ffn.output.weight"] = Tensor(
-                truncated_normal(rng, (f, h), 0.02), requires_grad=True
-            )
-            params[pre + "ffn.output.bias"] = Tensor(np.zeros(h, np.float32), requires_grad=True)
-            params[pre + "ffn.norm.gamma"] = Tensor(np.ones(h, np.float32), requires_grad=True)
-            params[pre + "ffn.norm.beta"] = Tensor(np.zeros(h, np.float32), requires_grad=True)
-
-        params["mlm.bias"] = Tensor(np.zeros(config.vocab_size, np.float32), requires_grad=True)
-        self.params = params
+                data = truncated_normal(rng, shape, 0.02)
+            frozen = name == "embedding.word" and config.freeze_embeddings
+            self.params[name] = Tensor(data, requires_grad=not frozen)
 
     # ------------------------------------------------------------------
     # parameter bookkeeping

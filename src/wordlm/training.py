@@ -176,7 +176,8 @@ class TrainConfig:
             problems.append(
                 f"warmup_steps {self.warmup_steps} must be < total_steps {self.total_steps}"
             )
-        for name in ("peak_lr", "warmup_steps", "total_steps", "batch_size", "sample_size", "max_length"):
+        for name in ("peak_lr", "warmup_steps", "total_steps", "batch_size", "sample_size",
+                     "max_length", "neighbor_k"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive")
         if problems:

@@ -1,9 +1,11 @@
-"""Every public function, class and method of wordlm has a caller outside the tests.
+"""Every public function, class and method of wordlm has a caller outside the
+tests, and every private module-level function and class has one in the package.
 
 A name counts as called when it appears, as a bare name or as an attribute,
 in ``src/wordlm`` or ``perfbench`` (its smoke test excluded) anywhere but the
-body of its own definition. The match is by name only, so a method shares its
-callers with every other method of the same name.
+body of its own definition; a private name must appear in ``src/wordlm``. The
+match is by name only, so a method shares its callers with every other method
+of the same name.
 """
 
 import ast
@@ -19,27 +21,33 @@ ALLOWED = {
 }
 
 
+def module_definitions():
+    """(module file, node) of every module-level function and class."""
+    return [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+
 def public_definitions():
     """(module file, qualified name, bare name) of every public definition."""
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            out.append((path.name, node.name, node.name))
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        out.append((path.name, f"{node.name}.{item.name}", item.name))
+    for module, node in module_definitions():
+        if node.name.startswith("_"):
+            continue
+        out.append((module, node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out.append((module, f"{node.name}.{item.name}", item.name))
     return out
 
 
-def referenced_names():
-    """Names and attributes used in the library and the benchmark, each outside
-    the definitions that bear the same name."""
-    files = sorted(PACKAGE.glob("*.py")) + sorted(
-        p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_smoke.py"
-    )
+def referenced_names(files):
+    """Names and attributes used in ``files``, each outside the definitions
+    that bear the same name."""
     seen = set()
 
     def visit(node, enclosing):
@@ -60,10 +68,22 @@ def referenced_names():
 def test_every_public_name_has_a_non_test_caller():
     definitions = public_definitions()
     assert set(ALLOWED) <= {name for _, _, name in definitions}, "stale ALLOWED entry"
-    used = referenced_names()
+    used = referenced_names(sorted(PACKAGE.glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_smoke.py"
+    ))
     uncalled = [
         f"{module}:{qualified}"
         for module, qualified, name in definitions
         if name not in used and name not in ALLOWED
     ]
     assert not uncalled, f"public API that only tests call: {uncalled}"
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    used = referenced_names(sorted(PACKAGE.glob("*.py")))
+    uncalled = [
+        f"{module}:{node.name}"
+        for module, node in module_definitions()
+        if node.name.startswith("_") and node.name not in used
+    ]
+    assert not uncalled, f"private helpers nothing in the package calls: {uncalled}"

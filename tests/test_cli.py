@@ -127,6 +127,7 @@ class TestPretrain:
             ("model.variant=bogus", ["model.variant"]),
             ("train.max_length=20", ["train.max_length", "model.max_positions"]),
             ("vocab.k=3", ["vocab.k"]),
+            ("train.use_neighbors=true train.neighbor_k=-1", ["train.neighbor_k"]),
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
@@ -134,8 +135,9 @@ class TestPretrain:
         vocab = self._vocab(tmp, corpus)
         capsys.readouterr()
         out = tmp / "bad_run"
+        overrides = [arg for item in setting.split() for arg in ("--set", item)]
         code = main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
-                     "--vocab", str(vocab), "--out", str(out), "--set", setting])
+                     "--vocab", str(vocab), "--out", str(out), *overrides])
         assert code == 3
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -195,6 +197,33 @@ class TestEvalCommands:
         for bucket in ("High", "Low"):
             assert int(table[bucket][1]) == report["total"][bucket]
             assert float(table[bucket][3]) == pytest.approx(report["accuracy"][bucket][1], abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "setting,keys",
+        [
+            ("eval.threshold_high=1",
+             ["eval.threshold_high", "eval.threshold_medium", "eval.threshold_low"]),
+            ("eval.threshold_low=0",
+             ["eval.threshold_high", "eval.threshold_medium", "eval.threshold_low"]),
+            ("eval.mask_probability=2", ["eval.mask_probability"]),
+            ("eval.mask_probability=0", ["eval.mask_probability"]),
+            ("eval.topk=0,5", ["eval.topk"]),
+        ],
+    )
+    def test_probe_invalid_setting_exits_3_before_reading(self, workdir, capsys, setting, keys):
+        tmp, corpus, cfg = workdir
+        out = tmp / "probe_out"
+        # none of the inputs exist: the settings must be rejected before any is read
+        code = main(["probe", "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+                     "--vocab", str(tmp / "none.tsv"), "--corpus", str(tmp / "none.txt"),
+                     "--out", str(out), "--set", setting])
+        assert code == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert lines[0].startswith("wordlm: config error: ")
+        assert all(key in lines[0] for key in keys), lines
+        assert not out.exists()
 
     def test_eval_cloze(self, trained, capsys):
         tmp, corpus, cfg, vocab, ckpt = trained
@@ -294,6 +323,7 @@ class TestExitCodes:
             ("eval-span", '{"start": true, "end": 3}\n', INTS_AT_1),
             ("eval-span", '{"start": 3, "end": 1}\n', ":1: invalid predicted span (3, 1)"),
             ("eval-span", '{"start": -2, "end": 1}\n', ":1: invalid predicted span (-2, 1)"),
+            ("eval-span", '{"start": 1, "end": 1, "score": 0.9}\n', ":1: unknown fields ['score']"),
             ("eval-span-gold", '{"context_words": ["w0"], "question_words": ["q"], '
              '"gold_spans": [[1]]}\n', ":1: gold span [1] is not a pair of integers"),
             ("eval-span-gold", '{"context_words": ["w0", "w1"], "question_words": ["q"], '
@@ -304,7 +334,8 @@ class TestExitCodes:
             ("eval-tag-gold", '{"words": 5, "gold_labels": []}\n', ":1:"),
         ],
         ids=["vocab-frequency", "npz", "span-json", "span-fields", "span-string", "span-null",
-             "span-float", "span-bool", "span-reversed", "span-negative", "gold-span-short", "gold-span-float",
+             "span-float", "span-bool", "span-reversed", "span-negative", "span-unknown-field",
+             "gold-span-short", "gold-span-float",
              "gold-span-outside", "gold-not-object", "tag-field-type"],
     )
     def test_malformed_input_is_plain_error(self, workdir, capsys, case, content, where):

@@ -8,6 +8,7 @@ import pytest
 from wordlm import cli, config
 from wordlm.config import DECLARED_KEYS, RunConfig, env_var_name
 from wordlm.errors import ConfigError
+from wordlm.evaluation import FrequencyBuckets
 from wordlm.model import ModelConfig
 from wordlm.training import MaskingPolicy, TrainConfig
 
@@ -112,6 +113,7 @@ class TestViews:
         assert cfg.view(ModelConfig, vocab_size=100) == ModelConfig(vocab_size=100)
         assert cfg.view(TrainConfig) == TrainConfig()
         assert cfg.view(MaskingPolicy) == MaskingPolicy()
+        assert cfg.view(FrequencyBuckets, reference_frequencies={}) == FrequencyBuckets({})
         assert len(DECLARED_KEYS) == 28
         assert {"model.layers", "model.heads"} <= set(DECLARED_KEYS)
         assert not {"model.vocab_size", "model.layer_norm_eps", "vocab.k"} & set(DECLARED_KEYS)
@@ -128,12 +130,17 @@ class TestViews:
               "expected 1"]),
             (["train.max_length=600"], TrainConfig,
              ["train.max_length 600 exceeds model.max_positions 512"]),
+            (["eval.threshold_medium=5000"], FrequencyBuckets,
+             ["thresholds must satisfy eval.threshold_high > eval.threshold_medium > "
+              "eval.threshold_low > 0, got 3000/5000/3"]),
         ],
-        ids=["heads-zero", "quoted-value-kept", "two-masking-violations", "max-length"],
+        ids=["heads-zero", "quoted-value-kept", "two-masking-violations", "max-length",
+             "bucket-thresholds"],
     )
     def test_violations_name_keys(self, overrides, cls, expected):
         cfg = RunConfig.load(None, overrides=overrides, env={})
-        extra = {"vocab_size": 100} if cls is ModelConfig else {}
+        extra = {ModelConfig: {"vocab_size": 100},
+                 FrequencyBuckets: {"reference_frequencies": {}}}.get(cls, {})
         with pytest.raises(ConfigError) as exc:
             cfg.view(cls, **extra)
         assert exc.value.violations == expected

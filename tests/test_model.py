@@ -211,11 +211,23 @@ class TestParameterCounts:
         assert abs(counts["transformer"] - 85_000_000) / 85_000_000 <= 0.02
         assert abs(counts["embedding"] - 384_000_000) / 384_000_000 <= 0.02
 
-    def test_counts_match_allocated_toy_model(self):
-        cfg = toy_config()
-        model = WordBertModel(cfg, seed=15)
+    @pytest.mark.parametrize("variant", ["direct", "projected", "projected-given-projection"])
+    def test_counts_match_allocated_toy_model(self, variant):
+        kwargs = {}
+        if variant == "direct":
+            cfg = toy_config()
+        else:
+            cfg = toy_config(variant="projected", embed_dim=6, freeze_embeddings=True)
+            rng = np.random.default_rng(16)
+            kwargs["word_vectors"] = rng.standard_normal((40, 6)).astype(np.float32)
+            if variant == "projected-given-projection":
+                kwargs["projection"] = rng.standard_normal((6, 16)).astype(np.float32)
+        model = WordBertModel(cfg, seed=15, **kwargs)
         counts = parameter_counts(cfg)
-        actual_emb = model.params["embedding.word"].data.size
+        actual_emb = sum(
+            t.data.size for name, t in model.params.items()
+            if name in ("embedding.word", "embedding.projection")
+        )
         actual_transformer = sum(
             t.data.size
             for name, t in model.params.items()
@@ -224,6 +236,7 @@ class TestParameterCounts:
         assert counts["embedding"] == actual_emb
         assert counts["transformer"] == actual_transformer
         assert counts["mlm_head"] == model.params["mlm.bias"].data.size
+        assert counts["total"] == sum(t.data.size for t in model.params.values())
 
     def test_projected_counts_include_projection(self):
         cfg = ModelConfig(
