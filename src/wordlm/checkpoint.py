@@ -212,10 +212,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: invalid model_config: {err}") from err
     seed = info["seed"]
 
-    kwargs = {}
-    if config.variant == "projected" and "embedding.word" in info["tensors"]:
-        kwargs["word_vectors"] = _tensor_from(payload, *info["tensors"]["embedding.word"])
-    model = WordBertModel(config, seed=seed, **kwargs)
+    model = WordBertModel._unfilled(config, seed)
     trainable = model.trainable_parameters()
     tensors, opt_steps = info["tensors"], info["opt_steps"]
     known = set(model.params) | {f"optimizer.{half}.{name}" for name in trainable for half in "mv"}

@@ -188,11 +188,19 @@ def cmd_probe(args) -> int:
     return 0
 
 
+def _load_nonempty(path, cls) -> list:
+    """The records of an evaluation's gold or items file; a score over none is undefined."""
+    records = load_records(path, cls)
+    if not records:
+        raise WordlmError(f"{path}: no records")
+    return records
+
+
 def cmd_eval_cloze(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
+    items = _load_nonempty(args.items, ClozeItem)
     vocab = WordVocab.load(args.vocab)
     model = load_checkpoint(args.checkpoint).model
-    items = load_records(args.items, ClozeItem)
     acc = cloze_accuracy(model, vocab, items, max_length=cfg["train.max_length"])
     print(f"cloze accuracy {acc:.4f} over {len(items)} items")
     if args.out:
@@ -204,7 +212,7 @@ def cmd_eval_cloze(args) -> int:
 
 
 def cmd_eval_tag(args) -> int:
-    gold = load_records(args.gold, TaggedSequence)
+    gold = _load_nonempty(args.gold, TaggedSequence)
     pred = load_records(args.pred, TaggedSequence)
     if len(gold) != len(pred):
         raise WordlmError(f"gold has {len(gold)} sequences, pred has {len(pred)}")
@@ -216,7 +224,7 @@ def cmd_eval_tag(args) -> int:
 
 
 def cmd_eval_span(args) -> int:
-    golds = load_records(args.gold, SpanItem)
+    golds = _load_nonempty(args.gold, SpanItem)
     preds = load_records(args.pred, SpanPrediction)
     if len(golds) != len(preds):
         raise WordlmError(f"gold has {len(golds)} items, pred has {len(preds)}")

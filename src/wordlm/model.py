@@ -127,8 +127,6 @@ class WordBertModel:
         projection: np.ndarray | None = None,
     ):
         config.validate()
-        self.config = config
-        self.seed = seed
         given = {}  # parameter name -> (argument name, array copied in)
         if config.variant == "projected":
             if word_vectors is None:
@@ -137,7 +135,7 @@ class WordBertModel:
             if projection is not None:
                 given["embedding.projection"] = ("projection", projection)
         rng = substream(seed, "init")
-        self.params: dict[str, Tensor] = {}
+        arrays = {}
         for name, shape in parameter_shapes(config).items():
             if name in given:
                 arg, value = given[name]
@@ -153,6 +151,23 @@ class WordBertModel:
                 data = np.zeros(shape, np.float32)
             else:
                 data = truncated_normal(rng, shape, 0.02)
+            arrays[name] = data
+        self._adopt(config, seed, arrays)
+
+    @classmethod
+    def _unfilled(cls, config: ModelConfig, seed: int) -> "WordBertModel":
+        """A model with every parameter allocated but not initialized (no RNG
+        draw), for a checkpoint load to fill in."""
+        model = cls.__new__(cls)
+        shapes = parameter_shapes(config)
+        model._adopt(config, seed, {name: np.empty(shape, np.float32) for name, shape in shapes.items()})
+        return model
+
+    def _adopt(self, config: ModelConfig, seed: int, arrays: dict[str, np.ndarray]):
+        self.config = config
+        self.seed = seed
+        self.params: dict[str, Tensor] = {}
+        for name, data in arrays.items():
             frozen = name == "embedding.word" and config.freeze_embeddings
             self.params[name] = Tensor(data, requires_grad=not frozen)
 

@@ -56,11 +56,20 @@ def remap_targets(targets, batch_ids: np.ndarray) -> np.ndarray:
     return local
 
 
+# Byte budget of the [block, V] float32 similarity buffer of one
+# neighbors_of_many call; queries are scored in blocks that fit it.
+_SCRATCH_BYTES = 16 << 20
+
+
 class NeighborIndex:
     """Exact cosine-similarity search over an embedding table.
 
-    Zero-norm rows never appear as neighbors; querying one is an error. Ties
-    in similarity break toward the lower word id.
+    Zero-norm rows never appear as neighbors; querying one is an error. A
+    block of queries is scored against every row in one float32 GEMM; the
+    candidates within rounding reach of the k-th best score are then ordered
+    by the float64 dot product of the stored float32 unit rows, ties toward
+    the lower word id. So a query's list depends only on the rows involved,
+    not on the other queries of its block or on the BLAS kernel.
     """
 
     def __init__(self, embeddings):
@@ -72,25 +81,40 @@ class NeighborIndex:
         safe = np.where(self._zero, 1.0, norms)
         self._unit = (emb.astype(np.float64) / safe[:, None]).astype(np.float32)
         self.size = emb.shape[0]
-
-    def nearest_words(self, word_id: int, k: int = 10) -> np.ndarray:
-        """The k ids most cosine-similar to word_id, excluding word_id."""
-        if not 0 <= word_id < self.size:
-            raise IndexError(f"word id {word_id} outside [0, {self.size})")
-        if k >= self.size:
-            raise ContractError(f"k={k} must be smaller than the vocabulary ({self.size})")
-        if self._zero[word_id]:
-            raise ContractError(f"word id {word_id} has a zero-norm embedding")
-        sims = self._unit @ self._unit[word_id]
-        sims = sims.astype(np.float64)
-        sims[self._zero] = -np.inf
-        sims[word_id] = -np.inf
-        order = np.argsort(-sims, kind="stable")
-        finite = order[np.isfinite(sims[order])]
-        return finite[:k].astype(np.int64)
+        # A float32 dot product of two length-E unit rows is within about
+        # E * eps / 2 of its exact value, so two compared scores may be off by
+        # E * eps together. The margin is twice that, which also covers the
+        # float32 unit rows' norms differing from 1.
+        self._margin = np.float32(2 * emb.shape[1] * np.finfo(np.float32).eps)
 
     def neighbors_of_many(self, word_ids, k: int = 10) -> np.ndarray:
-        chunks = [self.nearest_words(int(w), k=k) for w in np.unique(word_ids)]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        """The k ids most cosine-similar to each unique id of word_ids, excluding
+        the id itself: one list per id, concatenated in ascending id order."""
+        queries = np.unique(np.asarray(word_ids, dtype=np.int64))
+        outside = queries[(queries < 0) | (queries >= self.size)]
+        if outside.size:
+            raise IndexError(f"word id {outside[0]} outside [0, {self.size})")
+        if not 1 <= k < self.size:
+            raise ContractError(f"k={k} must be in [1, {self.size}), the vocabulary size")
+        zero = queries[self._zero[queries]]
+        if zero.size:
+            raise ContractError(f"word id {zero[0]} has a zero-norm embedding")
+        block = max(1, _SCRATCH_BYTES // (4 * self.size))
+        scratch = np.empty((min(block, queries.size), self.size), dtype=np.float32)
+        lists = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, queries.size, block):
+            ids = queries[lo:lo + block]
+            sims = scratch[: ids.size]
+            np.matmul(self._unit[ids], self._unit.T, out=sims)
+            sims[:, self._zero] = -np.inf
+            sims[np.arange(ids.size), ids] = -np.inf
+            lists.extend(self._top_k(q, row, k) for q, row in zip(ids, sims))
+        return np.concatenate(lists)
+
+    def _top_k(self, query, sims, k):
+        """The exact top k of one query, given its float32 scores against every row."""
+        kth = np.partition(sims, sims.size - k)[sims.size - k]
+        near = np.flatnonzero(sims >= kth - self._margin)
+        near = near[np.isfinite(sims[near])]
+        exact = (self._unit[near].astype(np.float64) * self._unit[query].astype(np.float64)).sum(axis=1)
+        return near[np.lexsort((near, -exact))][:k]

@@ -96,6 +96,23 @@ def central_diff_grad(f, x, h=1e-3):
     return grad
 
 
+def brute_force_topk(embeddings, k):
+    """Full similarity matrix + explicit per-row sort, ties by id ascending."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    norms = np.linalg.norm(emb, axis=1)
+    unit = emb / np.where(norms == 0.0, 1.0, norms)[:, None]
+    sims = unit @ unit.T
+    sims[norms == 0.0, :] = -np.inf
+    sims[:, norms == 0.0] = -np.inf
+    np.fill_diagonal(sims, -np.inf)
+    out = []
+    for i in range(emb.shape[0]):
+        row = sims[i]
+        order = sorted(range(emb.shape[0]), key=lambda j: (-row[j], j))
+        out.append(order[:k])
+    return out
+
+
 def rel_error(a, b):
     """Norm-wise relative error between two arrays."""
     a = np.asarray(a, dtype=np.float64).ravel()

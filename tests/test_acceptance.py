@@ -39,6 +39,7 @@ from wordlm.evaluation import (
 
 from conftest import masked_top1_accuracy, restricted_loss64
 from oracles import (
+    brute_force_topk,
     central_diff_grad,
     cosine_distance,
     gelu64,
@@ -48,7 +49,6 @@ from oracles import (
     softmax64,
 )
 from reference_model import params64, per_sequence, ref_mlm_loss
-from test_sampling import brute_force_topk
 
 
 def report(n, text):
@@ -323,7 +323,7 @@ def test_criterion_04_neighbor_exactness():
     expected = brute_force_topk(emb, k=10)
     matches = 0
     for q in range(100):
-        got = index.nearest_words(q, k=10)
+        got = index.neighbors_of_many([q], k=10)
         assert list(got) == expected[q], f"query {q} differs"
         matches += 1
     report(4, f"top-10 cosine neighbors identical to O(V^2) oracle, {matches}/100 queries")

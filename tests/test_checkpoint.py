@@ -15,13 +15,13 @@ from wordlm.training import TrainConfig, train
 from wordlm.vocab import build_vocabulary
 
 
-def small_model(seed=3, **kw):
+def small_model(seed=3, word_vectors=None, **kw):
     cfg = dict(
         vocab_size=30, num_layers=1, num_heads=2, hidden=8, embed_dim=8,
         max_positions=10, dropout=0.0,
     )
     cfg.update(kw)
-    return WordBertModel(ModelConfig(**cfg), seed=seed)
+    return WordBertModel(ModelConfig(**cfg), seed=seed, word_vectors=word_vectors)
 
 
 def corpus_and_vocab():
@@ -104,6 +104,23 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.model.params["embedding.word"].data, wv)
         assert not loaded.model.params["embedding.word"].requires_grad
         assert loaded.model.params["embedding.projection"].requires_grad
+
+    @pytest.mark.parametrize("variant", ["direct", "projected"])
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch, variant):
+        if variant == "direct":
+            model = small_model(seed=7)
+        else:
+            wv = np.random.default_rng(8).standard_normal((30, 6)).astype(np.float32)
+            model = small_model(seed=7, embed_dim=6, variant="projected",
+                                freeze_embeddings=True, word_vectors=wv)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew a random initialization")
+
+        monkeypatch.setattr("wordlm.model.substream", no_draw)
+        assert load_checkpoint(path).model.checksum() == model.checksum()
 
 
 class TestIntegrity:

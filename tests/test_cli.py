@@ -358,6 +358,23 @@ class TestExitCodes:
         assert err.startswith(f"wordlm: error: {bad}{where}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval-cloze", "eval-tag", "eval-span"])
+    def test_evaluation_over_no_records_is_plain_error(self, workdir, capsys, command):
+        tmp, corpus, cfg = workdir
+        empty = tmp / "empty.jsonl"
+        empty.write_text("\n")
+        argv = {
+            # the items are read first: neither the vocabulary nor the checkpoint exists
+            "eval-cloze": ["eval-cloze", "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+                           "--vocab", str(tmp / "none.tsv"), "--items", str(empty)],
+            "eval-tag": ["eval-tag", "--pred", str(empty), "--gold", str(empty)],
+            "eval-span": ["eval-span", "--pred", str(empty), "--gold", str(empty)],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wordlm: error: {empty}: no records\n"
+
     def test_pretrain_zero_steps_rejected_before_output(self, workdir, capsys):
         tmp, corpus, cfg = workdir
         vocab = tmp / "vocab.tsv"

@@ -1,29 +1,18 @@
 """Batch-vocabulary sampling and nearest-neighbor tests."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from wordlm import sampling
 from wordlm.errors import ContractError
 from wordlm.sampling import NeighborIndex, remap_targets, sample_batch_vocab
 from wordlm.vocab import NUM_SPECIALS
 
-
-def brute_force_topk(embeddings, k):
-    """Full similarity matrix + explicit per-row sort, ties by id ascending."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(emb, axis=1)
-    unit = emb / np.where(norms == 0.0, 1.0, norms)[:, None]
-    sims = unit @ unit.T
-    sims[norms == 0.0, :] = -np.inf
-    sims[:, norms == 0.0] = -np.inf
-    np.fill_diagonal(sims, -np.inf)
-    out = []
-    for i in range(emb.shape[0]):
-        row = sims[i]
-        order = sorted(range(emb.shape[0]), key=lambda j: (-row[j], j))
-        out.append(order[:k])
-    return out
+from oracles import brute_force_topk
 
 
 class TestSampleBatchVocab:
@@ -94,19 +83,19 @@ class TestNearestWords:
         emb = np.random.default_rng(5).standard_normal((6, 4)).astype(np.float32)
         emb[3] = 2.5 * emb[0]
         index = NeighborIndex(emb)
-        assert index.nearest_words(0, k=1)[0] == 3
+        assert index.neighbors_of_many([0], k=1)[0] == 3
 
     def test_orthogonal_ties_break_by_id(self):
         emb = np.eye(5, dtype=np.float32)
         index = NeighborIndex(emb)
-        np.testing.assert_array_equal(index.nearest_words(3, k=4), [0, 1, 2, 4])
+        np.testing.assert_array_equal(index.neighbors_of_many([3], k=4), [0, 1, 2, 4])
 
     def test_matches_brute_force_oracle(self):
         emb = np.random.default_rng(6).standard_normal((200, 300)).astype(np.float32)
         index = NeighborIndex(emb)
         expected = brute_force_topk(emb, k=10)
         for q in range(200):
-            np.testing.assert_array_equal(index.nearest_words(q, k=10), expected[q])
+            np.testing.assert_array_equal(index.neighbors_of_many([q], k=10), expected[q])
 
     def test_zero_norm_row_never_selected(self):
         emb = np.random.default_rng(7).standard_normal((8, 3)).astype(np.float32)
@@ -115,7 +104,7 @@ class TestNearestWords:
         for q in range(8):
             if q == 2:
                 continue
-            got = index.nearest_words(q, k=7)
+            got = index.neighbors_of_many([q], k=7)
             assert 2 not in got
             assert len(got) == 6  # query and the zero-norm row excluded
 
@@ -123,14 +112,100 @@ class TestNearestWords:
         emb = np.ones((4, 3), dtype=np.float32)
         emb[1] = 0.0
         with pytest.raises(ContractError):
-            NeighborIndex(emb).nearest_words(1, k=2)
+            NeighborIndex(emb).neighbors_of_many([1], k=2)
 
     def test_query_id_bounds(self):
         index = NeighborIndex(np.ones((4, 3), dtype=np.float32))
         with pytest.raises(IndexError):
-            index.nearest_words(4, k=2)
+            index.neighbors_of_many([4], k=2)
         with pytest.raises(ContractError):
-            index.nearest_words(0, k=4)
+            index.neighbors_of_many([0], k=4)
+
+
+# Integer rows of squared norm exactly 2**28 have unit rows n / 2**14 that
+# float32 holds exactly, and the dot product of two such rows is exact in
+# float64 but rounded in float32. BASE repeats 4827, so a row and its copy with
+# positions 0 and 1 swapped tie exactly as neighbors of BASE, while float32
+# sums their equal products in a different order.
+BASE = np.array([4827, 4827, 3812, -10028, 7311, -7100, 693, 1550])
+
+
+def tie_heavy_table():
+    """Shuffled rows: permutations of BASE moving at most three positions (with
+    duplicates, since BASE repeats an entry), exact 2x and 3x copies of some,
+    and the one-hot rows, which are orthogonal to each other."""
+    rows = []
+    for i, j, m in itertools.combinations(range(len(BASE)), 3):
+        for cycle in ((i, j), (i, m), (j, m), (i, j, m), (i, m, j)):
+            row = BASE.copy()
+            row[list(cycle)] = row[list(cycle[1:] + cycle[:1])]
+            rows.append(row)
+    rows += [2 * r for r in rows[::7]] + [3 * r for r in rows[3::11]]
+    rows += list(np.eye(len(BASE), dtype=np.int64))
+    table = np.array(rows, dtype=np.float32)
+    assert np.all(np.abs(table) < 2**24)  # every entry exact in float32
+    return table[np.random.default_rng(9).permutation(len(table))]
+
+
+class TestBatchedSearch:
+    def test_tie_heavy_table_matches_oracle(self):
+        emb = tie_heavy_table()
+        index = NeighborIndex(emb)
+        everyone = np.arange(len(emb))
+        for k in (1, 6, 40):
+            expected = brute_force_topk(emb, k=k)
+            got = index.neighbors_of_many(everyone, k=k).reshape(len(emb), k)
+            for q in everyone:
+                np.testing.assert_array_equal(got[q], expected[q], err_msg=f"query {q}, k={k}")
+
+    def test_list_does_not_depend_on_block_composition(self, monkeypatch):
+        emb = tie_heavy_table()
+        block = 7
+        monkeypatch.setattr(sampling, "_SCRATCH_BYTES", 4 * len(emb) * block)
+        index = NeighborIndex(emb)
+        k = 12
+        alone = {q: index.neighbors_of_many([q], k=k) for q in range(len(emb))}
+        for size in (2, block - 1, block, block + 1):
+            for lo in range(0, len(emb), size):
+                ids = np.arange(lo, min(lo + size, len(emb)))
+                got = index.neighbors_of_many(ids, k=k).reshape(len(ids), k)
+                for q, row in zip(ids, got):
+                    np.testing.assert_array_equal(row, alone[q], err_msg=f"query {q}, batch {size}")
+
+    def test_fewer_live_rows_than_k(self):
+        emb = np.random.default_rng(10).standard_normal((6, 4)).astype(np.float32)
+        emb[[1, 4]] = 0.0
+        index = NeighborIndex(emb)
+        got = index.neighbors_of_many([0, 3, 5], k=5)
+        expected = brute_force_topk(emb, k=3)  # three live rows besides each query
+        np.testing.assert_array_equal(got, np.concatenate([expected[q] for q in (0, 3, 5)]))
+
+    @pytest.mark.parametrize(
+        "ids,k,error",
+        [([2, 6], 2, IndexError), ([-1, 2], 2, IndexError), ([2, 1], 2, ContractError),
+         ([2, 3], 6, ContractError)],
+        ids=["id-too-large", "id-negative", "zero-norm-query", "k-not-below-vocab"],
+    )
+    def test_invalid_query_raises_within_a_batch(self, ids, k, error):
+        emb = np.random.default_rng(11).standard_normal((6, 3)).astype(np.float32)
+        emb[1] = 0.0
+        with pytest.raises(error):
+            NeighborIndex(emb).neighbors_of_many(ids, k=k)
+
+    def test_scratch_stays_within_block_budget(self):
+        vocab_size = 20_000
+        emb = np.random.default_rng(12).standard_normal((vocab_size, 32)).astype(np.float32)
+        index = NeighborIndex(emb)
+        queries = np.random.default_rng(13).choice(vocab_size, size=2_000, replace=False)
+        tracemalloc.start()
+        try:
+            got = index.neighbors_of_many(queries, k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 2_000 * 10
+        # the [block, V] float32 buffer, plus per-query temporaries of O(V)
+        assert peak < sampling._SCRATCH_BYTES + 64 * vocab_size, peak
 
 
 class TestRemapTargets:
