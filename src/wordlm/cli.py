@@ -22,16 +22,11 @@ from .evaluation import (
     ClozeItem,
     FrequencyBuckets,
     ProbeExample,
-    SpanItem,
-    SpanPrediction,
-    TaggedSequence,
     build_probe_set,
     cloze_accuracy,
     load_records,
     probe_topk,
     save_probe_examples,
-    span_em_f1,
-    tag_f1,
 )
 from .model import ModelConfig, WordBertModel, parameter_counts
 from .sampling import NeighborIndex
@@ -47,16 +42,6 @@ _CLOZE_EXAMPLE = (
 _PROBE_EXAMPLE = (
     'probe JSONL example: {"words": ["the", "cat", "sat"], "masked_positions": [1], '
     '"gold_words": ["cat"], "bucket": "Low"}'
-)
-_TAG_EXAMPLE = (
-    'tagging JSONL example: {"words": ["rome", "fell"], "gold_labels": ["B-LOC", "O"]}; '
-    "the --pred file uses the same fields with predicted labels in gold_labels"
-)
-_SPAN_EXAMPLE = (
-    'span JSONL example: {"context_words": ["rome", "fell", "late"], '
-    '"question_words": ["when"], "gold_spans": [[2, 2]]}; predictions are '
-    '{"start": 3, "end": 3} per line in encoded positions (word i at i+1, '
-    "[0, 0] for no-answer)"
 )
 
 
@@ -188,17 +173,11 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _load_nonempty(path, cls) -> list:
-    """The records of an evaluation's gold or items file; a score over none is undefined."""
-    records = load_records(path, cls)
-    if not records:
-        raise WordlmError(f"{path}: no records")
-    return records
-
-
 def cmd_eval_cloze(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
-    items = _load_nonempty(args.items, ClozeItem)
+    items = load_records(args.items, ClozeItem)
+    if not items:  # an accuracy over no items is undefined
+        raise WordlmError(f"{args.items}: no records")
     vocab = WordVocab.load(args.vocab)
     model = load_checkpoint(args.checkpoint).model
     acc = cloze_accuracy(model, vocab, items, max_length=cfg["train.max_length"])
@@ -208,34 +187,6 @@ def cmd_eval_cloze(args) -> int:
         cfg.echo_into(args.out)
         with open(os.path.join(args.out, "cloze_report.tsv"), "w", encoding="utf-8") as fh:
             fh.write(f"items\t{len(items)}\naccuracy\t{acc!r}\n")
-    return 0
-
-
-def cmd_eval_tag(args) -> int:
-    gold = _load_nonempty(args.gold, TaggedSequence)
-    pred = load_records(args.pred, TaggedSequence)
-    if len(gold) != len(pred):
-        raise WordlmError(f"gold has {len(gold)} sequences, pred has {len(pred)}")
-    p, r, f1 = tag_f1(
-        [t.gold_labels for t in pred], [t.gold_labels for t in gold], mode=args.mode
-    )
-    print(f"precision {p:.4f}\trecall {r:.4f}\tf1 {f1:.4f} ({args.mode} mode, {len(gold)} sequences)")
-    return 0
-
-
-def cmd_eval_span(args) -> int:
-    golds = _load_nonempty(args.gold, SpanItem)
-    preds = load_records(args.pred, SpanPrediction)
-    if len(golds) != len(preds):
-        raise WordlmError(f"gold has {len(golds)} items, pred has {len(preds)}")
-    ems, f1s = [], []
-    for item, pred in zip(golds, preds):
-        # gold word spans shift +1 into encoded positions ([CLS] at 0)
-        shifted = [(s + 1, e + 1) for s, e in item.gold_spans]
-        em, f1 = span_em_f1((pred.start, pred.end), shifted)
-        ems.append(em)
-        f1s.append(f1)
-    print(f"em {np.mean(ems):.4f}\tf1 {np.mean(f1s):.4f} over {len(golds)} items")
     return 0
 
 
@@ -326,17 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True)
     p.add_argument("--out", help="optional output directory")
     p.set_defaults(fn=cmd_eval_cloze)
-
-    p = sub.add_parser("eval-tag", help="sequence-labeling P/R/F1", epilog=_TAG_EXAMPLE)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--mode", choices=("span", "token"), default="span")
-    p.set_defaults(fn=cmd_eval_tag)
-
-    p = sub.add_parser("eval-span", help="span-extraction EM/F1", epilog=_SPAN_EXAMPLE)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gold", required=True)
-    p.set_defaults(fn=cmd_eval_span)
 
     p = sub.add_parser("inspect-checkpoint", help="print a checkpoint manifest")
     p.add_argument("checkpoint")

@@ -1,4 +1,4 @@
-"""Frequency-stratified probing, cloze scoring, tagging and span metrics.
+"""Frequency-stratified zero-shot probing and cloze scoring.
 
 All scoring runs over immutable model snapshots (no parameter is touched).
 Dataset records are JSON-lines with field names matching the dataclasses
@@ -8,8 +8,8 @@ here; see the CLI help for one worked example of each format.
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -17,8 +17,6 @@ from . import tensor as T
 from .errors import ContractError
 from .model import WordBertModel
 from .vocab import MASK_ID, WordVocab, encode, segment_words
-
-log = logging.getLogger(__name__)
 
 BUCKET_NAMES = ("High", "Medium", "Low", "Rare")
 BLANK_SENTINEL = "[BLANK]"
@@ -75,8 +73,6 @@ class ProbeExample:
             raise ContractError(f"unknown bucket {self.bucket!r}")
         if len(self.masked_positions) != len(self.gold_words):
             raise ContractError("masked_positions and gold_words must align")
-        if any(type(pos) is not int for pos in self.masked_positions):
-            raise ContractError(f"masked_positions {self.masked_positions} are not all integers")
         if any(b <= a for a, b in zip(self.masked_positions, self.masked_positions[1:])):
             raise ContractError("masked_positions must be strictly increasing")
         for pos, gold in zip(self.masked_positions, self.gold_words):
@@ -183,7 +179,7 @@ class ClozeItem:
             raise ContractError(f"passage must contain exactly one {BLANK_SENTINEL}")
         if len(self.options) != 4 or len(set(self.options)) != 4:
             raise ContractError("cloze items need exactly 4 distinct options")
-        if type(self.answer_index) is not int or not 0 <= self.answer_index < 4:
+        if not 0 <= self.answer_index < 4:
             raise ContractError(f"answer_index {self.answer_index!r} is not an integer in 0-3")
 
 
@@ -219,174 +215,29 @@ def cloze_accuracy(model, vocab, items, max_length=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sequence labeling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TaggedSequence:
-    words: list[str]
-    gold_labels: list[str]
-
-    def validate(self):
-        if len(self.words) != len(self.gold_labels):
-            raise ContractError("label count must equal word count")
-
-
-def _bio_spans(labels, repair: bool):
-    """(start, end, type) spans; stray I- either repaired to B- or rejected."""
-    spans = []
-    start = None
-    typ = None
-    repairs = 0
-    for i, lab in enumerate(labels):
-        if lab == "O":
-            if start is not None:
-                spans.append((start, i - 1, typ))
-                start = None
-        elif lab.startswith("B-"):
-            if start is not None:
-                spans.append((start, i - 1, typ))
-            start, typ = i, lab[2:]
-        elif lab.startswith("I-"):
-            t = lab[2:]
-            if start is None or t != typ:
-                if not repair:
-                    raise ContractError(f"malformed BIO transition at position {i}: {lab}")
-                repairs += 1
-                if start is not None:
-                    spans.append((start, i - 1, typ))
-                start, typ = i, t
-        else:
-            raise ContractError(f"label {lab!r} is not BIO")
-    if start is not None:
-        spans.append((start, len(labels) - 1, typ))
-    return spans, repairs
-
-
-def tag_f1(pred_labels, gold_labels, mode: str = "span") -> tuple[float, float, float]:
-    """Micro precision/recall/F1 over sequences of labels.
-
-    span mode matches BIO spans exactly (type + boundaries); token mode scores
-    per-token equality. Malformed BIO in predictions is repaired (stray I- as
-    B-, logged); malformed gold raises.
-    """
-    if mode not in ("span", "token"):
-        raise ContractError(f"mode must be span or token, got {mode!r}")
-    if len(pred_labels) != len(gold_labels):
-        raise ContractError("prediction and gold sets differ in sequence count")
-
-    if mode == "token":
-        correct = total = 0
-        for pred, gold in zip(pred_labels, gold_labels):
-            if len(pred) != len(gold):
-                raise ContractError("prediction and gold lengths differ")
-            correct += sum(p == g for p, g in zip(pred, gold))
-            total += len(gold)
-        acc = correct / total if total else 1.0
-        return acc, acc, acc
-
-    n_pred = n_gold = n_correct = n_repairs = 0
-    for pred, gold in zip(pred_labels, gold_labels):
-        if len(pred) != len(gold):
-            raise ContractError("prediction and gold lengths differ")
-        gold_spans, _ = _bio_spans(gold, repair=False)
-        pred_spans, repairs = _bio_spans(pred, repair=True)
-        n_repairs += repairs
-        n_pred += len(pred_spans)
-        n_gold += len(gold_spans)
-        n_correct += len(set(pred_spans) & set(gold_spans))
-    if n_repairs:
-        log.warning("repaired %d stray I- labels in predictions", n_repairs)
-    if n_pred == 0 and n_gold == 0:
-        return 1.0, 1.0, 1.0
-    precision = n_correct / n_pred if n_pred else 0.0
-    recall = n_correct / n_gold if n_gold else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
-# ---------------------------------------------------------------------------
-# span extraction
-# ---------------------------------------------------------------------------
-
-NO_ANSWER = (0, 0)
-
-
-def is_int_pair(values) -> bool:
-    """Two JSON integers (bools excluded), as a list or tuple."""
-    return isinstance(values, (list, tuple)) and len(values) == 2 and all(
-        type(v) is int for v in values
-    )
-
-
-@dataclass
-class SpanItem:
-    context_words: list[str]
-    question_words: list[str]
-    gold_spans: list[tuple[int, int]] = field(default_factory=list)
-
-    def validate(self):
-        for span in self.gold_spans:
-            if not is_int_pair(span):
-                raise ContractError(f"gold span {span!r} is not a pair of integers")
-            start, end = span
-            if not 0 <= start <= end < len(self.context_words):
-                raise ContractError(f"gold span ({start}, {end}) outside the context")
-
-
-@dataclass
-class SpanPrediction:
-    """A predicted span in encoded positions: word i at i + 1, (0, 0) for no-answer."""
-
-    start: int
-    end: int
-
-    def validate(self):
-        if not is_int_pair((self.start, self.end)):
-            raise ContractError(f"start and end must be JSON integers: {self.start!r}, {self.end!r}")
-        if not 0 <= self.start <= self.end:
-            raise ContractError(f"invalid predicted span {(self.start, self.end)}")
-
-
-def _token_overlap_f1(a, b) -> float:
-    overlap = min(a[1], b[1]) - max(a[0], b[0]) + 1
-    if overlap <= 0:
-        return 0.0
-    p = overlap / (a[1] - a[0] + 1)
-    r = overlap / (b[1] - b[0] + 1)
-    return 2 * p * r / (p + r)
-
-
-def span_em_f1(pred, gold_spans) -> tuple[float, float]:
-    """Exact match and best token-overlap F1 against the gold spans.
-
-    Spans live in encoded-position space: (0, 0) is the [CLS] no-answer
-    convention, real words sit at positions >= 1. Empty gold_spans means
-    no-answer.
-    """
-    pred = (int(pred[0]), int(pred[1]))
-    SpanPrediction(*pred).validate()
-    golds = [(int(s), int(e)) for s, e in gold_spans]
-    if not golds:
-        hit = 1.0 if pred == NO_ANSWER else 0.0
-        return hit, hit
-    if pred == NO_ANSWER:
-        return 0.0, 0.0
-    em = 1.0 if pred in golds else 0.0
-    f1 = max(_token_overlap_f1(pred, g) for g in golds)
-    return em, f1
-
-
-# ---------------------------------------------------------------------------
 # JSON-lines IO
 # ---------------------------------------------------------------------------
 
+# The JSON value each field annotation of a record admits, as error messages name it.
+_JSON_SHAPES = {
+    str: "a string",
+    int: "an integer",
+    list[str]: "a list of strings",
+    list[int]: "a list of integers",
+}
+
+
+def _has_shape(value, hint) -> bool:
+    """Exact types, so neither a JSON boolean nor a float passes as an integer."""
+    if get_origin(hint) is list:
+        return type(value) is list and all(type(v) is get_args(hint)[0] for v in value)
+    return type(value) is hint
+
+
 def load_records(path, cls) -> list:
     """One validated ``cls`` record per nonblank JSON-lines line; the JSON keys
-    are its field names, and the fields without a default are required."""
-    names = {f.name for f in fields(cls)}
-    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    are its field names, every one required and of its annotated JSON type."""
+    hints = get_type_hints(cls)
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -399,19 +250,22 @@ def load_records(path, cls) -> list:
                 raise ContractError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(obj, dict):
                 raise ContractError(f"{path}:{lineno}: not a JSON object: {line!r}")
-            unknown = set(obj) - names
+            unknown = set(obj) - set(hints)
             if unknown:
                 raise ContractError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-            missing = [name for name in required if name not in obj]
+            missing = [name for name in hints if name not in obj]
             if missing:
                 raise ContractError(f"{path}:{lineno}: missing fields {missing}")
+            for name, hint in hints.items():
+                if not _has_shape(obj[name], hint):
+                    raise ContractError(
+                        f"{path}:{lineno}: {name} must be {_JSON_SHAPES[hint]}, got {obj[name]!r}"
+                    )
             record = cls(**obj)
             try:
                 record.validate()
-            except (ContractError, TypeError) as err:  # TypeError: a field of the wrong JSON type
+            except ContractError as err:
                 raise ContractError(f"{path}:{lineno}: {err}") from err
-            if cls is SpanItem:
-                record.gold_spans = [tuple(s) for s in record.gold_spans]
             records.append(record)
     return records
 

@@ -76,10 +76,11 @@ class NeighborIndex:
         emb = np.asarray(embeddings, dtype=np.float32)
         if emb.ndim != 2:
             raise ContractError(f"embedding table must be 2-D, got shape {emb.shape}")
-        norms = np.linalg.norm(emb.astype(np.float64), axis=1)
+        unit = emb.astype(np.float64)
+        norms = np.linalg.norm(unit, axis=1)
         self._zero = norms == 0.0
-        safe = np.where(self._zero, 1.0, norms)
-        self._unit = (emb.astype(np.float64) / safe[:, None]).astype(np.float32)
+        unit /= np.where(self._zero, 1.0, norms)[:, None]
+        self._unit = unit.astype(np.float32)
         self.size = emb.shape[0]
         # A float32 dot product of two length-E unit rows is within about
         # E * eps / 2 of its exact value, so two compared scores may be off by

@@ -237,27 +237,6 @@ class TestEvalCommands:
                 "--vocab", str(vocab), "--items", str(items)])
         assert "cloze accuracy" in capsys.readouterr().out
 
-    def test_eval_tag(self, tmp_path, capsys):
-        gold = tmp_path / "gold.jsonl"
-        pred = tmp_path / "pred.jsonl"
-        gold.write_text(json.dumps({"words": ["a", "b", "c"],
-                                    "gold_labels": ["B-X", "I-X", "O"]}) + "\n")
-        pred.write_text(json.dumps({"words": ["a", "b", "c"],
-                                    "gold_labels": ["B-X", "I-X", "O"]}) + "\n")
-        run_ok(["eval-tag", "--pred", str(pred), "--gold", str(gold), "--mode", "span"])
-        assert "f1 1.0000" in capsys.readouterr().out
-
-    def test_eval_span(self, tmp_path, capsys):
-        gold = tmp_path / "gold.jsonl"
-        pred = tmp_path / "pred.jsonl"
-        gold.write_text(json.dumps({"context_words": ["w0", "w1", "w2", "w3"],
-                                    "question_words": ["q"],
-                                    "gold_spans": [[1, 2]]}) + "\n")
-        pred.write_text(json.dumps({"start": 2, "end": 3}) + "\n")
-        run_ok(["eval-span", "--pred", str(pred), "--gold", str(gold)])
-        out = capsys.readouterr().out
-        assert "em 1.0000" in out and "f1 1.0000" in out
-
     def test_inspect_checkpoint(self, trained, capsys):
         tmp, corpus, cfg, vocab, ckpt = trained
         run_ok(["inspect-checkpoint", str(ckpt)])
@@ -281,15 +260,19 @@ class TestEvalCommands:
         )
 
 
-INTS_AT_1 = ":1: start and end must be JSON integers"
-INTS_AT_2 = ":2: start and end must be JSON integers"
+# a cloze item up to its answer_index, which each case below completes
+CLOZE = '{"passage_words": ["sun", "[BLANK]"], "options": ["moon", "rain", "wind", "fog"], '
+INT_AT_1 = ":1: answer_index must be an integer, got "
 
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        # the removed eval-tag and eval-span commands are unknown commands too
+        for argv in (["frobnicate"], ["eval-tag", "--pred", "p", "--gold", "g"],
+                     ["eval-span", "--pred", "p", "--gold", "g"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -315,62 +298,54 @@ class TestExitCodes:
         [
             ("pretrain", "#wordvocab v1 lowercase=true\n[PAD]\t0\n[UNK]\tmany\n", ":3:"),
             ("pretrain-projection", "not an archive\n", ":"),
-            ("eval-span", '{"start": 1, "end": 1}\n{"start": 1,\n', ":2:"),
-            ("eval-span", '{"start": 1}\n', ":1:"),
-            ("eval-span", '{"start": 1, "end": 1}\n{"start": "x", "end": 3}\n', INTS_AT_2),
-            ("eval-span", '{"start": null, "end": 3}\n', INTS_AT_1),
-            ("eval-span", '{"start": 2.7, "end": 3}\n', INTS_AT_1),
-            ("eval-span", '{"start": true, "end": 3}\n', INTS_AT_1),
-            ("eval-span", '{"start": 3, "end": 1}\n', ":1: invalid predicted span (3, 1)"),
-            ("eval-span", '{"start": -2, "end": 1}\n', ":1: invalid predicted span (-2, 1)"),
-            ("eval-span", '{"start": 1, "end": 1, "score": 0.9}\n', ":1: unknown fields ['score']"),
-            ("eval-span-gold", '{"context_words": ["w0"], "question_words": ["q"], '
-             '"gold_spans": [[1]]}\n', ":1: gold span [1] is not a pair of integers"),
-            ("eval-span-gold", '{"context_words": ["w0", "w1"], "question_words": ["q"], '
-             '"gold_spans": [[0, 1.0]]}\n', ":1: gold span [0, 1.0] is not a pair of integers"),
-            ("eval-span-gold", '{"context_words": ["w0"], "question_words": ["q"], '
-             '"gold_spans": [[5, 5]]}\n', ":1: gold span (5, 5) outside the context"),
-            ("eval-span-gold", "5\n", ":1: not a JSON object"),
-            ("eval-tag-gold", '{"words": 5, "gold_labels": []}\n', ":1:"),
+            ("eval-cloze", CLOZE + '"answer_index": 0}\n{"passage_words": [\n', ":2: invalid JSON"),
+            ("eval-cloze", CLOZE[:-2] + "}\n", ":1: missing fields ['answer_index']"),
+            ("eval-cloze", CLOZE + '"answer_index": 0}\n' + CLOZE + '"answer_index": "x"}\n',
+             ":2: answer_index must be an integer, got 'x'"),
+            ("eval-cloze", CLOZE + '"answer_index": null}\n', INT_AT_1 + "None"),
+            ("eval-cloze", CLOZE + '"answer_index": 2.7}\n', INT_AT_1 + "2.7"),
+            ("eval-cloze", CLOZE + '"answer_index": true}\n', INT_AT_1 + "True"),
+            ("eval-cloze", CLOZE + '"answer_index": 0, "score": 0.9}\n', ":1: unknown fields ['score']"),
+            ("eval-cloze", "5\n", ":1: not a JSON object"),
+            ("eval-cloze", '{"passage_words": ["[BLANK]"], "options": ["w", "x", "y", 7], '
+             '"answer_index": 0}\n', ":1: options must be a list of strings, got ['w', 'x', 'y', 7]"),
+            ("eval-cloze", '{"passage_words": 5, "options": ["w", "x", "y", "z"], "answer_index": 0}\n',
+             ":1: passage_words must be a list of strings, got 5"),
+            ("eval-cloze", '{"passage_words": "a [BLANK] b", "options": ["w", "x", "y", "z"], '
+             '"answer_index": 0}\n', ":1: passage_words must be a list of strings, got 'a [BLANK] b'"),
+            ("eval-cloze", '{"passage_words": ["[BLANK]"], "options": "wxyz", "answer_index": 0}\n',
+             ":1: options must be a list of strings, got 'wxyz'"),
         ],
-        ids=["vocab-frequency", "npz", "span-json", "span-fields", "span-string", "span-null",
-             "span-float", "span-bool", "span-reversed", "span-negative", "span-unknown-field",
-             "gold-span-short", "gold-span-float",
-             "gold-span-outside", "gold-not-object", "tag-field-type"],
+        ids=["vocab-frequency", "npz", "cloze-json", "cloze-fields",
+             "cloze-string", "cloze-null", "cloze-float", "cloze-bool", "cloze-unknown-field",
+             "cloze-not-object", "cloze-field-type", "cloze-passage-int", "cloze-passage-string",
+             "cloze-options-string"],
     )
     def test_malformed_input_is_plain_error(self, workdir, capsys, case, content, where):
         tmp, corpus, cfg = workdir
-        bad, gold, out = tmp / "bad", tmp / "gold.jsonl", tmp / "out"
+        bad, out = tmp / "bad", tmp / "out"
         bad.write_text(content)
-        gold.write_text(json.dumps({"context_words": ["w0", "w1"], "question_words": ["q"],
-                                    "gold_spans": [[0, 0]]}) + "\n")
         argv = {
             "pretrain": ["pretrain", "--config", str(cfg), "--corpus", str(corpus),
                          "--vocab", str(bad), "--out", str(out)],
             "pretrain-projection": ["pretrain-projection", "--pairs", str(bad), "--out", str(out)],
-            "eval-span": ["eval-span", "--pred", str(bad), "--gold", str(gold)],
-            # gold is read before pred, so the bad file fails first in either role
-            "eval-span-gold": ["eval-span", "--pred", str(bad), "--gold", str(bad)],
-            "eval-tag-gold": ["eval-tag", "--pred", str(bad), "--gold", str(bad)],
+            # the items are read first: neither the vocabulary nor the checkpoint exists
+            "eval-cloze": ["eval-cloze", "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+                           "--vocab", str(tmp / "none.tsv"), "--items", str(bad), "--out", str(out)],
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"wordlm: error: {bad}{where}") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval-cloze", "eval-tag", "eval-span"])
+    @pytest.mark.parametrize("command", ["eval-cloze"])
     def test_evaluation_over_no_records_is_plain_error(self, workdir, capsys, command):
         tmp, corpus, cfg = workdir
         empty = tmp / "empty.jsonl"
         empty.write_text("\n")
-        argv = {
-            # the items are read first: neither the vocabulary nor the checkpoint exists
-            "eval-cloze": ["eval-cloze", "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
-                           "--vocab", str(tmp / "none.tsv"), "--items", str(empty)],
-            "eval-tag": ["eval-tag", "--pred", str(empty), "--gold", str(empty)],
-            "eval-span": ["eval-span", "--pred", str(empty), "--gold", str(empty)],
-        }[command]
-        assert main(argv) == 1
+        # the items are read first: neither the vocabulary nor the checkpoint exists
+        assert main([command, "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+                     "--vocab", str(tmp / "none.tsv"), "--items", str(empty)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"wordlm: error: {empty}: no records\n"

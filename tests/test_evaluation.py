@@ -1,7 +1,6 @@
-"""Probing, cloze, tagging, and span metric tests."""
+"""Probing, cloze scoring and JSON-lines loading tests."""
 
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -13,16 +12,12 @@ from wordlm.evaluation import (
     ClozeItem,
     FrequencyBuckets,
     ProbeExample,
-    SpanItem,
     bucket_of,
     build_probe_set,
-    TaggedSequence,
     load_records,
     probe_topk,
     save_probe_examples,
     score_cloze,
-    span_em_f1,
-    tag_f1,
 )
 from wordlm.model import ModelConfig, WordBertModel
 from wordlm.vocab import build_vocabulary, segment_words
@@ -241,88 +236,6 @@ class TestScoreCloze:
             ClozeItem([BLANK_SENTINEL], ["w", "x", "y", "z"], 4).validate()
 
 
-class TestTagF1:
-    def test_perfect_prediction(self):
-        gold = [["B-PER", "I-PER", "O", "B-LOC"]]
-        assert tag_f1(gold, gold, mode="span") == (1.0, 1.0, 1.0)
-
-    def test_no_predictions_against_gold(self):
-        pred = [["O", "O", "O", "O"]]
-        gold = [["B-PER", "I-PER", "O", "B-LOC"]]
-        p, r, f1 = tag_f1(pred, gold, mode="span")
-        assert (p, r, f1) == (0.0, 0.0, 0.0)
-
-    def test_hand_checked_fixture(self):
-        gold = [["B-PER", "I-PER", "O", "B-LOC", "O", "B-ORG"]]
-        pred = [["B-PER", "I-PER", "O", "B-ORG", "O", "O"]]
-        p, r, f1 = tag_f1(pred, gold, mode="span")
-        assert p == pytest.approx(0.5)
-        assert r == pytest.approx(1 / 3)
-        assert f1 == pytest.approx(0.4)
-
-    def test_symmetry_swaps_precision_recall(self):
-        a = [["B-PER", "O", "B-LOC", "I-LOC", "O"]]
-        b = [["B-PER", "I-PER", "O", "B-LOC", "O"]]
-        p1, r1, f1 = tag_f1(a, b, mode="span")
-        p2, r2, f2 = tag_f1(b, a, mode="span")
-        assert (p1, r1) == (r2, p2)
-        assert f1 == pytest.approx(f2)
-
-    def test_stray_i_repaired_and_logged(self, caplog):
-        pred = [["O", "I-PER", "I-PER", "O"]]
-        gold = [["O", "B-PER", "I-PER", "O"]]
-        with caplog.at_level(logging.WARNING):
-            p, r, f1 = tag_f1(pred, gold, mode="span")
-        assert f1 == 1.0  # repaired stray I- opens the same span
-        assert any("repaired" in rec.message for rec in caplog.records)
-
-    def test_malformed_gold_raises(self):
-        with pytest.raises(ContractError, match="malformed"):
-            tag_f1([["O", "O"]], [["O", "I-PER"]], mode="span")
-
-    def test_token_mode(self):
-        pred = [["NN", "VB", "DT"], ["NN"]]
-        gold = [["NN", "VB", "NN"], ["VB"]]
-        p, r, f1 = tag_f1(pred, gold, mode="token")
-        assert p == r == f1 == pytest.approx(0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ContractError):
-            tag_f1([["O", "O"]], [["O"]], mode="token")
-
-    def test_both_empty_is_perfect(self):
-        assert tag_f1([["O", "O"]], [["O", "O"]], mode="span") == (1.0, 1.0, 1.0)
-
-
-class TestSpanEmF1:
-    def test_exact_match(self):
-        assert span_em_f1((3, 5), [(3, 5)]) == (1.0, 1.0)
-
-    def test_both_no_answer(self):
-        assert span_em_f1((0, 0), []) == (1.0, 1.0)
-
-    def test_overlap_arithmetic(self):
-        em, f1 = span_em_f1((3, 6), [(4, 7)])
-        assert em == 0.0
-        assert f1 == pytest.approx(0.75)
-
-    def test_no_answer_vs_answer(self):
-        assert span_em_f1((0, 0), [(2, 4)]) == (0.0, 0.0)
-        assert span_em_f1((2, 4), []) == (0.0, 0.0)
-
-    def test_best_gold_taken(self):
-        em, f1 = span_em_f1((2, 3), [(8, 9), (2, 3)])
-        assert (em, f1) == (1.0, 1.0)
-
-    def test_invalid_prediction(self):
-        with pytest.raises(ContractError):
-            span_em_f1((5, 3), [(1, 2)])
-
-    def test_item_validation(self):
-        with pytest.raises(ContractError):
-            SpanItem(["a", "b"], ["q"], [(1, 2)]).validate()
-
-
 class TestJsonl:
     def test_probe_round_trip(self, tmp_path, buckets):
         examples = build_probe_set(
@@ -341,32 +254,19 @@ class TestJsonl:
         items = load_records(path, ClozeItem)
         assert items[0].answer_index == 2
 
-    def test_tagged_loading(self, tmp_path):
-        path = tmp_path / "tags.jsonl"
-        path.write_text('{"words": ["rome", "falls"], "gold_labels": ["B-LOC", "O"]}\n')
-        assert load_records(path, TaggedSequence)[0].gold_labels == ["B-LOC", "O"]
-
-    def test_span_loading(self, tmp_path):
-        path = tmp_path / "span.jsonl"
-        path.write_text(
-            '{"context_words": ["rome", "fell", "late"], "question_words": ["when"], "gold_spans": [[2, 2]]}\n'
-            '{"context_words": ["rome"], "question_words": ["who"]}\n'
-        )
-        items = load_records(path, SpanItem)
-        assert items[0].gold_spans == [(2, 2)]
-        assert items[1].gold_spans == []
-
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"words": ["a"], "gold_labels": ["O"], "extra": 1}\n')
+        path.write_text('{"passage_words": ["[BLANK]"], "options": ["w", "x", "y", "z"], '
+                        '"answer_index": 0, "extra": 1}\n')
         with pytest.raises(ContractError, match="unknown fields"):
-            load_records(path, TaggedSequence)
+            load_records(path, ClozeItem)
 
     def test_invalid_json_named_with_line(self, tmp_path):
         path = tmp_path / "bad2.jsonl"
-        path.write_text('{"words": ["a"], "gold_labels": ["O"]}\nnot json\n')
+        path.write_text('{"passage_words": ["[BLANK]"], "options": ["w", "x", "y", "z"], '
+                        '"answer_index": 0}\nnot json\n')
         with pytest.raises(ContractError, match="bad2.jsonl:2"):
-            load_records(path, TaggedSequence)
+            load_records(path, ClozeItem)
 
     @pytest.mark.parametrize(
         "cls,record",
@@ -387,3 +287,25 @@ class TestJsonl:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ContractError, match="ints.jsonl:1: .*integer"):
             load_records(path, cls)
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"words": "cat", "masked_positions": [0], "gold_words": ["c"], "bucket": "Low"},
+             "words must be a list of strings, got 'cat'"),
+            ({"words": ["cat"], "masked_positions": 0, "gold_words": ["cat"], "bucket": "Low"},
+             "masked_positions must be a list of integers, got 0"),
+            ({"words": ["cat"], "masked_positions": [0], "gold_words": [None], "bucket": "Low"},
+             "gold_words must be a list of strings, got [None]"),
+            ({"words": ["cat"], "masked_positions": [0], "gold_words": ["cat"], "bucket": ["Low"]},
+             "bucket must be a string, got ['Low']"),
+        ],
+        ids=["words-string", "positions-int", "gold-null-item", "bucket-list"],
+    )
+    def test_probe_fields_of_the_wrong_json_type_rejected(self, tmp_path, record, message):
+        # the cloze cases run through the CLI in test_cli
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ContractError) as err:
+            load_records(path, ProbeExample)
+        assert str(err.value) == f"{path}:1: {message}"

@@ -108,6 +108,19 @@ class TestNearestWords:
             assert 2 not in got
             assert len(got) == 6  # query and the zero-norm row excluded
 
+    def test_unit_rows_match_the_two_copy_formula(self):
+        # the stored unit rows decide every neighbor list, so building them
+        # from one float64 copy must not move a single bit
+        emb = np.random.default_rng(8).standard_normal((300, 30)).astype(np.float32)
+        emb[17] = 0.0
+        norms = np.linalg.norm(emb.astype(np.float64), axis=1)
+        zero = norms == 0.0
+        expected = (emb.astype(np.float64) / np.where(zero, 1.0, norms)[:, None]).astype(np.float32)
+        index = NeighborIndex(emb)
+        assert index._unit.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(index._zero, zero)
+        assert index._zero.sum() == 1
+
     def test_zero_norm_query_rejected(self):
         emb = np.ones((4, 3), dtype=np.float32)
         emb[1] = 0.0
