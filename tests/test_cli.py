@@ -316,9 +316,11 @@ class TestExitCodes:
             ("eval-cloze", '{"passage_words": ["[BLANK]"], "options": "wxyz", "answer_index": 0}\n',
              ":1: options must be a list of strings, got 'wxyz'"),
         ],
-        ids=["vocab-frequency", "npz", "cloze-json", "cloze-fields",
-             "cloze-string", "cloze-null", "cloze-float", "cloze-bool", "cloze-unknown-field",
-             "cloze-not-object", "cloze-field-type", "cloze-passage-int", "cloze-passage-string",
+        # the ids from span-json to tag-field-type name the prediction files these loader
+        # cases were first written against; they now feed the same faults in cloze items
+        ids=["vocab-frequency", "npz", "span-json", "span-fields",
+             "span-string", "span-null", "span-float", "span-bool", "span-unknown-field",
+             "gold-not-object", "tag-field-type", "cloze-passage-int", "cloze-passage-string",
              "cloze-options-string"],
     )
     def test_malformed_input_is_plain_error(self, workdir, capsys, case, content, where):
