@@ -4,9 +4,11 @@ Layout: a UTF-8 manifest block (one line per field, one ``tensor`` line per
 array with name, dtype, shape, byte offset, byte length), a ``---`` separator
 line, then the raw payload. Tensors are sorted by name, so save -> load ->
 save is byte-identical. The manifest also carries the model configuration so
-a model can be reconstructed from the file alone. A load accepts exactly the
-tensors the model and its optimizer own: every parameter, and either no
-optimizer state or the moments and step count of every trainable parameter.
+a model can be reconstructed from the file alone; the line
+``model_config gelu_approx false``, which files written before the tanh GELU
+was removed carry, is read as a no-op. A load accepts exactly the tensors the
+model and its optimizer own: every parameter, and either no optimizer state
+or the moments and step count of every trainable parameter.
 
 A save streams each tensor's bytes into ``<path>.tmp``, fsyncs it and renames
 it onto ``path``, so a crash mid-save leaves the previous checkpoint intact.
@@ -144,6 +146,11 @@ def read_manifest(path) -> tuple[dict, memoryview]:
                 info["digest"] = parts[1]
             elif parts[0] == "model_config":
                 key, value = parts[1], _parse_value(" ".join(parts[2:]))
+                if key == "gelu_approx":  # written by earlier versions; only the erf GELU is left
+                    if value is not False:
+                        raise IntegrityError(f"{where}: model_config gelu_approx {value!r} "
+                                             "(tanh GELU) is no longer supported")
+                    continue
                 if key not in _CONFIG_TYPES:
                     raise IntegrityError(f"{where}: unknown model_config key {key!r}")
                 if type(value) not in _CONFIG_TYPES[key]:

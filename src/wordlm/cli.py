@@ -33,7 +33,7 @@ from .sampling import NeighborIndex
 from .seeding import substream
 from .training import MaskingPolicy, TrainConfig, pretrain_projection, write_metrics
 from .training import train as run_training
-from .vocab import WordVocab, build_vocabulary, count_corpus_file
+from .vocab import WordVocab, build_vocabulary, count_corpus_file, read_corpus_lines
 
 _CLOZE_EXAMPLE = (
     'cloze JSONL example: {"passage_words": ["the", "dog", "[BLANK]", "loudly"], '
@@ -43,11 +43,6 @@ _PROBE_EXAMPLE = (
     'probe JSONL example: {"words": ["the", "cat", "sat"], "masked_positions": [1], '
     '"gold_words": ["cat"], "bucket": "Low"}'
 )
-
-
-def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
 
 
 def _load_npz_array(path, key):
@@ -92,7 +87,7 @@ def cmd_pretrain_projection(args) -> int:
     v_in = _load_npz_array(args.pairs, "v_in")
     v_out = _load_npz_array(args.pairs, "v_out")
     w, losses = pretrain_projection(v_in, v_out, args.lr, args.epochs, substream(args.seed, "init"))
-    np.savez(args.out, projection=w.data, final_loss=np.float32(losses[-1]))
+    np.savez(args.out, projection=w, final_loss=np.float32(losses[-1]))
     print(f"fitted {v_in.shape[1]}x{v_out.shape[1]} projection on {len(v_in)} pairs, "
           f"final mse {losses[-1]:.6g} -> {args.out}")
     return 0
@@ -107,7 +102,7 @@ def cmd_pretrain(args) -> int:
     cfg = RunConfig.load(args.config, overrides=overrides)
     train_cfg, policy = cfg.view(TrainConfig), cfg.view(MaskingPolicy)
     vocab = WordVocab.load(args.vocab)
-    corpus = _read_lines(args.corpus)
+    corpus = read_corpus_lines(args.corpus)
     model = _build_model(cfg, vocab, args.word_vectors, args.projection)
     neighbor_index = None
     if cfg["train.use_neighbors"]:
@@ -145,7 +140,7 @@ def cmd_probe(args) -> int:
             raise WordlmError("probe needs either --probes or --corpus")
         ref_path = args.ref_corpus or args.corpus
         buckets.reference_frequencies = dict(count_corpus_file(ref_path, lowercase=vocab.lowercase))
-        lines = _read_lines(args.corpus)
+        lines = read_corpus_lines(args.corpus)
         probes = []
         for bucket in BUCKET_NAMES:
             probes.extend(
@@ -180,7 +175,10 @@ def cmd_eval_cloze(args) -> int:
         raise WordlmError(f"{args.items}: no records")
     vocab = WordVocab.load(args.vocab)
     model = load_checkpoint(args.checkpoint).model
-    acc = cloze_accuracy(model, vocab, items, max_length=cfg["train.max_length"])
+    try:
+        acc = cloze_accuracy(model, vocab, items, max_length=cfg["train.max_length"])
+    except ContractError as err:
+        raise ContractError(f"{args.items}: {err}") from err
     print(f"cloze accuracy {acc:.4f} over {len(items)} items")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

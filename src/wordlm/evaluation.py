@@ -208,9 +208,14 @@ def score_cloze(
 
 
 def cloze_accuracy(model, vocab, items, max_length=None) -> float:
-    correct = sum(
-        1 for item in items if score_cloze(model, vocab, item, max_length) == item.answer_index
-    )
+    """Fraction of items answered right; an item that cannot be scored is a
+    ``ContractError`` naming its 1-based number."""
+    correct = 0
+    for number, item in enumerate(items, start=1):
+        try:
+            correct += score_cloze(model, vocab, item, max_length) == item.answer_index
+        except ContractError as err:
+            raise ContractError(f"item {number}: {err}") from err
     return correct / len(items) if items else 0.0
 
 

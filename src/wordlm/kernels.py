@@ -2,8 +2,9 @@
 
 All kernels take and return float32 arrays; 2-D inputs are rows, and callers
 flatten leading dimensions. The elementwise kernels (GELU, Adam) compute in
-float32; Adam updates param, m and v in place, chunk by chunk, through one
-scratch buffer per call. The reductions (layer norm, softmax, cross-entropy)
+float32; the GELU is the exact one, x * Phi(x) with the erf Gaussian CDF.
+Adam updates param, m and v in place, chunk by chunk, through one scratch
+buffer per call. The reductions (layer norm, softmax, cross-entropy)
 accumulate in float64.
 """
 
@@ -17,9 +18,7 @@ from .errors import ContractError
 BACKEND = "numpy"  # the only implementation; run reports name it
 
 _INV_SQRT2 = 0.7071067811865476
-_SQRT_2_OVER_PI = 0.7978845608028654
 _INV_SQRT_2PI = 0.3989422804014327
-_TANH_COEFF = 0.044715
 # Floats per Adam chunk: the chunk's slices of param, grad, m, v and the
 # scratch buffer (5 x 64 KiB) stay in L2 while it is updated.
 _ADAM_CHUNK = 1 << 14
@@ -45,47 +44,6 @@ def gelu_erf_bwd(x, gout):
     cdf += xpdf
     cdf *= gout
     return cdf
-
-
-def _tanh_arg(x, x2):
-    """sqrt(2/pi) * (x + c x^3), written x (1 + c x^2) so that x^3 cannot overflow."""
-    u = x2 * np.float32(_TANH_COEFF)
-    u += 1.0
-    u *= x
-    u *= _SQRT_2_OVER_PI
-    return u
-
-
-def gelu_tanh_fwd(x):
-    y = np.tanh(_tanh_arg(x, x * x))
-    y += 1.0
-    y *= x
-    y *= 0.5
-    return y
-
-
-def gelu_tanh_bwd(x, gout):
-    # 0.5 * (1 + tanh(u) + x sech(u)^2 du/dx), du/dx = sqrt(2/pi) (1 + 3c x^2).
-    # sech^2 = 4e / (1 + e)^2 with e = exp(-2|u|) in (0, 1]: no overflow, and no
-    # cancellation as in 1 - tanh^2 where tanh(u) is near +-1.
-    dudx = x * x
-    u = _tanh_arg(x, dudx)
-    dudx *= 3.0 * _TANH_COEFF * _SQRT_2_OVER_PI
-    dudx += _SQRT_2_OVER_PI
-    e = np.abs(u)
-    e *= -2.0
-    np.exp(e, out=e)
-    local = e + 1.0
-    local *= local
-    np.divide(e, local, out=local)
-    local *= 4.0
-    local *= dudx
-    local *= x
-    local += np.tanh(u, out=u)
-    local += 1.0
-    local *= 0.5
-    local *= gout
-    return local
 
 
 def layer_norm_fwd(x, gamma, beta, eps):

@@ -32,7 +32,6 @@ class ModelConfig:
     variant: str = "direct"
     freeze_embeddings: bool = False
     dropout: float = 0.1
-    gelu_approx: bool = False
     layer_norm_eps: float = 1e-5
 
     @property
@@ -196,13 +195,17 @@ class WordBertModel:
     # forward passes
     # ------------------------------------------------------------------
 
-    def encode_batch(self, input_ids, attention_masks, rng=None, training=False) -> Tensor:
+    def encode_batch(self, input_ids, attention_masks, rng=None) -> Tensor:
         """Embeddings plus L encoder layers over a batch of equal-length sequences.
 
         Word (and projection) lookup plus learned position embeddings, then
         masked multi-head self-attention + feed-forward per layer, with batch
         and head axes folded so attention stays on rank-3 tensors. Returns
         hidden states flattened to [B*T, H]; position (b, t) lives at row b*T + t.
+
+        Dropout applies exactly when a dropout ``rng`` is given (and
+        ``config.dropout > 0``): after the embeddings, on the attention
+        probabilities and on each sublayer output, drawn in that order.
         """
         cfg = self.config
         p = self.params
@@ -221,7 +224,7 @@ class WordBertModel:
             rows = T.matmul(rows, p["embedding.projection"])
         pos = T.gather_rows(p["embedding.position"], np.arange(t_len))
         x = T.reshape(T.add(T.reshape(rows, (b_sz, t_len, cfg.hidden)), pos), (b_sz * t_len, cfg.hidden))
-        if training and cfg.dropout > 0.0:
+        if rng is not None:
             x = T.dropout(x, cfg.dropout, rng)
 
         a = cfg.num_heads
@@ -229,12 +232,10 @@ class WordBertModel:
         bias = np.repeat((mask - 1.0) * np.float32(1e9), a, axis=0).reshape(b_sz * a, 1, t_len)
         mask_bias = Tensor(bias)
         for i in range(cfg.num_layers):
-            x = self._layer(i, x, mask_bias, b_sz, t_len, rng, training)
+            x = self._layer(i, x, mask_bias, b_sz, t_len, rng)
         return x
 
-    def _layer(
-        self, i: int, x: Tensor, mask_bias: Tensor, b_sz: int, t_len: int, rng, training: bool
-    ) -> Tensor:
+    def _layer(self, i: int, x: Tensor, mask_bias: Tensor, b_sz: int, t_len: int, rng) -> Tensor:
         """Encoder layer i on x [B*T, H]: post-norm self-attention, then feed-forward."""
         cfg = self.config
         p = self.params
@@ -255,7 +256,7 @@ class WordBertModel:
         vh = split_heads(v, (0, 2, 1, 3))
         scores = T.add(T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(d)), mask_bias)
         attn = T.softmax(scores)
-        if training and cfg.dropout > 0.0:
+        if rng is not None:
             attn = T.dropout(attn, cfg.dropout, rng)
         ctx = T.reshape(
             T.transpose(T.reshape(T.matmul(attn, vh), (b_sz, a, t_len, d)), (0, 2, 1, 3)),
@@ -264,7 +265,7 @@ class WordBertModel:
         attn_out = T.add(
             T.matmul(ctx, p[pre + "attention.output.weight"]), p[pre + "attention.output.bias"]
         )
-        if training and cfg.dropout > 0.0:
+        if rng is not None:
             attn_out = T.dropout(attn_out, cfg.dropout, rng)
         x = T.layer_norm(
             T.add(x, attn_out),
@@ -272,12 +273,9 @@ class WordBertModel:
             p[pre + "attention.norm.beta"],
             cfg.layer_norm_eps,
         )
-        inner = T.gelu(
-            T.add(T.matmul(x, p[pre + "ffn.inner.weight"]), p[pre + "ffn.inner.bias"]),
-            approx=cfg.gelu_approx,
-        )
+        inner = T.gelu(T.add(T.matmul(x, p[pre + "ffn.inner.weight"]), p[pre + "ffn.inner.bias"]))
         ffn_out = T.add(T.matmul(inner, p[pre + "ffn.output.weight"]), p[pre + "ffn.output.bias"])
-        if training and cfg.dropout > 0.0:
+        if rng is not None:
             ffn_out = T.dropout(ffn_out, cfg.dropout, rng)
         return T.layer_norm(
             T.add(x, ffn_out),

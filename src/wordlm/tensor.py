@@ -128,18 +128,6 @@ def add(a: Tensor, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), bw)
-
-
 def mul(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float, np.floating)):
         s = np.float32(b)
@@ -187,15 +175,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def gelu(x: Tensor, approx: bool = False) -> Tensor:
-    """x * Phi(x) with the exact Gaussian CDF; tanh approximation optional."""
-    fwd = kernels.gelu_tanh_fwd if approx else kernels.gelu_erf_fwd
-    bwd = kernels.gelu_tanh_bwd if approx else kernels.gelu_erf_bwd
-    data = fwd(x.data)
+def gelu(x: Tensor) -> Tensor:
+    """x * Phi(x) with the exact (erf) Gaussian CDF, the encoder's only activation."""
+    data = kernels.gelu_erf_fwd(x.data)
 
     def bw(g):
         if x.requires_grad:
-            x.accumulate_grad(bwd(x.data, g))
+            x.accumulate_grad(kernels.gelu_erf_bwd(x.data, g))
 
     return _make(data, (x,), bw)
 

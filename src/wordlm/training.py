@@ -107,15 +107,16 @@ def mlm_loss(
     masked: MaskedBatch,
     batch_ids: np.ndarray,
     rng=None,
-    training: bool = False,
 ) -> Tensor:
-    """Mean cross-entropy over all masked positions, restricted to the sorted batch_ids."""
+    """Mean cross-entropy over all masked positions, restricted to the sorted batch_ids.
+
+    A dropout ``rng`` switches the encoder's dropout on; without one the
+    forward pass is deterministic.
+    """
     if masked.num_targets == 0:
         raise ContractError("masked batch contains no targets")
     local_targets = remap_targets(masked.target_global_ids, batch_ids)
-    hidden_flat = model.encode_batch(
-        masked.input_ids, masked.attention_masks(), rng=rng, training=training
-    )
+    hidden_flat = model.encode_batch(masked.input_ids, masked.attention_masks(), rng=rng)
     picked = T.gather_rows(hidden_flat, masked.positions)
     logits = model.mlm_logits(picked, batch_ids)
     return T.mean(T.cross_entropy_rows(logits, local_targets))
@@ -128,29 +129,28 @@ def mlm_loss(
 
 def pretrain_projection(
     v_in: np.ndarray, v_out: np.ndarray, lr: float, epochs: int, rng: np.random.Generator
-) -> tuple[Tensor, list[float]]:
+) -> tuple[np.ndarray, list[float]]:
     """Fit W [E,H] minimizing mean squared error of v_in [N,E] @ W against v_out [N,H].
 
-    Full-batch gradient descent on the elementwise-mean MSE; returns the
-    fitted map and the per-epoch loss history (last entry is final).
+    Full-batch gradient descent in float32 on the elementwise-mean MSE, whose
+    gradient is v_in^T @ (diff * 2/n) for diff = v_in @ W - v_out and n = N*H
+    elements. Returns the fitted float32 map and the per-epoch loss history
+    (last entry is final).
     """
     if v_in.ndim != 2 or v_out.ndim != 2 or not 0 < v_in.shape[0] == v_out.shape[0]:
         raise ContractError(
             f"pretrain_projection needs v_in [N,E] and v_out [N,H] with N >= 1, "
             f"got {v_in.shape} and {v_out.shape}"
         )
-    x = Tensor(v_in.astype(np.float32))
-    y = Tensor(v_out.astype(np.float32))
-    w_init = rng.standard_normal((v_in.shape[1], v_out.shape[1])) * 0.02
-    w = Tensor(w_init.astype(np.float32), requires_grad=True)
+    x = v_in.astype(np.float32)
+    y = v_out.astype(np.float32)
+    w = (rng.standard_normal((x.shape[1], y.shape[1])) * 0.02).astype(np.float32)
+    grad_scale = np.float32(2.0 / y.size)
     losses = []
     for _ in range(epochs):
-        diff = T.sub(T.matmul(x, w), y)
-        loss = T.mean(T.mul(diff, diff))
-        w.zero_grad()
-        loss.backward()
-        w.data -= np.float32(lr) * w.grad
-        losses.append(loss.item())
+        diff = x @ w - y
+        losses.append(float(np.float32((diff * diff).sum(dtype=np.float64) / diff.size)))
+        w -= np.float32(lr) * (x.T @ (diff * grad_scale))
     return w, losses
 
 
@@ -246,7 +246,6 @@ def train(
         num_steps = cfg.total_steps - start_step
     records = []
     vocab_size = model.config.vocab_size
-    use_dropout = model.config.dropout > 0.0
     for step in range(start_step, start_step + num_steps):
         batch_rng = substream(cfg.seed, "batch", step)
         line_ids = batch_rng.integers(0, len(pool), size=cfg.batch_size)
@@ -263,13 +262,7 @@ def train(
             neighbor_index=neighbor_index,
             k=cfg.neighbor_k,
         )
-        loss = mlm_loss(
-            model,
-            masked,
-            batch_ids,
-            rng=substream(cfg.seed, "dropout", step) if use_dropout else None,
-            training=use_dropout,
-        )
+        loss = mlm_loss(model, masked, batch_ids, rng=substream(cfg.seed, "dropout", step))
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise RuntimeError(

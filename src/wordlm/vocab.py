@@ -56,8 +56,9 @@ def count_frequencies(documents, lowercase: bool = True) -> Counter:
     return counts
 
 
-def count_corpus_file(path, lowercase: bool = True) -> Counter:
-    """Count one-document-per-line corpus files, naming the file on failure."""
+def read_corpus_lines(path) -> list[str]:
+    """The UTF-8 lines of a one-document-per-line corpus file, split at LF,
+    CRLF or CR; a failure names the file (and line)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -69,7 +70,12 @@ def count_corpus_file(path, lowercase: bool = True) -> Counter:
             lines.append(line.decode("utf-8"))
         except UnicodeDecodeError as err:
             raise ContractError(f"unreadable document {path}:{lineno}: {err}") from err
-    return count_frequencies(lines, lowercase=lowercase)
+    return lines
+
+
+def count_corpus_file(path, lowercase: bool = True) -> Counter:
+    """Count a one-document-per-line corpus file, naming the file on failure."""
+    return count_frequencies(read_corpus_lines(path), lowercase=lowercase)
 
 
 class WordVocab:

@@ -30,12 +30,6 @@ def gelu64(x):
     return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def gelu_tanh64(x):
-    x = np.asarray(x, dtype=np.float64)
-    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
-    return 0.5 * x * (1.0 + np.tanh(inner))
-
-
 def adam_update64(param, grad, m, v, t, lr, beta1, beta2, eps):
     """Bias-corrected Adam in float64 math, float32 storage, in place.
 

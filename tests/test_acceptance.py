@@ -43,7 +43,6 @@ from oracles import (
     central_diff_grad,
     cosine_distance,
     gelu64,
-    gelu_tanh64,
     projection_mse,
     rel_error,
     softmax64,
@@ -85,12 +84,6 @@ def _primitive_checks():
         "gelu_erf",
         T.tensor_sum(T.mul(T.gelu(x), rr)),
         [(x, lambda v: float((gelu64(v) * rr.data).sum()))],
-    ))
-    x2, rr2 = leaf(18), const(18)
-    checks.append((
-        "gelu_tanh",
-        T.tensor_sum(T.mul(T.gelu(x2, approx=True), rr2)),
-        [(x2, lambda v: float((gelu_tanh64(v) * rr2.data).sum()))],
     ))
 
     ln_x, gamma, beta, ln_r = leaf(4, 8), leaf(8), leaf(8), const(4, 8)
@@ -341,7 +334,7 @@ def test_criterion_05_projection_recovery():
     xs = rng.standard_normal((500, 300)).astype(np.float32)
     held_x = rng.standard_normal((200, 300)).astype(np.float32)
     w, losses = pretrain_projection(xs, xs @ planted, lr=200.0, epochs=250, rng=rng)
-    held_mse = projection_mse(w.data, held_x, held_x @ planted)
+    held_mse = projection_mse(w, held_x, held_x @ planted)
     assert held_mse < 1e-3, f"held-out mse {held_mse}"
 
     v_in = np.zeros(300, np.float32)

@@ -198,6 +198,23 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", ["false", "true"])
+    def test_legacy_gelu_approx_line(self, tmp_path, value):
+        """Files written while a tanh GELU could be selected carry a gelu_approx
+        line after dropout: false loads as before, true is refused."""
+        legacy = f"model_config gelu_approx {value}"
+        path, _ = _rewrite_manifest_line(
+            tmp_path, "model_config dropout ", lambda line: f"{line}\n{legacy}"
+        )
+        if value == "false":
+            assert load_checkpoint(path).model.checksum() == small_model(seed=9).checksum()
+            return
+        lineno = path.read_bytes().split(b"\n").index(legacy.encode()) + 1
+        for read in (read_manifest, load_checkpoint):
+            with pytest.raises(IntegrityError, match=re.escape(
+                    f"{path}:{lineno}: model_config gelu_approx True (tanh GELU) is no longer supported")):
+                read(path)
+
     def test_manifest_lists_tensors(self, tmp_path):
         model = small_model(seed=8)
         path = tmp_path / "m.ckpt"

@@ -127,6 +127,7 @@ class TestPretrain:
             ("model.variant=bogus", ["model.variant"]),
             ("train.max_length=20", ["train.max_length", "model.max_positions"]),
             ("vocab.k=3", ["vocab.k"]),
+            ("model.gelu_approx=false", ["model.gelu_approx"]),  # removed with the tanh GELU
             ("train.use_neighbors=true train.neighbor_k=-1", ["train.neighbor_k"]),
         ],
     )
@@ -338,6 +339,51 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"wordlm: error: {bad}{where}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "probe"])
+    def test_undecodable_corpus_line_is_plain_error(self, trained, capsys, command):
+        tmp, corpus, cfg, vocab, ckpt = trained
+        bad, out = tmp / "bad.txt", tmp / "out"
+        bad.write_bytes(b"sun moon\n\xff\xfe bad\nstar\n")
+        capsys.readouterr()
+        argv = {
+            "pretrain": ["pretrain", "--config", str(cfg), "--corpus", str(bad),
+                         "--vocab", str(vocab), "--out", str(out)],
+            # the reference counts come from a good file: the probe corpus itself is bad
+            "probe": ["probe", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                      "--corpus", str(bad), "--ref-corpus", str(corpus), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"wordlm: error: unreadable document {bad}:2: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            # the toy config encodes train.max_length = 8 positions: 6 words
+            ({"passage_words": ["sun"] * 15 + ["[BLANK]"], "options": ["moon", "rain", "wind", "fog"]},
+             "blank position falls outside the encoded window"),
+            ({"passage_words": ["sun", "[BLANK]"], "options": ["a", "b", "c", "d"]},
+             "every cloze option is out of vocabulary"),
+        ],
+        ids=["blank-outside-window", "options-out-of-vocabulary"],
+    )
+    def test_unscorable_cloze_item_is_named(self, trained, capsys, second, message):
+        tmp, corpus, cfg, vocab, ckpt = trained
+        items, out = tmp / "cloze.jsonl", tmp / "out"
+        good = {"passage_words": ["sun", "[BLANK]"], "options": ["moon", "rain", "wind", "fog"]}
+        items.write_text("".join(json.dumps({**item, "answer_index": 0}) + "\n"
+                                 for item in (good, second)))
+        capsys.readouterr()
+        assert main(["eval-cloze", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab",
+                     str(vocab), "--items", str(items), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wordlm: error: {items}: item 2: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval-cloze"])

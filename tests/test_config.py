@@ -63,10 +63,10 @@ class TestLoading:
             RunConfig.load(p, env={})
 
     def test_bool_parsing(self):
-        cfg = RunConfig.load(None, overrides=["model.gelu_approx=true"], env={})
-        assert cfg["model.gelu_approx"] is True
+        cfg = RunConfig.load(None, overrides=["model.freeze_embeddings=true"], env={})
+        assert cfg["model.freeze_embeddings"] is True
         with pytest.raises(ConfigError):
-            RunConfig.load(None, overrides=["model.gelu_approx=maybe"], env={})
+            RunConfig.load(None, overrides=["model.freeze_embeddings=maybe"], env={})
 
     def test_every_declared_key_has_env_name(self):
         names = {env_var_name(k) for k in DECLARED_KEYS}
@@ -114,7 +114,7 @@ class TestViews:
         assert cfg.view(TrainConfig) == TrainConfig()
         assert cfg.view(MaskingPolicy) == MaskingPolicy()
         assert cfg.view(FrequencyBuckets, reference_frequencies={}) == FrequencyBuckets({})
-        assert len(DECLARED_KEYS) == 28
+        assert len(DECLARED_KEYS) == 27
         assert {"model.layers", "model.heads"} <= set(DECLARED_KEYS)
         assert not {"model.vocab_size", "model.layer_norm_eps", "vocab.k"} & set(DECLARED_KEYS)
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import gelu64, gelu_tanh64
+from oracles import gelu64
 from wordlm import kernels
 
 
 class TestGeluRange:
-    """The GELU kernels against the float64 oracles over [-40, 40]."""
+    """The GELU kernels against the float64 oracle over [-40, 40]."""
 
     # Max |difference|: the float32 kernels reach 4.6e-7, float64 math rounded
     # to float32 2.4e-7 (half an ulp of outputs up to ~6).
@@ -17,7 +17,7 @@ class TestGeluRange:
         np.float32
     )
 
-    @pytest.mark.parametrize("name,oracle", [("gelu_erf", gelu64), ("gelu_tanh", gelu_tanh64)])
+    @pytest.mark.parametrize("name,oracle", [("gelu_erf", gelu64)])
     def test_forward_and_backward(self, name, oracle):
         fwd, bwd = getattr(kernels, f"{name}_fwd"), getattr(kernels, f"{name}_bwd")
         x64 = self.x.astype(np.float64)

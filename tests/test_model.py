@@ -141,6 +141,39 @@ class TestEncoder:
             assert np.abs(flat[b * t_len : (b + 1) * t_len] - expected).max() <= 1e-4
 
 
+class TestDropout:
+    """Dropout is on exactly when encode_batch gets a dropout rng."""
+
+    def batch(self):
+        ids = np.random.default_rng(12).integers(5, 40, size=(3, 9))
+        return ids, np.ones_like(ids)
+
+    def test_rng_switches_dropout_on(self):
+        model = WordBertModel(toy_config(dropout=0.1), seed=4)
+        ids, mask = self.batch()
+        plain = model.encode_batch(ids, mask).data
+        dropped = model.encode_batch(ids, mask, rng=np.random.default_rng(5)).data
+        assert not np.array_equal(plain, dropped)
+        np.testing.assert_array_equal(model.encode_batch(ids, mask).data, plain)
+
+    def test_same_seed_gives_identical_hidden_states(self):
+        model = WordBertModel(toy_config(dropout=0.1), seed=4)
+        ids, mask = self.batch()
+        a = model.encode_batch(ids, mask, rng=np.random.default_rng(6)).data
+        b = model.encode_batch(ids, mask, rng=np.random.default_rng(6)).data
+        assert a.tobytes() == b.tobytes()
+
+    def test_zero_rate_ignores_the_rng(self):
+        model = WordBertModel(toy_config(dropout=0.0), seed=4)
+        ids, mask = self.batch()
+        plain = model.encode_batch(ids, mask).data
+        rng = np.random.default_rng(7)
+        with_rng = model.encode_batch(ids, mask, rng=rng).data
+        assert with_rng.tobytes() == plain.tobytes()
+        # nothing was drawn from the rng
+        assert rng.random() == np.random.default_rng(7).random()
+
+
 class TestMlmLogits:
     def rand_hidden(self, model, rows=3):
         rng = np.random.default_rng(13)

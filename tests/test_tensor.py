@@ -13,7 +13,6 @@ from oracles import (
     cosine_distance,
     cross_entropy_direct,
     gelu64,
-    gelu_tanh64,
     layer_norm_two_pass,
     matmul_triple_loop,
     rel_error,
@@ -124,23 +123,6 @@ class TestGelu:
         fd = central_diff_grad(lambda v: float((gelu64(v) * r).sum()), x)
         assert rel_error(tx.grad, fd) <= 1e-3
 
-    def test_tanh_approx_close_but_distinct(self):
-        x = np.linspace(-4, 4, 33, dtype=np.float32)
-        exact = T.gelu(Tensor(x)).data
-        approx = T.gelu(Tensor(x), approx=True).data
-        diff = np.abs(exact - approx).max()
-        assert 0.0 < diff < 5e-3
-        np.testing.assert_allclose(approx, gelu_tanh64(x), atol=1e-5)
-
-    def test_tanh_grad_vs_finite_differences(self):
-        rng = RNG(9)
-        x = rng.standard_normal(16).astype(np.float32)
-        r = rng.standard_normal(16).astype(np.float32)
-        tx = Tensor(x, requires_grad=True)
-        loss = T.tensor_sum(T.mul(T.gelu(tx, approx=True), Tensor(r)))
-        loss.backward()
-        fd = central_diff_grad(lambda v: float((gelu_tanh64(v) * r).sum()), x)
-        assert rel_error(tx.grad, fd) <= 1e-3
 
 
 class TestLayerNorm:

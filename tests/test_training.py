@@ -220,7 +220,7 @@ class TestPretrainProjection:
         xs = rng.standard_normal((160, 30)).astype(np.float32)
         held_out = rng.standard_normal((50, 30)).astype(np.float32)
         w, losses = pretrain_projection(xs, xs @ m, lr=8.0, epochs=300, rng=rng)
-        assert projection_mse(w.data, held_out, held_out @ m) < 1e-3
+        assert projection_mse(w, held_out, held_out @ m) < 1e-3
         assert losses[-1] < losses[0]
 
     def test_single_basis_pair_exact_fit(self):
@@ -231,7 +231,7 @@ class TestPretrainProjection:
             v_in[None], v_out[None], lr=20.0, epochs=200, rng=np.random.default_rng(33)
         )
         assert losses[-1] < 1e-9
-        np.testing.assert_allclose(w.data[0], v_out, atol=1e-4)
+        np.testing.assert_allclose(w[0], v_out, atol=1e-4)
 
     def test_dimension_mismatch_rejected(self):
         for v_in, v_out in [
@@ -262,7 +262,7 @@ class TestPretrainProjection:
         ys = rng.standard_normal((22_860, 768)).astype(np.float32)
         assert len(xs) == 22_860
         w, losses = pretrain_projection(xs, ys, lr=1.0, epochs=2, rng=rng)
-        assert w.data.shape == (300, 768)
+        assert w.shape == (300, 768)
         assert len(losses) == 2 and np.isfinite(losses).all()
 
 

@@ -19,6 +19,7 @@ from wordlm.vocab import (
     count_corpus_file,
     count_frequencies,
     encode,
+    read_corpus_lines,
     segment_words,
 )
 
@@ -127,6 +128,14 @@ class TestCounting:
         p = tmp_path / "corpus.txt"
         p.write_text("\n".join(lines), encoding="utf-8")
         assert count_corpus_file(p) == count_frequencies(lines)
+
+    def test_lines_split_as_text_mode_reading_splits_them(self, tmp_path):
+        # the corpus was read in text mode (universal newlines) before one reader served all
+        p = tmp_path / "corpus.txt"
+        p.write_bytes("a b\nc\r\nd é\re\n\n\tf \x0cg\n\r\nh".encode("utf-8"))
+        with open(p, encoding="utf-8") as fh:
+            text_mode = [line.rstrip("\n") for line in fh]
+        assert read_corpus_lines(p) == text_mode == ["a b", "c", "d é", "e", "", "\tf \x0cg", "", "h"]
 
 
 class TestBuildVocabulary:
