@@ -8,17 +8,23 @@ a model can be reconstructed from the file alone; the line
 ``model_config gelu_approx false``, which files written before the tanh GELU
 was removed carry, is read as a no-op. A load accepts exactly the tensors the
 model and its optimizer own: every parameter, and either no optimizer state
-or the moments and step count of every trainable parameter.
+or the moments of every trainable parameter and one ``opt_step`` line each,
+all carrying the optimizer's single step count.
 
-A save streams each tensor's bytes into ``<path>.tmp``, fsyncs it and renames
-it onto ``path``, so a crash mid-save leaves the previous checkpoint intact.
+A load reads the manifest up to the ``---`` line, then reads each tensor's
+bytes straight into the parameter or moment array that owns it, so it holds
+no copy of the payload; ``read_manifest`` alone (``inspect-checkpoint``)
+reads no tensor bytes. A save streams each tensor's bytes into
+``<path>.tmp``, fsyncs it and renames it onto ``path``, so a crash mid-save
+leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import MISSING, dataclass, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -69,18 +75,14 @@ def save_checkpoint(
 ):
     """Write model (and optimizer state) to the archive format, atomically."""
     tensors: dict[str, np.ndarray] = {name: t.data for name, t in model.parameters().items()}
-    opt_steps = {}
-    if optimizer is not None:
-        for name, state in optimizer.states.items():
-            tensors[f"optimizer.m.{name}"] = state.first_moment
-            tensors[f"optimizer.v.{name}"] = state.second_moment
-            opt_steps[name] = state.step_count
-
     lines = [_MAGIC, f"step {int(step)}", f"seed {int(model.seed)}", f"config_digest {digest}"]
-    for key, value in model.config.to_dict().items():
+    for key, value in asdict(model.config).items():
         lines.append(f"model_config {key} {_format_value(value)}")
-    for name in sorted(opt_steps):
-        lines.append(f"opt_step {name} {opt_steps[name]}")
+    if optimizer is not None:
+        for name in sorted(optimizer.params):
+            tensors[f"optimizer.m.{name}"] = optimizer.first_moment[name]
+            tensors[f"optimizer.v.{name}"] = optimizer.second_moment[name]
+            lines.append(f"opt_step {name} {optimizer.step_count}")
 
     arrays = {name: np.ascontiguousarray(tensors[name], dtype="<f4") for name in sorted(tensors)}
     offset = 0
@@ -111,25 +113,30 @@ class Checkpoint:
     model: WordBertModel
     optimizer: Adam
     step: int
-    seed: int
     digest: str
 
 
-def read_manifest(path) -> tuple[dict, memoryview]:
-    """Parse and check the manifest; the payload is a view of the file's bytes.
+def read_manifest(path) -> tuple[dict, int]:
+    """Parse and check the manifest; also return the payload's offset in the file.
 
-    Any malformed line raises ``IntegrityError`` naming the file and the line.
+    Reads the file only up to the ``---`` line and takes the payload size
+    from the file size. Any malformed line raises ``IntegrityError`` naming
+    the file and the line.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    sep = blob.find(_SEPARATOR)
-    if sep < 0:
-        raise IntegrityError(f"{path}: missing manifest separator")
+        head = []
+        for raw in fh:
+            if raw == _SEPARATOR:
+                break
+            head.append(raw)
+        else:
+            raise IntegrityError(f"{path}: missing manifest separator")
+        payload_offset = fh.tell()
+        payload_size = os.fstat(fh.fileno()).st_size - payload_offset
     try:
-        manifest_text = blob[:sep].decode("utf-8")
+        manifest_text = b"".join(head).decode("utf-8")
     except UnicodeDecodeError as err:
         raise IntegrityError(f"{path}: manifest is not UTF-8: {err}") from err
-    payload = memoryview(blob)[sep + len(_SEPARATOR):]
 
     info = {"model_config": {}, "opt_steps": {}, "tensors": {}}
     lines = manifest_text.rstrip("\n").split("\n")
@@ -178,48 +185,49 @@ def read_manifest(path) -> tuple[dict, memoryview]:
     if missing:
         raise IntegrityError(f"{path}: manifest missing {', '.join(missing)}")
     declared = info["payload_bytes"]
-    if declared != len(payload):
+    if declared != payload_size:
         raise IntegrityError(
-            f"{path}: payload size mismatch: expected {declared} bytes, got {len(payload)}"
+            f"{path}: payload size mismatch: expected {declared} bytes, got {payload_size}"
         )
     for name, (shape, offset, length) in info["tensors"].items():
         expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        if expected != length or offset + length > len(payload):
+        if expected != length or offset + length > payload_size:
             raise IntegrityError(
                 f"{path}: tensor {name} expects {expected} bytes at offset {offset}, "
-                f"payload has {len(payload)}"
+                f"payload has {payload_size}"
             )
         for half, other in (("optimizer.m.", "optimizer.v."), ("optimizer.v.", "optimizer.m.")):
             twin = other + name[len(half):]
             if name.startswith(half) and twin not in info["tensors"]:
                 raise IntegrityError(f"{tensor_lines[name]}: {name} has no {twin}")
-    return info, payload
+    return info, payload_offset
 
 
-def _tensor_from(payload: memoryview, shape, offset, length) -> np.ndarray:
-    """Read-only float32 view of one tensor's bytes in the payload."""
-    return np.frombuffer(payload, dtype="<f4", count=length // 4, offset=offset).reshape(shape)
-
-
-def _assign(path, name, target: np.ndarray, arr: np.ndarray):
-    if target.shape != arr.shape:
+def _read_into(fh, path, name, entry, payload_offset: int, target: np.ndarray):
+    """Fill ``target`` in place with the little-endian float32 bytes of one tensor."""
+    shape, offset, length = entry
+    if shape != target.shape:
         raise IntegrityError(
-            f"{path}: tensor {name} shape {arr.shape} does not match model {target.shape}"
+            f"{path}: tensor {name} shape {shape} does not match model {target.shape}"
         )
-    target[...] = arr
+    fh.seek(payload_offset + offset)
+    got = fh.readinto(target)
+    if got != length:
+        raise IntegrityError(f"{path}: tensor {name}: read {got} of {length} bytes")
+    if sys.byteorder == "big":
+        target.byteswap(inplace=True)
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Reconstruct model, optimizer state, and step from an archive."""
-    info, payload = read_manifest(path)
-    config = ModelConfig.from_dict(info["model_config"])
+    info, payload_offset = read_manifest(path)
+    config = ModelConfig(**info["model_config"])
     try:
         config.validate()
     except ContractError as err:
         raise IntegrityError(f"{path}: invalid model_config: {err}") from err
-    seed = info["seed"]
 
-    model = WordBertModel._unfilled(config, seed)
+    model = WordBertModel._unfilled(config, info["seed"])
     trainable = model.trainable_parameters()
     tensors, opt_steps = info["tensors"], info["opt_steps"]
     known = set(model.params) | {f"optimizer.{half}.{name}" for name in trainable for half in "mv"}
@@ -239,20 +247,16 @@ def load_checkpoint(path) -> Checkpoint:
             missing = sorted(set(trainable) - set(present))
             if missing:
                 raise IntegrityError(f"{path}: no {what} for {', '.join(missing)}")
+    if len(set(opt_steps.values())) > 1:
+        raise IntegrityError(f"{path}: opt_step values differ: {sorted(set(opt_steps.values()))}")
 
-    for name, param in model.params.items():
-        _assign(path, name, param.data, _tensor_from(payload, *tensors[name]))
     optimizer = Adam(trainable)
+    targets = {name: param.data for name, param in model.params.items()}
     for name in with_moments:
-        state = optimizer.states[name]
-        m_key, v_key = f"optimizer.m.{name}", f"optimizer.v.{name}"
-        _assign(path, m_key, state.first_moment, _tensor_from(payload, *tensors[m_key]))
-        _assign(path, v_key, state.second_moment, _tensor_from(payload, *tensors[v_key]))
-        state.step_count = opt_steps[name]
-    return Checkpoint(
-        model=model,
-        optimizer=optimizer,
-        step=info["step"],
-        seed=seed,
-        digest=info.get("digest", "-"),
-    )
+        targets[f"optimizer.m.{name}"] = optimizer.first_moment[name]
+        targets[f"optimizer.v.{name}"] = optimizer.second_moment[name]
+    with open(path, "rb") as fh:
+        for name, target in targets.items():
+            _read_into(fh, path, name, tensors[name], payload_offset, target)
+    optimizer.step_count = next(iter(opt_steps.values()), 0)
+    return Checkpoint(model, optimizer, step=info["step"], digest=info.get("digest", "-"))

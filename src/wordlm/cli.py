@@ -84,6 +84,8 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_pretrain_projection(args) -> int:
+    if args.epochs < 1:
+        raise ContractError(f"--epochs must be >= 1, got {args.epochs}")
     v_in = _load_npz_array(args.pairs, "v_in")
     v_out = _load_npz_array(args.pairs, "v_out")
     w, losses = pretrain_projection(v_in, v_out, args.lr, args.epochs, substream(args.seed, "init"))
@@ -101,6 +103,9 @@ def cmd_pretrain(args) -> int:
         overrides.append(f"train.seed={args.seed}")
     cfg = RunConfig.load(args.config, overrides=overrides)
     train_cfg, policy = cfg.view(TrainConfig), cfg.view(MaskingPolicy)
+    if cfg["train.use_neighbors"] and not cfg["model.freeze_embeddings"]:
+        # the neighbor lists are computed once, from the word table as it starts
+        raise ConfigError(["train.use_neighbors = true needs model.freeze_embeddings = true"])
     vocab = WordVocab.load(args.vocab)
     corpus = read_corpus_lines(args.corpus)
     model = _build_model(cfg, vocab, args.word_vectors, args.projection)
@@ -189,7 +194,7 @@ def cmd_eval_cloze(args) -> int:
 
 
 def cmd_inspect_checkpoint(args) -> int:
-    info, payload = read_manifest(args.checkpoint)
+    info, _ = read_manifest(args.checkpoint)
     print(f"step {info['step']}")
     print(f"seed {info['seed']}")
     print(f"config_digest {info.get('digest', '-')}")

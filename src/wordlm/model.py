@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,6 @@ class ModelConfig:
             problems.append(f"dropout {self.dropout} outside [0, 1)")
         if problems:
             raise ContractError("; ".join(problems))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 Dense Adam (Kingma & Ba, arXiv 1412.6980): every step decays the moments of
 every element, including rows of the embedding table whose gradient is zero.
-The numpy kernel computes the update in float32, in place; tests check it
-against the float64 oracle ``tests/oracles.py::adam_update64``.
+One ``Adam`` holds the parameters and their first and second moments, keyed
+by parameter name, and a single step count: a step updates every parameter
+or, when one lacks a gradient of its own shape, none of them. The numpy
+kernel computes the update in float32, in place; tests check it against the
+float64 oracle ``tests/oracles.py::adam_update64``.
 """
 
 from __future__ import annotations
@@ -18,44 +21,28 @@ from .tensor import Tensor
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-class AdamState:
-    """First/second moment buffers plus step counter for one parameter."""
-
-    def __init__(self, param: Tensor):
-        self.first_moment = np.zeros_like(param.data)
-        self.second_moment = np.zeros_like(param.data)
-        self.step_count = 0
-
-
-def adam_step(param: Tensor, state: AdamState, lr: float):
-    """One bias-corrected Adam update; increments ``state.step_count``."""
-    if param.grad is None:
-        raise ContractError("adam_step requires param.grad to be populated")
-    if param.grad.shape != param.data.shape:
-        raise ContractError(
-            f"gradient shape {param.grad.shape} does not match "
-            f"parameter shape {param.data.shape}"
-        )
-    if state.first_moment.shape != param.data.shape:
-        raise ContractError(
-            f"optimizer state shape {state.first_moment.shape} does not match "
-            f"parameter shape {param.data.shape}"
-        )
-    state.step_count += 1
-    kernels.adam_update(
-        param.data, param.grad, state.first_moment, state.second_moment,
-        state.step_count, float(lr), BETA1, BETA2, EPS,
-    )
-
-
 class Adam:
-    """Convenience wrapper owning one AdamState per named parameter."""
+    """Moment buffers of every named parameter plus the step count they share."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = dict(params)
-        self.states = {name: AdamState(p) for name, p in self.params.items()}
+        self.first_moment = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.second_moment = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.step_count = 0
 
     def step(self, lr: float):
+        """One bias-corrected update of every parameter; increments ``step_count``."""
         for name, p in self.params.items():
-            if p.grad is not None:
-                adam_step(p, self.states[name], lr)
+            if p.grad is None:
+                raise ContractError(f"Adam step: parameter {name} has no gradient")
+            for what, arr in (("gradient", p.grad), ("first moment", self.first_moment[name]),
+                              ("second moment", self.second_moment[name])):
+                if arr.shape != p.data.shape:
+                    raise ContractError(f"{what} shape {arr.shape} does not match "
+                                        f"parameter {name} shape {p.data.shape}")
+        self.step_count += 1
+        for name, p in self.params.items():
+            kernels.adam_update(
+                p.data, p.grad, self.first_moment[name], self.second_moment[name],
+                self.step_count, float(lr), BETA1, BETA2, EPS,
+            )

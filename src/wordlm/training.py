@@ -135,7 +135,8 @@ def pretrain_projection(
     Full-batch gradient descent in float32 on the elementwise-mean MSE, whose
     gradient is v_in^T @ (diff * 2/n) for diff = v_in @ W - v_out and n = N*H
     elements. Returns the fitted float32 map and the per-epoch loss history
-    (last entry is final).
+    (last entry is final). A non-finite loss or map, the mark of a step size
+    that diverges, raises ``ContractError`` naming the epoch and the rate.
     """
     if v_in.ndim != 2 or v_out.ndim != 2 or not 0 < v_in.shape[0] == v_out.shape[0]:
         raise ContractError(
@@ -147,10 +148,14 @@ def pretrain_projection(
     w = (rng.standard_normal((x.shape[1], y.shape[1])) * 0.02).astype(np.float32)
     grad_scale = np.float32(2.0 / y.size)
     losses = []
-    for _ in range(epochs):
-        diff = x @ w - y
-        losses.append(float(np.float32((diff * diff).sum(dtype=np.float64) / diff.size)))
-        w -= np.float32(lr) * (x.T @ (diff * grad_scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            diff = x @ w - y
+            losses.append(float(np.float32((diff * diff).sum(dtype=np.float64) / diff.size)))
+            w -= np.float32(lr) * (x.T @ (diff * grad_scale))
+            if not (np.isfinite(losses[-1]) and np.isfinite(w).all()):
+                raise ContractError(f"projection fit diverged at epoch {epoch} with lr {lr!r} "
+                                    f"(loss {losses[-1]}, map finite: {np.isfinite(w).all()})")
     return w, losses
 
 

@@ -69,16 +69,16 @@ class TestRoundTrip:
 
         loaded = load_checkpoint(path)
         assert loaded.step == 17
-        assert loaded.seed == model.seed
+        assert loaded.model.seed == model.seed
         assert loaded.digest == "abcd1234"
         assert loaded.model.config == model.config
         for name, t in model.parameters().items():
             np.testing.assert_array_equal(loaded.model.params[name].data, t.data, err_msg=name)
-        for name, state in opt.states.items():
-            got = loaded.optimizer.states[name]
-            np.testing.assert_array_equal(got.first_moment, state.first_moment)
-            np.testing.assert_array_equal(got.second_moment, state.second_moment)
-            assert got.step_count == state.step_count
+        for name in opt.params:
+            got = loaded.optimizer
+            np.testing.assert_array_equal(got.first_moment[name], opt.first_moment[name])
+            np.testing.assert_array_equal(got.second_moment[name], opt.second_moment[name])
+        assert loaded.optimizer.step_count == opt.step_count == 1
 
     def test_save_load_save_byte_identical(self, tmp_path):
         model = small_model(seed=4)
@@ -188,10 +188,11 @@ class TestIntegrity:
              "opt_step bogus names no trainable parameter"),
             (MLM_BIAS_MOMENTS, None, "no optimizer moments for mlm.bias"),
             ("opt_step mlm.bias ", None, "no opt_step for mlm.bias"),
+            ("opt_step mlm.bias ", "opt_step mlm.bias 5", "opt_step values differ"),
         ],
         ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape", "invalid-config",
              "unknown-tensor", "unknown-moments", "unknown-opt-step", "partial-moments",
-             "partial-opt-steps"],
+             "partial-opt-steps", "opt-steps-differ"],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, prefix, replacement, message):
         path, _ = _rewrite_manifest_line(tmp_path, prefix, replacement)
@@ -237,8 +238,9 @@ class TestSave:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        _, payload = read_manifest(path)
-        assert peak < 0.1 * len(payload), f"peak {peak} B for a {len(payload)} B payload"
+        info, _ = read_manifest(path)
+        payload = info["payload_bytes"]
+        assert peak < 0.1 * payload, f"peak {peak} B for a {payload} B payload"
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         model = small_model(seed=4)
@@ -255,6 +257,42 @@ class TestSave:
             save_checkpoint(model, None, 2, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.ckpt"]
+
+
+class TestLoadMemory:
+    """A load reads each tensor into the array that owns it; the manifest
+    alone is read without touching the payload."""
+
+    @pytest.fixture(scope="class")
+    def big_checkpoint(self, tmp_path_factory):
+        model = small_model(vocab_size=30_000, hidden=32, embed_dim=32)
+        path = tmp_path_factory.mktemp("big") / "big.ckpt"
+        save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
+        assert path.stat().st_size >= 10 * 2**20
+        return path, model.checksum()
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_load_peak_is_one_copy_of_the_file(self, big_checkpoint):
+        path, checksum = big_checkpoint
+        loaded, peak = self._peak(lambda: load_checkpoint(path))
+        size = path.stat().st_size
+        assert peak <= 1.05 * size, f"peak {peak} B for a {size} B file"
+        assert loaded.model.checksum() == checksum
+
+    def test_read_manifest_reads_no_payload(self, big_checkpoint):
+        path, _ = big_checkpoint
+        (info, offset), peak = self._peak(lambda: read_manifest(path))
+        assert peak < 2**20, f"read_manifest allocated {peak} B"
+        assert offset + info["payload_bytes"] == path.stat().st_size
 
 
 class TestResume:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: commands, exit codes, artifacts, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,8 @@ class TestPretrain:
             ("vocab.k=3", ["vocab.k"]),
             ("model.gelu_approx=false", ["model.gelu_approx"]),  # removed with the tanh GELU
             ("train.use_neighbors=true train.neighbor_k=-1", ["train.neighbor_k"]),
+            # neighbor lists are computed once, so the word table they rank must not train
+            ("train.use_neighbors=true", ["train.use_neighbors", "model.freeze_embeddings"]),
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
@@ -397,6 +400,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"wordlm: error: {empty}: no records\n"
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--epochs", "0"], "--epochs must be >= 1, got 0"),
+            (["--lr", "50", "--epochs", "100"], "projection fit diverged at epoch "),
+        ],
+        ids=["zero-epochs", "diverging-lr"],
+    )
+    def test_pretrain_projection_refused_without_output(self, tmp_path, capsys, flags, message):
+        rng = np.random.default_rng(12)
+        pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
+        np.savez(pairs, v_in=rng.standard_normal((120, 30)), v_out=rng.standard_normal((120, 40)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings included
+            code = main(["pretrain-projection", "--pairs", str(pairs), "--out", str(out), *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"wordlm: error: {message}"), captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_pretrain_zero_steps_rejected_before_output(self, workdir, capsys):
         tmp, corpus, cfg = workdir

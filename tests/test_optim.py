@@ -6,7 +6,7 @@ import pytest
 from oracles import adam_update64
 from wordlm import kernels
 from wordlm.errors import ContractError
-from wordlm.optim import Adam, AdamState, adam_step
+from wordlm.optim import Adam
 from wordlm.tensor import Tensor
 from wordlm.training import TrainConfig, lr_at
 
@@ -34,11 +34,11 @@ class TestAdamStep:
     def test_zero_gradient_is_fixed_point(self):
         p = Tensor(np.array([1.0, -2.0, 3.0], np.float32), requires_grad=True)
         p.grad = np.zeros(3, np.float32)
-        state = AdamState(p)
+        opt = Adam({"p": p})
         before = p.data.copy()
-        adam_step(p, state, lr=0.1)
+        opt.step(lr=0.1)
         np.testing.assert_array_equal(p.data, before)
-        assert state.step_count == 1
+        assert opt.step_count == 1
 
     def test_first_step_moves_by_lr_against_gradient_sign(self):
         rng = np.random.default_rng(0)
@@ -46,7 +46,7 @@ class TestAdamStep:
         g[np.abs(g) < 0.1] = 0.5
         p = Tensor(np.zeros(50, np.float32), requires_grad=True)
         p.grad = g.copy()
-        adam_step(p, AdamState(p), lr=0.01)
+        Adam({"p": p}).step(lr=0.01)
         np.testing.assert_allclose(p.data, -0.01 * np.sign(g), rtol=1e-3)
 
     def test_ten_step_quadratic_matches_reference(self):
@@ -56,33 +56,34 @@ class TestAdamStep:
             0.0, grad_fn, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, steps=10
         )
         p = Tensor(np.array([0.0], np.float32), requires_grad=True)
-        state = AdamState(p)
+        opt = Adam({"p": p})
         got = []
         for _ in range(10):
             p.grad = np.array([grad_fn(float(p.data[0]))], np.float32)
-            adam_step(p, state, lr=0.1)
+            opt.step(lr=0.1)
             got.append(float(p.data[0]))
         np.testing.assert_allclose(got, expected, atol=1e-6)
-        assert state.step_count == 10
+        assert opt.step_count == 10
 
     def test_missing_grad_raises(self):
         p = Tensor(np.zeros(3, np.float32), requires_grad=True)
-        with pytest.raises(ContractError):
-            adam_step(p, AdamState(p), lr=0.1)
+        with pytest.raises(ContractError, match="parameter p has no gradient"):
+            Adam({"p": p}).step(lr=0.1)
 
     def test_state_shape_mismatch_raises(self):
         p = Tensor(np.zeros(3, np.float32), requires_grad=True)
-        q = Tensor(np.zeros(4, np.float32), requires_grad=True)
         p.grad = np.ones(3, np.float32)
-        with pytest.raises(ContractError):
-            adam_step(p, AdamState(q), lr=0.1)
+        opt = Adam({"p": p})
+        opt.first_moment["p"] = np.zeros(4, np.float32)
+        with pytest.raises(ContractError, match="first moment shape"):
+            opt.step(lr=0.1)
 
     def test_grad_shape_mismatch_raises(self):
         # (3,) broadcasts against (2, 3); the update must not silently accept it
         p = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
         p.grad = np.ones(3, np.float32)
         with pytest.raises(ContractError, match="gradient shape"):
-            adam_step(p, AdamState(p), lr=0.1)
+            Adam({"p": p}).step(lr=0.1)
 
     @pytest.mark.parametrize("which", ["param", "m", "v"])
     def test_numpy_kernel_refuses_non_contiguous_buffers(self, which):
@@ -152,14 +153,17 @@ class TestAdamWrapper:
         for p in params.values():
             p.grad = np.ones_like(p.data)
         opt.step(lr=0.5)
+        assert opt.step_count == 1
+        assert all(np.all(p.data < 1.0) for p in params.values())
+        # "a" keeps a gradient, "b" has none: the step refuses before moving "a"
+        params["a"].grad = np.ones(4, np.float32)
+        params["b"].zero_grad()
+        before = {name: p.data.copy() for name, p in params.items()}
+        with pytest.raises(ContractError, match="parameter b has no gradient"):
+            opt.step(lr=0.5)
         for name, p in params.items():
-            assert opt.states[name].step_count == 1
-            assert np.all(p.data < 1.0)
-        for p in params.values():
-            p.zero_grad()
-        assert all(p.grad is None for p in params.values())
-        opt.step(lr=0.5)  # parameters without a gradient are skipped
-        assert all(state.step_count == 1 for state in opt.states.values())
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+        assert opt.step_count == 1
 
     def test_interleaved_instances_match_sequential(self):
         """No state leaks between calls: stepping two optimizers in alternation
@@ -191,7 +195,7 @@ class TestAdamWrapper:
             return [
                 a.tobytes()
                 for name, p in opt.params.items()
-                for a in (p.data, opt.states[name].first_moment, opt.states[name].second_moment)
+                for a in (p.data, opt.first_moment[name], opt.second_moment[name])
             ]
 
         for (a, _), (b, _) in zip(seq, alt):

@@ -1,5 +1,7 @@
 """Masking, restricted loss, projection pretraining, schedule, train loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,24 @@ class TestPretrainProjection:
         _, losses = pretrain_projection(xs, xs @ m, lr=1.0, epochs=120, rng=rng)
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-9)
+
+    @pytest.mark.parametrize(
+        "lr,epochs,message",
+        [
+            (50.0, 100, r"at epoch \d+ with lr 50\.0 \(loss inf, map finite: True\)"),
+            # the one update overflows the map; no later loss would show it
+            (1e45, 1, r"at epoch 1 with lr 1e\+45 \(loss [0-9.]+, map finite: False\)"),
+        ],
+        ids=["diverging-loss", "overflowing-last-update"],
+    )
+    def test_divergence_raises_without_warnings(self, lr, epochs, message):
+        rng = np.random.default_rng(12)
+        xs = rng.standard_normal((120, 30)).astype(np.float32)
+        ys = rng.standard_normal((120, 40)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="projection fit diverged " + message):
+                pretrain_projection(xs, ys, lr=lr, epochs=epochs, rng=rng)
 
     def test_paper_scale_pair_count(self):
         rng = np.random.default_rng(35)
