@@ -221,9 +221,8 @@ def _read_into(fh, path, name, entry, payload_offset: int, target: np.ndarray):
 def load_checkpoint(path) -> Checkpoint:
     """Reconstruct model, optimizer state, and step from an archive."""
     info, payload_offset = read_manifest(path)
-    config = ModelConfig(**info["model_config"])
     try:
-        config.validate()
+        config = ModelConfig(**info["model_config"])
     except ContractError as err:
         raise IntegrityError(f"{path}: invalid model_config: {err}") from err
 

@@ -132,7 +132,7 @@ class RunConfig:
             fh.write(self.text())
 
     def view(self, cls, **extra):
-        """Build ``cls`` from its keys plus the ``extra`` fields and validate it.
+        """Build ``cls``, which checks itself, from its keys plus the ``extra`` fields.
 
         Every violation becomes one ``ConfigError`` line, with each field name
         outside quotes replaced by its key.
@@ -141,7 +141,6 @@ class RunConfig:
         violations = []
         try:
             obj = cls(**extra, **{name: self[key] for name, key in keys.items()})
-            obj.validate()
         except ContractError as err:
             field_name = r"'[^']*'|\b(" + "|".join(keys) + r")\b"
             keyed = re.sub(field_name, lambda m: keys[m[1]] if m[1] else m[0], str(err))

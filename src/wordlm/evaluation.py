@@ -36,14 +36,12 @@ class FrequencyBuckets:
     medium: int = 300
     low: int = 3
 
-    def validate(self):
+    def __post_init__(self):
         if not self.high > self.medium > self.low > 0:
             raise ContractError(
                 f"thresholds must satisfy high > medium > low > 0, "
                 f"got {self.high}/{self.medium}/{self.low}"
             )
-
-    __post_init__ = validate
 
 
 def bucket_of(word: str, buckets: FrequencyBuckets) -> str:
@@ -68,7 +66,7 @@ class ProbeExample:
     gold_words: list[str]
     bucket: str
 
-    def validate(self):
+    def __post_init__(self):
         if self.bucket not in BUCKET_NAMES:
             raise ContractError(f"unknown bucket {self.bucket!r}")
         if len(self.masked_positions) != len(self.gold_words):
@@ -137,7 +135,6 @@ def probe_topk(
     totals = {b: 0 for b in BUCKET_NAMES}
     oov = {b: 0 for b in BUCKET_NAMES}
     for ex in probes:
-        ex.validate()
         # words past the encoded window ([CLS] + max_length - 2 words) are truncated away
         scored = [(pos, gold) for pos, gold in zip(ex.masked_positions, ex.gold_words)
                   if pos + 1 < max_length - 1]
@@ -174,7 +171,7 @@ class ClozeItem:
     options: list[str]
     answer_index: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.passage_words.count(BLANK_SENTINEL) != 1:
             raise ContractError(f"passage must contain exactly one {BLANK_SENTINEL}")
         if len(self.options) != 4 or len(set(self.options)) != 4:
@@ -194,7 +191,6 @@ def score_cloze(
     Every option shares the blank's normalizer, so the highest logit wins.
     Out-of-vocabulary options score -inf; ties break toward the lower index.
     """
-    item.validate()
     max_length = max_length or model.config.max_positions
     blank = item.passage_words.index(BLANK_SENTINEL)
     if blank + 1 >= max_length - 1:
@@ -266,12 +262,10 @@ def load_records(path, cls) -> list:
                     raise ContractError(
                         f"{path}:{lineno}: {name} must be {_JSON_SHAPES[hint]}, got {obj[name]!r}"
                     )
-            record = cls(**obj)
             try:
-                record.validate()
+                records.append(cls(**obj))
             except ContractError as err:
                 raise ContractError(f"{path}:{lineno}: {err}") from err
-            records.append(record)
     return records
 
 

@@ -42,7 +42,7 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.hidden // self.num_heads
 
-    def validate(self):
+    def __post_init__(self):
         problems = []
         if self.vocab_size < 5:
             problems.append(f"vocab_size {self.vocab_size} must cover the specials")
@@ -118,7 +118,6 @@ class WordBertModel:
         word_vectors: np.ndarray | None = None,
         projection: np.ndarray | None = None,
     ):
-        config.validate()
         given = {}  # parameter name -> (argument name, array copied in)
         if config.variant == "projected":
             if word_vectors is None:
@@ -188,6 +187,13 @@ class WordBertModel:
     # forward passes
     # ------------------------------------------------------------------
 
+    def _project(self, rows: Tensor) -> Tensor:
+        """Word-table rows in the hidden space: mapped through
+        ``embedding.projection`` in the projected variant, unchanged in the direct one."""
+        if self.config.variant == "projected":
+            return T.matmul(rows, self.params["embedding.projection"])
+        return rows
+
     def encode_batch(self, input_ids, attention_masks, rng=None) -> Tensor:
         """Embeddings plus L encoder layers over a batch of equal-length sequences.
 
@@ -212,9 +218,7 @@ class WordBertModel:
         if mask.shape != (b_sz, t_len):
             raise ShapeError(f"attention mask shape {mask.shape} does not match {ids.shape}")
 
-        rows = T.gather_rows(p["embedding.word"], ids.reshape(-1))
-        if cfg.variant == "projected":
-            rows = T.matmul(rows, p["embedding.projection"])
+        rows = self._project(T.gather_rows(p["embedding.word"], ids.reshape(-1)))
         pos = T.gather_rows(p["embedding.position"], np.arange(t_len))
         x = T.reshape(T.add(T.reshape(rows, (b_sz, t_len, cfg.hidden)), pos), (b_sz * t_len, cfg.hidden))
         if rng is not None:
@@ -281,18 +285,12 @@ class WordBertModel:
         """hidden [M,H] -> logits [M, len(ids)] against the tied rows + bias of ids."""
         if len(ids) == 0:
             raise ContractError("batch vocabulary is empty")
-        rows = T.gather_rows(self.params["embedding.word"], ids)
-        if self.config.variant == "projected":
-            rows = T.matmul(rows, self.params["embedding.projection"])
+        rows = self._project(T.gather_rows(self.params["embedding.word"], ids))
         bias = T.gather_rows(self.params["mlm.bias"], ids)
         return T.add(T.matmul(hidden, T.transpose(rows, (1, 0))), bias)
 
     def full_vocab_logits(self, hidden: Tensor) -> Tensor:
         """hidden [M,H] -> logits [M, V] over the entire vocabulary."""
-        emb = self.params["embedding.word"]
-        if self.config.variant == "projected":
-            rows = T.matmul(emb, self.params["embedding.projection"])
-        else:
-            rows = emb
+        rows = self._project(self.params["embedding.word"])
         return T.add(T.matmul(hidden, T.transpose(rows, (1, 0))), self.params["mlm.bias"])
 

@@ -248,16 +248,6 @@ def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    data = np.float32(x.data.sum(dtype=np.float64))
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, np.float32(g)))
-
-    return _make(data, (x,), bw)
-
-
 def mean(x: Tensor) -> Tensor:
     n = x.data.size
     data = np.float32(x.data.sum(dtype=np.float64) / n)

@@ -1,5 +1,7 @@
 """MLM masking, restricted-softmax loss, projection pretraining, train loop.
 
+The training pool is one [N, max_length] int64 id matrix, built once, of the
+corpus lines that hold a maskable word; a step's batch is a draw of its rows.
 A step passes plain arrays between its stages: masking yields the corrupted
 ids, the flat row index of every target in the [B*T, H] hidden states and the
 targets' gold ids; the batch vocabulary is a sorted id array; the loss gathers
@@ -12,6 +14,7 @@ without replaying earlier steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +26,7 @@ from .optim import Adam
 from .sampling import NeighborIndex, remap_targets, sample_batch_vocab
 from .seeding import substream
 from .tensor import Tensor
-from .vocab import MASK_ID, NUM_SPECIALS, EncodedSequence, WordVocab, encode, segment_words
+from .vocab import MASK_ID, NUM_SPECIALS, PAD_ID, WordVocab, encode, segment_words
 
 
 @dataclass
@@ -35,7 +38,7 @@ class MaskingPolicy:
     replace_random: float = 0.1
     keep_original: float = 0.1
 
-    def validate(self):
+    def __post_init__(self):
         problems = []
         # ratio 1.0 admitted: the mask-everything policy is a supported degenerate case
         if not 0.0 < self.mask_ratio <= 1.0:
@@ -60,24 +63,25 @@ class MaskedBatch:
         return int(self.target_global_ids.shape[0])
 
     def attention_masks(self) -> np.ndarray:
-        return (self.input_ids != 0).astype(np.int64)
+        return (self.input_ids != PAD_ID).astype(np.int64)
 
 
 def apply_masking(
-    batch: list[EncodedSequence],
+    batch_ids: np.ndarray,
     policy: MaskingPolicy,
     rng: np.random.Generator,
     vocab_size: int,
 ) -> MaskedBatch:
-    """Select real-word positions at mask_ratio (min one per maskable sequence)
-    and corrupt them per the policy, recording the original ids as targets."""
-    if not batch:
+    """Select real-word positions of the [B, T] id matrix at mask_ratio (min one
+    per maskable sequence) and corrupt a copy of it per the policy, recording
+    the original ids as targets."""
+    input_ids = np.array(batch_ids, dtype=np.int64)
+    if input_ids.ndim != 2:
+        raise ContractError(
+            f"apply_masking needs a [batch, length] id matrix, got shape {input_ids.shape}"
+        )
+    if input_ids.size == 0:
         raise ContractError("apply_masking requires a nonempty batch")
-    policy.validate()
-    lengths = {seq.length for seq in batch}
-    if len(lengths) != 1:
-        raise ContractError(f"batch sequences must share one length, got {sorted(lengths)}")
-    input_ids = np.stack([seq.ids for seq in batch]).astype(np.int64)
     t_len = input_ids.shape[1]
     positions = []
     targets = []
@@ -135,9 +139,12 @@ def pretrain_projection(
     Full-batch gradient descent in float32 on the elementwise-mean MSE, whose
     gradient is v_in^T @ (diff * 2/n) for diff = v_in @ W - v_out and n = N*H
     elements. Returns the fitted float32 map and the per-epoch loss history
-    (last entry is final). A non-finite loss or map, the mark of a step size
-    that diverges, raises ``ContractError`` naming the epoch and the rate.
+    (last entry is final). An ``lr`` that is not a finite number > 0 cannot
+    fit and raises ``ContractError``; so does a non-finite loss or map, the
+    mark of a step size that diverges, naming the epoch and the rate.
     """
+    if not (math.isfinite(lr) and lr > 0):
+        raise ContractError(f"lr must be a finite number > 0, got {lr!r}")
     if v_in.ndim != 2 or v_out.ndim != 2 or not 0 < v_in.shape[0] == v_out.shape[0]:
         raise ContractError(
             f"pretrain_projection needs v_in [N,E] and v_out [N,H] with N >= 1, "
@@ -175,7 +182,7 @@ class TrainConfig:
     max_length: int = 512
     neighbor_k: int = 10
 
-    def validate(self):
+    def __post_init__(self):
         problems = []
         if self.warmup_steps >= self.total_steps:
             problems.append(
@@ -213,17 +220,17 @@ def write_metrics(records: list[StepRecord], path):
             fh.write(f"{r.step}\t{r.lr!r}\t{r.loss!r}\n")
 
 
-def prepare_corpus(corpus_lines, vocab: WordVocab, max_length: int) -> list[EncodedSequence]:
-    """Encode every line; only sequences with at least one maskable word join
-    the sampling pool."""
-    pool = []
+def prepare_corpus(corpus_lines, vocab: WordVocab, max_length: int) -> np.ndarray:
+    """The sampling pool: the [N, max_length] int64 encoded ids of the lines
+    with at least one maskable word, in corpus order."""
+    rows = []
     for line in corpus_lines:
-        seq = encode(segment_words(line, vocab.lowercase), vocab, max_length)
-        if (seq.ids >= NUM_SPECIALS).any():
-            pool.append(seq)
-    if not pool:
+        ids = encode(segment_words(line, vocab.lowercase), vocab, max_length).ids
+        if (ids >= NUM_SPECIALS).any():
+            rows.append(ids)
+    if not rows:
         raise ContractError("corpus contains no maskable sequences")
-    return pool
+    return np.stack(rows)
 
 
 def train(
@@ -242,9 +249,7 @@ def train(
     Each step draws a batch, masks it, samples a batch vocabulary, takes one
     Adam step at the scheduled learning rate, and records (step, lr, loss).
     """
-    cfg.validate()
     policy = policy or MaskingPolicy()
-    policy.validate()
     pool = prepare_corpus(corpus_lines, vocab, cfg.max_length)
     optimizer = optimizer or Adam(model.trainable_parameters())
     if num_steps is None:
@@ -254,9 +259,8 @@ def train(
     for step in range(start_step, start_step + num_steps):
         batch_rng = substream(cfg.seed, "batch", step)
         line_ids = batch_rng.integers(0, len(pool), size=cfg.batch_size)
-        batch = [pool[i] for i in line_ids]
         masked = apply_masking(
-            batch, policy, substream(cfg.seed, "masking", step), vocab_size
+            pool[line_ids], policy, substream(cfg.seed, "masking", step), vocab_size
         )
         batch_ids = sample_batch_vocab(
             masked.input_ids[masked.input_ids >= NUM_SPECIALS],

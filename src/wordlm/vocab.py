@@ -149,10 +149,6 @@ class EncodedSequence:
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.attention_mask = np.asarray(self.attention_mask, dtype=np.int64)
 
-    @property
-    def length(self) -> int:
-        return int(self.ids.shape[0])
-
 
 def encode(words, vocab: WordVocab, max_length: int = 512) -> EncodedSequence:
     """CLS-fronted, SEP-terminated, PAD-filled id sequence of fixed length."""

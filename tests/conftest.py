@@ -26,7 +26,7 @@ def masked_top1_accuracy(model, vocab, lines, max_length):
                 copies[r, pos] = MASK_ID
             masks = np.tile(seq.attention_mask, (real.size, 1))
             flat = model.encode_batch(copies, masks)
-            rows = T.gather_rows(flat, [r * seq.length + p for r, p in enumerate(real)])
+            rows = T.gather_rows(flat, [r * len(seq.ids) + p for r, p in enumerate(real)])
             logits = model.full_vocab_logits(rows).data
             hits += int((logits.argmax(axis=1) == seq.ids[real]).sum())
             total += real.size

@@ -74,16 +74,16 @@ def _primitive_checks():
     a, b, r = leaf(3, 4), leaf(4, 5), const(3, 5)
     checks.append((
         "matmul",
-        T.tensor_sum(T.mul(T.matmul(a, b), r)),
-        [(a, lambda v: float(((v @ b.data.astype(np.float64)) * r.data).sum())),
-         (b, lambda v: float(((a.data.astype(np.float64) @ v) * r.data).sum()))],
+        T.mean(T.mul(T.matmul(a, b), r)),
+        [(a, lambda v: float(((v @ b.data.astype(np.float64)) * r.data).mean())),
+         (b, lambda v: float(((a.data.astype(np.float64) @ v) * r.data).mean()))],
     ))
 
     x, rr = leaf(18), const(18)
     checks.append((
         "gelu_erf",
-        T.tensor_sum(T.mul(T.gelu(x), rr)),
-        [(x, lambda v: float((gelu64(v) * rr.data).sum()))],
+        T.mean(T.mul(T.gelu(x), rr)),
+        [(x, lambda v: float((gelu64(v) * rr.data).mean()))],
     ))
 
     ln_x, gamma, beta, ln_r = leaf(4, 8), leaf(8), leaf(8), const(4, 8)
@@ -95,17 +95,17 @@ def _primitive_checks():
 
     checks.append((
         "layer_norm",
-        T.tensor_sum(T.mul(T.layer_norm(ln_x, gamma, beta), ln_r)),
-        [(ln_x, lambda v: float((ln64(v, gamma.data, beta.data) * ln_r.data).sum())),
-         (gamma, lambda v: float((ln64(ln_x.data.astype(np.float64), v, beta.data) * ln_r.data).sum())),
-         (beta, lambda v: float((ln64(ln_x.data.astype(np.float64), gamma.data, v) * ln_r.data).sum()))],
+        T.mean(T.mul(T.layer_norm(ln_x, gamma, beta), ln_r)),
+        [(ln_x, lambda v: float((ln64(v, gamma.data, beta.data) * ln_r.data).mean())),
+         (gamma, lambda v: float((ln64(ln_x.data.astype(np.float64), v, beta.data) * ln_r.data).mean())),
+         (beta, lambda v: float((ln64(ln_x.data.astype(np.float64), gamma.data, v) * ln_r.data).mean()))],
     ))
 
     sm_x, sm_r = leaf(3, 6), const(3, 6)
     checks.append((
         "softmax",
-        T.tensor_sum(T.mul(T.softmax(sm_x), sm_r)),
-        [(sm_x, lambda v: float((softmax64(v) * sm_r.data).sum()))],
+        T.mean(T.mul(T.softmax(sm_x), sm_r)),
+        [(sm_x, lambda v: float((softmax64(v) * sm_r.data).mean()))],
     ))
 
     ce_x, ce_t, ce_r = leaf(3, 11), np.array([4, 0, 10]), const(3)
@@ -113,36 +113,36 @@ def _primitive_checks():
     def ce64(v):
         m = v.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(v - m).sum(axis=1))
-        return float(((lse - v[np.arange(3), ce_t]) * ce_r.data).sum())
+        return float(((lse - v[np.arange(3), ce_t]) * ce_r.data).mean())
 
     checks.append((
         "cross_entropy_rows",
-        T.tensor_sum(T.mul(T.cross_entropy_rows(ce_x, ce_t), ce_r)),
+        T.mean(T.mul(T.cross_entropy_rows(ce_x, ce_t), ce_r)),
         [(ce_x, ce64)],
     ))
 
     ax, ab, ar = leaf(3, 5), leaf(5), const(3, 5)
     checks.append((
         "add_broadcast",
-        T.tensor_sum(T.mul(T.add(ax, ab), ar)),
-        [(ax, lambda v: float(((v + ab.data) * ar.data).sum())),
-         (ab, lambda v: float(((ax.data.astype(np.float64) + v) * ar.data).sum()))],
+        T.mean(T.mul(T.add(ax, ab), ar)),
+        [(ax, lambda v: float(((v + ab.data) * ar.data).mean())),
+         (ab, lambda v: float(((ax.data.astype(np.float64) + v) * ar.data).mean()))],
     ))
 
     mx, my = leaf(4, 4), leaf(4, 4)
     checks.append((
         "mul",
-        T.tensor_sum(T.mul(T.mul(mx, my), 0.5)),
-        [(mx, lambda v: float((v * my.data * 0.5).sum())),
-         (my, lambda v: float((mx.data.astype(np.float64) * v * 0.5).sum()))],
+        T.mean(T.mul(T.mul(mx, my), 0.5)),
+        [(mx, lambda v: float((v * my.data * 0.5).mean())),
+         (my, lambda v: float((mx.data.astype(np.float64) * v * 0.5).mean()))],
     ))
 
     table, gr = leaf(6, 3), const(4, 3)
     ids = np.array([5, 0, 5, 2])
     checks.append((
         "gather_rows",
-        T.tensor_sum(T.mul(T.gather_rows(table, ids), gr)),
-        [(table, lambda v: float((v[ids] * gr.data).sum()))],
+        T.mean(T.mul(T.gather_rows(table, ids), gr)),
+        [(table, lambda v: float((v[ids] * gr.data).mean()))],
     ))
 
     tx = leaf(2, 3, 4)
@@ -163,14 +163,13 @@ def _acceptance_model_and_batch():
         seed=202,
     )
     rng = np.random.default_rng(203)
-    from wordlm.vocab import CLS_ID, SEP_ID, EncodedSequence
+    from wordlm.vocab import CLS_ID, SEP_ID
 
-    seqs = []
+    rows = []
     for _ in range(2):
         body = rng.integers(NUM_SPECIALS, vocab_size, size=8).tolist()
-        ids = np.array([CLS_ID] + body + [SEP_ID])
-        seqs.append(EncodedSequence(ids, (ids != 0).astype(np.int64)))
-    masked = apply_masking(seqs, MaskingPolicy(mask_ratio=0.3), np.random.default_rng(204), vocab_size)
+        rows.append([CLS_ID] + body + [SEP_ID])
+    masked = apply_masking(np.array(rows), MaskingPolicy(mask_ratio=0.3), np.random.default_rng(204), vocab_size)
     extra = np.random.default_rng(205).choice(
         np.arange(NUM_SPECIALS, vocab_size), size=15, replace=False
     )
@@ -241,7 +240,7 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_restriction_identity():
-    from wordlm.vocab import CLS_ID, SEP_ID, EncodedSequence
+    from wordlm.vocab import CLS_ID, SEP_ID
 
     vocab_size = 60
     model = WordBertModel(
@@ -254,12 +253,11 @@ def test_criterion_02_restriction_identity():
     subset_rng = np.random.default_rng(213)
     worst = {"full": 0.0, "subset": 0.0}
     for _ in range(100):
-        seqs = []
+        rows = []
         for _ in range(3):
             body = rng.integers(NUM_SPECIALS, vocab_size, size=int(rng.integers(3, 9))).tolist()
-            ids = np.array([CLS_ID] + body + [SEP_ID] + [0] * (10 - 2 - len(body)))
-            seqs.append(EncodedSequence(ids, (ids != 0).astype(np.int64)))
-        masked = apply_masking(seqs, MaskingPolicy(), rng, vocab_size)
+            rows.append([CLS_ID] + body + [SEP_ID] + [0] * (10 - 2 - len(body)))
+        masked = apply_masking(np.array(rows), MaskingPolicy(), rng, vocab_size)
         sampled = subset_rng.choice(np.arange(NUM_SPECIALS, vocab_size), size=10, replace=False)
         subset = np.unique(
             np.concatenate([np.arange(NUM_SPECIALS), masked.target_global_ids, sampled])

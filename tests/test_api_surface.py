@@ -17,7 +17,6 @@ PACKAGE = ROOT / "src" / "wordlm"
 # Public names that may have no caller in the code base.
 ALLOWED = {
     "main": "the `wordlm` console script in pyproject.toml calls it",
-    "tensor_sum": "acceptance criterion 01 reduces with it in its gradient checks",
 }
 
 

@@ -406,8 +406,11 @@ class TestExitCodes:
         [
             (["--epochs", "0"], "--epochs must be >= 1, got 0"),
             (["--lr", "50", "--epochs", "100"], "projection fit diverged at epoch "),
+            (["--lr", "0"], "lr must be a finite number > 0, got 0.0"),
+            (["--lr", "-1"], "lr must be a finite number > 0, got -1.0"),
+            (["--lr", "nan"], "lr must be a finite number > 0, got nan"),
         ],
-        ids=["zero-epochs", "diverging-lr"],
+        ids=["zero-epochs", "diverging-lr", "zero-lr", "negative-lr", "nan-lr"],
     )
     def test_pretrain_projection_refused_without_output(self, tmp_path, capsys, flags, message):
         rng = np.random.default_rng(12)

@@ -1,18 +1,41 @@
 """Run-configuration parsing, merging, and validation tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 from wordlm import cli, config
 from wordlm.config import DECLARED_KEYS, RunConfig, env_var_name
-from wordlm.errors import ConfigError
-from wordlm.evaluation import FrequencyBuckets
+from wordlm.errors import ConfigError, ContractError
+from wordlm.evaluation import ClozeItem, FrequencyBuckets, ProbeExample
 from wordlm.model import ModelConfig
 from wordlm.training import MaskingPolicy, TrainConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordlm"
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ModelConfig(vocab_size=40, num_heads=3, hidden=16, embed_dim=16),
+         "hidden 16 not divisible by num_heads 3"),
+        (lambda: TrainConfig(batch_size=0), "batch_size must be positive"),
+        (lambda: MaskingPolicy(mask_ratio=0.0), "mask_ratio 0.0 outside (0, 1]"),
+        (lambda: FrequencyBuckets({}, high=10, medium=10, low=3),
+         "thresholds must satisfy high > medium > low > 0, got 10/10/3"),
+        (lambda: ProbeExample(["a", "b"], [1], ["a"], "Low"),
+         "gold word 'a' does not sit at position 1"),
+        (lambda: ClozeItem(["a", "b"], ["w", "x", "y", "z"], 0),
+         "passage must contain exactly one [BLANK]"),
+    ],
+    ids=["ModelConfig", "TrainConfig", "MaskingPolicy", "FrequencyBuckets", "ProbeExample",
+         "ClozeItem"],
+)
+def test_settings_and_records_check_themselves_when_built(build, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestLoading:

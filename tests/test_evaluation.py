@@ -229,11 +229,11 @@ class TestScoreCloze:
 
     def test_item_validation(self):
         with pytest.raises(ContractError):
-            ClozeItem(["a", "b"], ["w", "x", "y", "z"], 0).validate()  # no blank
+            ClozeItem(["a", "b"], ["w", "x", "y", "z"], 0)  # no blank
         with pytest.raises(ContractError):
-            ClozeItem([BLANK_SENTINEL], ["w", "w", "y", "z"], 0).validate()  # dup options
+            ClozeItem([BLANK_SENTINEL], ["w", "w", "y", "z"], 0)  # dup options
         with pytest.raises(ContractError):
-            ClozeItem([BLANK_SENTINEL], ["w", "x", "y", "z"], 4).validate()
+            ClozeItem([BLANK_SENTINEL], ["w", "x", "y", "z"], 4)
 
 
 class TestJsonl:

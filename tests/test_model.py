@@ -42,18 +42,18 @@ def encode(model, seq):
 class TestConfig:
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ContractError, match="divisible"):
-            toy_config(num_heads=3).validate()
+            toy_config(num_heads=3)
 
     def test_direct_requires_matching_dims(self):
         with pytest.raises(ContractError, match="embed_dim"):
-            toy_config(embed_dim=8).validate()
+            toy_config(embed_dim=8)
 
     def test_projected_requires_frozen_embeddings(self):
         with pytest.raises(ContractError, match="freeze"):
-            toy_config(variant="projected", embed_dim=8, freeze_embeddings=False).validate()
+            toy_config(variant="projected", embed_dim=8, freeze_embeddings=False)
 
     def test_reference_defaults_valid(self):
-        ModelConfig(vocab_size=500_005).validate()
+        ModelConfig(vocab_size=500_005)
 
 
 class TestEmbed:

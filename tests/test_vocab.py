@@ -212,7 +212,7 @@ class TestEncode:
         n_words = int((seq.ids != PAD_ID).sum()) - 2  # minus CLS and SEP
         assert n_words == 510
         assert seq.ids[511] == SEP_ID
-        assert seq.length == 512
+        assert len(seq.ids) == 512
 
     def test_max_length_too_small(self, small_vocab):
         with pytest.raises(ContractError):
