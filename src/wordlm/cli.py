@@ -58,8 +58,7 @@ def _load_npz_array(path, key):
         return z[key].astype(np.float32)
 
 
-def _build_model(cfg: RunConfig, vocab: WordVocab, word_vectors_path=None, projection_path=None):
-    model_cfg = cfg.view(ModelConfig, vocab_size=vocab.size)
+def _build_model(cfg: RunConfig, model_cfg: ModelConfig, word_vectors_path, projection_path):
     kwargs = {}
     if model_cfg.variant == "projected":
         if word_vectors_path is None:
@@ -67,7 +66,19 @@ def _build_model(cfg: RunConfig, vocab: WordVocab, word_vectors_path=None, proje
         kwargs["word_vectors"] = _load_npz_array(word_vectors_path, "vectors")
         if projection_path is not None:
             kwargs["projection"] = _load_npz_array(projection_path, "projection")
+    elif word_vectors_path is not None or projection_path is not None:
+        raise WordlmError("--word-vectors and --projection need model.variant = projected")
     return WordBertModel(model_cfg, seed=cfg["model.seed"], **kwargs)
+
+
+def _load_vocab_and_model(args):
+    """The vocabulary and the checkpoint's model, refused unless their sizes agree."""
+    vocab = WordVocab.load(args.vocab)
+    model = load_checkpoint(args.checkpoint).model
+    if vocab.size != model.config.vocab_size:
+        raise WordlmError(f"vocabulary {args.vocab} holds {vocab.size} words, but checkpoint "
+                          f"{args.checkpoint} was trained on {model.config.vocab_size}")
+    return vocab, model
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +95,12 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_pretrain_projection(args) -> int:
-    if args.epochs < 1:
-        raise ContractError(f"--epochs must be >= 1, got {args.epochs}")
     v_in = _load_npz_array(args.pairs, "v_in")
     v_out = _load_npz_array(args.pairs, "v_out")
-    w, losses = pretrain_projection(v_in, v_out, args.lr, args.epochs, substream(args.seed, "init"))
-    np.savez(args.out, projection=w, final_loss=np.float32(losses[-1]))
+    w, mse = pretrain_projection(v_in, v_out)
+    np.savez(args.out, projection=w, final_loss=np.float32(mse))
     print(f"fitted {v_in.shape[1]}x{v_out.shape[1]} projection on {len(v_in)} pairs, "
-          f"final mse {losses[-1]:.6g} -> {args.out}")
+          f"final mse {mse:.6g} -> {args.out}")
     return 0
 
 
@@ -102,26 +111,35 @@ def cmd_pretrain(args) -> int:
     if args.seed is not None:
         overrides.append(f"train.seed={args.seed}")
     cfg = RunConfig.load(args.config, overrides=overrides)
-    train_cfg, policy = cfg.view(TrainConfig), cfg.view(MaskingPolicy)
+    vocab = WordVocab.load(args.vocab)
+    views, violations = [], []
+    for view in (lambda: cfg.view(TrainConfig), lambda: cfg.view(MaskingPolicy),
+                 lambda: cfg.view(ModelConfig, vocab_size=vocab.size)):
+        try:
+            views.append(view())
+        except ConfigError as err:
+            violations.extend(err.violations)
     if cfg["train.use_neighbors"] and not cfg["model.freeze_embeddings"]:
         # the neighbor lists are computed once, from the word table as it starts
-        raise ConfigError(["train.use_neighbors = true needs model.freeze_embeddings = true"])
-    vocab = WordVocab.load(args.vocab)
+        violations.append("train.use_neighbors = true needs model.freeze_embeddings = true")
+    if violations:  # every view's violations together, before the corpus is read
+        raise ConfigError(violations)
+    train_cfg, policy, model_cfg = views
+    model = _build_model(cfg, model_cfg, args.word_vectors, args.projection)
     corpus = read_corpus_lines(args.corpus)
-    model = _build_model(cfg, vocab, args.word_vectors, args.projection)
     neighbor_index = None
     if cfg["train.use_neighbors"]:
         neighbor_index = NeighborIndex(model.params["embedding.word"].data)
-    os.makedirs(args.out, exist_ok=True)
-    cfg.echo_into(args.out)
     records, optimizer = run_training(
         corpus, vocab, model, train_cfg, policy=policy, neighbor_index=neighbor_index,
         num_steps=args.steps,
     )
+    # written only once training ends, so a failed run leaves no output directory
+    os.makedirs(args.out, exist_ok=True)
+    cfg.echo_into(args.out)
     write_metrics(records, os.path.join(args.out, "metrics.tsv"))
-    final_step = records[-1].step + 1 if records else 0
     save_checkpoint(
-        model, optimizer, step=final_step,
+        model, optimizer, step=len(records),
         path=os.path.join(args.out, "checkpoint.ckpt"),
         digest=config_digest(cfg.text()),
     )
@@ -136,8 +154,7 @@ def cmd_probe(args) -> int:
     ks = cfg.topk_list()
     if not 0.0 < cfg["eval.mask_probability"] <= 1.0:
         raise ConfigError([f"eval.mask_probability {cfg['eval.mask_probability']} outside (0, 1]"])
-    vocab = WordVocab.load(args.vocab)
-    model = load_checkpoint(args.checkpoint).model
+    vocab, model = _load_vocab_and_model(args)
     if args.probes:
         probes = load_records(args.probes, ProbeExample)
     else:
@@ -178,8 +195,7 @@ def cmd_eval_cloze(args) -> int:
     items = load_records(args.items, ClozeItem)
     if not items:  # an accuracy over no items is undefined
         raise WordlmError(f"{args.items}: no records")
-    vocab = WordVocab.load(args.vocab)
-    model = load_checkpoint(args.checkpoint).model
+    vocab, model = _load_vocab_and_model(args)
     try:
         acc = cloze_accuracy(model, vocab, items, max_length=cfg["train.max_length"])
     except ContractError as err:
@@ -246,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit the source->hidden linear map on overlapping-word vector pairs")
     p.add_argument("--pairs", required=True, help="npz with arrays v_in [N,E] and v_out [N,H]")
     p.add_argument("--out", required=True, help="npz to write (array 'projection')")
-    p.add_argument("--lr", type=float, default=100.0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_pretrain_projection)
 
     p = sub.add_parser("pretrain", help="run MLM pretraining")

@@ -14,13 +14,12 @@ without replaying earlier steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, WordlmError
 from .model import WordBertModel
 from .optim import Adam
 from .sampling import NeighborIndex, remap_targets, sample_batch_vocab
@@ -131,39 +130,24 @@ def mlm_loss(
 # ---------------------------------------------------------------------------
 
 
-def pretrain_projection(
-    v_in: np.ndarray, v_out: np.ndarray, lr: float, epochs: int, rng: np.random.Generator
-) -> tuple[np.ndarray, list[float]]:
+def pretrain_projection(v_in: np.ndarray, v_out: np.ndarray) -> tuple[np.ndarray, float]:
     """Fit W [E,H] minimizing mean squared error of v_in [N,E] @ W against v_out [N,H].
 
-    Full-batch gradient descent in float32 on the elementwise-mean MSE, whose
-    gradient is v_in^T @ (diff * 2/n) for diff = v_in @ W - v_out and n = N*H
-    elements. Returns the fitted float32 map and the per-epoch loss history
-    (last entry is final). An ``lr`` that is not a finite number > 0 cannot
-    fit and raises ``ContractError``; so does a non-finite loss or map, the
-    mark of a step size that diverges, naming the epoch and the rate.
+    Ordinary least squares, solved once in float64: the minimum-norm W when
+    v_in has rank below E. Returns the float32 map and its float32 mean
+    squared error; a NaN or infinity in either array raises ``ContractError``.
     """
-    if not (math.isfinite(lr) and lr > 0):
-        raise ContractError(f"lr must be a finite number > 0, got {lr!r}")
     if v_in.ndim != 2 or v_out.ndim != 2 or not 0 < v_in.shape[0] == v_out.shape[0]:
         raise ContractError(
             f"pretrain_projection needs v_in [N,E] and v_out [N,H] with N >= 1, "
             f"got {v_in.shape} and {v_out.shape}"
         )
-    x = v_in.astype(np.float32)
-    y = v_out.astype(np.float32)
-    w = (rng.standard_normal((x.shape[1], y.shape[1])) * 0.02).astype(np.float32)
-    grad_scale = np.float32(2.0 / y.size)
-    losses = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, epochs + 1):
-            diff = x @ w - y
-            losses.append(float(np.float32((diff * diff).sum(dtype=np.float64) / diff.size)))
-            w -= np.float32(lr) * (x.T @ (diff * grad_scale))
-            if not (np.isfinite(losses[-1]) and np.isfinite(w).all()):
-                raise ContractError(f"projection fit diverged at epoch {epoch} with lr {lr!r} "
-                                    f"(loss {losses[-1]}, map finite: {np.isfinite(w).all()})")
-    return w, losses
+    if not (np.isfinite(v_in).all() and np.isfinite(v_out).all()):
+        raise ContractError("pretrain_projection: v_in or v_out holds a NaN or infinity")
+    w = np.linalg.lstsq(v_in.astype(np.float64), v_out.astype(np.float64), rcond=None)[0]
+    w = w.astype(np.float32)
+    diff = v_in.astype(np.float32) @ w - v_out.astype(np.float32)
+    return w, float(np.float32((diff * diff).sum(dtype=np.float64) / diff.size))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +173,11 @@ class TrainConfig:
                 f"warmup_steps {self.warmup_steps} must be < total_steps {self.total_steps}"
             )
         for name in ("peak_lr", "warmup_steps", "total_steps", "batch_size", "sample_size",
-                     "max_length", "neighbor_k"):
+                     "neighbor_k"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive")
+        if self.max_length < 3:  # [CLS], one word, [SEP]
+            problems.append(f"max_length {self.max_length} must be >= 3")
         if problems:
             raise ContractError("; ".join(problems))
 
@@ -274,7 +260,7 @@ def train(
         loss = mlm_loss(model, masked, batch_ids, rng=substream(cfg.seed, "dropout", step))
         loss_value = loss.item()
         if not np.isfinite(loss_value):
-            raise RuntimeError(
+            raise WordlmError(
                 f"non-finite loss {loss_value} at step {step}, batch lines {line_ids.tolist()}"
             )
         model.zero_grad()

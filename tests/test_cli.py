@@ -1,12 +1,18 @@
 """End-to-end CLI tests: commands, exit codes, artifacts, determinism."""
 
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wordlm.cli import main
+from wordlm.cli import build_parser, main
+from wordlm.vocab import WordVocab
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TOY_CFG = """\
 model.layers = 1
@@ -115,6 +121,38 @@ class TestPretrain:
         assert code == 3
         assert "model.depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--word-vectors", "--projection"])
+    def test_projected_inputs_refused_for_direct_variant(self, workdir, capsys, flag):
+        tmp, corpus, cfg = workdir
+        vocab = self._vocab(tmp, corpus)
+        capsys.readouterr()
+        out = tmp / "direct_run"
+        code = main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                     "--vocab", str(vocab), "--out", str(out), flag, str(tmp / "nothere.npz")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("wordlm: error: --word-vectors and --projection need "
+                                "model.variant = projected\n")
+        assert not out.exists()
+
+    def test_non_finite_loss_is_one_line_without_output(self, workdir, capsys):
+        tmp, corpus, cfg = workdir
+        vocab = self._vocab(tmp, corpus)
+        capsys.readouterr()
+        out = tmp / "diverged"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings may precede it
+            code = main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                         "--vocab", str(vocab), "--out", str(out),
+                         "--set", "train.peak_lr=1e10", "--set", "train.warmup_steps=1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"wordlm: error: non-finite loss \S+ at step \d+, batch lines \[.*\]\n",
+                            captured.err), captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "setting,keys",
         [
@@ -129,9 +167,16 @@ class TestPretrain:
             ("train.max_length=20", ["train.max_length", "model.max_positions"]),
             ("vocab.k=3", ["vocab.k"]),
             ("model.gelu_approx=false", ["model.gelu_approx"]),  # removed with the tanh GELU
-            ("train.use_neighbors=true train.neighbor_k=-1", ["train.neighbor_k"]),
+            # the toy config trains its word table, so the neighbors rule is broken too
+            ("train.use_neighbors=true train.neighbor_k=-1",
+             ["train.neighbor_k", "train.use_neighbors", "model.freeze_embeddings"]),
             # neighbor lists are computed once, so the word table they rank must not train
             ("train.use_neighbors=true", ["train.use_neighbors", "model.freeze_embeddings"]),
+            ("train.max_length=2", ["train.max_length"]),  # [CLS] + one word + [SEP] needs 3
+            # every view's violations are reported by one run
+            ("train.warmup_steps=12 train.mask_ratio=2 train.replace_mask=0.5 model.heads=3",
+             ["train.warmup_steps", "train.total_steps", "train.mask_ratio", "train.replace_mask",
+              "train.replace_random", "train.keep_original", "model.hidden", "model.heads"]),
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
@@ -150,6 +195,43 @@ class TestPretrain:
         assert all(any(key in line for key in keys) for line in lines), lines
         assert all(key in captured.err for key in keys), lines
         assert not out.exists()
+
+
+class TestPretrainProjection:
+    def test_writes_least_squares_map_and_its_mse(self, tmp_path, capsys):
+        rng = np.random.default_rng(71)
+        v_in = rng.standard_normal((50, 6)).astype(np.float32)
+        v_out = rng.standard_normal((50, 4)).astype(np.float32)
+        pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
+        np.savez(pairs, v_in=v_in, v_out=v_out)
+        run_ok(["pretrain-projection", "--pairs", str(pairs), "--out", str(out)])
+        with np.load(out) as z:
+            assert sorted(z.files) == ["final_loss", "projection"]
+            w, final = z["projection"], z["final_loss"]
+        expected = np.linalg.lstsq(v_in.astype(np.float64), v_out.astype(np.float64), rcond=None)[0]
+        np.testing.assert_allclose(w, expected, atol=1e-5)
+        assert final == np.float32(((v_in @ w - v_out) ** 2).mean(dtype=np.float64))
+        assert capsys.readouterr().out == (
+            f"fitted 6x4 projection on 50 pairs, final mse {final:.6g} -> {out}\n"
+        )
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [
+        words[1:]
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        for words in [shlex.split(line, comments=True)]
+        if words[:1] == ["wordlm"]
+    ]
+    assert commands
+    parser = build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: wordlm {shlex.join(words)}")
 
 
 @pytest.fixture
@@ -389,6 +471,30 @@ class TestExitCodes:
         assert captured.err == f"wordlm: error: {items}: item 2: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["probe", "eval-cloze"])
+    def test_vocabulary_of_another_size_than_checkpoint_is_plain_error(self, trained, capsys, command):
+        tmp, corpus, cfg, vocab, ckpt = trained
+        other_corpus, other, out = tmp / "other.txt", tmp / "other_vocab.tsv", tmp / "out"
+        other_corpus.write_text(" ".join(f"word{i}" for i in range(30)) + "\n")
+        run_ok(["build-vocab", "--corpus", str(other_corpus), "--k", "30", "--out", str(other)])
+        items = tmp / "cloze.jsonl"
+        items.write_text(CLOZE + '"answer_index": 0}\n')
+        argv = {
+            "probe": ["probe", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab", str(other),
+                      "--corpus", str(corpus), "--out", str(out)],
+            "eval-cloze": ["eval-cloze", "--config", str(cfg), "--checkpoint", str(ckpt),
+                           "--vocab", str(other), "--items", str(items), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wordlm: error: vocabulary {other} holds 35 words, but checkpoint {ckpt} "
+            f"was trained on {WordVocab.load(vocab).size}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval-cloze"])
     def test_evaluation_over_no_records_is_plain_error(self, workdir, capsys, command):
         tmp, corpus, cfg = workdir
@@ -401,29 +507,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"wordlm: error: {empty}: no records\n"
 
-    @pytest.mark.parametrize(
-        "flags,message",
-        [
-            (["--epochs", "0"], "--epochs must be >= 1, got 0"),
-            (["--lr", "50", "--epochs", "100"], "projection fit diverged at epoch "),
-            (["--lr", "0"], "lr must be a finite number > 0, got 0.0"),
-            (["--lr", "-1"], "lr must be a finite number > 0, got -1.0"),
-            (["--lr", "nan"], "lr must be a finite number > 0, got nan"),
-        ],
-        ids=["zero-epochs", "diverging-lr", "zero-lr", "negative-lr", "nan-lr"],
-    )
-    def test_pretrain_projection_refused_without_output(self, tmp_path, capsys, flags, message):
-        rng = np.random.default_rng(12)
+    @pytest.mark.parametrize("flag", ["--lr", "--epochs", "--seed"])
+    def test_pretrain_projection_has_no_descent_flags(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["pretrain-projection", "--pairs", str(tmp_path / "pairs.npz"),
+                  "--out", str(tmp_path / "proj.npz"), flag, "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name,bad", [("v_in", np.nan), ("v_out", np.inf)],
+                             ids=["nan-v_in", "inf-v_out"])
+    def test_pretrain_projection_non_finite_pairs_refused_without_output(
+        self, tmp_path, capsys, name, bad
+    ):
+        arrays = {"v_in": np.ones((6, 3)), "v_out": np.ones((6, 4))}
+        arrays[name][1, 2] = bad
         pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
-        np.savez(pairs, v_in=rng.standard_normal((120, 30)), v_out=rng.standard_normal((120, 40)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy's overflow warnings included
-            code = main(["pretrain-projection", "--pairs", str(pairs), "--out", str(out), *flags])
-        assert code == 1
+        np.savez(pairs, **arrays)
+        assert main(["pretrain-projection", "--pairs", str(pairs), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"wordlm: error: {message}"), captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err == (
+            "wordlm: error: pretrain_projection: v_in or v_out holds a NaN or infinity\n"
+        )
         assert not out.exists()
 
     def test_pretrain_zero_steps_rejected_before_output(self, workdir, capsys):
