@@ -107,13 +107,11 @@ def cmd_pretrain_projection(args) -> int:
 def cmd_pretrain(args) -> int:
     if args.steps is not None and args.steps < 1:
         raise ContractError(f"--steps must be >= 1, got {args.steps}")
-    overrides = list(args.set or [])
-    if args.seed is not None:
-        overrides.append(f"train.seed={args.seed}")
-    cfg = RunConfig.load(args.config, overrides=overrides)
+    cfg = RunConfig.load(args.config, overrides=args.set)
     vocab = WordVocab.load(args.vocab)
     views, violations = [], []
-    for view in (lambda: cfg.view(TrainConfig), lambda: cfg.view(MaskingPolicy),
+    for view in (lambda: cfg.view(TrainConfig, max_length=cfg["model.max_positions"]),
+                 lambda: cfg.view(MaskingPolicy),
                  lambda: cfg.view(ModelConfig, vocab_size=vocab.size)):
         try:
             views.append(view())
@@ -172,7 +170,7 @@ def cmd_probe(args) -> int:
                     lowercase=vocab.lowercase,
                 )
             )
-    report = probe_topk(model, vocab, probes, ks=ks, max_length=cfg["train.max_length"])
+    report = probe_topk(model, vocab, probes, ks=ks)
     header = "bucket\tmasked\toov" + "".join(f"\ttop-{k}" for k in ks)
     rows = [header]
     for bucket in BUCKET_NAMES:
@@ -191,19 +189,17 @@ def cmd_probe(args) -> int:
 
 
 def cmd_eval_cloze(args) -> int:
-    cfg = RunConfig.load(args.config, overrides=args.set)
     items = load_records(args.items, ClozeItem)
     if not items:  # an accuracy over no items is undefined
         raise WordlmError(f"{args.items}: no records")
     vocab, model = _load_vocab_and_model(args)
     try:
-        acc = cloze_accuracy(model, vocab, items, max_length=cfg["train.max_length"])
+        acc = cloze_accuracy(model, vocab, items)
     except ContractError as err:
         raise ContractError(f"{args.items}: {err}") from err
     print(f"cloze accuracy {acc:.4f} over {len(items)} items")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        cfg.echo_into(args.out)
         with open(os.path.join(args.out, "cloze_report.tsv"), "w", encoding="utf-8") as fh:
             fh.write(f"items\t{len(items)}\naccuracy\t{acc!r}\n")
     return 0
@@ -269,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override train.seed")
     p.add_argument("--steps", type=int, help="run only this many steps")
     p.add_argument("--word-vectors", help="npz with array 'vectors' (projected variant)")
     p.add_argument("--projection", help="npz with array 'projection' (projected variant)")
@@ -287,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("eval-cloze", help="score 4-option cloze items", epilog=_CLOZE_EXAMPLE)
-    _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--items", required=True)

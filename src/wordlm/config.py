@@ -1,10 +1,9 @@
-"""Flat ``key = value`` run configuration with env and CLI overrides.
+"""Flat ``key = value`` run configuration with command-line overrides.
 
 Keys are sectioned with dots (model.hidden, train.peak_lr). Precedence:
-defaults < config file < WORDLM_<SECTION>_<KEY> environment variables < CLI
-overrides. Unknown keys and uncoercible values are rejected together, each
-named in the error. A key backed by a dataclass field (``FIELD_KEYS``) takes
-its type and default from that field.
+defaults < config file < ``--set`` overrides. Unknown keys and uncoercible
+values are rejected together, each named in the error. A key backed by a
+dataclass field (``FIELD_KEYS``) takes its type and default from that field.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from .errors import ConfigError, ContractError
 from .evaluation import FrequencyBuckets
 from .model import ModelConfig
 from .training import MaskingPolicy, TrainConfig
+from .vocab import read_text_lines
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -35,10 +35,12 @@ _RENAMED = {
 }
 
 # dataclass -> {field name: dotted key}; vocab_size, layer_norm_eps and the
-# reference frequencies are not settings
+# reference frequencies are not settings, and TrainConfig.max_length, the
+# encoded window, is model.max_positions
 FIELD_KEYS = {
     cls: {f.name: f"{section}.{_RENAMED.get(f.name, f.name)}" for f in fields(cls)
-          if f.name not in ("vocab_size", "layer_norm_eps", "reference_frequencies")}
+          if f.name not in ("vocab_size", "layer_norm_eps", "reference_frequencies",
+                            "max_length")}
     for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (MaskingPolicy, "train"),
                          (FrequencyBuckets, "eval"))
 }
@@ -56,10 +58,6 @@ DECLARED_KEYS: dict[str, tuple] = {
 }
 
 
-def env_var_name(key: str) -> str:
-    return "WORDLM_" + key.replace(".", "_").upper()
-
-
 class RunConfig:
     """Effective merged configuration; every consumed key is declared."""
 
@@ -70,8 +68,7 @@ class RunConfig:
         return self.values[key]
 
     @classmethod
-    def load(cls, path=None, overrides: list[str] | None = None, env: dict | None = None):
-        env = os.environ if env is None else env
+    def load(cls, path=None, overrides: list[str] | None = None):
         values = {k: default for k, (_, default) in DECLARED_KEYS.items()}
         violations = []
 
@@ -87,10 +84,11 @@ class RunConfig:
 
         if path is not None:
             try:
-                with open(path, encoding="utf-8") as fh:
-                    lines = fh.readlines()
+                lines = read_text_lines(path)
             except OSError as err:
                 raise ConfigError([f"cannot read config file {path}: {err}"]) from err
+            except ContractError as err:  # a line that is not UTF-8
+                raise ConfigError([str(err)]) from err
             for lineno, line in enumerate(lines, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -100,11 +98,6 @@ class RunConfig:
                     continue
                 key, _, raw = stripped.partition("=")
                 apply(key.strip(), raw, f"{path}:{lineno}")
-
-        for key in DECLARED_KEYS:
-            var = env_var_name(key)
-            if var in env:
-                apply(key, env[var], f"env {var}")
 
         for item in overrides or []:
             if "=" not in item:
@@ -138,21 +131,12 @@ class RunConfig:
         outside quotes replaced by its key.
         """
         keys = FIELD_KEYS[cls]
-        violations = []
         try:
-            obj = cls(**extra, **{name: self[key] for name, key in keys.items()})
+            return cls(**extra, **{name: self[key] for name, key in keys.items()})
         except ContractError as err:
             field_name = r"'[^']*'|\b(" + "|".join(keys) + r")\b"
             keyed = re.sub(field_name, lambda m: keys[m[1]] if m[1] else m[0], str(err))
-            violations = keyed.split("; ")
-        if cls is TrainConfig and self["train.max_length"] > self["model.max_positions"]:
-            violations.append(
-                f"train.max_length {self['train.max_length']} exceeds "
-                f"model.max_positions {self['model.max_positions']}"
-            )
-        if violations:
-            raise ConfigError(violations)
-        return obj
+            raise ConfigError(keyed.split("; ")) from err
 
     def topk_list(self) -> tuple[int, ...]:
         topk = self["eval.topk"]

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .model import WordBertModel
-from .vocab import MASK_ID, WordVocab, encode, segment_words
+from .vocab import MASK_ID, WordVocab, encode, read_text_lines, segment_words
 
 BUCKET_NAMES = ("High", "Medium", "Low", "Rare")
 BLANK_SENTINEL = "[BLANK]"
@@ -240,32 +240,31 @@ def load_records(path, cls) -> list:
     are its field names, every one required and of its annotated JSON type."""
     hints = get_type_hints(cls)
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ContractError(f"{path}:{lineno}: invalid JSON: {err}") from err
-            if not isinstance(obj, dict):
-                raise ContractError(f"{path}:{lineno}: not a JSON object: {line!r}")
-            unknown = set(obj) - set(hints)
-            if unknown:
-                raise ContractError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-            missing = [name for name in hints if name not in obj]
-            if missing:
-                raise ContractError(f"{path}:{lineno}: missing fields {missing}")
-            for name, hint in hints.items():
-                if not _has_shape(obj[name], hint):
-                    raise ContractError(
-                        f"{path}:{lineno}: {name} must be {_JSON_SHAPES[hint]}, got {obj[name]!r}"
-                    )
-            try:
-                records.append(cls(**obj))
-            except ContractError as err:
-                raise ContractError(f"{path}:{lineno}: {err}") from err
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ContractError(f"{path}:{lineno}: invalid JSON: {err}") from err
+        if not isinstance(obj, dict):
+            raise ContractError(f"{path}:{lineno}: not a JSON object: {line!r}")
+        unknown = set(obj) - set(hints)
+        if unknown:
+            raise ContractError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
+        missing = [name for name in hints if name not in obj]
+        if missing:
+            raise ContractError(f"{path}:{lineno}: missing fields {missing}")
+        for name, hint in hints.items():
+            if not _has_shape(obj[name], hint):
+                raise ContractError(
+                    f"{path}:{lineno}: {name} must be {_JSON_SHAPES[hint]}, got {obj[name]!r}"
+                )
+        try:
+            records.append(cls(**obj))
+        except ContractError as err:
+            raise ContractError(f"{path}:{lineno}: {err}") from err
     return records
 
 

@@ -46,6 +46,8 @@ class ModelConfig:
         problems = []
         if self.vocab_size < 5:
             problems.append(f"vocab_size {self.vocab_size} must cover the specials")
+        if self.max_positions < 3:  # [CLS], one word, [SEP]
+            problems.append(f"max_positions {self.max_positions} must be >= 3")
         if self.num_heads < 1:
             problems.append(f"num_heads {self.num_heads} must be positive")
         elif self.hidden % self.num_heads != 0:

@@ -176,8 +176,6 @@ class TrainConfig:
                      "neighbor_k"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive")
-        if self.max_length < 3:  # [CLS], one word, [SEP]
-            problems.append(f"max_length {self.max_length} must be >= 3")
         if problems:
             raise ContractError("; ".join(problems))
 

@@ -56,21 +56,29 @@ def count_frequencies(documents, lowercase: bool = True) -> Counter:
     return counts
 
 
-def read_corpus_lines(path) -> list[str]:
-    """The UTF-8 lines of a one-document-per-line corpus file, split at LF,
-    CRLF or CR; a failure names the file (and line)."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as err:
-        raise ContractError(f"unreadable document {path}: {err}") from err
+def read_text_lines(path) -> list[str]:
+    """The UTF-8 lines of a text file, split at LF, CRLF or CR; a line that is
+    not UTF-8 is a ``ContractError`` naming ``path:line``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     lines = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         try:
             lines.append(line.decode("utf-8"))
         except UnicodeDecodeError as err:
-            raise ContractError(f"unreadable document {path}:{lineno}: {err}") from err
+            raise ContractError(f"{path}:{lineno}: {err}") from err
     return lines
+
+
+def read_corpus_lines(path) -> list[str]:
+    """The lines of a one-document-per-line corpus file; a failure names the
+    file (and line)."""
+    try:
+        return read_text_lines(path)
+    except OSError as err:
+        raise ContractError(f"unreadable document {path}: {err}") from err
+    except ContractError as err:
+        raise ContractError(f"unreadable document {err}") from err
 
 
 def count_corpus_file(path, lowercase: bool = True) -> Counter:
@@ -87,11 +95,12 @@ class WordVocab:
         self.lowercase = bool(lowercase)
         if tuple(self.words[:NUM_SPECIALS]) != SPECIAL_TOKENS:
             raise ContractError("vocabulary must start with the five special tokens")
-        if len(self.words) != len(set(self.words)):
-            raise ContractError("vocabulary contains duplicate words")
+        self.id_of = {w: i for i, w in enumerate(self.words)}
+        if len(self.id_of) != len(self.words):  # id_of keeps each word's last id
+            first = next(w for i, w in enumerate(self.words) if self.id_of[w] != i)
+            raise ContractError(f"vocabulary contains duplicate word {first!r}")
         if self.frequency.shape != (len(self.words),):
             raise ContractError("frequency array length does not match word list")
-        self.id_of = {w: i for i, w in enumerate(self.words)}
 
     @property
     def size(self) -> int:
@@ -106,22 +115,24 @@ class WordVocab:
 
     @classmethod
     def load(cls, path) -> "WordVocab":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(_HEADER_PREFIX):
-                raise ContractError(f"{path}: not a wordvocab {SEGMENTATION_VERSION} file")
-            lowercase = header[len(_HEADER_PREFIX):] == "true"
-            words, freqs = [], []
-            for lineno, line in enumerate(fh, start=2):
-                word, _, freq = line.rstrip("\n").partition("\t")
-                try:
-                    freqs.append(int(freq))
-                except ValueError as err:
-                    raise ContractError(
-                        f"{path}:{lineno}: frequency {freq!r} is not an integer"
-                    ) from err
-                words.append(word)
-        return cls(words, freqs, lowercase=lowercase)
+        lines = read_text_lines(path)
+        if not lines or not lines[0].startswith(_HEADER_PREFIX):
+            raise ContractError(f"{path}: not a wordvocab {SEGMENTATION_VERSION} file")
+        lowercase = lines[0][len(_HEADER_PREFIX):] == "true"
+        words, freqs = [], []
+        for lineno, line in enumerate(lines[1:], start=2):
+            word, _, freq = line.partition("\t")
+            try:
+                freqs.append(int(freq))
+            except ValueError as err:
+                raise ContractError(
+                    f"{path}:{lineno}: frequency {freq!r} is not an integer"
+                ) from err
+            words.append(word)
+        try:
+            return cls(words, freqs, lowercase=lowercase)
+        except ContractError as err:
+            raise ContractError(f"{path}: {err}") from err
 
 
 def build_vocabulary(freqs, k: int, lowercase: bool = True) -> WordVocab:

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: commands, exit codes, artifacts, determinism."""
 
+import argparse
+import ast
 import json
 import re
 import shlex
@@ -9,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wordlm import cli
 from wordlm.cli import build_parser, main
+from wordlm.config import RunConfig
 from wordlm.vocab import WordVocab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -19,7 +23,7 @@ model.layers = 1
 model.heads = 2
 model.hidden = 8
 model.embed_dim = 8
-model.max_positions = 10
+model.max_positions = 8
 model.dropout = 0.0
 train.peak_lr = 1e-3
 train.warmup_steps = 2
@@ -27,7 +31,6 @@ train.total_steps = 12
 train.batch_size = 4
 train.seed = 3
 train.sample_size = 50
-train.max_length = 8
 eval.threshold_high = 20
 eval.threshold_medium = 10
 eval.threshold_low = 3
@@ -93,7 +96,7 @@ class TestPretrain:
             out = tmp / name
             run_ok([
                 "pretrain", "--config", str(cfg), "--corpus", str(corpus),
-                "--vocab", str(vocab), "--out", str(out), "--seed", "7",
+                "--vocab", str(vocab), "--out", str(out), "--set", "train.seed=7",
             ])
             outs.append(out)
         m1 = (outs[0] / "metrics.tsv").read_bytes()
@@ -101,15 +104,6 @@ class TestPretrain:
         assert m1 == m2
         assert (outs[0] / "checkpoint.ckpt").exists()
         assert (outs[0] / "effective.cfg").read_text().splitlines()[0].startswith("eval.")
-
-    def test_env_override_reaches_training(self, workdir, monkeypatch):
-        tmp, corpus, cfg = workdir
-        vocab = self._vocab(tmp, corpus)
-        monkeypatch.setenv("WORDLM_TRAIN_TOTAL_STEPS", "9")
-        out = tmp / "env_run"
-        run_ok(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
-                "--vocab", str(vocab), "--out", str(out)])
-        assert len((out / "metrics.tsv").read_text().splitlines()) == 9
 
     def test_invalid_config_exits_3(self, workdir, capsys):
         tmp, corpus, cfg = workdir
@@ -164,7 +158,7 @@ class TestPretrain:
             ("model.hidden=15", ["model.hidden", "model.heads", "model.embed_dim"]),
             ("model.dropout=1.5", ["model.dropout"]),
             ("model.variant=bogus", ["model.variant"]),
-            ("train.max_length=20", ["train.max_length", "model.max_positions"]),
+            ("train.max_length=20", ["train.max_length"]),  # the window is model.max_positions
             ("vocab.k=3", ["vocab.k"]),
             ("model.gelu_approx=false", ["model.gelu_approx"]),  # removed with the tanh GELU
             # the toy config trains its word table, so the neighbors rule is broken too
@@ -172,11 +166,12 @@ class TestPretrain:
              ["train.neighbor_k", "train.use_neighbors", "model.freeze_embeddings"]),
             # neighbor lists are computed once, so the word table they rank must not train
             ("train.use_neighbors=true", ["train.use_neighbors", "model.freeze_embeddings"]),
-            ("train.max_length=2", ["train.max_length"]),  # [CLS] + one word + [SEP] needs 3
+            ("train.max_length=2", ["train.max_length"]),
             # every view's violations are reported by one run
             ("train.warmup_steps=12 train.mask_ratio=2 train.replace_mask=0.5 model.heads=3",
              ["train.warmup_steps", "train.total_steps", "train.mask_ratio", "train.replace_mask",
               "train.replace_random", "train.keep_original", "model.hidden", "model.heads"]),
+            ("model.max_positions=2", ["model.max_positions"]),  # [CLS] + one word + [SEP] needs 3
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
@@ -216,8 +211,15 @@ class TestPretrainProjection:
         )
 
 
-def test_readme_commands_parse():
-    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+def test_readme_commands_parse(tmp_path):
+    readme = README.read_text(encoding="utf-8")
+    configs = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert configs
+    for text in configs:
+        path = tmp_path / "readme.cfg"
+        path.write_text(text, encoding="utf-8")
+        RunConfig.load(path)  # an unknown key or bad value raises ConfigError
+    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
     commands = [
         words[1:]
         for block in blocks
@@ -232,6 +234,36 @@ def test_readme_commands_parse():
             parser.parse_args(words)
         except SystemExit:
             pytest.fail(f"README command does not parse: wordlm {shlex.join(words)}")
+
+
+def test_every_flag_is_read_by_its_command():
+    """Each flag of a subcommand is read as ``args.<dest>`` by its command
+    function or by a ``cli`` function that it hands ``args`` to."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def read_by(name):
+        read = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "args":
+                read.add(node.attr)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in functions \
+                    and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+                read |= read_by(node.func.id)
+        return read
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unread = [
+        f"{command} {action.dest}"
+        for command, sub in commands.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        and action.dest not in read_by(sub.get_default("fn").__name__)
+    ]
+    assert unread == []
 
 
 @pytest.fixture
@@ -277,7 +309,7 @@ class TestEvalCommands:
 
         report = probe_topk(
             load_checkpoint(ckpt).model, WordVocab.load(vocab),
-            load_records(probes, ProbeExample), ks=(1, 5, 10), max_length=8,
+            load_records(probes, ProbeExample), ks=(1, 5, 10),
         )
         table = {row.split("\t")[0]: row.split("\t") for row in out[1:]}
         for bucket in ("High", "Low"):
@@ -294,6 +326,9 @@ class TestEvalCommands:
             ("eval.mask_probability=2", ["eval.mask_probability"]),
             ("eval.mask_probability=0", ["eval.mask_probability"]),
             ("eval.topk=0,5", ["eval.topk"]),
+            # the window is the checkpoint's model.max_positions
+            ("train.max_length=2", ["unknown key 'train.max_length'"]),
+            ("train.max_length=20", ["unknown key 'train.max_length'"]),
         ],
     )
     def test_probe_invalid_setting_exits_3_before_reading(self, workdir, capsys, setting, keys):
@@ -319,7 +354,7 @@ class TestEvalCommands:
             "options": ["moon", "rain", "wind", "cloud"],
             "answer_index": 0,
         }) + "\n")
-        run_ok(["eval-cloze", "--config", str(cfg), "--checkpoint", str(ckpt),
+        run_ok(["eval-cloze", "--checkpoint", str(ckpt),
                 "--vocab", str(vocab), "--items", str(items)])
         assert "cloze accuracy" in capsys.readouterr().out
 
@@ -418,7 +453,7 @@ class TestExitCodes:
                          "--vocab", str(bad), "--out", str(out)],
             "pretrain-projection": ["pretrain-projection", "--pairs", str(bad), "--out", str(out)],
             # the items are read first: neither the vocabulary nor the checkpoint exists
-            "eval-cloze": ["eval-cloze", "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+            "eval-cloze": ["eval-cloze", "--checkpoint", str(tmp / "none.ckpt"),
                            "--vocab", str(tmp / "none.tsv"), "--items", str(bad), "--out", str(out)],
         }[case]
         assert main(argv) == 1
@@ -449,7 +484,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "second,message",
         [
-            # the toy config encodes train.max_length = 8 positions: 6 words
+            # the checkpoint encodes model.max_positions = 8 positions: 6 words
             ({"passage_words": ["sun"] * 15 + ["[BLANK]"], "options": ["moon", "rain", "wind", "fog"]},
              "blank position falls outside the encoded window"),
             ({"passage_words": ["sun", "[BLANK]"], "options": ["a", "b", "c", "d"]},
@@ -464,11 +499,94 @@ class TestExitCodes:
         items.write_text("".join(json.dumps({**item, "answer_index": 0}) + "\n"
                                  for item in (good, second)))
         capsys.readouterr()
-        assert main(["eval-cloze", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab",
+        assert main(["eval-cloze", "--checkpoint", str(ckpt), "--vocab",
                      str(vocab), "--items", str(items), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"wordlm: error: {items}: item 2: {message}\n"
+        assert not out.exists()
+
+    def test_cloze_window_is_the_checkpoints_max_positions(self, trained, capsys):
+        """max_positions = 8 encodes [CLS], 6 words and [SEP]: a blank that is
+        the 6th word is scored, and one that is the 7th is outside the window."""
+        tmp, corpus, cfg, vocab, ckpt = trained
+        options = {"options": ["moon", "rain", "wind", "fog"], "answer_index": 0}
+        sixth = json.dumps({"passage_words": ["sun"] * 5 + ["[BLANK]"], **options}) + "\n"
+        seventh = json.dumps({"passage_words": ["sun"] * 6 + ["[BLANK]"], **options}) + "\n"
+        items, out = tmp / "cloze.jsonl", tmp / "out"
+        items.write_text(sixth)
+        capsys.readouterr()
+        run_ok(["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                "--items", str(items), "--out", str(out)])
+        assert capsys.readouterr().out.endswith(" over 1 items\n")
+        assert [p.name for p in out.iterdir()] == ["cloze_report.tsv"]  # no setting to echo
+        items.write_text(sixth + seventh)
+        assert main(["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                     "--items", str(items)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"wordlm: error: {items}: item 2: "
+                                "blank position falls outside the encoded window\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pretrain", "--corpus", "c", "--vocab", "v", "--out", "o", "--seed", "7"],
+         ["eval-cloze", "--checkpoint", "c", "--vocab", "v", "--items", "i", "--config", "x"],
+         ["eval-cloze", "--checkpoint", "c", "--vocab", "v", "--items", "i", "--set", "k=v"]],
+        ids=["pretrain-seed", "eval-cloze-config", "eval-cloze-set"],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reader,code,prefix",
+        [("vocab", 1, "error"), ("config", 3, "config error"), ("items", 1, "error")],
+        ids=["vocab", "config", "items"],
+    )
+    def test_undecodable_line_is_one_line(self, workdir, capsys, reader, code, prefix):
+        tmp, corpus, cfg = workdir
+        bad, out = tmp / "bad", tmp / "out"
+        bad.write_bytes(b"# line one\n\xff\xfe bad\n")
+        # each file is read before the checkpoint, which does not exist
+        argv = {
+            "vocab": ["probe", "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+                      "--vocab", str(bad), "--corpus", str(corpus), "--out", str(out)],
+            "config": ["probe", "--config", str(bad), "--checkpoint", str(tmp / "none.ckpt"),
+                       "--vocab", str(tmp / "none.tsv"), "--corpus", str(corpus),
+                       "--out", str(out)],
+            "items": ["eval-cloze", "--checkpoint", str(tmp / "none.ckpt"),
+                      "--vocab", str(tmp / "none.tsv"), "--items", str(bad), "--out", str(out)],
+        }[reader]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"wordlm: {prefix}: {bad}:2: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "words,message",
+        [
+            (["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "sun", "moon", "rain", "moon", "sun"],
+             "vocabulary contains duplicate word 'sun'"),
+            (["[PAD]", "[UNK]", "[CLS]", "[MASK]", "[SEP]", "sun"],
+             "vocabulary must start with the five special tokens"),
+        ],
+        ids=["duplicate-word", "specials-out-of-order"],
+    )
+    def test_vocabulary_content_error_names_file(self, workdir, capsys, words, message):
+        tmp, corpus, cfg = workdir
+        bad, out = tmp / "vocab.tsv", tmp / "out"
+        bad.write_text("#wordvocab v1 lowercase=true\n" + "".join(f"{w}\t1\n" for w in words))
+        assert main(["probe", "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+                     "--vocab", str(bad), "--corpus", str(corpus), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wordlm: error: {bad}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["probe", "eval-cloze"])
@@ -482,7 +600,7 @@ class TestExitCodes:
         argv = {
             "probe": ["probe", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab", str(other),
                       "--corpus", str(corpus), "--out", str(out)],
-            "eval-cloze": ["eval-cloze", "--config", str(cfg), "--checkpoint", str(ckpt),
+            "eval-cloze": ["eval-cloze", "--checkpoint", str(ckpt),
                            "--vocab", str(other), "--items", str(items), "--out", str(out)],
         }[command]
         capsys.readouterr()
@@ -501,7 +619,7 @@ class TestExitCodes:
         empty = tmp / "empty.jsonl"
         empty.write_text("\n")
         # the items are read first: neither the vocabulary nor the checkpoint exists
-        assert main([command, "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+        assert main([command, "--checkpoint", str(tmp / "none.ckpt"),
                      "--vocab", str(tmp / "none.tsv"), "--items", str(empty)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

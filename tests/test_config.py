@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from wordlm import cli, config
-from wordlm.config import DECLARED_KEYS, RunConfig, env_var_name
+from wordlm.config import DECLARED_KEYS, RunConfig
 from wordlm.errors import ConfigError, ContractError
 from wordlm.evaluation import ClozeItem, FrequencyBuckets, ProbeExample
 from wordlm.model import ModelConfig
@@ -40,7 +40,7 @@ def test_settings_and_records_check_themselves_when_built(build, message):
 
 class TestLoading:
     def test_defaults(self):
-        cfg = RunConfig.load(env={})
+        cfg = RunConfig.load()
         assert cfg["model.hidden"] == 768
         assert cfg["train.peak_lr"] == 5e-5
         assert cfg["train.warmup_steps"] == 5_000
@@ -48,34 +48,23 @@ class TestLoading:
     def test_file_values_override_defaults(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# comment\n\nmodel.hidden = 64\ntrain.peak_lr = 1e-3\n")
-        cfg = RunConfig.load(p, env={})
+        cfg = RunConfig.load(p)
         assert cfg["model.hidden"] == 64
         assert cfg["train.peak_lr"] == 1e-3
-
-    def test_env_overrides_file(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("train.batch_size = 8\n")
-        cfg = RunConfig.load(p, env={"WORDLM_TRAIN_BATCH_SIZE": "16"})
-        assert cfg["train.batch_size"] == 16
-
-    def test_cli_overrides_env(self, tmp_path):
-        cfg = RunConfig.load(
-            None, overrides=["train.batch_size=32"], env={"WORDLM_TRAIN_BATCH_SIZE": "16"}
-        )
-        assert cfg["train.batch_size"] == 32
+        assert RunConfig.load(p, overrides=["model.hidden=32"])["model.hidden"] == 32  # --set wins
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("model.depth = 3\n")
         with pytest.raises(ConfigError) as exc:
-            RunConfig.load(p, env={})
+            RunConfig.load(p)
         assert "model.depth" in str(exc.value)
 
     def test_all_violations_listed(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("bogus.key = 1\nmodel.hidden = not-a-number\n")
         with pytest.raises(ConfigError) as exc:
-            RunConfig.load(p, env={})
+            RunConfig.load(p)
         assert "bogus.key" in str(exc.value)
         assert "model.hidden" in str(exc.value)
 
@@ -83,39 +72,33 @@ class TestLoading:
         p = tmp_path / "run.cfg"
         p.write_text("just some words\n")
         with pytest.raises(ConfigError, match="key = value"):
-            RunConfig.load(p, env={})
+            RunConfig.load(p)
 
     def test_bool_parsing(self):
-        cfg = RunConfig.load(None, overrides=["model.freeze_embeddings=true"], env={})
+        cfg = RunConfig.load(None, overrides=["model.freeze_embeddings=true"])
         assert cfg["model.freeze_embeddings"] is True
         with pytest.raises(ConfigError):
-            RunConfig.load(None, overrides=["model.freeze_embeddings=maybe"], env={})
-
-    def test_every_declared_key_has_env_name(self):
-        names = {env_var_name(k) for k in DECLARED_KEYS}
-        assert len(names) == len(DECLARED_KEYS)
-        assert env_var_name("train.peak_lr") == "WORDLM_TRAIN_PEAK_LR"
+            RunConfig.load(None, overrides=["model.freeze_embeddings=maybe"])
 
 
 class TestViews:
     def test_canonical_text_round_trips(self, tmp_path):
-        cfg = RunConfig.load(None, overrides=["model.hidden=32"], env={})
+        cfg = RunConfig.load(None, overrides=["model.hidden=32"])
         p = tmp_path / "echo.cfg"
         p.write_text(cfg.text())
-        again = RunConfig.load(p, env={})
+        again = RunConfig.load(p)
         assert again.values == cfg.values
         assert again.text() == cfg.text()
 
     def test_echo_into_directory(self, tmp_path):
-        cfg = RunConfig.load(env={})
+        cfg = RunConfig.load()
         cfg.echo_into(tmp_path)
         assert (tmp_path / "effective.cfg").read_text() == cfg.text()
 
     def test_model_config_view(self):
         cfg = RunConfig.load(
             None,
-            overrides=["model.layers=2", "model.hidden=16", "model.embed_dim=16", "model.heads=2"],
-            env={},
+            overrides=["model.layers=2", "model.hidden=16", "model.embed_dim=16", "model.heads=2"]
         )
         mc = cfg.view(ModelConfig, vocab_size=100)
         assert (mc.num_layers, mc.num_heads, mc.hidden, mc.vocab_size) == (2, 2, 16, 100)
@@ -123,8 +106,7 @@ class TestViews:
     def test_train_and_masking_views(self):
         cfg = RunConfig.load(
             None,
-            overrides=["train.mask_ratio=0.2", "train.total_steps=100", "train.warmup_steps=10"],
-            env={},
+            overrides=["train.mask_ratio=0.2", "train.total_steps=100", "train.warmup_steps=10"]
         )
         tc = cfg.view(TrainConfig)
         assert tc.total_steps == 100
@@ -132,14 +114,15 @@ class TestViews:
         assert mp.mask_ratio == 0.2
 
     def test_defaults_are_the_dataclass_defaults(self):
-        cfg = RunConfig.load(env={})
+        cfg = RunConfig.load()
         assert cfg.view(ModelConfig, vocab_size=100) == ModelConfig(vocab_size=100)
         assert cfg.view(TrainConfig) == TrainConfig()
         assert cfg.view(MaskingPolicy) == MaskingPolicy()
         assert cfg.view(FrequencyBuckets, reference_frequencies={}) == FrequencyBuckets({})
-        assert len(DECLARED_KEYS) == 27
+        assert len(DECLARED_KEYS) == 26
         assert {"model.layers", "model.heads"} <= set(DECLARED_KEYS)
-        assert not {"model.vocab_size", "model.layer_norm_eps", "vocab.k"} & set(DECLARED_KEYS)
+        assert not {"model.vocab_size", "model.layer_norm_eps", "vocab.k",
+                    "train.max_length"} & set(DECLARED_KEYS)
 
     @pytest.mark.parametrize(
         "overrides,cls,expected",
@@ -151,17 +134,16 @@ class TestViews:
              ["train.mask_ratio 0.0 outside (0, 1]",
               "train.replace_mask + train.replace_random + train.keep_original sum to 1.2, "
               "expected 1"]),
-            (["train.max_length=600"], TrainConfig,
-             ["train.max_length 600 exceeds model.max_positions 512"]),
+            (["model.max_positions=2"], ModelConfig, ["model.max_positions 2 must be >= 3"]),
             (["eval.threshold_medium=5000"], FrequencyBuckets,
              ["thresholds must satisfy eval.threshold_high > eval.threshold_medium > "
               "eval.threshold_low > 0, got 3000/5000/3"]),
         ],
-        ids=["heads-zero", "quoted-value-kept", "two-masking-violations", "max-length",
+        ids=["heads-zero", "quoted-value-kept", "two-masking-violations", "max-positions",
              "bucket-thresholds"],
     )
     def test_violations_name_keys(self, overrides, cls, expected):
-        cfg = RunConfig.load(None, overrides=overrides, env={})
+        cfg = RunConfig.load(None, overrides=overrides)
         extra = {ModelConfig: {"vocab_size": 100},
                  FrequencyBuckets: {"reference_frequencies": {}}}.get(cls, {})
         with pytest.raises(ConfigError) as exc:
@@ -169,12 +151,12 @@ class TestViews:
         assert exc.value.violations == expected
 
     def test_topk_list(self):
-        cfg = RunConfig.load(None, overrides=["eval.topk=1,5,10"], env={})
+        cfg = RunConfig.load(None, overrides=["eval.topk=1,5,10"])
         assert cfg.topk_list() == (1, 5, 10)
-        bad = RunConfig.load(None, overrides=["eval.topk=one"], env={})
+        bad = RunConfig.load(None, overrides=["eval.topk=one"])
         with pytest.raises(ConfigError):
             bad.topk_list()
-        below_one = RunConfig.load(None, overrides=["eval.topk=0,-3"], env={})
+        below_one = RunConfig.load(None, overrides=["eval.topk=0,-3"])
         with pytest.raises(ConfigError, match="eval.topk"):
             below_one.topk_list()
 
