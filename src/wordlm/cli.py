@@ -33,7 +33,13 @@ from .sampling import NeighborIndex
 from .seeding import substream
 from .training import MaskingPolicy, TrainConfig, pretrain_projection, write_metrics
 from .training import train as run_training
-from .vocab import WordVocab, build_vocabulary, count_corpus_file, read_corpus_lines
+from .vocab import (
+    NUM_SPECIALS,
+    WordVocab,
+    build_vocabulary,
+    count_corpus_file,
+    read_corpus_lines,
+)
 
 _CLOZE_EXAMPLE = (
     'cloze JSONL example: {"passage_words": ["the", "dog", "[BLANK]", "loudly"], '
@@ -90,7 +96,8 @@ def cmd_build_vocab(args) -> int:
     counts = count_corpus_file(args.corpus, lowercase=not args.no_lowercase)
     vocab = build_vocabulary(counts, k=args.k, lowercase=not args.no_lowercase)
     vocab.save(args.out)
-    print(f"wrote {vocab.size} words ({args.k} requested + specials) to {args.out}")
+    print(f"wrote {vocab.size} words ({vocab.size - NUM_SPECIALS} corpus words of {args.k} "
+          f"requested + {NUM_SPECIALS} specials) to {args.out}")
     return 0
 
 

@@ -2,10 +2,13 @@
 
 All kernels take and return float32 arrays; 2-D inputs are rows, and callers
 flatten leading dimensions. The elementwise kernels (GELU, Adam) compute in
-float32; the GELU is the exact one, x * Phi(x) with the erf Gaussian CDF.
-Adam updates param, m and v in place, chunk by chunk, through one scratch
-buffer per call. The reductions (layer norm, softmax, cross-entropy)
-accumulate in float64.
+float32; the GELU is the exact one, x * Phi(x) with the erf Gaussian CDF. Its
+forward also returns erf(x / sqrt 2) + 1, which the backward takes instead of
+computing erf again. Adam updates param, m and v in place, chunk by chunk,
+through one scratch buffer per call. The reductions (layer norm, softmax,
+cross-entropy) accumulate in float64. The row scatter adds each id's first
+row in one buffered step and the repeats after it, so every table row gets
+its additions in the order ``np.add.at`` gives them, with the same bits.
 """
 
 import math
@@ -25,17 +28,16 @@ _ADAM_CHUNK = 1 << 14
 
 
 def gelu_erf_fwd(x):
-    y = _erf(x * np.float32(_INV_SQRT2))
-    y += 1.0
-    y *= x
+    """(y, erf1): the GELU of x, and erf(x / sqrt 2) + 1 for the backward."""
+    erf1 = _erf(x * np.float32(_INV_SQRT2))
+    erf1 += 1.0
+    y = erf1 * x
     y *= 0.5
-    return y
+    return y, erf1
 
 
-def gelu_erf_bwd(x, gout):
-    cdf = _erf(x * np.float32(_INV_SQRT2))
-    cdf += 1.0
-    cdf *= 0.5
+def gelu_erf_bwd(x, erf1, gout):
+    cdf = erf1 * 0.5
     xpdf = x * x
     xpdf *= -0.5
     np.exp(xpdf, out=xpdf)
@@ -131,7 +133,14 @@ def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
 
 
 def scatter_add_rows(out, ids, rows):
-    np.add.at(out, ids, rows)
+    # First occurrences through one buffered fancy-index add (unique ids, no
+    # collisions), then the repeats in their original order.
+    unique, first = np.unique(ids, return_index=True)
+    out[unique] += rows[first]
+    if first.size < ids.size:
+        rest = np.ones(ids.size, bool)
+        rest[first] = False
+        np.add.at(out, ids[rest], rows[rest])
 
 
 def scatter_add_vec(out, ids, vals):

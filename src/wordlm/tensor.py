@@ -3,9 +3,11 @@
 Every differentiable operation records its parents and a backward closure on
 the output tensor; ``Tensor.backward()`` on a scalar loss topologically sorts
 the graph and accumulates gradients into every reachable tensor that requires
-them. Gradients accumulate additively and must be zeroed explicitly between
-optimizer steps. Hot elementwise/row-wise math is delegated to
-:mod:`wordlm.kernels`; matrix products stay on BLAS via ``np.matmul``.
+them. Leaves (parameters and inputs) accumulate additively across calls and
+must be zeroed explicitly between optimizer steps; an interior tensor's
+gradient is released as soon as its backward closure has passed it on. Hot
+elementwise/row-wise math is delegated to :mod:`wordlm.kernels`; matrix
+products stay on BLAS via ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -52,9 +54,14 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match tensor {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A new array in one pass, with the bits of 0 + g (-0.0 becomes
+            # +0.0); never g itself, which a backward may hand to two parents.
+            self.grad = np.add(g, np.float32(0), dtype=np.float32)
+        else:
+            self.grad += g
 
     def backward(self):
         """Populate ``grad`` on every reachable tensor that requires it."""
@@ -81,6 +88,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -177,11 +185,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact (erf) Gaussian CDF, the encoder's only activation."""
-    data = kernels.gelu_erf_fwd(x.data)
+    data, erf1 = kernels.gelu_erf_fwd(x.data)
 
     def bw(g):
         if x.requires_grad:
-            x.accumulate_grad(kernels.gelu_erf_bwd(x.data, g))
+            x.accumulate_grad(kernels.gelu_erf_bwd(x.data, erf1, g))
 
     return _make(data, (x,), bw)
 
@@ -272,7 +280,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     def bw(g):
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
+                table.grad = np.zeros(table.data.shape, np.float32)
             if table.data.ndim == 1:
                 kernels.scatter_add_vec(table.grad, ids, g)
             else:

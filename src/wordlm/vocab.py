@@ -118,7 +118,9 @@ class WordVocab:
         lines = read_text_lines(path)
         if not lines or not lines[0].startswith(_HEADER_PREFIX):
             raise ContractError(f"{path}: not a wordvocab {SEGMENTATION_VERSION} file")
-        lowercase = lines[0][len(_HEADER_PREFIX):] == "true"
+        flag = lines[0][len(_HEADER_PREFIX):]
+        if flag not in ("true", "false"):
+            raise ContractError(f"{path}:1: lowercase={flag!r} must be true or false")
         words, freqs = [], []
         for lineno, line in enumerate(lines[1:], start=2):
             word, _, freq = line.partition("\t")
@@ -130,7 +132,7 @@ class WordVocab:
                 ) from err
             words.append(word)
         try:
-            return cls(words, freqs, lowercase=lowercase)
+            return cls(words, freqs, lowercase=flag == "true")
         except ContractError as err:
             raise ContractError(f"{path}: {err}") from err
 

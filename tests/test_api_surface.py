@@ -1,5 +1,6 @@
 """Every public function, class and method of wordlm has a caller outside the
 tests, and every private module-level function and class has one in the package.
+Every public kernel is one the benchmark's tracer times.
 
 A name counts as called when it appears, as a bare name or as an attribute,
 in ``src/wordlm`` or ``perfbench`` (its smoke test excluded) anywhere but the
@@ -86,3 +87,22 @@ def test_every_private_helper_has_a_caller_in_the_package():
         if node.name.startswith("_") and node.name not in used
     ]
     assert not uncalled, f"private helpers nothing in the package calls: {uncalled}"
+
+
+def test_every_kernel_is_traced_by_the_benchmark():
+    """A kernel missing from ``perfbench/tracing.py``'s ``KERNELS`` would drop
+    out of the per-layer report without any error."""
+    kernels = {
+        node.name
+        for node in ast.parse((PACKAGE / "kernels.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "KERNELS" for t in node.targets)
+    ]
+    assert len(traced) == len(set(traced)), f"KERNELS repeats a name: {traced}"
+    assert kernels == set(traced)

@@ -81,6 +81,14 @@ class TestBuildVocab:
         run_ok(["build-vocab", "--corpus", str(corpus), "--k", "1000", "--out", str(out)])
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1006  # header + 5 + 1000
 
+    def test_reports_the_corpus_words_it_kept(self, tmp_path, capsys):
+        corpus, out = tmp_path / "small.txt", tmp_path / "vocab.tsv"
+        corpus.write_text("a b c\nd e f a\n", encoding="utf-8")
+        run_ok(["build-vocab", "--corpus", str(corpus), "--k", "10", "--out", str(out)])
+        assert capsys.readouterr().out == (
+            f"wrote 11 words (6 corpus words of 10 requested + 5 specials) to {out}\n")
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 5 + 6
+
 
 class TestPretrain:
     def _vocab(self, tmp, corpus):
@@ -587,6 +595,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"wordlm: error: {bad}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "probe"])
+    def test_vocabulary_lowercase_flag_must_be_true_or_false(self, workdir, capsys, command):
+        tmp, corpus, cfg = workdir
+        bad, out = tmp / "vocab.tsv", tmp / "out"
+        bad.write_text("#wordvocab v1 lowercase=TRUE\n" + "".join(
+            f"{w}\t1\n" for w in ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "sun"]))
+        argv = {
+            "pretrain": ["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                         "--vocab", str(bad), "--out", str(out)],
+            "probe": ["probe", "--config", str(cfg), "--checkpoint", str(tmp / "none.ckpt"),
+                      "--vocab", str(bad), "--corpus", str(corpus), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wordlm: error: {bad}:1: lowercase='TRUE' must be true or false\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["probe", "eval-cloze"])

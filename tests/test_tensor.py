@@ -298,6 +298,46 @@ class TestBackward:
         x.zero_grad()
         assert x.grad is None
 
+    def test_interior_grads_released_and_leaves_kept(self):
+        rng = RNG(27)
+        x = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        const = Tensor(rng.standard_normal(4).astype(np.float32))
+        h = T.gelu(T.add(T.matmul(x, w), const))
+        loss = T.mean(T.reshape(T.mul(h, h), (8,)))
+        loss.backward()
+        nodes, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if all(node is not seen for seen in nodes):
+                nodes.append(node)
+                stack.extend(node._parents)
+        interior = [n for n in nodes if n._backward_fn is not None]
+        assert len(interior) == 6  # loss, reshape, mul, gelu, add, matmul
+        assert all(n.grad is None for n in interior)
+        assert x.grad is not None and w.grad is not None
+        assert x.grad.shape == (2, 3) and w.grad.shape == (3, 4)
+        assert const.grad is None and len(nodes) == 9
+
+    def test_first_gradient_is_a_new_array(self):
+        a = Tensor(np.ones(3, np.float32), requires_grad=True)
+        b = Tensor(np.ones(3, np.float32), requires_grad=True)
+        total(T.add(a, b)).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones(3, np.float32))
+
+    def test_first_gradient_turns_negative_zero_positive(self):
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        total(T.mul(x, -0.0)).backward()
+        assert not np.signbit(x.grad).any()
+
+    def test_gradient_of_another_shape_rejected(self):
+        x = Tensor(np.zeros((3, 4), np.float32), requires_grad=True)
+        with pytest.raises(ShapeError):
+            x.accumulate_grad(np.ones(4, np.float32))
+        assert x.grad is None
+
     def test_aggregate_cosine_distance_small(self):
         rng = RNG(23)
         x = rng.standard_normal((4, 6)).astype(np.float32)

@@ -191,6 +191,16 @@ class TestBuildVocabulary:
         loaded.save(tmp_path / "loaded.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "loaded.tsv").read_bytes()
 
+    @pytest.mark.parametrize("flag", ["TRUE", "maybe", ""])
+    def test_lowercase_flag_other_than_true_or_false_rejected(self, tmp_path, flag):
+        path = tmp_path / "vocab.tsv"
+        build_vocabulary({"hello": 7}, k=1).save(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("lowercase=true", f"lowercase={flag}", 1), encoding="utf-8")
+        with pytest.raises(ContractError) as err:
+            WordVocab.load(path)
+        assert str(err.value) == f"{path}:1: lowercase='{flag}' must be true or false"
+
 
 @pytest.fixture
 def small_vocab():
