@@ -47,7 +47,7 @@ def config_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _format_value(v):
+def format_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     return repr(v) if isinstance(v, float) else str(v)
@@ -77,7 +77,7 @@ def save_checkpoint(
     tensors: dict[str, np.ndarray] = {name: t.data for name, t in model.parameters().items()}
     lines = [_MAGIC, f"step {int(step)}", f"seed {int(model.seed)}", f"config_digest {digest}"]
     for key, value in asdict(model.config).items():
-        lines.append(f"model_config {key} {_format_value(value)}")
+        lines.append(f"model_config {key} {format_value(value)}")
     if optimizer is not None:
         for name in sorted(optimizer.params):
             tensors[f"optimizer.m.{name}"] = optimizer.first_moment[name]

@@ -14,7 +14,7 @@ import zipfile
 
 import numpy as np
 
-from .checkpoint import config_digest, load_checkpoint, read_manifest, save_checkpoint
+from .checkpoint import config_digest, format_value, load_checkpoint, read_manifest, save_checkpoint
 from .config import RunConfig
 from .errors import ConfigError, ContractError, WordlmError
 from .evaluation import (
@@ -61,20 +61,18 @@ def _load_npz_array(path, key):
     with z:
         if key not in z.files:
             raise WordlmError(f"{path} does not contain array {key!r} (has {z.files})")
-        return z[key].astype(np.float32)
+        return z[key].astype(np.float32, copy=False)  # z[key] is already a fresh array
 
 
-def _build_model(cfg: RunConfig, model_cfg: ModelConfig, word_vectors_path, projection_path):
-    kwargs = {}
-    if model_cfg.variant == "projected":
-        if word_vectors_path is None:
-            raise WordlmError("projected variant needs --word-vectors (npz with array 'vectors')")
-        kwargs["word_vectors"] = _load_npz_array(word_vectors_path, "vectors")
-        if projection_path is not None:
-            kwargs["projection"] = _load_npz_array(projection_path, "projection")
-    elif word_vectors_path is not None or projection_path is not None:
-        raise WordlmError("--word-vectors and --projection need model.variant = projected")
-    return WordBertModel(model_cfg, seed=cfg["model.seed"], **kwargs)
+def _word_table(word_vectors_path, vocab_size: int, hidden: int):
+    """(``ModelConfig`` word-table fields, vectors): direct without a file, projected with one."""
+    if word_vectors_path is None:
+        return {"variant": "direct", "embed_dim": hidden, "freeze_embeddings": False}, None
+    vectors = _load_npz_array(word_vectors_path, "vectors")
+    if vectors.ndim != 2 or len(vectors) != vocab_size or vectors.shape[1] < 1:
+        raise ContractError(f"{word_vectors_path}: array 'vectors' has shape {vectors.shape}, "
+                            f"expected [{vocab_size}, E >= 1]: one row per vocabulary word")
+    return {"variant": "projected", "embed_dim": vectors.shape[1], "freeze_embeddings": True}, vectors
 
 
 def _load_vocab_and_model(args):
@@ -114,27 +112,30 @@ def cmd_pretrain_projection(args) -> int:
 def cmd_pretrain(args) -> int:
     if args.steps is not None and args.steps < 1:
         raise ContractError(f"--steps must be >= 1, got {args.steps}")
+    if args.projection is not None and args.word_vectors is None:
+        raise WordlmError("--projection needs --word-vectors")
     cfg = RunConfig.load(args.config, overrides=args.set)
     vocab = WordVocab.load(args.vocab)
+    table, vectors = _word_table(args.word_vectors, vocab.size, cfg["model.hidden"])
     views, violations = [], []
     for view in (lambda: cfg.view(TrainConfig, max_length=cfg["model.max_positions"]),
                  lambda: cfg.view(MaskingPolicy),
-                 lambda: cfg.view(ModelConfig, vocab_size=vocab.size)):
+                 lambda: cfg.view(ModelConfig, vocab_size=vocab.size, **table)):
         try:
             views.append(view())
         except ConfigError as err:
             violations.extend(err.violations)
-    if cfg["train.use_neighbors"] and not cfg["model.freeze_embeddings"]:
-        # the neighbor lists are computed once, from the word table as it starts
-        violations.append("train.use_neighbors = true needs model.freeze_embeddings = true")
+    if cfg["train.use_neighbors"] and vectors is None:
+        # the neighbor lists are computed once, so the table they rank must not train
+        violations.append("train.use_neighbors = true needs --word-vectors")
     if violations:  # every view's violations together, before the corpus is read
         raise ConfigError(violations)
     train_cfg, policy, model_cfg = views
-    model = _build_model(cfg, model_cfg, args.word_vectors, args.projection)
+    projection = None if args.projection is None else _load_npz_array(args.projection, "projection")
+    model = WordBertModel(model_cfg, train_cfg.seed, word_vectors=vectors, projection=projection)
+    neighbor_index = NeighborIndex(vectors) if cfg["train.use_neighbors"] else None
+    del vectors, projection  # the model holds its own copies
     corpus = read_corpus_lines(args.corpus)
-    neighbor_index = None
-    if cfg["train.use_neighbors"]:
-        neighbor_index = NeighborIndex(model.params["embedding.word"].data)
     records, optimizer = run_training(
         corpus, vocab, model, train_cfg, policy=policy, neighbor_index=neighbor_index,
         num_steps=args.steps,
@@ -218,7 +219,7 @@ def cmd_inspect_checkpoint(args) -> int:
     print(f"seed {info['seed']}")
     print(f"config_digest {info.get('digest', '-')}")
     for key, value in info["model_config"].items():
-        print(f"model_config {key} {value}")
+        print(f"model_config {key} {format_value(value)}")  # as the manifest spells it
     total = 0
     for name in sorted(info["tensors"]):
         shape, _, length = info["tensors"][name]
@@ -230,7 +231,8 @@ def cmd_inspect_checkpoint(args) -> int:
 
 def cmd_param_count(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
-    counts = parameter_counts(cfg.view(ModelConfig, vocab_size=args.vocab_size))
+    table, _ = _word_table(args.word_vectors, args.vocab_size, cfg["model.hidden"])
+    counts = parameter_counts(cfg.view(ModelConfig, vocab_size=args.vocab_size, **table))
     for key in ("transformer", "embedding", "mlm_head", "total"):
         print(f"{key}\t{counts[key]}")
     return 0
@@ -273,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--steps", type=int, help="run only this many steps")
-    p.add_argument("--word-vectors", help="npz with array 'vectors' (projected variant)")
-    p.add_argument("--projection", help="npz with array 'projection' (projected variant)")
+    p.add_argument("--word-vectors", help="npz with array 'vectors' [V,E]: frozen, projected to H")
+    p.add_argument("--projection", help="npz with array 'projection' [E,H] (needs --word-vectors)")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("probe", help="frequency-stratified zero-shot masked-word probing",
@@ -302,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("param-count", help="analytic parameter accounting for a config")
     _add_config_args(p)
     p.add_argument("--vocab-size", type=int, required=True)
+    p.add_argument("--word-vectors", help="npz with array 'vectors' [V,E] (projected variant)")
     p.set_defaults(fn=cmd_param_count)
 
     return parser

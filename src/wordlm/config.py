@@ -34,13 +34,13 @@ _RENAMED = {
     "high": "threshold_high", "medium": "threshold_medium", "low": "threshold_low",
 }
 
-# dataclass -> {field name: dotted key}; vocab_size, layer_norm_eps and the
-# reference frequencies are not settings, and TrainConfig.max_length, the
-# encoded window, is model.max_positions
+# dataclass -> {field name: dotted key}; vocab_size, layer_norm_eps, the reference
+# frequencies and the word table's kind and width (set by --word-vectors) are not
+# settings, and TrainConfig.max_length, the encoded window, is model.max_positions
 FIELD_KEYS = {
     cls: {f.name: f"{section}.{_RENAMED.get(f.name, f.name)}" for f in fields(cls)
           if f.name not in ("vocab_size", "layer_norm_eps", "reference_frequencies",
-                            "max_length")}
+                            "variant", "embed_dim", "freeze_embeddings", "max_length")}
     for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (MaskingPolicy, "train"),
                          (FrequencyBuckets, "eval"))
 }
@@ -51,7 +51,6 @@ DECLARED_KEYS: dict[str, tuple] = {
     for cls, keys in FIELD_KEYS.items() for f in fields(cls) if f.name in keys
     for hint in [get_type_hints(cls)[f.name]]
 } | {
-    "model.seed": (int, 0),
     "train.use_neighbors": (_parse_bool, False),
     "eval.mask_probability": (float, 0.15),
     "eval.topk": (str, "1,5,10"),

@@ -223,8 +223,7 @@ class WordBertModel:
         rows = self._project(T.gather_rows(p["embedding.word"], ids.reshape(-1)))
         pos = T.gather_rows(p["embedding.position"], np.arange(t_len))
         x = T.reshape(T.add(T.reshape(rows, (b_sz, t_len, cfg.hidden)), pos), (b_sz * t_len, cfg.hidden))
-        if rng is not None:
-            x = T.dropout(x, cfg.dropout, rng)
+        x = T.dropout(x, cfg.dropout, rng)
 
         a = cfg.num_heads
         # one additive bias row per (sequence, head): 0 real, -1e9 padding keys
@@ -255,8 +254,7 @@ class WordBertModel:
         vh = split_heads(v, (0, 2, 1, 3))
         scores = T.add(T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(d)), mask_bias)
         attn = T.softmax(scores)
-        if rng is not None:
-            attn = T.dropout(attn, cfg.dropout, rng)
+        attn = T.dropout(attn, cfg.dropout, rng)
         ctx = T.reshape(
             T.transpose(T.reshape(T.matmul(attn, vh), (b_sz, a, t_len, d)), (0, 2, 1, 3)),
             (b_sz * t_len, cfg.hidden),
@@ -264,8 +262,7 @@ class WordBertModel:
         attn_out = T.add(
             T.matmul(ctx, p[pre + "attention.output.weight"]), p[pre + "attention.output.bias"]
         )
-        if rng is not None:
-            attn_out = T.dropout(attn_out, cfg.dropout, rng)
+        attn_out = T.dropout(attn_out, cfg.dropout, rng)
         x = T.layer_norm(
             T.add(x, attn_out),
             p[pre + "attention.norm.gamma"],
@@ -274,8 +271,7 @@ class WordBertModel:
         )
         inner = T.gelu(T.add(T.matmul(x, p[pre + "ffn.inner.weight"]), p[pre + "ffn.inner.bias"]))
         ffn_out = T.add(T.matmul(inner, p[pre + "ffn.output.weight"]), p[pre + "ffn.output.bias"])
-        if rng is not None:
-            ffn_out = T.dropout(ffn_out, cfg.dropout, rng)
+        ffn_out = T.dropout(ffn_out, cfg.dropout, rng)
         return T.layer_norm(
             T.add(x, ffn_out),
             p[pre + "ffn.norm.gamma"],

@@ -311,9 +311,9 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _make(data, (x,), bw)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
-    if p <= 0.0:
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when p == 0 or there is no ``rng``."""
+    if rng is None or p <= 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p).astype(np.float32) / np.float32(1.0 - p)
     return mul(x, Tensor(keep))

@@ -263,7 +263,8 @@ def train(
             )
         model.zero_grad()
         loss.backward()
-        optimizer.step(lr_at(step, cfg))
+        lr = lr_at(step, cfg)
+        optimizer.step(lr)
         model.zero_grad()
-        records.append(StepRecord(step, lr_at(step, cfg), loss_value))
+        records.append(StepRecord(step, lr, loss_value))
     return records, optimizer

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from wordlm import cli
+from wordlm.checkpoint import load_checkpoint
 from wordlm.cli import build_parser, main
 from wordlm.config import RunConfig
 from wordlm.vocab import WordVocab
@@ -22,7 +23,6 @@ TOY_CFG = """\
 model.layers = 1
 model.heads = 2
 model.hidden = 8
-model.embed_dim = 8
 model.max_positions = 8
 model.dropout = 0.0
 train.peak_lr = 1e-3
@@ -123,7 +123,8 @@ class TestPretrain:
         assert code == 3
         assert "model.depth" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--word-vectors", "--projection"])
+    # without --word-vectors the run is direct, and a projection has nothing to map
+    @pytest.mark.parametrize("flag", ["--projection"])
     def test_projected_inputs_refused_for_direct_variant(self, workdir, capsys, flag):
         tmp, corpus, cfg = workdir
         vocab = self._vocab(tmp, corpus)
@@ -134,8 +135,7 @@ class TestPretrain:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("wordlm: error: --word-vectors and --projection need "
-                                "model.variant = projected\n")
+        assert captured.err == "wordlm: error: --projection needs --word-vectors\n"
         assert not out.exists()
 
     def test_non_finite_loss_is_one_line_without_output(self, workdir, capsys):
@@ -163,23 +163,28 @@ class TestPretrain:
              ["train.replace_mask", "train.replace_random", "train.keep_original"]),
             ("train.warmup_steps=12", ["train.warmup_steps", "train.total_steps"]),
             ("train.batch_size=0", ["train.batch_size"]),
-            ("model.hidden=15", ["model.hidden", "model.heads", "model.embed_dim"]),
+            ("model.hidden=15", ["model.hidden", "model.heads"]),
             ("model.dropout=1.5", ["model.dropout"]),
             ("model.variant=bogus", ["model.variant"]),
             ("train.max_length=20", ["train.max_length"]),  # the window is model.max_positions
             ("vocab.k=3", ["vocab.k"]),
             ("model.gelu_approx=false", ["model.gelu_approx"]),  # removed with the tanh GELU
-            # the toy config trains its word table, so the neighbors rule is broken too
+            # without --word-vectors the word table trains, so the neighbors rule is broken too
             ("train.use_neighbors=true train.neighbor_k=-1",
-             ["train.neighbor_k", "train.use_neighbors", "model.freeze_embeddings"]),
+             ["train.neighbor_k", "train.use_neighbors", "--word-vectors"]),
             # neighbor lists are computed once, so the word table they rank must not train
-            ("train.use_neighbors=true", ["train.use_neighbors", "model.freeze_embeddings"]),
+            ("train.use_neighbors=true", ["train.use_neighbors", "--word-vectors"]),
             ("train.max_length=2", ["train.max_length"]),
             # every view's violations are reported by one run
             ("train.warmup_steps=12 train.mask_ratio=2 train.replace_mask=0.5 model.heads=3",
              ["train.warmup_steps", "train.total_steps", "train.mask_ratio", "train.replace_mask",
               "train.replace_random", "train.keep_original", "model.hidden", "model.heads"]),
             ("model.max_positions=2", ["model.max_positions"]),  # [CLS] + one word + [SEP] needs 3
+            # --word-vectors picks the word table, and train.seed seeds the initialization
+            ("model.variant=projected", ["unknown key 'model.variant'"]),
+            ("model.embed_dim=8", ["unknown key 'model.embed_dim'"]),
+            ("model.freeze_embeddings=true", ["unknown key 'model.freeze_embeddings'"]),
+            ("model.seed=3", ["unknown key 'model.seed'"]),
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
@@ -198,6 +203,79 @@ class TestPretrain:
         assert all(any(key in line for key in keys) for line in lines), lines
         assert all(key in captured.err for key in keys), lines
         assert not out.exists()
+
+
+class TestProjectedPretrain:
+    """``pretrain --word-vectors`` trains the projected variant: the file's vectors,
+    frozen, through a learned map to ``model.hidden``."""
+
+    WIDTH = 6
+
+    @pytest.fixture
+    def inputs(self, workdir):
+        tmp, corpus, cfg = workdir
+        vocab = tmp / "vocab.tsv"
+        run_ok(["build-vocab", "--corpus", str(corpus), "--k", "50", "--out", str(vocab)])
+        rng = np.random.default_rng(72)
+        vectors, projection = tmp / "vectors.npz", tmp / "proj.npz"
+        np.savez(vectors, vectors=rng.standard_normal((WordVocab.load(vocab).size, self.WIDTH)))
+        np.savez(projection, projection=rng.standard_normal((self.WIDTH, 8)) * 0.1)
+        return tmp, corpus, cfg, vocab, vectors, projection
+
+    @pytest.mark.parametrize("projection,neighbors", [(False, False), (True, False), (True, True)],
+                             ids=["vectors", "vectors-projection", "vectors-projection-neighbors"])
+    def test_pretrain_then_probe_and_cloze(self, inputs, capsys, projection, neighbors):
+        tmp, corpus, cfg, vocab, vectors, proj = inputs
+        out = tmp / "run"
+        run_ok(["pretrain", "--config", str(cfg), "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(out), "--word-vectors", str(vectors),
+                *(["--projection", str(proj)] if projection else []),
+                *(["--set", "train.use_neighbors=true"] if neighbors else [])])
+        ckpt = out / "checkpoint.ckpt"
+        capsys.readouterr()
+        run_ok(["inspect-checkpoint", str(ckpt)])
+        lines = capsys.readouterr().out.splitlines()
+        assert {"model_config variant projected", f"model_config embed_dim {self.WIDTH}",
+                "model_config freeze_embeddings true"} <= set(lines)
+        with np.load(vectors) as z:  # the word table is the file's, unchanged by training
+            np.testing.assert_array_equal(
+                load_checkpoint(ckpt).model.params["embedding.word"].data,
+                z["vectors"].astype(np.float32))
+        run_ok(["probe", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                "--corpus", str(corpus), "--out", str(tmp / "probe_out")])
+        items = tmp / "cloze.jsonl"
+        items.write_text(CLOZE + '"answer_index": 0}\n')
+        run_ok(["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                "--items", str(items), "--out", str(tmp / "cloze_out")])
+
+    @pytest.mark.parametrize("shape", [(13,), (12, 6), (13, 0)],
+                             ids=["vectors-1d", "vectors-wrong-rows", "vectors-no-columns"])
+    def test_bad_vectors_refused_before_output(self, inputs, capsys, shape):
+        tmp, corpus, cfg, vocab, _, _ = inputs
+        bad, out = tmp / "bad.npz", tmp / "run"
+        np.savez(bad, vectors=np.ones(shape))
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                     "--vocab", str(vocab), "--out", str(out), "--word-vectors", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"wordlm: error: {bad}: array 'vectors' has shape {shape}, "
+                                "expected [13, E >= 1]: one row per vocabulary word\n")
+        assert not out.exists()
+
+    def test_param_count(self, inputs, capsys):
+        tmp, corpus, cfg, vocab, vectors, _ = inputs
+        capsys.readouterr()
+        run_ok(["param-count", "--config", str(cfg), "--vocab-size", "13",
+                "--word-vectors", str(vectors)])
+        counts = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert int(counts["embedding"]) == 13 * self.WIDTH + self.WIDTH * 8
+        assert main(["param-count", "--config", str(cfg), "--vocab-size", "14",
+                     "--word-vectors", str(vectors)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"wordlm: error: {vectors}: array 'vectors' has shape (13, 6), "
+                                "expected [14, E >= 1]: one row per vocabulary word\n")
 
 
 class TestPretrainProjection:

@@ -75,10 +75,10 @@ class TestLoading:
             RunConfig.load(p)
 
     def test_bool_parsing(self):
-        cfg = RunConfig.load(None, overrides=["model.freeze_embeddings=true"])
-        assert cfg["model.freeze_embeddings"] is True
+        cfg = RunConfig.load(None, overrides=["train.use_neighbors=true"])
+        assert cfg["train.use_neighbors"] is True
         with pytest.raises(ConfigError):
-            RunConfig.load(None, overrides=["model.freeze_embeddings=maybe"])
+            RunConfig.load(None, overrides=["train.use_neighbors=maybe"])
 
 
 class TestViews:
@@ -98,9 +98,9 @@ class TestViews:
     def test_model_config_view(self):
         cfg = RunConfig.load(
             None,
-            overrides=["model.layers=2", "model.hidden=16", "model.embed_dim=16", "model.heads=2"]
+            overrides=["model.layers=2", "model.hidden=16", "model.heads=2"]
         )
-        mc = cfg.view(ModelConfig, vocab_size=100)
+        mc = cfg.view(ModelConfig, vocab_size=100, embed_dim=16)  # the word table is not a key
         assert (mc.num_layers, mc.num_heads, mc.hidden, mc.vocab_size) == (2, 2, 16, 100)
 
     def test_train_and_masking_views(self):
@@ -119,33 +119,36 @@ class TestViews:
         assert cfg.view(TrainConfig) == TrainConfig()
         assert cfg.view(MaskingPolicy) == MaskingPolicy()
         assert cfg.view(FrequencyBuckets, reference_frequencies={}) == FrequencyBuckets({})
-        assert len(DECLARED_KEYS) == 26
+        assert len(DECLARED_KEYS) == 22
         assert {"model.layers", "model.heads"} <= set(DECLARED_KEYS)
-        assert not {"model.vocab_size", "model.layer_norm_eps", "vocab.k",
-                    "train.max_length"} & set(DECLARED_KEYS)
+        assert not {"model.vocab_size", "model.layer_norm_eps", "vocab.k", "train.max_length",
+                    "model.variant", "model.embed_dim", "model.freeze_embeddings",
+                    "model.seed"} & set(DECLARED_KEYS)
 
     @pytest.mark.parametrize(
-        "overrides,cls,expected",
+        "overrides,cls,extra,expected",
         [
-            (["model.heads=0"], ModelConfig, ["model.heads 0 must be positive"]),
-            (["model.variant=hidden"], ModelConfig,
-             ["model.variant must be one of ('direct', 'projected'), got 'hidden'"]),
-            (["train.mask_ratio=0", "train.keep_original=0.3"], MaskingPolicy,
+            (["model.heads=0"], ModelConfig, {}, ["model.heads 0 must be positive"]),
+            # 'hidden', a field name, is quoted and stays; variant, a field without a
+            # key, is passed as an extra and keeps its name
+            ([], ModelConfig, {"variant": "hidden"},
+             ["variant must be one of ('direct', 'projected'), got 'hidden'"]),
+            (["train.mask_ratio=0", "train.keep_original=0.3"], MaskingPolicy, {},
              ["train.mask_ratio 0.0 outside (0, 1]",
               "train.replace_mask + train.replace_random + train.keep_original sum to 1.2, "
               "expected 1"]),
-            (["model.max_positions=2"], ModelConfig, ["model.max_positions 2 must be >= 3"]),
-            (["eval.threshold_medium=5000"], FrequencyBuckets,
+            (["model.max_positions=2"], ModelConfig, {}, ["model.max_positions 2 must be >= 3"]),
+            (["eval.threshold_medium=5000"], FrequencyBuckets, {},
              ["thresholds must satisfy eval.threshold_high > eval.threshold_medium > "
               "eval.threshold_low > 0, got 3000/5000/3"]),
         ],
         ids=["heads-zero", "quoted-value-kept", "two-masking-violations", "max-positions",
              "bucket-thresholds"],
     )
-    def test_violations_name_keys(self, overrides, cls, expected):
+    def test_violations_name_keys(self, overrides, cls, extra, expected):
         cfg = RunConfig.load(None, overrides=overrides)
         extra = {ModelConfig: {"vocab_size": 100},
-                 FrequencyBuckets: {"reference_frequencies": {}}}.get(cls, {})
+                 FrequencyBuckets: {"reference_frequencies": {}}}.get(cls, {}) | extra
         with pytest.raises(ConfigError) as exc:
             cfg.view(cls, **extra)
         assert exc.value.violations == expected

@@ -401,6 +401,10 @@ class TestShapeOps:
         x = Tensor(np.ones(5, np.float32), requires_grad=True)
         assert T.dropout(x, 0.0, RNG(0)) is x
 
+    def test_dropout_identity_without_rng(self):
+        x = Tensor(np.ones(5, np.float32), requires_grad=True)
+        assert T.dropout(x, 0.5, None) is x
+
     def test_dropout_scales_kept_values(self):
         x = Tensor(np.ones(10_000, np.float32))
         y = T.dropout(x, 0.25, RNG(25))
