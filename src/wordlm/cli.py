@@ -31,7 +31,7 @@ from .evaluation import (
 from .model import ModelConfig, WordBertModel, parameter_counts
 from .sampling import NeighborIndex
 from .seeding import substream
-from .training import MaskingPolicy, TrainConfig, pretrain_projection, write_metrics
+from .training import TrainConfig, pretrain_projection, write_metrics
 from .training import train as run_training
 from .vocab import (
     NUM_SPECIALS,
@@ -45,34 +45,62 @@ _CLOZE_EXAMPLE = (
     'cloze JSONL example: {"passage_words": ["the", "dog", "[BLANK]", "loudly"], '
     '"options": ["barked", "sat", "blue", "seven"], "answer_index": 0}'
 )
+_PROBE_KS = (1, 5, 10)
 _PROBE_EXAMPLE = (
     'probe JSONL example: {"words": ["the", "cat", "sat"], "masked_positions": [1], '
     '"gold_words": ["cat"], "bucket": "Low"}'
 )
 
 
-def _load_npz_array(path, key):
+def _npz_shape(path, key):
+    """Shape of array ``key`` of npz file ``path``, read from its ``.npy`` header
+    alone. A file that is not an npz archive, a missing key and an array of no
+    integer or float type are refused by name."""
     try:
-        z = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        with zipfile.ZipFile(path) as archive, archive.open(f"{key}.npy") as fp:
+            version = np.lib.format.read_magic(fp)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            shape, _, dtype = read_header(fp)
+    except zipfile.BadZipFile as err:
         raise ContractError(f"{path}: not an npz archive: {err}") from err
-    if not isinstance(z, np.lib.npyio.NpzFile):
-        raise ContractError(f"{path}: not an npz archive (a bare .npy array)")
-    with z:
-        if key not in z.files:
-            raise WordlmError(f"{path} does not contain array {key!r} (has {z.files})")
-        return z[key].astype(np.float32, copy=False)  # z[key] is already a fresh array
+    except KeyError as err:
+        raise WordlmError(f"{path} does not contain array {key!r}") from err
+    except ValueError as err:
+        raise ContractError(f"{path}: array {key!r} is not a .npy array: {err}") from err
+    if dtype.kind not in "iuf":
+        raise ContractError(f"{path}: array {key!r} has dtype {dtype}, expected integers or floats")
+    return shape
+
+
+def _load_npz_array(path, key):
+    _npz_shape(path, key)
+    try:
+        with zipfile.ZipFile(path) as archive, archive.open(f"{key}.npy") as fp:
+            return np.lib.format.read_array(fp).astype(np.float32, copy=False)  # a fresh array
+    except (ValueError, zipfile.BadZipFile) as err:  # data cut short, or a CRC mismatch
+        raise ContractError(f"{path}: array {key!r} cannot be read: {err}") from err
+
+
+def _load_finite(path, key):
+    """``_load_npz_array``, refusing an array that holds a NaN or infinity by its first such row."""
+    array = _load_npz_array(path, key)
+    bad = np.flatnonzero(~np.isfinite(array).all(axis=1))
+    if bad.size:
+        raise ContractError(f"{path}: row {bad[0]} of array {key!r} holds a NaN or infinity")
+    return array
 
 
 def _word_table(word_vectors_path, vocab_size: int, hidden: int):
-    """(``ModelConfig`` word-table fields, vectors): direct without a file, projected with one."""
+    """``ModelConfig``'s word-table fields: direct without a vectors file, projected
+    with one, as wide as its array (read from the file's header)."""
     if word_vectors_path is None:
-        return {"variant": "direct", "embed_dim": hidden, "freeze_embeddings": False}, None
-    vectors = _load_npz_array(word_vectors_path, "vectors")
-    if vectors.ndim != 2 or len(vectors) != vocab_size or vectors.shape[1] < 1:
-        raise ContractError(f"{word_vectors_path}: array 'vectors' has shape {vectors.shape}, "
+        return {"variant": "direct", "embed_dim": hidden, "freeze_embeddings": False}
+    shape = _npz_shape(word_vectors_path, "vectors")
+    if len(shape) != 2 or shape[0] != vocab_size or shape[1] < 1:
+        raise ContractError(f"{word_vectors_path}: array 'vectors' has shape {shape}, "
                             f"expected [{vocab_size}, E >= 1]: one row per vocabulary word")
-    return {"variant": "projected", "embed_dim": vectors.shape[1], "freeze_embeddings": True}, vectors
+    return {"variant": "projected", "embed_dim": shape[1], "freeze_embeddings": True}
 
 
 def _load_vocab_and_model(args):
@@ -116,10 +144,10 @@ def cmd_pretrain(args) -> int:
         raise WordlmError("--projection needs --word-vectors")
     cfg = RunConfig.load(args.config, overrides=args.set)
     vocab = WordVocab.load(args.vocab)
-    table, vectors = _word_table(args.word_vectors, vocab.size, cfg["model.hidden"])
+    table = _word_table(args.word_vectors, vocab.size, cfg["model.hidden"])
+    vectors = None if args.word_vectors is None else _load_finite(args.word_vectors, "vectors")
     views, violations = [], []
     for view in (lambda: cfg.view(TrainConfig, max_length=cfg["model.max_positions"]),
-                 lambda: cfg.view(MaskingPolicy),
                  lambda: cfg.view(ModelConfig, vocab_size=vocab.size, **table)):
         try:
             views.append(view())
@@ -130,15 +158,27 @@ def cmd_pretrain(args) -> int:
         violations.append("train.use_neighbors = true needs --word-vectors")
     if violations:  # every view's violations together, before the corpus is read
         raise ConfigError(violations)
-    train_cfg, policy, model_cfg = views
-    projection = None if args.projection is None else _load_npz_array(args.projection, "projection")
+    train_cfg, model_cfg = views
+    if cfg["train.use_neighbors"]:  # a zero vector has no cosine neighbors
+        zero = np.flatnonzero(~vectors[NUM_SPECIALS:].any(axis=1))
+        if zero.size:
+            raise ContractError(f"{args.word_vectors}: row {zero[0] + NUM_SPECIALS} of array "
+                                "'vectors' is all zeros, but train.use_neighbors = true ranks "
+                                "every word's neighbors")
+    projection = None
+    if args.projection is not None:
+        shape = _npz_shape(args.projection, "projection")
+        if shape != (model_cfg.embed_dim, model_cfg.hidden):
+            raise ContractError(f"{args.projection}: array 'projection' has shape {shape}, "
+                                f"expected [{model_cfg.embed_dim}, {model_cfg.hidden}]: "
+                                "the vectors' width by model.hidden")
+        projection = _load_finite(args.projection, "projection")
     model = WordBertModel(model_cfg, train_cfg.seed, word_vectors=vectors, projection=projection)
     neighbor_index = NeighborIndex(vectors) if cfg["train.use_neighbors"] else None
     del vectors, projection  # the model holds its own copies
     corpus = read_corpus_lines(args.corpus)
     records, optimizer = run_training(
-        corpus, vocab, model, train_cfg, policy=policy, neighbor_index=neighbor_index,
-        num_steps=args.steps,
+        corpus, vocab, model, train_cfg, neighbor_index=neighbor_index, num_steps=args.steps,
     )
     # written only once training ends, so a failed run leaves no output directory
     os.makedirs(args.out, exist_ok=True)
@@ -157,9 +197,6 @@ def cmd_pretrain(args) -> int:
 def cmd_probe(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
     buckets = cfg.view(FrequencyBuckets, reference_frequencies={})
-    ks = cfg.topk_list()
-    if not 0.0 < cfg["eval.mask_probability"] <= 1.0:
-        raise ConfigError([f"eval.mask_probability {cfg['eval.mask_probability']} outside (0, 1]"])
     vocab, model = _load_vocab_and_model(args)
     if args.probes:
         probes = load_records(args.probes, ProbeExample)
@@ -173,16 +210,15 @@ def cmd_probe(args) -> int:
         for bucket in BUCKET_NAMES:
             probes.extend(
                 build_probe_set(
-                    lines, buckets, bucket, p=cfg["eval.mask_probability"],
-                    rng=substream(cfg["train.seed"], f"probe-{bucket}"),
+                    lines, buckets, bucket, rng=substream(cfg["train.seed"], f"probe-{bucket}"),
                     lowercase=vocab.lowercase,
                 )
             )
-    report = probe_topk(model, vocab, probes, ks=ks)
-    header = "bucket\tmasked\toov" + "".join(f"\ttop-{k}" for k in ks)
+    report = probe_topk(model, vocab, probes, ks=_PROBE_KS)
+    header = "bucket\tmasked\toov" + "".join(f"\ttop-{k}" for k in _PROBE_KS)
     rows = [header]
     for bucket in BUCKET_NAMES:
-        accs = "".join(f"\t{report['accuracy'][bucket][k]:.4f}" for k in ks)
+        accs = "".join(f"\t{report['accuracy'][bucket][k]:.4f}" for k in _PROBE_KS)
         rows.append(f"{bucket}\t{report['total'][bucket]}\t{report['oov'][bucket]}{accs}")
     table = "\n".join(rows)
     print(table)
@@ -231,7 +267,7 @@ def cmd_inspect_checkpoint(args) -> int:
 
 def cmd_param_count(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
-    table, _ = _word_table(args.word_vectors, args.vocab_size, cfg["model.hidden"])
+    table = _word_table(args.word_vectors, args.vocab_size, cfg["model.hidden"])
     counts = parameter_counts(cfg.view(ModelConfig, vocab_size=args.vocab_size, **table))
     for key in ("transformer", "embedding", "mlm_head", "total"):
         print(f"{key}\t{counts[key]}")

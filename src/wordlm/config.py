@@ -16,7 +16,7 @@ from typing import get_type_hints
 from .errors import ConfigError, ContractError
 from .evaluation import FrequencyBuckets
 from .model import ModelConfig
-from .training import MaskingPolicy, TrainConfig
+from .training import TrainConfig
 from .vocab import read_text_lines
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -41,8 +41,7 @@ FIELD_KEYS = {
     cls: {f.name: f"{section}.{_RENAMED.get(f.name, f.name)}" for f in fields(cls)
           if f.name not in ("vocab_size", "layer_norm_eps", "reference_frequencies",
                             "variant", "embed_dim", "freeze_embeddings", "max_length")}
-    for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (MaskingPolicy, "train"),
-                         (FrequencyBuckets, "eval"))
+    for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (FrequencyBuckets, "eval"))
 }
 
 # key -> (type converter, default)
@@ -50,11 +49,7 @@ DECLARED_KEYS: dict[str, tuple] = {
     keys[f.name]: (_parse_bool if hint is bool else hint, f.default)
     for cls, keys in FIELD_KEYS.items() for f in fields(cls) if f.name in keys
     for hint in [get_type_hints(cls)[f.name]]
-} | {
-    "train.use_neighbors": (_parse_bool, False),
-    "eval.mask_probability": (float, 0.15),
-    "eval.topk": (str, "1,5,10"),
-}
+} | {"train.use_neighbors": (_parse_bool, False)}
 
 
 class RunConfig:
@@ -137,12 +132,3 @@ class RunConfig:
             keyed = re.sub(field_name, lambda m: keys[m[1]] if m[1] else m[0], str(err))
             raise ConfigError(keyed.split("; ")) from err
 
-    def topk_list(self) -> tuple[int, ...]:
-        topk = self["eval.topk"]
-        try:
-            ks = tuple(int(p) for p in topk.split(",") if p.strip())
-        except ValueError:
-            ks = ()
-        if not ks or min(ks) < 1:
-            raise ConfigError([f"bad value for eval.topk: {topk!r} (a comma-separated list of k >= 1)"])
-        return ks

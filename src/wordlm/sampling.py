@@ -3,9 +3,9 @@
 Each training batch scores its masked positions against a restricted
 vocabulary: the five specials, a uniform without-replacement sample of
 non-special ids, every word present in the batch, and (when a neighbor index
-is supplied) the top-k cosine neighbors of each masked target word. A batch
-vocabulary is a plain sorted, de-duplicated int64 array of global word ids;
-``remap_targets`` gives each target's column in it.
+is supplied) the 10 nearest cosine neighbors of each masked target word. A
+batch vocabulary is a plain sorted, de-duplicated int64 array of global word
+ids; ``remap_targets`` gives each target's column in it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ def sample_batch_vocab(
     sample_size: int,
     rng: np.random.Generator,
     neighbor_index: "NeighborIndex | None" = None,
-    k: int = 10,
 ) -> np.ndarray:
     """Sorted unique ids: specials + uniform sample + batch words + targets (+ neighbors)."""
     if sample_size < 1:
@@ -41,7 +40,7 @@ def sample_batch_vocab(
         target_ids,
     ]
     if neighbor_index is not None and target_ids.size:
-        parts.append(neighbor_index.neighbors_of_many(target_ids, k=k))
+        parts.append(neighbor_index.neighbors_of_many(target_ids))
     return np.unique(np.concatenate(parts))
 
 

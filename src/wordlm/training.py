@@ -28,25 +28,11 @@ from .tensor import Tensor
 from .vocab import MASK_ID, NUM_SPECIALS, PAD_ID, WordVocab, encode, segment_words
 
 
-@dataclass
-class MaskingPolicy:
-    """Selection ratio and the [MASK]/random/keep corruption split."""
-
-    mask_ratio: float = 0.15
-    replace_mask: float = 0.8
-    replace_random: float = 0.1
-    keep_original: float = 0.1
-
-    def __post_init__(self):
-        problems = []
-        # ratio 1.0 admitted: the mask-everything policy is a supported degenerate case
-        if not 0.0 < self.mask_ratio <= 1.0:
-            problems.append(f"mask_ratio {self.mask_ratio} outside (0, 1]")
-        total = self.replace_mask + self.replace_random + self.keep_original
-        if abs(total - 1.0) > 1e-6:
-            problems.append(f"replace_mask + replace_random + keep_original sum to {total}, expected 1")
-        if problems:
-            raise ContractError("; ".join(problems))
+# BERT's recipe (Devlin et al. 2019): select 15% of the real words, then turn
+# 80% of those into [MASK] and 10% into a random word, and keep the last 10%
+MASK_RATIO = 0.15
+REPLACE_MASK = 0.8
+REPLACE_RANDOM = 0.1
 
 
 class MaskedBatch:
@@ -67,13 +53,12 @@ class MaskedBatch:
 
 def apply_masking(
     batch_ids: np.ndarray,
-    policy: MaskingPolicy,
     rng: np.random.Generator,
     vocab_size: int,
 ) -> MaskedBatch:
-    """Select real-word positions of the [B, T] id matrix at mask_ratio (min one
-    per maskable sequence) and corrupt a copy of it per the policy, recording
-    the original ids as targets."""
+    """Select real-word positions of the [B, T] id matrix at ``MASK_RATIO`` (min
+    one per maskable sequence) and corrupt a copy of it per BERT's 80/10/10
+    split, recording the original ids as targets."""
     input_ids = np.array(batch_ids, dtype=np.int64)
     if input_ids.ndim != 2:
         raise ContractError(
@@ -90,16 +75,16 @@ def apply_masking(
         if maskable.size == 0:
             continue
         draws = rng.random(maskable.size)
-        selected = maskable[draws < policy.mask_ratio]
+        selected = maskable[draws < MASK_RATIO]
         if selected.size == 0:
             selected = maskable[[rng.integers(0, maskable.size)]]
         positions.extend(selected + b * t_len)
         for pos in selected:
             targets.append(int(ids[pos]))
             u = rng.random()
-            if u < policy.replace_mask:
+            if u < REPLACE_MASK:
                 ids[pos] = MASK_ID
-            elif u < policy.replace_mask + policy.replace_random:
+            elif u < REPLACE_MASK + REPLACE_RANDOM:
                 ids[pos] = rng.integers(NUM_SPECIALS, vocab_size)
             # else: keep the original id
     return MaskedBatch(input_ids, positions, targets)
@@ -164,7 +149,6 @@ class TrainConfig:
     seed: int = 0
     sample_size: int = 30_000
     max_length: int = 512
-    neighbor_k: int = 10
 
     def __post_init__(self):
         problems = []
@@ -172,8 +156,7 @@ class TrainConfig:
             problems.append(
                 f"warmup_steps {self.warmup_steps} must be < total_steps {self.total_steps}"
             )
-        for name in ("peak_lr", "warmup_steps", "total_steps", "batch_size", "sample_size",
-                     "neighbor_k"):
+        for name in ("peak_lr", "warmup_steps", "total_steps", "batch_size", "sample_size"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive")
         if problems:
@@ -222,7 +205,6 @@ def train(
     vocab: WordVocab,
     model: WordBertModel,
     cfg: TrainConfig,
-    policy: MaskingPolicy | None = None,
     neighbor_index: NeighborIndex | None = None,
     optimizer: Adam | None = None,
     start_step: int = 0,
@@ -233,7 +215,6 @@ def train(
     Each step draws a batch, masks it, samples a batch vocabulary, takes one
     Adam step at the scheduled learning rate, and records (step, lr, loss).
     """
-    policy = policy or MaskingPolicy()
     pool = prepare_corpus(corpus_lines, vocab, cfg.max_length)
     optimizer = optimizer or Adam(model.trainable_parameters())
     if num_steps is None:
@@ -243,9 +224,7 @@ def train(
     for step in range(start_step, start_step + num_steps):
         batch_rng = substream(cfg.seed, "batch", step)
         line_ids = batch_rng.integers(0, len(pool), size=cfg.batch_size)
-        masked = apply_masking(
-            pool[line_ids], policy, substream(cfg.seed, "masking", step), vocab_size
-        )
+        masked = apply_masking(pool[line_ids], substream(cfg.seed, "masking", step), vocab_size)
         batch_ids = sample_batch_vocab(
             masked.input_ids[masked.input_ids >= NUM_SPECIALS],
             masked.target_global_ids,
@@ -253,7 +232,6 @@ def train(
             sample_size=cfg.sample_size,
             rng=substream(cfg.seed, "sampling", step),
             neighbor_index=neighbor_index,
-            k=cfg.neighbor_k,
         )
         loss = mlm_loss(model, masked, batch_ids, rng=substream(cfg.seed, "dropout", step))
         loss_value = loss.item()

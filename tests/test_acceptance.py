@@ -15,7 +15,7 @@ from wordlm.model import ModelConfig, WordBertModel, parameter_counts
 from wordlm.sampling import NeighborIndex, sample_batch_vocab
 from wordlm.tensor import Tensor
 from wordlm.training import (
-    MaskingPolicy,
+    MaskedBatch,
     TrainConfig,
     apply_masking,
     lr_at,
@@ -162,14 +162,13 @@ def _acceptance_model_and_batch():
                     embed_dim=16, max_positions=12, dropout=0.0),
         seed=202,
     )
-    rng = np.random.default_rng(203)
-    from wordlm.vocab import CLS_ID, SEP_ID
-
-    rows = []
-    for _ in range(2):
-        body = rng.integers(NUM_SPECIALS, vocab_size, size=8).tolist()
-        rows.append([CLS_ID] + body + [SEP_ID])
-    masked = apply_masking(np.array(rows), MaskingPolicy(mask_ratio=0.3), np.random.default_rng(204), vocab_size)
+    # two rows of 8 words with 10 targets, a selection rate of 0.3: twice BERT's,
+    # so that the finite-difference check below runs over many target rows
+    masked = MaskedBatch(
+        [[2, 14, 28, 33, 15, 4, 4, 4, 4, 3], [2, 4, 4, 4, 30, 4, 23, 12, 18, 3]],
+        positions=[4, 5, 6, 7, 8, 11, 12, 13, 15, 17],
+        target_global_ids=[15, 34, 7, 18, 11, 23, 14, 6, 30, 31],
+    )
     extra = np.random.default_rng(205).choice(
         np.arange(NUM_SPECIALS, vocab_size), size=15, replace=False
     )
@@ -257,7 +256,7 @@ def test_criterion_02_restriction_identity():
         for _ in range(3):
             body = rng.integers(NUM_SPECIALS, vocab_size, size=int(rng.integers(3, 9))).tolist()
             rows.append([CLS_ID] + body + [SEP_ID] + [0] * (10 - 2 - len(body)))
-        masked = apply_masking(np.array(rows), MaskingPolicy(), rng, vocab_size)
+        masked = apply_masking(np.array(rows), rng, vocab_size)
         sampled = subset_rng.choice(np.arange(NUM_SPECIALS, vocab_size), size=10, replace=False)
         subset = np.unique(
             np.concatenate([np.arange(NUM_SPECIALS), masked.target_global_ids, sampled])
@@ -276,7 +275,7 @@ def test_criterion_02_restriction_identity():
 
 
 def test_criterion_03_sampler_soundness():
-    vocab_size, sample_size, k = 10_000, 500, 10
+    vocab_size, sample_size, k = 10_000, 500, 10  # k: neighbors_of_many's default
     emb = np.random.default_rng(209).standard_normal((vocab_size, 16)).astype(np.float32)
     index = NeighborIndex(emb)
     rng = np.random.default_rng(210)
@@ -285,7 +284,7 @@ def test_criterion_03_sampler_soundness():
         masked = set(rng.choice(sorted(batch), size=min(len(batch), 6), replace=False).tolist())
         bv = sample_batch_vocab(
             sorted(batch), sorted(masked), vocab_size=vocab_size, sample_size=sample_size,
-            rng=rng, neighbor_index=index, k=k,
+            rng=rng, neighbor_index=index,
         )
         missing = [t for t in masked if t not in bv]
         assert not missing, f"masked targets missing from batch vocab: {missing}"

@@ -3,9 +3,14 @@
 import argparse
 import ast
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+import tracemalloc
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,17 @@ eval.threshold_high = 20
 eval.threshold_medium = 10
 eval.threshold_low = 3
 """
+
+# BERT's masking recipe, the neighbor count and the probe's mask rate and top-k
+# list are constants in the code: each of these keys is refused as unknown, even
+# at the value the code uses
+REMOVED_RECIPE_KEYS = [
+    (f"{key}={value}", [f"unknown key '{key}'"])
+    for key, value in (("train.mask_ratio", "0.15"), ("train.replace_mask", "0.8"),
+                       ("train.replace_random", "0.1"), ("train.keep_original", "0.1"),
+                       ("train.neighbor_k", "10"), ("eval.mask_probability", "0.15"),
+                       ("eval.topk", "1,5,10"))
+]
 
 
 @pytest.fixture
@@ -158,9 +174,9 @@ class TestPretrain:
     @pytest.mark.parametrize(
         "setting,keys",
         [
-            ("train.mask_ratio=2", ["train.mask_ratio"]),
-            ("train.replace_mask=0.5",
-             ["train.replace_mask", "train.replace_random", "train.keep_original"]),
+            # the masking recipe is BERT's, fixed in training.py
+            ("train.mask_ratio=2", ["unknown key 'train.mask_ratio'"]),
+            ("train.replace_mask=0.5", ["unknown key 'train.replace_mask'"]),
             ("train.warmup_steps=12", ["train.warmup_steps", "train.total_steps"]),
             ("train.batch_size=0", ["train.batch_size"]),
             ("model.hidden=15", ["model.hidden", "model.heads"]),
@@ -169,22 +185,23 @@ class TestPretrain:
             ("train.max_length=20", ["train.max_length"]),  # the window is model.max_positions
             ("vocab.k=3", ["vocab.k"]),
             ("model.gelu_approx=false", ["model.gelu_approx"]),  # removed with the tanh GELU
-            # without --word-vectors the word table trains, so the neighbors rule is broken too
-            ("train.use_neighbors=true train.neighbor_k=-1",
-             ["train.neighbor_k", "train.use_neighbors", "--word-vectors"]),
+            # the neighbors rule is reported together with the views' violations
+            ("train.use_neighbors=true train.batch_size=0",
+             ["train.batch_size", "train.use_neighbors", "--word-vectors"]),
             # neighbor lists are computed once, so the word table they rank must not train
             ("train.use_neighbors=true", ["train.use_neighbors", "--word-vectors"]),
             ("train.max_length=2", ["train.max_length"]),
             # every view's violations are reported by one run
-            ("train.warmup_steps=12 train.mask_ratio=2 train.replace_mask=0.5 model.heads=3",
-             ["train.warmup_steps", "train.total_steps", "train.mask_ratio", "train.replace_mask",
-              "train.replace_random", "train.keep_original", "model.hidden", "model.heads"]),
+            ("train.warmup_steps=12 train.batch_size=0 model.heads=3",
+             ["train.warmup_steps", "train.total_steps", "train.batch_size", "model.hidden",
+              "model.heads"]),
             ("model.max_positions=2", ["model.max_positions"]),  # [CLS] + one word + [SEP] needs 3
             # --word-vectors picks the word table, and train.seed seeds the initialization
             ("model.variant=projected", ["unknown key 'model.variant'"]),
             ("model.embed_dim=8", ["unknown key 'model.embed_dim'"]),
             ("model.freeze_embeddings=true", ["unknown key 'model.freeze_embeddings'"]),
             ("model.seed=3", ["unknown key 'model.seed'"]),
+            *REMOVED_RECIPE_KEYS,
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
@@ -203,6 +220,13 @@ class TestPretrain:
         assert all(any(key in line for key in keys) for line in lines), lines
         assert all(key in captured.err for key in keys), lines
         assert not out.exists()
+
+
+def _with_rows(array, values):
+    """``array`` with each row ``i`` of ``values`` set to ``values[i]``."""
+    for row, value in values.items():
+        array[row] = value
+    return array
 
 
 class TestProjectedPretrain:
@@ -276,6 +300,97 @@ class TestProjectedPretrain:
         assert captured.out == ""
         assert captured.err == (f"wordlm: error: {vectors}: array 'vectors' has shape (13, 6), "
                                 "expected [14, E >= 1]: one row per vocabulary word\n")
+
+    @staticmethod
+    def _refusal(argv):
+        """stderr of ``wordlm argv`` in a fresh interpreter, which must exit 1 with
+        no stdout."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "wordlm.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        return proc.stderr
+
+    @pytest.mark.parametrize(
+        "name,array,flags,message",
+        [
+            ("vectors", np.full((13, WIDTH), None), [],
+             "array 'vectors' has dtype object, expected integers or floats"),
+            ("vectors", np.ones((13, WIDTH), complex), [],
+             "array 'vectors' has dtype complex128, expected integers or floats"),
+            ("vectors", _with_rows(np.ones((13, WIDTH)), {7: np.nan, 9: np.inf}), [],
+             "row 7 of array 'vectors' holds a NaN or infinity"),
+            ("vectors", _with_rows(np.ones((13, WIDTH)), {9: -np.inf}),
+             ["--set", "train.use_neighbors=true"],
+             "row 9 of array 'vectors' holds a NaN or infinity"),
+            # the specials' rows may be zero: they are never a target
+            ("vectors", _with_rows(np.ones((13, WIDTH)), {0: 0, 4: 0, 6: 0, 11: 0}),
+             ["--set", "train.use_neighbors=true"],
+             "row 6 of array 'vectors' is all zeros, but train.use_neighbors = true ranks "
+             "every word's neighbors"),
+            ("projection", _with_rows(np.ones((WIDTH, 8)), {2: np.nan}), [],
+             "row 2 of array 'projection' holds a NaN or infinity"),
+            ("projection", np.ones((WIDTH - 1, 8)), [],
+             f"array 'projection' has shape ({WIDTH - 1}, 8), expected [{WIDTH}, 8]: "
+             "the vectors' width by model.hidden"),
+            ("projection", np.ones((WIDTH, 8), complex), [],
+             "array 'projection' has dtype complex128, expected integers or floats"),
+        ],
+        ids=["vectors-object", "vectors-complex", "vectors-nan", "vectors-inf-neighbors",
+             "vectors-zero-row-neighbors", "projection-nan", "projection-wrong-shape",
+             "projection-complex"],
+    )
+    def test_bad_values_refused_before_the_corpus(self, inputs, name, array, flags, message):
+        tmp, corpus, cfg, vocab, vectors, proj = inputs
+        bad, out = tmp / "bad.npz", tmp / "run"
+        np.savez(bad, **{name: array})
+        files = {"vectors": vectors, "projection": proj, name: bad}
+        # a corpus that does not exist shows the refusal comes before it is read
+        err = self._refusal(["pretrain", "--config", cfg, "--corpus", tmp / "none.txt",
+                             "--vocab", vocab, "--out", out, "--word-vectors", files["vectors"],
+                             *(["--projection", bad] if name == "projection" else []), *flags])
+        assert err == f"wordlm: error: {bad}: {message}\n"
+        assert not out.exists()
+
+    def test_truncated_vectors_refused_before_output(self, inputs, capsys):
+        tmp, corpus, cfg, vocab, vectors, _ = inputs
+        bad, out = tmp / "bad.npz", tmp / "run"
+        with zipfile.ZipFile(vectors) as archive:
+            member = archive.read("vectors.npy")
+        with zipfile.ZipFile(bad, "w") as archive:  # the header is whole, the data is not
+            archive.writestr("vectors.npy", member[:-8])
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                     "--vocab", str(vocab), "--out", str(out), "--word-vectors", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"wordlm: error: {re.escape(str(bad))}: array 'vectors' cannot be "
+                            r"read: EOF: reading array data.*\n", captured.err), captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dtype", [object, complex])
+    def test_param_count_refuses_vectors_of_no_real_type(self, inputs, dtype):
+        tmp, _, cfg, _, _, _ = inputs
+        bad = tmp / "bad.npz"
+        np.savez(bad, vectors=np.ones((13, self.WIDTH), dtype))
+        err = self._refusal(["param-count", "--config", cfg, "--vocab-size", "13",
+                             "--word-vectors", bad])
+        assert err == (f"wordlm: error: {bad}: array 'vectors' has dtype {np.dtype(dtype)}, "
+                       "expected integers or floats\n")
+
+    def test_param_count_reads_only_the_vectors_header(self, tmp_path, capsys):
+        vectors = tmp_path / "vectors.npz"
+        np.savez(vectors, vectors=np.ones((50_005, 40), np.float32))  # 8 MB
+        tracemalloc.start()
+        try:
+            run_ok(["param-count", "--vocab-size", "50005", "--word-vectors", str(vectors)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counts = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert int(counts["embedding"]) == 50_005 * 40 + 40 * 768
+        assert peak < 50_005 * 40 * 4 / 20, peak
 
 
 class TestPretrainProjection:
@@ -409,12 +524,13 @@ class TestEvalCommands:
              ["eval.threshold_high", "eval.threshold_medium", "eval.threshold_low"]),
             ("eval.threshold_low=0",
              ["eval.threshold_high", "eval.threshold_medium", "eval.threshold_low"]),
-            ("eval.mask_probability=2", ["eval.mask_probability"]),
-            ("eval.mask_probability=0", ["eval.mask_probability"]),
-            ("eval.topk=0,5", ["eval.topk"]),
+            ("eval.mask_probability=2", ["unknown key 'eval.mask_probability'"]),
+            ("eval.mask_probability=0", ["unknown key 'eval.mask_probability'"]),
+            ("eval.topk=0,5", ["unknown key 'eval.topk'"]),
             # the window is the checkpoint's model.max_positions
             ("train.max_length=2", ["unknown key 'train.max_length'"]),
             ("train.max_length=20", ["unknown key 'train.max_length'"]),
+            *REMOVED_RECIPE_KEYS,
         ],
     )
     def test_probe_invalid_setting_exits_3_before_reading(self, workdir, capsys, setting, keys):

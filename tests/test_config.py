@@ -11,7 +11,7 @@ from wordlm.config import DECLARED_KEYS, RunConfig
 from wordlm.errors import ConfigError, ContractError
 from wordlm.evaluation import ClozeItem, FrequencyBuckets, ProbeExample
 from wordlm.model import ModelConfig
-from wordlm.training import MaskingPolicy, TrainConfig
+from wordlm.training import TrainConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordlm"
 
@@ -22,7 +22,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordlm"
         (lambda: ModelConfig(vocab_size=40, num_heads=3, hidden=16, embed_dim=16),
          "hidden 16 not divisible by num_heads 3"),
         (lambda: TrainConfig(batch_size=0), "batch_size must be positive"),
-        (lambda: MaskingPolicy(mask_ratio=0.0), "mask_ratio 0.0 outside (0, 1]"),
         (lambda: FrequencyBuckets({}, high=10, medium=10, low=3),
          "thresholds must satisfy high > medium > low > 0, got 10/10/3"),
         (lambda: ProbeExample(["a", "b"], [1], ["a"], "Low"),
@@ -30,8 +29,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordlm"
         (lambda: ClozeItem(["a", "b"], ["w", "x", "y", "z"], 0),
          "passage must contain exactly one [BLANK]"),
     ],
-    ids=["ModelConfig", "TrainConfig", "MaskingPolicy", "FrequencyBuckets", "ProbeExample",
-         "ClozeItem"],
+    ids=["ModelConfig", "TrainConfig", "FrequencyBuckets", "ProbeExample", "ClozeItem"],
 )
 def test_settings_and_records_check_themselves_when_built(build, message):
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
@@ -104,26 +102,25 @@ class TestViews:
         assert (mc.num_layers, mc.num_heads, mc.hidden, mc.vocab_size) == (2, 2, 16, 100)
 
     def test_train_and_masking_views(self):
-        cfg = RunConfig.load(
-            None,
-            overrides=["train.mask_ratio=0.2", "train.total_steps=100", "train.warmup_steps=10"]
-        )
+        cfg = RunConfig.load(None, overrides=["train.total_steps=100", "train.warmup_steps=10"])
         tc = cfg.view(TrainConfig)
-        assert tc.total_steps == 100
-        mp = cfg.view(MaskingPolicy)
-        assert mp.mask_ratio == 0.2
+        assert (tc.total_steps, tc.warmup_steps) == (100, 10)
+        # BERT's masking recipe is fixed in training.py, so it has no view and no keys
+        with pytest.raises(ConfigError, match="unknown key 'train.mask_ratio'"):
+            RunConfig.load(None, overrides=["train.mask_ratio=0.2"])
 
     def test_defaults_are_the_dataclass_defaults(self):
         cfg = RunConfig.load()
         assert cfg.view(ModelConfig, vocab_size=100) == ModelConfig(vocab_size=100)
         assert cfg.view(TrainConfig) == TrainConfig()
-        assert cfg.view(MaskingPolicy) == MaskingPolicy()
         assert cfg.view(FrequencyBuckets, reference_frequencies={}) == FrequencyBuckets({})
-        assert len(DECLARED_KEYS) == 22
+        assert len(DECLARED_KEYS) == 15
         assert {"model.layers", "model.heads"} <= set(DECLARED_KEYS)
         assert not {"model.vocab_size", "model.layer_norm_eps", "vocab.k", "train.max_length",
                     "model.variant", "model.embed_dim", "model.freeze_embeddings",
-                    "model.seed"} & set(DECLARED_KEYS)
+                    "model.seed", "train.mask_ratio", "train.replace_mask",
+                    "train.replace_random", "train.keep_original", "train.neighbor_k",
+                    "eval.mask_probability", "eval.topk"} & set(DECLARED_KEYS)
 
     @pytest.mark.parametrize(
         "overrides,cls,extra,expected",
@@ -133,16 +130,14 @@ class TestViews:
             # key, is passed as an extra and keeps its name
             ([], ModelConfig, {"variant": "hidden"},
              ["variant must be one of ('direct', 'projected'), got 'hidden'"]),
-            (["train.mask_ratio=0", "train.keep_original=0.3"], MaskingPolicy, {},
-             ["train.mask_ratio 0.0 outside (0, 1]",
-              "train.replace_mask + train.replace_random + train.keep_original sum to 1.2, "
-              "expected 1"]),
             (["model.max_positions=2"], ModelConfig, {}, ["model.max_positions 2 must be >= 3"]),
+            (["train.batch_size=0", "train.sample_size=0"], TrainConfig, {},
+             ["train.batch_size must be positive", "train.sample_size must be positive"]),
             (["eval.threshold_medium=5000"], FrequencyBuckets, {},
              ["thresholds must satisfy eval.threshold_high > eval.threshold_medium > "
               "eval.threshold_low > 0, got 3000/5000/3"]),
         ],
-        ids=["heads-zero", "quoted-value-kept", "two-masking-violations", "max-positions",
+        ids=["heads-zero", "quoted-value-kept", "max-positions", "two-train-violations",
              "bucket-thresholds"],
     )
     def test_violations_name_keys(self, overrides, cls, extra, expected):
@@ -152,16 +147,6 @@ class TestViews:
         with pytest.raises(ConfigError) as exc:
             cfg.view(cls, **extra)
         assert exc.value.violations == expected
-
-    def test_topk_list(self):
-        cfg = RunConfig.load(None, overrides=["eval.topk=1,5,10"])
-        assert cfg.topk_list() == (1, 5, 10)
-        bad = RunConfig.load(None, overrides=["eval.topk=one"])
-        with pytest.raises(ConfigError):
-            bad.topk_list()
-        below_one = RunConfig.load(None, overrides=["eval.topk=0,-3"])
-        with pytest.raises(ConfigError, match="eval.topk"):
-            below_one.topk_list()
 
 
 def test_every_declared_key_is_consumed():

@@ -35,7 +35,7 @@ class TestSampleBatchVocab:
         rng = np.random.default_rng(2)
         emb = np.random.default_rng(3).standard_normal((2_000, 8)).astype(np.float32)
         index = NeighborIndex(emb)
-        k = 10
+        k = 10  # neighbors per target, neighbors_of_many's default
         for _ in range(1000):
             batch = set(rng.integers(NUM_SPECIALS, 2_000, size=rng.integers(1, 40)).tolist())
             masked = set(
@@ -43,7 +43,7 @@ class TestSampleBatchVocab:
             )
             bv = sample_batch_vocab(
                 sorted(batch), sorted(masked), vocab_size=2_000, sample_size=50,
-                rng=rng, neighbor_index=index, k=k,
+                rng=rng, neighbor_index=index,
             )
             for t in masked:
                 assert t in bv

@@ -8,7 +8,6 @@ from wordlm.model import ModelConfig, WordBertModel
 from wordlm.tensor import Tensor
 from wordlm import tensor as T
 from wordlm.training import (
-    MaskingPolicy,
     TrainConfig,
     apply_masking,
     lr_at,
@@ -58,54 +57,18 @@ def toy_model(seed=0, **kw):
     return WordBertModel(ModelConfig(**cfg), seed=seed)
 
 
-class TestMaskingPolicy:
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ContractError):
-            MaskingPolicy(replace_mask=0.5, replace_random=0.1, keep_original=0.1)
-
-    def test_ratio_bounds(self):
-        with pytest.raises(ContractError):
-            MaskingPolicy(mask_ratio=0.0)
-        MaskingPolicy(mask_ratio=1.0)
-
-
 class TestApplyMasking:
-    def test_mask_everything_policy(self):
-        policy = MaskingPolicy(1.0, 1.0, 0.0, 0.0)
-        rng = np.random.default_rng(1)
-        originals = np.stack([synth_seq(6, rng=rng), synth_seq(4, length=8, rng=rng)])
-        masked = apply_masking(originals, policy, np.random.default_rng(2), VOCAB_SIZE)
-        for b in range(len(originals)):
-            real = np.where(originals[b] >= 5)[0]
-            np.testing.assert_array_equal(np.sort(positions_of(masked, b)), real)
-            assert np.all(masked.input_ids[b][real] == MASK_ID)
-        assert masked.num_targets == int((originals >= 5).sum())
-
-    def test_keep_original_leaves_inputs_unchanged(self):
-        policy = MaskingPolicy(0.4, 0.0, 0.0, 1.0)
-        original = synth_seq(8, rng=np.random.default_rng(3))
-        masked = apply_masking(original[None], policy, np.random.default_rng(4), VOCAB_SIZE)
-        np.testing.assert_array_equal(masked.input_ids[0], original)
-        assert masked.num_targets >= 1
-        for (b, p), tgt in zip(target_positions(masked), masked.target_global_ids):
-            assert original[p] == tgt
-
     def test_positions_are_flat_rows(self):
-        policy = MaskingPolicy(0.5, 0.0, 0.0, 1.0)
         rng = np.random.default_rng(14)
         batch = np.stack([synth_seq(6, length=10, rng=rng) for _ in range(3)])
-        masked = apply_masking(batch, policy, np.random.default_rng(15), VOCAB_SIZE)
+        masked = apply_masking(batch, np.random.default_rng(15), VOCAB_SIZE)
         assert np.all(np.diff(masked.positions) > 0)
-        np.testing.assert_array_equal(
-            masked.input_ids.reshape(-1)[masked.positions], masked.target_global_ids
-        )
+        np.testing.assert_array_equal(batch.reshape(-1)[masked.positions], masked.target_global_ids)
 
     def test_specials_never_selected(self):
         rng = np.random.default_rng(5)
-        originals = np.stack([synth_seq(6, length=12, rng=rng, with_unk=True) for _ in range(20)])
-        masked = apply_masking(
-            originals, MaskingPolicy(1.0, 1.0, 0.0, 0.0), np.random.default_rng(6), VOCAB_SIZE
-        )
+        originals = np.stack([synth_seq(6, length=12, rng=rng, with_unk=True) for _ in range(200)])
+        masked = apply_masking(originals, np.random.default_rng(6), VOCAB_SIZE)
         for b in range(len(originals)):
             assert np.all(originals[b][positions_of(masked, b)] >= 5)
         # structural tokens and [UNK] survive corruption untouched
@@ -115,15 +78,13 @@ class TestApplyMasking:
     def test_minimum_one_target_per_maskable_sequence(self):
         rng = np.random.default_rng(7)
         batch = np.stack([synth_seq(rng.integers(1, 4), length=8, rng=rng) for _ in range(50)])
-        masked = apply_masking(
-            batch, MaskingPolicy(mask_ratio=0.01), np.random.default_rng(8), VOCAB_SIZE
-        )
+        masked = apply_masking(batch, np.random.default_rng(8), VOCAB_SIZE)
         for b in range(len(batch)):
             assert positions_of(masked, b).size >= 1
 
     def test_zero_real_word_sequence_contributes_nothing(self):
         empty = np.array([[CLS_ID, SEP_ID, 0, 0]])
-        masked = apply_masking(empty, MaskingPolicy(), np.random.default_rng(9), VOCAB_SIZE)
+        masked = apply_masking(empty, np.random.default_rng(9), VOCAB_SIZE)
         assert masked.num_targets == 0
         assert masked.positions.size == 0
 
@@ -131,9 +92,7 @@ class TestApplyMasking:
         rng = np.random.default_rng(16)
         batch = np.stack([synth_seq(6, length=10, rng=rng) for _ in range(4)])
         before = batch.copy()
-        masked = apply_masking(
-            batch, MaskingPolicy(1.0, 1.0, 0.0, 0.0), np.random.default_rng(17), VOCAB_SIZE
-        )
+        masked = apply_masking(batch, np.random.default_rng(17), VOCAB_SIZE)
         assert (masked.input_ids == MASK_ID).any()
         assert batch.tobytes() == before.tobytes()
 
@@ -147,21 +106,19 @@ class TestApplyMasking:
     )
     def test_refuses_non_matrix_or_empty_input(self, batch, message):
         with pytest.raises(ContractError, match=message):
-            apply_masking(batch, MaskingPolicy(), np.random.default_rng(0), VOCAB_SIZE)
+            apply_masking(batch, np.random.default_rng(0), VOCAB_SIZE)
 
     def test_selection_rate_concentrates_at_ratio(self):
         rng = np.random.default_rng(10)
         batch = np.stack([synth_seq(100, rng=rng) for _ in range(10_000)])
-        masked = apply_masking(batch, MaskingPolicy(), np.random.default_rng(11), VOCAB_SIZE)
+        masked = apply_masking(batch, np.random.default_rng(11), VOCAB_SIZE)
         rate = masked.num_targets / (100 * 10_000)
         assert 0.145 <= rate <= 0.155
 
     def test_corruption_split_statistics(self):
         rng = np.random.default_rng(12)
-        originals = np.stack([synth_seq(100, rng=rng) for _ in range(500)])
-        masked = apply_masking(
-            originals, MaskingPolicy(1.0, 0.8, 0.1, 0.1), np.random.default_rng(13), VOCAB_SIZE
-        )
+        originals = np.stack([synth_seq(100, rng=rng) for _ in range(3_000)])
+        masked = apply_masking(originals, np.random.default_rng(13), VOCAB_SIZE)
         n_mask = n_same = 0
         total = masked.num_targets
         for (b, p), tgt in zip(target_positions(masked), masked.target_global_ids):
@@ -180,7 +137,7 @@ class TestMlmLoss:
     def make_batch(self, seed=20):
         rng = np.random.default_rng(seed)
         batch = np.stack([synth_seq(6, length=10, rng=rng) for _ in range(3)])
-        return apply_masking(batch, MaskingPolicy(), np.random.default_rng(seed + 1), VOCAB_SIZE)
+        return apply_masking(batch, np.random.default_rng(seed + 1), VOCAB_SIZE)
 
     def test_full_vocab_restriction_identity(self):
         model = toy_model(seed=21)
@@ -216,7 +173,7 @@ class TestMlmLoss:
     def test_no_targets_is_contract_error(self):
         model = toy_model(seed=27)
         empty = np.array([[CLS_ID, SEP_ID]])
-        masked = apply_masking(empty, MaskingPolicy(), np.random.default_rng(28), VOCAB_SIZE)
+        masked = apply_masking(empty, np.random.default_rng(28), VOCAB_SIZE)
         with pytest.raises(ContractError):
             mlm_loss(model, masked, np.arange(VOCAB_SIZE))
 
