@@ -6,10 +6,10 @@ line, then the raw payload. Tensors are sorted by name, so save -> load ->
 save is byte-identical. The manifest also carries the model configuration so
 a model can be reconstructed from the file alone; the line
 ``model_config gelu_approx false``, which files written before the tanh GELU
-was removed carry, is read as a no-op. A load accepts exactly the tensors the
-model and its optimizer own: every parameter, and either no optimizer state
-or the moments of every trainable parameter and one ``opt_step`` line each,
-all carrying the optimizer's single step count.
+was removed carry, is read as a no-op. A checkpoint holds exactly the tensors
+the model and its optimizer own: every parameter, and the two moments of every
+trainable parameter with one ``opt_step`` line each, all carrying the
+optimizer's single step count.
 
 A load reads the manifest up to the ``---`` line, then reads each tensor's
 bytes straight into the parameter or moment array that owns it, so it holds
@@ -68,21 +68,20 @@ def _parse_value(s: str):
 
 def save_checkpoint(
     model: WordBertModel,
-    optimizer: Adam | None,
+    optimizer: Adam,
     step: int,
     path,
     digest: str = "-",
 ):
-    """Write model (and optimizer state) to the archive format, atomically."""
+    """Write model and optimizer state to the archive format, atomically."""
     tensors: dict[str, np.ndarray] = {name: t.data for name, t in model.parameters().items()}
     lines = [_MAGIC, f"step {int(step)}", f"seed {int(model.seed)}", f"config_digest {digest}"]
     for key, value in asdict(model.config).items():
         lines.append(f"model_config {key} {format_value(value)}")
-    if optimizer is not None:
-        for name in sorted(optimizer.params):
-            tensors[f"optimizer.m.{name}"] = optimizer.first_moment[name]
-            tensors[f"optimizer.v.{name}"] = optimizer.second_moment[name]
-            lines.append(f"opt_step {name} {optimizer.step_count}")
+    for name in sorted(optimizer.params):
+        tensors[f"optimizer.m.{name}"] = optimizer.first_moment[name]
+        tensors[f"optimizer.v.{name}"] = optimizer.second_moment[name]
+        lines.append(f"opt_step {name} {optimizer.step_count}")
 
     arrays = {name: np.ascontiguousarray(tensors[name], dtype="<f4") for name in sorted(tensors)}
     offset = 0
@@ -233,29 +232,25 @@ def load_checkpoint(path) -> Checkpoint:
     unknown = sorted(set(tensors) - known)
     if unknown:
         raise IntegrityError(f"{path}: unknown tensor {', '.join(unknown)}")
-    absent = sorted(set(model.params) - set(tensors))
+    absent = sorted(known - set(tensors))
     if absent:
         raise IntegrityError(f"{path}: manifest has no tensor {', '.join(absent)}")
     stray = sorted(set(opt_steps) - set(trainable))
     if stray:
         raise IntegrityError(f"{path}: opt_step {', '.join(stray)} names no trainable parameter")
-    # read_manifest pairs every m with its v; optimizer state is all or nothing
-    with_moments = {name for name in trainable if f"optimizer.m.{name}" in tensors}
-    if with_moments or opt_steps:
-        for what, present in (("optimizer moments", with_moments), ("opt_step", opt_steps)):
-            missing = sorted(set(trainable) - set(present))
-            if missing:
-                raise IntegrityError(f"{path}: no {what} for {', '.join(missing)}")
+    missing = sorted(set(trainable) - set(opt_steps))
+    if missing:
+        raise IntegrityError(f"{path}: no opt_step for {', '.join(missing)}")
     if len(set(opt_steps.values())) > 1:
         raise IntegrityError(f"{path}: opt_step values differ: {sorted(set(opt_steps.values()))}")
 
     optimizer = Adam(trainable)
     targets = {name: param.data for name, param in model.params.items()}
-    for name in with_moments:
+    for name in trainable:
         targets[f"optimizer.m.{name}"] = optimizer.first_moment[name]
         targets[f"optimizer.v.{name}"] = optimizer.second_moment[name]
     with open(path, "rb") as fh:
         for name, target in targets.items():
             _read_into(fh, path, name, tensors[name], payload_offset, target)
-    optimizer.step_count = next(iter(opt_steps.values()), 0)
+    optimizer.step_count = next(iter(opt_steps.values()))
     return Checkpoint(model, optimizer, step=info["step"], digest=info.get("digest", "-"))

@@ -29,7 +29,7 @@ from .evaluation import (
     save_probe_examples,
 )
 from .model import ModelConfig, WordBertModel, parameter_counts
-from .sampling import NeighborIndex
+from .sampling import NEIGHBORS, NeighborIndex
 from .seeding import substream
 from .training import TrainConfig, pretrain_projection, write_metrics
 from .training import train as run_training
@@ -73,18 +73,15 @@ def _npz_shape(path, key):
     return shape
 
 
-def _load_npz_array(path, key):
-    _npz_shape(path, key)
+def _load_finite(path, key):
+    """The 2-D array ``key`` of npz file ``path`` as float32, refusing one that
+    holds a NaN or infinity by its first such row. Callers check the array's
+    header through ``_npz_shape`` first."""
     try:
         with zipfile.ZipFile(path) as archive, archive.open(f"{key}.npy") as fp:
-            return np.lib.format.read_array(fp).astype(np.float32, copy=False)  # a fresh array
+            array = np.lib.format.read_array(fp).astype(np.float32, copy=False)  # a fresh array
     except (ValueError, zipfile.BadZipFile) as err:  # data cut short, or a CRC mismatch
         raise ContractError(f"{path}: array {key!r} cannot be read: {err}") from err
-
-
-def _load_finite(path, key):
-    """``_load_npz_array``, refusing an array that holds a NaN or infinity by its first such row."""
-    array = _load_npz_array(path, key)
     bad = np.flatnonzero(~np.isfinite(array).all(axis=1))
     if bad.size:
         raise ContractError(f"{path}: row {bad[0]} of array {key!r} holds a NaN or infinity")
@@ -128,10 +125,15 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_pretrain_projection(args) -> int:
-    v_in = _load_npz_array(args.pairs, "v_in")
-    v_out = _load_npz_array(args.pairs, "v_out")
+    shape_in, shape_out = _npz_shape(args.pairs, "v_in"), _npz_shape(args.pairs, "v_out")
+    if not (len(shape_in) == len(shape_out) == 2 and shape_in[0] == shape_out[0]
+            and min(shape_in + shape_out) >= 1):
+        raise ContractError(f"{args.pairs}: arrays 'v_in' and 'v_out' have shapes {shape_in} and "
+                            f"{shape_out}, expected [N, E] and [N, H] with the same N, all >= 1")
+    v_in, v_out = _load_finite(args.pairs, "v_in"), _load_finite(args.pairs, "v_out")
     w, mse = pretrain_projection(v_in, v_out)
-    np.savez(args.out, projection=w, final_loss=np.float32(mse))
+    with open(args.out, "wb") as fh:  # np.savez given a name would append ".npz" to it
+        np.savez(fh, projection=w, final_loss=np.float32(mse))
     print(f"fitted {v_in.shape[1]}x{v_out.shape[1]} projection on {len(v_in)} pairs, "
           f"final mse {mse:.6g} -> {args.out}")
     return 0
@@ -159,7 +161,12 @@ def cmd_pretrain(args) -> int:
     if violations:  # every view's violations together, before the corpus is read
         raise ConfigError(violations)
     train_cfg, model_cfg = views
-    if cfg["train.use_neighbors"]:  # a zero vector has no cosine neighbors
+    if cfg["train.use_neighbors"]:
+        if vocab.size <= NEIGHBORS:
+            raise ContractError(f"vocabulary {args.vocab} holds {vocab.size} words, but "
+                                f"train.use_neighbors = true ranks {NEIGHBORS} neighbors of each "
+                                "word among the others")
+        # a zero vector has no cosine neighbors
         zero = np.flatnonzero(~vectors[NUM_SPECIALS:].any(axis=1))
         if zero.size:
             raise ContractError(f"{args.word_vectors}: row {zero[0] + NUM_SPECIALS} of array "

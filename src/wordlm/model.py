@@ -200,9 +200,9 @@ class WordBertModel:
         """Embeddings plus L encoder layers over a batch of equal-length sequences.
 
         Word (and projection) lookup plus learned position embeddings, then
-        masked multi-head self-attention + feed-forward per layer, with batch
-        and head axes folded so attention stays on rank-3 tensors. Returns
-        hidden states flattened to [B*T, H]; position (b, t) lives at row b*T + t.
+        masked multi-head self-attention + feed-forward per layer, attention
+        running on [B, A, T, D] stacks of heads. Returns hidden states
+        flattened to [B*T, H]; position (b, t) lives at row b*T + t.
 
         Dropout applies exactly when a dropout ``rng`` is given (and
         ``config.dropout > 0``): after the embeddings, on the attention
@@ -225,10 +225,9 @@ class WordBertModel:
         x = T.reshape(T.add(T.reshape(rows, (b_sz, t_len, cfg.hidden)), pos), (b_sz * t_len, cfg.hidden))
         x = T.dropout(x, cfg.dropout, rng)
 
-        a = cfg.num_heads
-        # one additive bias row per (sequence, head): 0 real, -1e9 padding keys
-        bias = np.repeat((mask - 1.0) * np.float32(1e9), a, axis=0).reshape(b_sz * a, 1, t_len)
-        mask_bias = Tensor(bias)
+        # one additive bias row per sequence, shared by its heads and queries:
+        # 0 real, -1e9 padding keys
+        mask_bias = Tensor(((mask - 1.0) * np.float32(1e9)).reshape(b_sz, 1, 1, t_len))
         for i in range(cfg.num_layers):
             x = self._layer(i, x, mask_bias, b_sz, t_len, rng)
         return x
@@ -240,11 +239,8 @@ class WordBertModel:
         pre = f"encoder.{i}."
         a, d = cfg.num_heads, cfg.head_dim
 
-        def split_heads(t2d, transpose_to):
-            return T.reshape(
-                T.transpose(T.reshape(t2d, (b_sz, t_len, a, d)), transpose_to),
-                (b_sz * a, t_len, d) if transpose_to == (0, 2, 1, 3) else (b_sz * a, d, t_len),
-            )
+        def split_heads(t2d, axes):  # [B*T, H] -> [B, A, T, D], or [B, A, D, T] for keys
+            return T.transpose(T.reshape(t2d, (b_sz, t_len, a, d)), axes)
 
         q = T.add(T.matmul(x, p[pre + "attention.query.weight"]), p[pre + "attention.query.bias"])
         k = T.add(T.matmul(x, p[pre + "attention.key.weight"]), p[pre + "attention.key.bias"])
@@ -255,10 +251,7 @@ class WordBertModel:
         scores = T.add(T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(d)), mask_bias)
         attn = T.softmax(scores)
         attn = T.dropout(attn, cfg.dropout, rng)
-        ctx = T.reshape(
-            T.transpose(T.reshape(T.matmul(attn, vh), (b_sz, a, t_len, d)), (0, 2, 1, 3)),
-            (b_sz * t_len, cfg.hidden),
-        )
+        ctx = T.reshape(T.transpose(T.matmul(attn, vh), (0, 2, 1, 3)), (b_sz * t_len, cfg.hidden))
         attn_out = T.add(
             T.matmul(ctx, p[pre + "attention.output.weight"]), p[pre + "attention.output.bias"]
         )

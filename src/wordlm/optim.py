@@ -35,11 +35,9 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 raise ContractError(f"Adam step: parameter {name} has no gradient")
-            for what, arr in (("gradient", p.grad), ("first moment", self.first_moment[name]),
-                              ("second moment", self.second_moment[name])):
-                if arr.shape != p.data.shape:
-                    raise ContractError(f"{what} shape {arr.shape} does not match "
-                                        f"parameter {name} shape {p.data.shape}")
+            if p.grad.shape != p.data.shape:
+                raise ContractError(f"gradient shape {p.grad.shape} does not match "
+                                    f"parameter {name} shape {p.data.shape}")
         self.step_count += 1
         for name, p in self.params.items():
             kernels.adam_update(

@@ -3,9 +3,9 @@
 Each training batch scores its masked positions against a restricted
 vocabulary: the five specials, a uniform without-replacement sample of
 non-special ids, every word present in the batch, and (when a neighbor index
-is supplied) the 10 nearest cosine neighbors of each masked target word. A
-batch vocabulary is a plain sorted, de-duplicated int64 array of global word
-ids; ``remap_targets`` gives each target's column in it.
+is supplied) the ``NEIGHBORS`` nearest cosine neighbors of each masked target
+word. A batch vocabulary is a plain sorted, de-duplicated int64 array of
+global word ids; ``remap_targets`` gives each target's column in it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import ContractError
 from .vocab import NUM_SPECIALS
+
+# Cosine neighbors each masked target adds to its batch vocabulary.
+NEIGHBORS = 10
 
 
 def sample_batch_vocab(
@@ -25,8 +28,6 @@ def sample_batch_vocab(
     neighbor_index: "NeighborIndex | None" = None,
 ) -> np.ndarray:
     """Sorted unique ids: specials + uniform sample + batch words + targets (+ neighbors)."""
-    if sample_size < 1:
-        raise ContractError(f"sample_size must be >= 1, got {sample_size}")
     n_non_special = vocab_size - NUM_SPECIALS
     if sample_size >= n_non_special:
         return np.arange(vocab_size, dtype=np.int64)
@@ -63,11 +64,12 @@ _SCRATCH_BYTES = 16 << 20
 class NeighborIndex:
     """Exact cosine-similarity search over an embedding table.
 
-    Zero-norm rows never appear as neighbors; querying one is an error. A
-    block of queries is scored against every row in one float32 GEMM; the
-    candidates within rounding reach of the k-th best score are then ordered
-    by the float64 dot product of the stored float32 unit rows, ties toward
-    the lower word id. So a query's list depends only on the rows involved,
+    The table needs more than ``NEIGHBORS`` rows. Zero-norm rows never appear
+    as neighbors; querying one is an error. A block of queries is scored
+    against every row in one float32 GEMM; the candidates within rounding
+    reach of the ``NEIGHBORS``-th best score are then ordered by the float64
+    dot product of the stored float32 unit rows, ties toward the lower word
+    id. So a query's list depends only on the rows involved,
     not on the other queries of its block or on the BLAS kernel.
     """
 
@@ -75,6 +77,9 @@ class NeighborIndex:
         emb = np.asarray(embeddings, dtype=np.float32)
         if emb.ndim != 2:
             raise ContractError(f"embedding table must be 2-D, got shape {emb.shape}")
+        if emb.shape[0] <= NEIGHBORS:
+            raise ContractError(f"embedding table has {emb.shape[0]} rows, but the neighbor "
+                                f"search needs more than {NEIGHBORS}")
         unit = emb.astype(np.float64)
         norms = np.linalg.norm(unit, axis=1)
         self._zero = norms == 0.0
@@ -87,15 +92,14 @@ class NeighborIndex:
         # float32 unit rows' norms differing from 1.
         self._margin = np.float32(2 * emb.shape[1] * np.finfo(np.float32).eps)
 
-    def neighbors_of_many(self, word_ids, k: int = 10) -> np.ndarray:
-        """The k ids most cosine-similar to each unique id of word_ids, excluding
-        the id itself: one list per id, concatenated in ascending id order."""
+    def neighbors_of_many(self, word_ids) -> np.ndarray:
+        """The ``NEIGHBORS`` ids most cosine-similar to each unique id of word_ids,
+        excluding the id itself: one list per id, concatenated in ascending id
+        order. A list is shorter only when fewer other rows are nonzero."""
         queries = np.unique(np.asarray(word_ids, dtype=np.int64))
         outside = queries[(queries < 0) | (queries >= self.size)]
         if outside.size:
             raise IndexError(f"word id {outside[0]} outside [0, {self.size})")
-        if not 1 <= k < self.size:
-            raise ContractError(f"k={k} must be in [1, {self.size}), the vocabulary size")
         zero = queries[self._zero[queries]]
         if zero.size:
             raise ContractError(f"word id {zero[0]} has a zero-norm embedding")
@@ -108,13 +112,14 @@ class NeighborIndex:
             np.matmul(self._unit[ids], self._unit.T, out=sims)
             sims[:, self._zero] = -np.inf
             sims[np.arange(ids.size), ids] = -np.inf
-            lists.extend(self._top_k(q, row, k) for q, row in zip(ids, sims))
+            lists.extend(self._top_k(q, row) for q, row in zip(ids, sims))
         return np.concatenate(lists)
 
-    def _top_k(self, query, sims, k):
-        """The exact top k of one query, given its float32 scores against every row."""
-        kth = np.partition(sims, sims.size - k)[sims.size - k]
+    def _top_k(self, query, sims):
+        """The exact top ``NEIGHBORS`` of one query, given its float32 scores
+        against every row."""
+        kth = np.partition(sims, sims.size - NEIGHBORS)[sims.size - NEIGHBORS]
         near = np.flatnonzero(sims >= kth - self._margin)
         near = near[np.isfinite(sims[near])]
         exact = (self._unit[near].astype(np.float64) * self._unit[query].astype(np.float64)).sum(axis=1)
-        return near[np.lexsort((near, -exact))][:k]
+        return near[np.lexsort((near, -exact))][:NEIGHBORS]

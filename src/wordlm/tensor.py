@@ -160,12 +160,9 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for [m,k]@[k,n], or stacked [B,m,k]@[B,k,n]."""
+    """Matrix product [..., m, k] @ [..., k, n] over equal leading axes."""
     sa, sb = a.data.shape, b.data.shape
-    ok = (len(sa) == 2 and len(sb) == 2 and sa[1] == sb[0]) or (
-        len(sa) == 3 and len(sb) == 3 and sa[0] == sb[0] and sa[2] == sb[1]
-    )
-    if not ok:
+    if not (len(sa) == len(sb) >= 2 and sa[:-2] == sb[:-2] and sa[-1] == sb[-2]):
         raise ShapeError(f"matmul shape mismatch: {sa} @ {sb}")
     data = np.matmul(a.data, b.data)
 

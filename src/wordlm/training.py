@@ -120,15 +120,9 @@ def pretrain_projection(v_in: np.ndarray, v_out: np.ndarray) -> tuple[np.ndarray
 
     Ordinary least squares, solved once in float64: the minimum-norm W when
     v_in has rank below E. Returns the float32 map and its float32 mean
-    squared error; a NaN or infinity in either array raises ``ContractError``.
+    squared error. Both arrays must be finite; ``pretrain-projection`` checks
+    them, and their shapes, as it reads them.
     """
-    if v_in.ndim != 2 or v_out.ndim != 2 or not 0 < v_in.shape[0] == v_out.shape[0]:
-        raise ContractError(
-            f"pretrain_projection needs v_in [N,E] and v_out [N,H] with N >= 1, "
-            f"got {v_in.shape} and {v_out.shape}"
-        )
-    if not (np.isfinite(v_in).all() and np.isfinite(v_out).all()):
-        raise ContractError("pretrain_projection: v_in or v_out holds a NaN or infinity")
     w = np.linalg.lstsq(v_in.astype(np.float64), v_out.astype(np.float64), rcond=None)[0]
     w = w.astype(np.float32)
     diff = v_in.astype(np.float32) @ w - v_out.astype(np.float32)

@@ -12,7 +12,7 @@ from scipy import stats
 
 from wordlm import tensor as T
 from wordlm.model import ModelConfig, WordBertModel, parameter_counts
-from wordlm.sampling import NeighborIndex, sample_batch_vocab
+from wordlm.sampling import NEIGHBORS, NeighborIndex, sample_batch_vocab
 from wordlm.tensor import Tensor
 from wordlm.training import (
     MaskedBatch,
@@ -275,7 +275,7 @@ def test_criterion_02_restriction_identity():
 
 
 def test_criterion_03_sampler_soundness():
-    vocab_size, sample_size, k = 10_000, 500, 10  # k: neighbors_of_many's default
+    vocab_size, sample_size, k = 10_000, 500, NEIGHBORS
     emb = np.random.default_rng(209).standard_normal((vocab_size, 16)).astype(np.float32)
     index = NeighborIndex(emb)
     rng = np.random.default_rng(210)
@@ -313,7 +313,7 @@ def test_criterion_04_neighbor_exactness():
     expected = brute_force_topk(emb, k=10)
     matches = 0
     for q in range(100):
-        got = index.neighbors_of_many([q], k=10)
+        got = index.neighbors_of_many([q])
         assert list(got) == expected[q], f"query {q} differs"
         matches += 1
     report(4, f"top-10 cosine neighbors identical to O(V^2) oracle, {matches}/100 queries")

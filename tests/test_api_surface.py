@@ -7,6 +7,13 @@ in ``src/wordlm`` or ``perfbench`` (its smoke test excluded) anywhere but the
 body of its own definition; a private name must appear in ``src/wordlm``. The
 match is by name only, so a method shares its callers with every other method
 of the same name.
+
+Every parameter default of a function or method written in ``src/wordlm`` is
+overridden by some call in ``src/wordlm`` or ``perfbench`` (its smoke test
+excluded), by position or by keyword: a default that only tests override is a
+code path that only tests reach. A call of a class counts for its
+``__init__``, and a call with ``*args`` or ``**kwargs`` may override any
+parameter. Dataclass fields are settings, not parameters, and are not checked.
 """
 
 import ast
@@ -18,6 +25,14 @@ PACKAGE = ROOT / "src" / "wordlm"
 # Public names that may have no caller in the code base.
 ALLOWED = {
     "main": "the `wordlm` console script in pyproject.toml calls it",
+}
+
+
+# Parameter defaults that no call in the code base has to override.
+ALLOWED_DEFAULTS = {
+    "train.start_step": "resuming a run from a checkpoint (criterion 09); a CLI "
+                        "--resume would pass it",
+    "main.argv": "the console script calls main() with no arguments",
 }
 
 
@@ -106,3 +121,79 @@ def test_every_kernel_is_traced_by_the_benchmark():
     ]
     assert len(traced) == len(set(traced)), f"KERNELS repeats a name: {traced}"
     assert kernels == set(traced)
+
+
+def defaulted_parameters():
+    """(module file, qualified name, call name, parameter, position or None) of
+    every parameter with a default. The position counts from the first argument
+    a call passes, so it skips ``self``; it is None for a keyword-only parameter."""
+    out = []
+    for module, node in module_definitions():
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node.name, node.name, node, 0)]
+        else:
+            functions = [
+                (f"{node.name}.{item.name}", node.name if item.name == "__init__" else item.name,
+                 item, 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                for d in item.decorator_list) else 1)
+                for item in node.body if isinstance(item, ast.FunctionDef)
+            ]
+        for qualified, call_name, fn, bound in functions:
+            positional = (fn.args.posonlyargs + fn.args.args)[bound:]
+            first = len(positional) - len(fn.args.defaults)
+            for index, arg in enumerate(positional[first:], start=first):
+                out.append((module, qualified, call_name, arg.arg, index))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    out.append((module, qualified, call_name, arg.arg, None))
+    return out
+
+
+def calls_by_name(files):
+    """Callee name -> [(positional argument count, keyword names)] of every call
+    in ``files`` outside the definitions that bear the callee's name; a count of
+    None stands for ``*args``, keywords of None for ``**kwargs``."""
+    calls = {}
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None and name not in enclosing:
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (None if starred else len(node.args), None if None in keywords else keywords)
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in files:
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return calls
+
+
+def test_every_parameter_default_is_overridden_outside_the_tests():
+    parameters = defaulted_parameters()
+    short = {(q, p): f"{q.split('.')[-1]}.{p}" for _, q, _, p, _ in parameters}
+    assert set(ALLOWED_DEFAULTS) <= set(short.values()), "stale ALLOWED_DEFAULTS entry"
+    calls = calls_by_name(sorted(PACKAGE.glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_smoke.py"
+    ))
+
+    def overridden(call_name, param, index):
+        return any(
+            keywords is None or param in keywords
+            or (index is not None and (count is None or count > index))
+            for count, keywords in calls.get(call_name, [])
+        )
+
+    never = [
+        f"{module}:{qualified}.{param}"
+        for module, qualified, call_name, param, index in parameters
+        if short[qualified, param] not in ALLOWED_DEFAULTS
+        and not overridden(call_name, param, index)
+    ]
+    assert not never, f"parameter defaults that only tests override: {never}"

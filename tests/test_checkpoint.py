@@ -127,7 +127,7 @@ class TestIntegrity:
     def test_truncated_payload_reports_byte_counts(self, tmp_path):
         model = small_model(seed=7)
         path = tmp_path / "t.ckpt"
-        save_checkpoint(model, None, 0, path)
+        save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
         blob = path.read_bytes()
         (tmp_path / "cut.ckpt").write_bytes(blob[:-100])
         with pytest.raises(IntegrityError, match=r"expected \d+ bytes, got \d+"):
@@ -186,13 +186,17 @@ class TestIntegrity:
              "unknown tensor optimizer.m.bogus, optimizer.v.bogus"),
             ("opt_step mlm.bias ", "opt_step bogus 0",
              "opt_step bogus names no trainable parameter"),
-            (MLM_BIAS_MOMENTS, None, "no optimizer moments for mlm.bias"),
+            (MLM_BIAS_MOMENTS, None,
+             "manifest has no tensor optimizer.m.mlm.bias, optimizer.v.mlm.bias"),
+            (("tensor optimizer.", "opt_step "), None,
+             "manifest has no tensor optimizer.m.embedding.position, "
+             "optimizer.m.embedding.word, optimizer.m.encoder.0."),
             ("opt_step mlm.bias ", None, "no opt_step for mlm.bias"),
             ("opt_step mlm.bias ", "opt_step mlm.bias 5", "opt_step values differ"),
         ],
         ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape", "invalid-config",
              "unknown-tensor", "unknown-moments", "unknown-opt-step", "partial-moments",
-             "partial-opt-steps", "opt-steps-differ"],
+             "no-optimizer-state", "partial-opt-steps", "opt-steps-differ"],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, prefix, replacement, message):
         path, _ = _rewrite_manifest_line(tmp_path, prefix, replacement)
@@ -219,7 +223,8 @@ class TestIntegrity:
     def test_manifest_lists_tensors(self, tmp_path):
         model = small_model(seed=8)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, None, 12, path, digest=config_digest("cfg text"))
+        save_checkpoint(model, Adam(model.trainable_parameters()), 12, path,
+                        digest=config_digest("cfg text"))
         info, _ = read_manifest(path)
         assert info["step"] == 12
         assert "embedding.word" in info["tensors"]
@@ -245,7 +250,8 @@ class TestSave:
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         model = small_model(seed=4)
         path = tmp_path / "keep.ckpt"
-        save_checkpoint(model, None, 1, path)
+        opt = Adam(model.trainable_parameters())
+        save_checkpoint(model, opt, 1, path)
         before = path.read_bytes()
 
         def fail(fd):
@@ -254,7 +260,7 @@ class TestSave:
         monkeypatch.setattr(os, "fsync", fail)
         model.params["mlm.bias"].data[:] = 1.0
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(model, None, 2, path)
+            save_checkpoint(model, opt, 2, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.ckpt"]
 

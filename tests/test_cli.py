@@ -222,6 +222,17 @@ class TestPretrain:
         assert not out.exists()
 
 
+def _refusal(argv):
+    """stderr of ``wordlm argv`` in a fresh interpreter, which must exit 1 with
+    no stdout and one line on stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "wordlm.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1), proc.stderr
+    return proc.stderr
+
+
 def _with_rows(array, values):
     """``array`` with each row ``i`` of ``values`` set to ``values[i]``."""
     for row, value in values.items():
@@ -301,17 +312,6 @@ class TestProjectedPretrain:
         assert captured.err == (f"wordlm: error: {vectors}: array 'vectors' has shape (13, 6), "
                                 "expected [14, E >= 1]: one row per vocabulary word\n")
 
-    @staticmethod
-    def _refusal(argv):
-        """stderr of ``wordlm argv`` in a fresh interpreter, which must exit 1 with
-        no stdout."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "wordlm.cli", *map(str, argv)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
-        return proc.stderr
-
     @pytest.mark.parametrize(
         "name,array,flags,message",
         [
@@ -347,9 +347,9 @@ class TestProjectedPretrain:
         np.savez(bad, **{name: array})
         files = {"vectors": vectors, "projection": proj, name: bad}
         # a corpus that does not exist shows the refusal comes before it is read
-        err = self._refusal(["pretrain", "--config", cfg, "--corpus", tmp / "none.txt",
-                             "--vocab", vocab, "--out", out, "--word-vectors", files["vectors"],
-                             *(["--projection", bad] if name == "projection" else []), *flags])
+        err = _refusal(["pretrain", "--config", cfg, "--corpus", tmp / "none.txt",
+                        "--vocab", vocab, "--out", out, "--word-vectors", files["vectors"],
+                        *(["--projection", bad] if name == "projection" else []), *flags])
         assert err == f"wordlm: error: {bad}: {message}\n"
         assert not out.exists()
 
@@ -374,8 +374,8 @@ class TestProjectedPretrain:
         tmp, _, cfg, _, _, _ = inputs
         bad = tmp / "bad.npz"
         np.savez(bad, vectors=np.ones((13, self.WIDTH), dtype))
-        err = self._refusal(["param-count", "--config", cfg, "--vocab-size", "13",
-                             "--word-vectors", bad])
+        err = _refusal(["param-count", "--config", cfg, "--vocab-size", "13",
+                        "--word-vectors", bad])
         assert err == (f"wordlm: error: {bad}: array 'vectors' has dtype {np.dtype(dtype)}, "
                        "expected integers or floats\n")
 
@@ -391,6 +391,45 @@ class TestProjectedPretrain:
         counts = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
         assert int(counts["embedding"]) == 50_005 * 40 + 40 * 768
         assert peak < 50_005 * 40 * 4 / 20, peak
+
+    def test_neighbors_refuse_a_vocabulary_of_at_most_ten_words(self, inputs):
+        tmp, corpus, cfg, _, _, _ = inputs
+        small, vectors, out = tmp / "small.tsv", tmp / "small.npz", tmp / "run"
+        run_ok(["build-vocab", "--corpus", str(corpus), "--k", "5", "--out", str(small)])
+        np.savez(vectors, vectors=np.random.default_rng(73).standard_normal((10, self.WIDTH)))
+        # a corpus that does not exist shows the refusal comes before it is read
+        err = _refusal(["pretrain", "--config", cfg, "--corpus", tmp / "none.txt",
+                        "--vocab", small, "--out", out, "--word-vectors", vectors,
+                        "--set", "train.use_neighbors=true"])
+        assert err == (f"wordlm: error: vocabulary {small} holds 10 words, but "
+                       "train.use_neighbors = true ranks 10 neighbors of each word among "
+                       "the others\n")
+        assert not out.exists()
+
+    def test_eleven_words_pass_the_neighbor_check(self, inputs):
+        tmp, corpus, cfg, _, _, _ = inputs
+        small, vectors = tmp / "small.tsv", tmp / "small.npz"
+        run_ok(["build-vocab", "--corpus", str(corpus), "--k", "6", "--out", str(small)])
+        np.savez(vectors, vectors=np.ones((11, self.WIDTH)))
+        missing = tmp / "none.txt"  # the run gets as far as the corpus
+        err = _refusal(["pretrain", "--config", cfg, "--corpus", missing, "--vocab", small,
+                        "--out", tmp / "run", "--word-vectors", vectors,
+                        "--set", "train.use_neighbors=true"])
+        assert err.startswith("wordlm: error: ") and str(missing) in err
+
+    def test_fitted_projection_is_written_to_exactly_out(self, inputs, capsys):
+        tmp, corpus, cfg, vocab, vectors, _ = inputs
+        rng = np.random.default_rng(74)
+        pairs, fitted = tmp / "pairs.npz", tmp / "fitted"
+        np.savez(pairs, v_in=rng.standard_normal((20, self.WIDTH)),
+                 v_out=rng.standard_normal((20, 8)))
+        capsys.readouterr()
+        run_ok(["pretrain-projection", "--pairs", str(pairs), "--out", str(fitted)])
+        assert capsys.readouterr().out.endswith(f" -> {fitted}\n")
+        assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("fitted")) == ["fitted"]
+        run_ok(["pretrain", "--config", str(cfg), "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(tmp / "run"), "--steps", "1", "--word-vectors", str(vectors),
+                "--projection", str(fitted)])
 
 
 class TestPretrainProjection:
@@ -852,21 +891,35 @@ class TestExitCodes:
                   "--out", str(tmp_path / "proj.npz"), flag, "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("name,bad", [("v_in", np.nan), ("v_out", np.inf)],
-                             ids=["nan-v_in", "inf-v_out"])
+    @pytest.mark.parametrize("name,bad", [("v_in", np.nan), ("v_out", np.inf),
+                                          ("v_in", np.inf), ("v_out", np.nan)],
+                             ids=["nan-v_in", "inf-v_out", "inf-v_in", "nan-v_out"])
     def test_pretrain_projection_non_finite_pairs_refused_without_output(
-        self, tmp_path, capsys, name, bad
+        self, tmp_path, name, bad
     ):
         arrays = {"v_in": np.ones((6, 3)), "v_out": np.ones((6, 4))}
-        arrays[name][1, 2] = bad
+        arrays[name][4, 2] = bad
+        arrays[name][5, 0] = bad
         pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
         np.savez(pairs, **arrays)
-        assert main(["pretrain-projection", "--pairs", str(pairs), "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "wordlm: error: pretrain_projection: v_in or v_out holds a NaN or infinity\n"
-        )
+        err = _refusal(["pretrain-projection", "--pairs", pairs, "--out", out])
+        assert err == f"wordlm: error: {pairs}: row 4 of array {name!r} holds a NaN or infinity\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "v_in,v_out",
+        [((3,), (3, 4)), ((3, 2), (3,)), ((2, 3), (3, 4)), ((0, 3), (0, 4)), ((4, 0), (4, 2)),
+         ((4, 3), (4, 0)), ((2, 2, 3), (2, 2, 4))],
+        ids=["v_in-1d", "v_out-1d", "pair-counts-differ", "no-pairs", "v_in-no-columns",
+             "v_out-no-columns", "3d"],
+    )
+    def test_pretrain_projection_pair_shapes_refused_without_output(self, tmp_path, v_in, v_out):
+        pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
+        # the NaN shows the shapes are checked from the headers, before any data is read
+        np.savez(pairs, v_in=np.full(v_in, np.nan), v_out=np.ones(v_out))
+        err = _refusal(["pretrain-projection", "--pairs", pairs, "--out", out])
+        assert err == (f"wordlm: error: {pairs}: arrays 'v_in' and 'v_out' have shapes {v_in} "
+                       f"and {v_out}, expected [N, E] and [N, H] with the same N, all >= 1\n")
         assert not out.exists()
 
     def test_pretrain_zero_steps_rejected_before_output(self, workdir, capsys):

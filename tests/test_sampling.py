@@ -35,7 +35,7 @@ class TestSampleBatchVocab:
         rng = np.random.default_rng(2)
         emb = np.random.default_rng(3).standard_normal((2_000, 8)).astype(np.float32)
         index = NeighborIndex(emb)
-        k = 10  # neighbors per target, neighbors_of_many's default
+        k = sampling.NEIGHBORS
         for _ in range(1000):
             batch = set(rng.integers(NUM_SPECIALS, 2_000, size=rng.integers(1, 40)).tolist())
             masked = set(
@@ -48,10 +48,6 @@ class TestSampleBatchVocab:
             for t in masked:
                 assert t in bv
             assert len(bv) <= 50 + len(batch) + k * len(masked) + NUM_SPECIALS
-
-    def test_sample_size_zero_rejected(self):
-        with pytest.raises(ContractError):
-            sample_batch_vocab([], [], vocab_size=10, sample_size=0, rng=np.random.default_rng(0))
 
     def test_resampling_freshness(self):
         batch = [10, 11, 12]
@@ -80,33 +76,33 @@ class TestSampleBatchVocab:
 
 class TestNearestWords:
     def test_scaled_vector_is_top_neighbor(self):
-        emb = np.random.default_rng(5).standard_normal((6, 4)).astype(np.float32)
+        emb = np.random.default_rng(5).standard_normal((16, 4)).astype(np.float32)
         emb[3] = 2.5 * emb[0]
         index = NeighborIndex(emb)
-        assert index.neighbors_of_many([0], k=1)[0] == 3
+        assert index.neighbors_of_many([0])[0] == 3
 
     def test_orthogonal_ties_break_by_id(self):
-        emb = np.eye(5, dtype=np.float32)
+        emb = np.eye(13, dtype=np.float32)
         index = NeighborIndex(emb)
-        np.testing.assert_array_equal(index.neighbors_of_many([3], k=4), [0, 1, 2, 4])
+        np.testing.assert_array_equal(index.neighbors_of_many([3]), [0, 1, 2, 4, 5, 6, 7, 8, 9, 10])
 
     def test_matches_brute_force_oracle(self):
         emb = np.random.default_rng(6).standard_normal((200, 300)).astype(np.float32)
         index = NeighborIndex(emb)
         expected = brute_force_topk(emb, k=10)
         for q in range(200):
-            np.testing.assert_array_equal(index.neighbors_of_many([q], k=10), expected[q])
+            np.testing.assert_array_equal(index.neighbors_of_many([q]), expected[q])
 
     def test_zero_norm_row_never_selected(self):
-        emb = np.random.default_rng(7).standard_normal((8, 3)).astype(np.float32)
+        # 12 rows: for each live query, the ten others are exactly the live rows
+        emb = np.random.default_rng(7).standard_normal((12, 3)).astype(np.float32)
         emb[2] = 0.0
         index = NeighborIndex(emb)
-        for q in range(8):
+        for q in range(12):
             if q == 2:
                 continue
-            got = index.neighbors_of_many([q], k=7)
-            assert 2 not in got
-            assert len(got) == 6  # query and the zero-norm row excluded
+            got = index.neighbors_of_many([q])
+            assert sorted(got) == sorted(set(range(12)) - {q, 2})
 
     def test_unit_rows_match_the_two_copy_formula(self):
         # the stored unit rows decide every neighbor list, so building them
@@ -122,17 +118,23 @@ class TestNearestWords:
         assert index._zero.sum() == 1
 
     def test_zero_norm_query_rejected(self):
-        emb = np.ones((4, 3), dtype=np.float32)
+        emb = np.ones((12, 3), dtype=np.float32)
         emb[1] = 0.0
-        with pytest.raises(ContractError):
-            NeighborIndex(emb).neighbors_of_many([1], k=2)
+        with pytest.raises(ContractError, match="word id 1 has a zero-norm embedding"):
+            NeighborIndex(emb).neighbors_of_many([1])
 
     def test_query_id_bounds(self):
-        index = NeighborIndex(np.ones((4, 3), dtype=np.float32))
-        with pytest.raises(IndexError):
-            index.neighbors_of_many([4], k=2)
-        with pytest.raises(ContractError):
-            index.neighbors_of_many([0], k=4)
+        index = NeighborIndex(np.ones((12, 3), dtype=np.float32))
+        for bad in (12, -1):
+            with pytest.raises(IndexError, match=r"outside \[0, 12\)"):
+                index.neighbors_of_many([bad])
+        assert len(index.neighbors_of_many([11])) == 10
+
+    @pytest.mark.parametrize("rows", [1, 10])
+    def test_table_of_at_most_ten_rows_refused(self, rows):
+        with pytest.raises(ContractError, match=f"embedding table has {rows} rows, but the "
+                                                "neighbor search needs more than 10"):
+            NeighborIndex(np.ones((rows, 3), dtype=np.float32))
 
 
 # Integer rows of squared norm exactly 2**28 have unit rows n / 2**14 that
@@ -165,45 +167,43 @@ class TestBatchedSearch:
         emb = tie_heavy_table()
         index = NeighborIndex(emb)
         everyone = np.arange(len(emb))
-        for k in (1, 6, 40):
-            expected = brute_force_topk(emb, k=k)
-            got = index.neighbors_of_many(everyone, k=k).reshape(len(emb), k)
-            for q in everyone:
-                np.testing.assert_array_equal(got[q], expected[q], err_msg=f"query {q}, k={k}")
+        expected = brute_force_topk(emb, k=10)
+        got = index.neighbors_of_many(everyone).reshape(len(emb), 10)
+        for q in everyone:
+            np.testing.assert_array_equal(got[q], expected[q], err_msg=f"query {q}")
 
     def test_list_does_not_depend_on_block_composition(self, monkeypatch):
         emb = tie_heavy_table()
         block = 7
         monkeypatch.setattr(sampling, "_SCRATCH_BYTES", 4 * len(emb) * block)
         index = NeighborIndex(emb)
-        k = 12
-        alone = {q: index.neighbors_of_many([q], k=k) for q in range(len(emb))}
+        alone = {q: index.neighbors_of_many([q]) for q in range(len(emb))}
         for size in (2, block - 1, block, block + 1):
             for lo in range(0, len(emb), size):
                 ids = np.arange(lo, min(lo + size, len(emb)))
-                got = index.neighbors_of_many(ids, k=k).reshape(len(ids), k)
+                got = index.neighbors_of_many(ids).reshape(len(ids), 10)
                 for q, row in zip(ids, got):
                     np.testing.assert_array_equal(row, alone[q], err_msg=f"query {q}, batch {size}")
 
     def test_fewer_live_rows_than_k(self):
-        emb = np.random.default_rng(10).standard_normal((6, 4)).astype(np.float32)
-        emb[[1, 4]] = 0.0
+        # fewer than ten live rows besides each query: the lists are shorter
+        emb = np.random.default_rng(10).standard_normal((14, 4)).astype(np.float32)
+        emb[[1, 4, 7, 8, 10, 13]] = 0.0
         index = NeighborIndex(emb)
-        got = index.neighbors_of_many([0, 3, 5], k=5)
-        expected = brute_force_topk(emb, k=3)  # three live rows besides each query
+        got = index.neighbors_of_many([0, 3, 5])
+        expected = brute_force_topk(emb, k=7)  # seven live rows besides each query
         np.testing.assert_array_equal(got, np.concatenate([expected[q] for q in (0, 3, 5)]))
 
     @pytest.mark.parametrize(
-        "ids,k,error",
-        [([2, 6], 2, IndexError), ([-1, 2], 2, IndexError), ([2, 1], 2, ContractError),
-         ([2, 3], 6, ContractError)],
-        ids=["id-too-large", "id-negative", "zero-norm-query", "k-not-below-vocab"],
+        "ids,error",
+        [([2, 12], IndexError), ([-1, 2], IndexError), ([2, 1], ContractError)],
+        ids=["id-too-large", "id-negative", "zero-norm-query"],
     )
-    def test_invalid_query_raises_within_a_batch(self, ids, k, error):
-        emb = np.random.default_rng(11).standard_normal((6, 3)).astype(np.float32)
+    def test_invalid_query_raises_within_a_batch(self, ids, error):
+        emb = np.random.default_rng(11).standard_normal((12, 3)).astype(np.float32)
         emb[1] = 0.0
         with pytest.raises(error):
-            NeighborIndex(emb).neighbors_of_many(ids, k=k)
+            NeighborIndex(emb).neighbors_of_many(ids)
 
     def test_scratch_stays_within_block_budget(self):
         vocab_size = 20_000
@@ -212,7 +212,7 @@ class TestBatchedSearch:
         queries = np.random.default_rng(13).choice(vocab_size, size=2_000, replace=False)
         tracemalloc.start()
         try:
-            got = index.neighbors_of_many(queries, k=10)
+            got = index.neighbors_of_many(queries)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,5 +1,7 @@
 """Tests for the autodiff tensor library, checked against independent oracles."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -60,6 +62,11 @@ class TestMatmul:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        # leading axes must be equal (no broadcasting), ranks too, and at least 2
+        for sa, sb in [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (4, 2)), ((1, 3, 4), (2, 4, 2)),
+                       ((2, 2, 3, 4), (2, 3, 4, 2)), ((3,), (3,))]:
+            with pytest.raises(ShapeError, match=re.escape(f"{sa} @ {sb}")):
+                T.matmul(Tensor(np.zeros(sa)), Tensor(np.zeros(sb)))
 
     def test_associativity(self):
         rng = RNG(4)
@@ -87,16 +94,19 @@ class TestMatmul:
 
     def test_batched_gradients_vs_finite_differences(self):
         rng = RNG(6)
-        a = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        b = rng.standard_normal((2, 4, 2)).astype(np.float32)
-        r = rng.standard_normal((2, 3, 2)).astype(np.float32)
-        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        loss = total(T.mul(T.matmul(ta, tb), Tensor(r)))
-        loss.backward()
-        fd_a = central_diff_grad(lambda x: float((np.matmul(x, b.astype(np.float64)) * r).sum()), a)
-        fd_b = central_diff_grad(lambda x: float((np.matmul(a.astype(np.float64), x) * r).sum()), b)
-        assert rel_error(ta.grad, fd_a) <= 1e-3
-        assert rel_error(tb.grad, fd_b) <= 1e-3
+        for lead in ((2,), (2, 3)):  # a stack, and the encoder's [B, A] stack of heads
+            a = rng.standard_normal(lead + (3, 4)).astype(np.float32)
+            b = rng.standard_normal(lead + (4, 2)).astype(np.float32)
+            r = rng.standard_normal(lead + (3, 2)).astype(np.float32)
+            ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            loss = total(T.mul(T.matmul(ta, tb), Tensor(r)))
+            loss.backward()
+            fd_a = central_diff_grad(
+                lambda x: float((np.matmul(x, b.astype(np.float64)) * r).sum()), a)
+            fd_b = central_diff_grad(
+                lambda x: float((np.matmul(a.astype(np.float64), x) * r).sum()), b)
+            assert rel_error(ta.grad, fd_a) <= 1e-3, lead
+            assert rel_error(tb.grad, fd_b) <= 1e-3, lead
 
 
 class TestGelu:
