@@ -120,9 +120,12 @@ def pretrain_projection(v_in: np.ndarray, v_out: np.ndarray) -> tuple[np.ndarray
 
     Ordinary least squares, solved once in float64: the minimum-norm W when
     v_in has rank below E. Returns the float32 map and its float32 mean
-    squared error. Both arrays must be finite; ``pretrain-projection`` checks
-    them, and their shapes, as it reads them.
+    squared error; a NaN or infinity in either array raises ``ContractError``.
+    Shapes are the caller's: ``pretrain-projection`` checks them from the
+    ``.npy`` headers, and names the file, array and row of a non-finite pair.
     """
+    if not (np.isfinite(v_in).all() and np.isfinite(v_out).all()):
+        raise ContractError("pretrain_projection: v_in or v_out holds a NaN or infinity")
     w = np.linalg.lstsq(v_in.astype(np.float64), v_out.astype(np.float64), rcond=None)[0]
     w = w.astype(np.float32)
     diff = v_in.astype(np.float32) @ w - v_out.astype(np.float32)

@@ -224,6 +224,14 @@ class TestPretrainProjection:
         expected = np.linalg.pinv(xs.astype(np.float64)) @ ys.astype(np.float64)
         np.testing.assert_allclose(w, expected, atol=1e-4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["v_in", "v_out"])
+    def test_non_finite_input_rejected(self, name, bad):
+        arrays = {"v_in": np.ones((4, 3), np.float32), "v_out": np.ones((4, 2), np.float32)}
+        arrays[name][2, 1] = bad
+        with pytest.raises(ContractError, match="v_in or v_out holds a NaN or infinity"):
+            pretrain_projection(arrays["v_in"], arrays["v_out"])
+
     def test_paper_scale_pair_count(self):
         rng = np.random.default_rng(35)
         xs = rng.standard_normal((22_860, 300)).astype(np.float32)
