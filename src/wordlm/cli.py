@@ -184,9 +184,12 @@ def cmd_pretrain(args) -> int:
     neighbor_index = NeighborIndex(vectors) if cfg["train.use_neighbors"] else None
     del vectors, projection  # the model holds its own copies
     corpus = read_corpus_lines(args.corpus)
-    records, optimizer = run_training(
-        corpus, vocab, model, train_cfg, neighbor_index=neighbor_index, num_steps=args.steps,
-    )
+    try:
+        records, optimizer = run_training(
+            corpus, vocab, model, train_cfg, neighbor_index=neighbor_index, num_steps=args.steps,
+        )
+    except ContractError as err:  # e.g. a corpus with no line to mask, which names no file
+        raise ContractError(f"corpus {args.corpus}, vocabulary {args.vocab}: {err}") from err
     # written only once training ends, so a failed run leaves no output directory
     os.makedirs(args.out, exist_ok=True)
     cfg.echo_into(args.out)

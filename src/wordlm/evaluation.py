@@ -107,13 +107,17 @@ def build_probe_set(
 
 
 def _masked_logits(model: WordBertModel, vocab: WordVocab, words, positions, max_length):
-    """Full-vocabulary logits [len(positions), V] with every word position masked at once."""
-    enc_positions = [pos + 1 for pos in positions]  # words shift one right of [CLS]
+    """Full-vocabulary logits [n, V], all masked at once, at the first n word
+    ``positions`` (strictly increasing): those inside the window of [CLS] and
+    ``max_length - 2`` words (default the model's). With n = 0 nothing runs."""
+    max_length = max_length or model.config.max_positions
+    enc_positions = [pos + 1 for pos in positions if pos < max_length - 2]  # right of [CLS]
+    if not enc_positions:
+        return np.empty((0, model.config.vocab_size), np.float32)
     seq = encode(words, vocab, max_length)
-    ids = seq.ids.copy()
-    ids[enc_positions] = MASK_ID
+    seq.ids[enc_positions] = MASK_ID
     with T.no_grad():
-        flat = model.encode_batch(ids[None, :], seq.attention_mask[None, :])
+        flat = model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
         return model.full_vocab_logits(T.gather_rows(flat, enc_positions)).data
 
 
@@ -126,22 +130,17 @@ def probe_topk(
 ) -> dict:
     """Zero-shot per-bucket top-k accuracy by full-vocabulary MLM ranking.
 
-    Gold words outside the vocabulary count as misses and are tallied as OOV.
+    Gold words outside the vocabulary count as misses and are tallied as OOV,
+    gold words past the encoded window not at all.
     Returns {"accuracy": {bucket: {k: acc}}, "total": .., "oov": ..} per bucket.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
-    max_length = max_length or model.config.max_positions
     hits = {b: {k: 0 for k in ks} for b in BUCKET_NAMES}
     totals = {b: 0 for b in BUCKET_NAMES}
     oov = {b: 0 for b in BUCKET_NAMES}
     for ex in probes:
-        # words past the encoded window ([CLS] + max_length - 2 words) are truncated away
-        scored = [(pos, gold) for pos, gold in zip(ex.masked_positions, ex.gold_words)
-                  if pos + 1 < max_length - 1]
-        if not scored:
-            continue
-        logits = _masked_logits(model, vocab, ex.words, [pos for pos, _ in scored], max_length)
-        for row, (_, gold) in zip(logits, scored):
+        logits = _masked_logits(model, vocab, ex.words, ex.masked_positions, max_length)
+        for row, gold in zip(logits, ex.gold_words):
             totals[ex.bucket] += 1
             gold_id = vocab.id_of.get(gold)
             if gold_id is None:
@@ -191,15 +190,14 @@ def score_cloze(
     Every option shares the blank's normalizer, so the highest logit wins.
     Out-of-vocabulary options score -inf; ties break toward the lower index.
     """
-    max_length = max_length or model.config.max_positions
     blank = item.passage_words.index(BLANK_SENTINEL)
-    if blank + 1 >= max_length - 1:
+    logits = _masked_logits(model, vocab, item.passage_words, [blank], max_length)
+    if logits.shape[0] == 0:
         raise ContractError("blank position falls outside the encoded window")
     option_ids = [vocab.id_of.get(o) for o in item.options]
     if all(i is None for i in option_ids):
         raise ContractError("every cloze option is out of vocabulary")
-    logits = _masked_logits(model, vocab, item.passage_words, [blank], max_length)[0]
-    scores = np.array([-np.inf if i is None else logits[i] for i in option_ids])
+    scores = np.array([-np.inf if i is None else logits[0, i] for i in option_ids])
     return int(np.argmax(scores))
 
 

@@ -48,6 +48,10 @@ class ModelConfig:
             problems.append(f"vocab_size {self.vocab_size} must cover the specials")
         if self.max_positions < 3:  # [CLS], one word, [SEP]
             problems.append(f"max_positions {self.max_positions} must be >= 3")
+        if self.num_layers < 0:  # zero layers leave the embedding alone
+            problems.append(f"num_layers {self.num_layers} must be >= 0")
+        if self.hidden < 1:
+            problems.append(f"hidden {self.hidden} must be positive")
         if self.num_heads < 1:
             problems.append(f"num_heads {self.num_heads} must be positive")
         elif self.hidden % self.num_heads != 0:
@@ -60,6 +64,8 @@ class ModelConfig:
             )
         if self.variant == "projected" and not self.freeze_embeddings:
             problems.append("variant 'projected' requires freeze_embeddings=true")
+        if self.variant == "projected" and self.embed_dim < 1:  # direct: embed_dim == hidden
+            problems.append(f"embed_dim {self.embed_dim} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             problems.append(f"dropout {self.dropout} outside [0, 1)")
         if problems:

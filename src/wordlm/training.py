@@ -25,7 +25,7 @@ from .optim import Adam
 from .sampling import NeighborIndex, remap_targets, sample_batch_vocab
 from .seeding import substream
 from .tensor import Tensor
-from .vocab import MASK_ID, NUM_SPECIALS, PAD_ID, WordVocab, encode, segment_words
+from .vocab import MASK_ID, NUM_SPECIALS, WordVocab, attention_mask, encode, segment_words
 
 
 # BERT's recipe (Devlin et al. 2019): select 15% of the real words, then turn
@@ -46,9 +46,6 @@ class MaskedBatch:
     @property
     def num_targets(self) -> int:
         return int(self.target_global_ids.shape[0])
-
-    def attention_masks(self) -> np.ndarray:
-        return (self.input_ids != PAD_ID).astype(np.int64)
 
 
 def apply_masking(
@@ -104,7 +101,7 @@ def mlm_loss(
     if masked.num_targets == 0:
         raise ContractError("masked batch contains no targets")
     local_targets = remap_targets(masked.target_global_ids, batch_ids)
-    hidden_flat = model.encode_batch(masked.input_ids, masked.attention_masks(), rng=rng)
+    hidden_flat = model.encode_batch(masked.input_ids, attention_mask(masked.input_ids), rng=rng)
     picked = T.gather_rows(hidden_flat, masked.positions)
     logits = model.mlm_logits(picked, batch_ids)
     return T.mean(T.cross_entropy_rows(logits, local_targets))
@@ -193,7 +190,8 @@ def prepare_corpus(corpus_lines, vocab: WordVocab, max_length: int) -> np.ndarra
         if (ids >= NUM_SPECIALS).any():
             rows.append(ids)
     if not rows:
-        raise ContractError("corpus contains no maskable sequences")
+        raise ContractError("corpus contains no maskable sequences: no line holds a "
+                            f"vocabulary word among its first {max_length - 2} words")
     return np.stack(rows)
 
 

@@ -4,7 +4,7 @@ Segmentation rules (version v1, recorded in the vocab file header): split on
 whitespace, peel leading/trailing non-alphanumeric characters off each chunk
 as single-character tokens, optionally lowercase the remaining core. Word ids
 are dense, with the five special tokens pinned to ids 0-4 and corpus words
-ranked by frequency (ties broken lexicographically).
+ranked by frequency (ties broken lexicographically); no special token is a word.
 """
 
 from __future__ import annotations
@@ -95,9 +95,13 @@ class WordVocab:
         self.lowercase = bool(lowercase)
         if tuple(self.words[:NUM_SPECIALS]) != SPECIAL_TOKENS:
             raise ContractError("vocabulary must start with the five special tokens")
-        self.id_of = {w: i for i, w in enumerate(self.words)}
-        if len(self.id_of) != len(self.words):  # id_of keeps each word's last id
-            first = next(w for i, w in enumerate(self.words) if self.id_of[w] != i)
+        corpus_words = self.words[NUM_SPECIALS:]  # a special token's spelling encodes as [UNK]
+        self.id_of = {w: i for i, w in enumerate(corpus_words, NUM_SPECIALS)}
+        for w in SPECIAL_TOKENS:
+            if w in self.id_of:
+                raise ContractError(f"special token {w!r} repeated as a word at id {self.id_of[w]}")
+        if len(self.id_of) != len(corpus_words):  # id_of keeps each word's last id
+            first = next(w for i, w in enumerate(corpus_words, NUM_SPECIALS) if self.id_of[w] != i)
             raise ContractError(f"vocabulary contains duplicate word {first!r}")
         if self.frequency.shape != (len(self.words),):
             raise ContractError("frequency array length does not match word list")
@@ -158,20 +162,17 @@ class EncodedSequence:
     ids: np.ndarray
     attention_mask: np.ndarray
 
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.attention_mask = np.asarray(self.attention_mask, dtype=np.int64)
+
+def attention_mask(ids) -> np.ndarray:
+    """1 at the real positions of encoded ids, 0 at [PAD], which no word encodes as."""
+    return (ids != PAD_ID).astype(np.int64)
 
 
 def encode(words, vocab: WordVocab, max_length: int = 512) -> EncodedSequence:
     """CLS-fronted, SEP-terminated, PAD-filled id sequence of fixed length."""
     if max_length < 3:
         raise ContractError(f"max_length must be >= 3, got {max_length}")
-    retained = list(words)[: max_length - 2]
-    body = [vocab.id_of.get(w, UNK_ID) for w in retained]
-    ids = [CLS_ID] + body + [SEP_ID]
-    n_real = len(ids)
-    ids.extend([PAD_ID] * (max_length - n_real))
-    mask = [1] * n_real + [0] * (max_length - n_real)
-    return EncodedSequence(np.array(ids), np.array(mask))
-
+    body = [vocab.id_of.get(w, UNK_ID) for w in list(words)[: max_length - 2]]
+    ids = np.full(max_length, PAD_ID, dtype=np.int64)
+    ids[: len(body) + 2] = [CLS_ID, *body, SEP_ID]
+    return EncodedSequence(ids, attention_mask(ids))

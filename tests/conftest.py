@@ -8,7 +8,14 @@ import pytest
 from wordlm import tensor as T
 from wordlm.model import ModelConfig, WordBertModel
 from wordlm.training import TrainConfig, train
-from wordlm.vocab import MASK_ID, NUM_SPECIALS, build_vocabulary, encode, segment_words
+from wordlm.vocab import (
+    MASK_ID,
+    NUM_SPECIALS,
+    attention_mask,
+    build_vocabulary,
+    encode,
+    segment_words,
+)
 
 
 def masked_top1_accuracy(model, vocab, lines, max_length):
@@ -37,7 +44,7 @@ def restricted_loss64(model, masked, ids):
     """Mean masked-word loss, softmax renormalised over the columns ids of the
     full-vocabulary logits at the masked rows, in float64 numpy (not mlm_loss's head)."""
     with T.no_grad():
-        flat = model.encode_batch(masked.input_ids, masked.attention_masks())
+        flat = model.encode_batch(masked.input_ids, attention_mask(masked.input_ids))
         logits = model.full_vocab_logits(T.gather_rows(flat, masked.positions)).data
     logits = logits.astype(np.float64)
     kept = logits[:, np.asarray(ids)]

@@ -9,6 +9,8 @@ taken through.
 import numpy as np
 from scipy.special import erf
 
+from wordlm.vocab import attention_mask
+
 
 def params64(model):
     return {k: t.data.astype(np.float64) for k, t in model.parameters().items()}
@@ -95,7 +97,7 @@ def per_sequence(masked, bv_ids):
     """ref_mlm_loss's batch list for a masked batch: flat row b*T + t is (b, t)."""
     seq, pos = np.divmod(masked.positions, masked.input_ids.shape[1])
     local = np.searchsorted(bv_ids, masked.target_global_ids)
-    masks = masked.attention_masks()
+    masks = attention_mask(masked.input_ids)
     return [
         (masked.input_ids[b], masks[b], pos[seq == b], local[seq == b])
         for b in range(masked.input_ids.shape[0])

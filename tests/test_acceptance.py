@@ -4,7 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines alongside pytest's own pass/fail output.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +454,15 @@ def test_criterion_08_cloze_mechanism(copy_task_bundle):
 
 
 def test_criterion_09_reproducibility(tmp_path):
+    """Two runs of one seed and config write byte-identical metrics, and a run
+    saved, loaded and resumed continues with bit-exact losses.
+
+    The scope is one BLAS build at one fixed ``OPENBLAS_NUM_THREADS``: a float32
+    GEMM's rounding may depend on the thread count (the tied head's input
+    gradient, whose K is the batch vocabulary, does here), so comparisons across
+    commits pin both. ``test_criterion_09_resume_identity_at_fixed_blas_threads``
+    checks the resume at 1 and at 2 threads, each against itself.
+    """
     from wordlm.checkpoint import load_checkpoint, save_checkpoint
 
     words = [f"r{i:02d}" for i in range(30)]
@@ -489,6 +502,61 @@ def test_criterion_09_reproducibility(tmp_path):
     tail_resumed = [r.loss for r in resumed]
     assert tail_full == tail_resumed
     report(9, "two 100-step runs byte-identical; save/load/resume losses bit-exact for 5 steps")
+
+
+def resume_identity(out_dir):
+    """Criterion 09's resume at a batch vocabulary of more than 768 rows (V =
+    2,505, ``sample_size`` 1000), dropout on: writes ``full.tsv`` and
+    ``full.ckpt`` after 6 uninterrupted steps, and ``resumed.tsv`` and
+    ``resumed.ckpt`` after 4 steps, a save and load, and 2 more steps. The
+    ``.tsv`` files hold steps 4-5."""
+    from wordlm.checkpoint import load_checkpoint, save_checkpoint
+
+    out = Path(out_dir)
+    words = [f"w{i:04d}" for i in range(2500)]
+    rng = np.random.default_rng(218)
+    lines = [" ".join(rng.choice(words, size=22)) for _ in range(64)]
+    vocab = build_vocabulary({w: 2 for w in words}, k=len(words))
+    cfg = TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=20, batch_size=16,
+                      seed=219, sample_size=1000, max_length=24)
+
+    def fresh():
+        return WordBertModel(
+            ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2, hidden=64,
+                        embed_dim=64, max_positions=24, dropout=0.1),
+            seed=220,
+        )
+
+    model = fresh()
+    records, optimizer = train(lines, vocab, model, cfg, num_steps=6)
+    write_metrics(records[4:], out / "full.tsv")
+    save_checkpoint(model, optimizer, step=6, path=out / "full.ckpt")
+
+    model = fresh()
+    _, optimizer = train(lines, vocab, model, cfg, num_steps=4)
+    save_checkpoint(model, optimizer, step=4, path=out / "half.ckpt")
+    loaded = load_checkpoint(out / "half.ckpt")
+    records, optimizer = train(lines, vocab, loaded.model, cfg, optimizer=loaded.optimizer,
+                               start_step=4, num_steps=2)
+    write_metrics(records, out / "resumed.tsv")
+    save_checkpoint(loaded.model, optimizer, step=6, path=out / "resumed.ckpt")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_criterion_09_resume_identity_at_fixed_blas_threads(tmp_path, threads):
+    """At one fixed BLAS thread count, in a fresh interpreter that reads it, a
+    resumed run equals an uninterrupted one byte for byte: metrics and
+    checkpoint. Nothing is asserted across thread counts."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", "import sys; from test_acceptance import "
+                    "resume_identity; resume_identity(sys.argv[1])", str(tmp_path)],
+                   env=env, check=True, timeout=300)
+    assert (tmp_path / "full.tsv").read_bytes() == (tmp_path / "resumed.tsv").read_bytes()
+    assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
+    report(9, f"at OPENBLAS_NUM_THREADS={threads}, a resume past a 1000+ row batch "
+              "vocabulary matches the uninterrupted run byte for byte")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ excluded), by position or by keyword: a default that only tests override is a
 code path that only tests reach. A call of a class counts for its
 ``__init__``, and a call with ``*args`` or ``**kwargs`` may override any
 parameter. Dataclass fields are settings, not parameters, and are not checked.
+
+``PAD_ID`` is compared with ``==`` or ``!=`` in ``vocab.py`` alone, so the rule
+for which positions of an encoded line are real is stated once.
 """
 
 import ast
@@ -197,3 +200,19 @@ def test_every_parameter_default_is_overridden_outside_the_tests():
         and not overridden(call_name, param, index)
     ]
     assert not never, f"parameter defaults that only tests override: {never}"
+
+
+def test_pad_id_is_compared_only_in_vocab():
+    """``vocab.attention_mask`` is the mask rule; a ``PAD_ID`` comparison in any
+    other module is a second rule that can drift from it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "vocab.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                    and any(getattr(operand, "id", getattr(operand, "attr", None)) == "PAD_ID"
+                            for operand in (node.left, *node.comparators))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"PAD_ID compared outside vocab.py: {found}"

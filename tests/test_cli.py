@@ -171,6 +171,19 @@ class TestPretrain:
                             captured.err), captured.err
         assert not out.exists()
 
+    def test_corpus_without_a_vocabulary_word_is_refused_by_name(self, workdir):
+        tmp, corpus, cfg = workdir
+        vocab = self._vocab(tmp, corpus)
+        strange, out = tmp / "strange.txt", tmp / "run"
+        # brackets peel off "[MASK]", and "sun" comes 8th: past the 6 words the window holds
+        strange.write_text("[MASK] [PAD]\n\nnothing here is known but this: sun\n", encoding="utf-8")
+        err = _refusal(["pretrain", "--config", cfg, "--corpus", strange, "--vocab", vocab,
+                        "--out", out])
+        assert err == (f"wordlm: error: corpus {strange}, vocabulary {vocab}: corpus contains "
+                       "no maskable sequences: no line holds a vocabulary word among its first "
+                       "6 words\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "setting,keys",
         [
@@ -202,6 +215,10 @@ class TestPretrain:
             ("model.freeze_embeddings=true", ["unknown key 'model.freeze_embeddings'"]),
             ("model.seed=3", ["unknown key 'model.seed'"]),
             *REMOVED_RECIPE_KEYS,
+            # zero layers is a legal model: the embedding alone
+            ("model.layers=-1", ["model.layers"]),
+            ("model.hidden=0", ["model.hidden"]),
+            ("model.hidden=-8", ["model.hidden"]),
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
@@ -621,6 +638,22 @@ class TestEvalCommands:
             "wordlm: config error: model.hidden 768 not divisible by model.heads 7\n"
         )
 
+    @pytest.mark.parametrize(
+        "settings,line",
+        [
+            (["model.hidden=-8", "model.heads=2"], "model.hidden -8 must be positive"),
+            (["model.hidden=0"], "model.hidden 0 must be positive"),
+            (["model.layers=-3"], "model.layers -3 must be >= 0"),
+        ],
+        ids=["hidden-negative", "hidden-zero", "layers-negative"],
+    )
+    def test_param_count_model_size_below_range_exits_3(self, capsys, settings, line):
+        overrides = [arg for item in settings for arg in ("--set", item)]
+        assert main(["param-count", "--vocab-size", "100", *overrides]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wordlm: config error: {line}\n"
+
 
 # a cloze item up to its answer_index, which each case below completes
 CLOZE = '{"passage_words": ["sun", "[BLANK]"], "options": ["moon", "rain", "wind", "fog"], '
@@ -816,8 +849,10 @@ class TestExitCodes:
              "vocabulary contains duplicate word 'sun'"),
             (["[PAD]", "[UNK]", "[CLS]", "[MASK]", "[SEP]", "sun"],
              "vocabulary must start with the five special tokens"),
+            (["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "sun", "moon", "[PAD]"],
+             "special token '[PAD]' repeated as a word at id 7"),
         ],
-        ids=["duplicate-word", "specials-out-of-order"],
+        ids=["duplicate-word", "specials-out-of-order", "special-spelled-word"],
     )
     def test_vocabulary_content_error_names_file(self, workdir, capsys, words, message):
         tmp, corpus, cfg = workdir

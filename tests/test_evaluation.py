@@ -20,7 +20,7 @@ from wordlm.evaluation import (
     score_cloze,
 )
 from wordlm.model import ModelConfig, WordBertModel
-from wordlm.vocab import build_vocabulary, segment_words
+from wordlm.vocab import PAD_ID, build_vocabulary, segment_words
 
 
 @pytest.fixture
@@ -155,11 +155,18 @@ class TestProbeTopk:
             report = probe_topk(model, vocab, probes, ks=ks)
             assert report["accuracy"]["Low"] == {gold_id: 0.0, gold_id + 1: 1.0}
 
-    def test_oov_gold_counts_as_miss_and_tallied(self, buckets, probe_model_and_vocab):
+    def test_oov_gold_counts_as_miss_and_tallied(self, tmp_path, buckets, probe_model_and_vocab):
         model, vocab = probe_model_and_vocab
         probes = [ProbeExample(["mystery", "hi0"], [0], ["mystery"], "Rare")]
         report = probe_topk(model, vocab, probes, ks=(vocab.size,))
         assert report["oov"]["Rare"] == 1
+        assert report["accuracy"]["Rare"][vocab.size] == 0.0
+        # a gold word spelled like a special token is no vocabulary word either
+        path = tmp_path / "probes.jsonl"
+        path.write_text(json.dumps({"words": ["hi0", "[MASK]"], "masked_positions": [1],
+                                    "gold_words": ["[MASK]"], "bucket": "Rare"}) + "\n")
+        report = probe_topk(model, vocab, load_records(path, ProbeExample), ks=(vocab.size,))
+        assert report["total"]["Rare"] == report["oov"]["Rare"] == 1
         assert report["accuracy"]["Rare"][vocab.size] == 0.0
 
     def test_zero_shot_leaves_parameters_untouched(self, buckets, probe_model_and_vocab):
@@ -204,6 +211,11 @@ class TestScoreCloze:
         item = ClozeItem(["opt0", BLANK_SENTINEL], ["nope", "opt1", "opt2", "opt3"], 1)
         chosen = score_cloze(model, vocab, item)
         assert chosen != 0
+        # an option spelled like a special token is out of vocabulary, whatever
+        # that token's own logit
+        model.params["mlm.bias"].data[PAD_ID] = 100.0
+        item = ClozeItem(["opt0", BLANK_SENTINEL], ["opt1", "[PAD]", "opt2", "opt3"], 0)
+        assert score_cloze(model, vocab, item) != 1
 
     def test_all_options_oov_is_error(self):
         model, vocab = self.make_model_vocab()

@@ -159,7 +159,9 @@ class TestBuildVocabulary:
     def test_ids_dense_and_ordered_by_frequency(self):
         freqs = {f"w{i}": 100 - i for i in range(20)}
         vocab = build_vocabulary(freqs, k=20)
-        assert [vocab.id_of[w] for w in vocab.words] == list(range(vocab.size))
+        # the specials hold ids 0-4 but are not words: id_of maps the corpus words
+        assert list(vocab.id_of) == vocab.words[NUM_SPECIALS:]
+        assert list(vocab.id_of.values()) == list(range(NUM_SPECIALS, vocab.size))
         body = vocab.frequency[NUM_SPECIALS:]
         assert list(body) == sorted(body, reverse=True)
 
@@ -252,11 +254,18 @@ class TestDecode:
     def test_randomized_round_trip_property(self, small_vocab):
         rng = np.random.default_rng(7)
         in_vocab = small_vocab.words[NUM_SPECIALS:]
+        # the specials' spellings, the cloze blank and unknown words are not words
+        others = [*SPECIAL_TOKENS, "[BLANK]", "zzz", "Hello"]
+        drawn = in_vocab + others
         for _ in range(1000):
-            n = int(rng.integers(0, 8))
-            words = [in_vocab[i] for i in rng.integers(0, len(in_vocab), size=n)]
-            got = words_of(encode(words, small_vocab, max_length=10).ids, small_vocab)
-            assert got == words
+            n = int(rng.integers(0, 9))
+            words = [drawn[i] for i in rng.integers(0, len(drawn), size=n)]
+            seq = encode(words, small_vocab, max_length=10)
+            assert words_of(seq.ids, small_vocab) == [w for w in words if w in in_vocab]
+            assert [i == UNK_ID for i in seq.ids[1 : n + 1]] == [w in others for w in words]
+            assert seq.attention_mask.dtype == np.int64
+            np.testing.assert_array_equal(seq.attention_mask, seq.ids != PAD_ID)
+            assert seq.attention_mask.sum() == n + 2  # [CLS], the words, [SEP]
 
     def test_mask_id_constant(self):
         assert MASK_ID == 4 and SPECIAL_TOKENS[MASK_ID] == "[MASK]"
