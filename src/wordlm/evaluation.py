@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .model import WordBertModel
-from .vocab import MASK_ID, WordVocab, encode, read_text_lines, segment_words
+from .vocab import MASK_ID, UNK_ID, WordVocab, encode, read_text_lines, segment_words
 
 BUCKET_NAMES = ("High", "Medium", "Low", "Rare")
 BLANK_SENTINEL = "[BLANK]"
@@ -142,8 +142,8 @@ def probe_topk(
         logits = _masked_logits(model, vocab, ex.words, ex.masked_positions, max_length)
         for row, gold in zip(logits, ex.gold_words):
             totals[ex.bucket] += 1
-            gold_id = vocab.id_of.get(gold)
-            if gold_id is None:
+            gold_id = vocab.lookup(gold)
+            if gold_id == UNK_ID:
                 oov[ex.bucket] += 1
                 continue
             # ids scoring above gold, plus lower ids tying with it
@@ -194,10 +194,10 @@ def score_cloze(
     logits = _masked_logits(model, vocab, item.passage_words, [blank], max_length)
     if logits.shape[0] == 0:
         raise ContractError("blank position falls outside the encoded window")
-    option_ids = [vocab.id_of.get(o) for o in item.options]
-    if all(i is None for i in option_ids):
+    option_ids = [vocab.lookup(o) for o in item.options]
+    if all(i == UNK_ID for i in option_ids):
         raise ContractError("every cloze option is out of vocabulary")
-    scores = np.array([-np.inf if i is None else logits[0, i] for i in option_ids])
+    scores = np.array([-np.inf if i == UNK_ID else logits[0, i] for i in option_ids])
     return int(np.argmax(scores))
 
 

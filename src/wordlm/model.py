@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from . import tensor as T
 from .errors import ContractError, ShapeError
 from .seeding import substream
@@ -116,6 +117,86 @@ def parameter_counts(config: ModelConfig) -> dict[str, int]:
     return counts
 
 
+def _encoder_layer(w: dict[str, Tensor], x: np.ndarray, mask_bias: np.ndarray,
+                   cfg: ModelConfig, keep):
+    """Encoder layer on x [B*T, H]: post-norm self-attention, then a GELU
+    feed-forward block, with ``keep(shape)`` giving each dropout's scales.
+    ``w`` maps the layer's parameter names, less ``encoder.<i>.``, to tensors.
+
+    Returns the output and the layer's backward: the output's gradient to
+    x's, passing each parameter's gradient to ``accumulate_grad``. It makes
+    the numpy and kernel calls of the per-op graph this layer once was, on
+    the same operand layouts, and sums a gradient with several sources in
+    that graph's order: x takes the residual's before the query's, key's and
+    value's; the attention norm's output the residual's before ``ffn.inner``'s.
+    """
+    b_sz, t_len = mask_bias.shape[0], mask_bias.shape[-1]
+    heads, d = cfg.num_heads, cfg.head_dim
+    scale = np.float32(1.0 / np.sqrt(d))
+
+    def linear(name, inp):
+        return np.matmul(inp, w[name + ".weight"].data) + w[name + ".bias"].data
+
+    def norm(name, inp):  # (output, mean, inv_std)
+        return kernels.layer_norm_fwd(inp, w[name + ".gamma"].data, w[name + ".beta"].data,
+                                      np.float32(cfg.layer_norm_eps))
+
+    def split_heads(t2d, axes):  # [B*T, H] -> [B, A, T, D], or [B, A, D, T] for keys
+        return np.ascontiguousarray(t2d.reshape(b_sz, t_len, heads, d).transpose(axes))
+
+    def merge_heads(t4d, axes):  # the inverse of split_heads
+        return np.ascontiguousarray(t4d.transpose(axes)).reshape(x.shape)
+
+    qh = split_heads(linear("attention.query", x), (0, 2, 1, 3))
+    kh = split_heads(linear("attention.key", x), (0, 2, 3, 1))
+    vh = split_heads(linear("attention.value", x), (0, 2, 1, 3))
+    scores = np.matmul(qh, kh) * scale + mask_bias
+    probs = kernels.softmax_rows(scores.reshape(-1, t_len))
+    keep_probs = keep(scores.shape)
+    attn = probs.reshape(scores.shape) * keep_probs
+    ctx = merge_heads(np.matmul(attn, vh), (0, 2, 1, 3))
+    keep_attn = keep(x.shape)
+    res1 = x + linear("attention.output", ctx) * keep_attn
+    x1, *stats1 = norm("attention.norm", res1)
+    pre_gelu = linear("ffn.inner", x1)
+    inner, erf1 = kernels.gelu_erf_fwd(pre_gelu)
+    keep_ffn = keep(x.shape)
+    res2 = x1 + linear("ffn.output", inner) * keep_ffn
+    out, *stats2 = norm("ffn.norm", res2)
+
+    def linear_backward(name, inp, g):  # returns inp's gradient
+        w[name + ".weight"].accumulate_grad(np.matmul(inp.T, g))
+        w[name + ".bias"].accumulate_grad(g.sum(axis=0))
+        return np.matmul(g, w[name + ".weight"].data.T)
+
+    def norm_backward(name, inp, stats, g):  # returns inp's gradient
+        g_inp, d_gamma, d_beta = kernels.layer_norm_bwd(inp, w[name + ".gamma"].data, *stats, g)
+        w[name + ".gamma"].accumulate_grad(d_gamma)
+        w[name + ".beta"].accumulate_grad(d_beta)
+        return g_inp
+
+    def backward(g):
+        g_res2 = norm_backward("ffn.norm", res2, stats2, g)
+        g_inner = linear_backward("ffn.output", inner, g_res2 * keep_ffn)
+        g_pre_gelu = kernels.gelu_erf_bwd(pre_gelu, erf1, g_inner)
+        g_x1 = g_res2 + linear_backward("ffn.inner", x1, g_pre_gelu)
+        g_res1 = norm_backward("attention.norm", res1, stats1, g_x1)
+        g_ctx = linear_backward("attention.output", ctx, g_res1 * keep_attn)
+        g_ctx = split_heads(g_ctx, (0, 2, 1, 3))
+        g_vh = np.matmul(np.swapaxes(attn, -1, -2), g_ctx)
+        g_attn = np.matmul(g_ctx, np.swapaxes(vh, -1, -2)) * keep_probs
+        g_scores = kernels.softmax_rows_bwd(probs, g_attn.reshape(-1, t_len))
+        g_scores = g_scores.reshape(attn.shape) * scale
+        g_qh = np.matmul(g_scores, np.swapaxes(kh, -1, -2))
+        g_kh = np.matmul(np.swapaxes(qh, -1, -2), g_scores)
+        g_x = g_res1 + linear_backward("attention.query", x, merge_heads(g_qh, (0, 2, 1, 3)))
+        g_x += linear_backward("attention.key", x, merge_heads(g_kh, (0, 3, 1, 2)))
+        g_x += linear_backward("attention.value", x, merge_heads(g_vh, (0, 2, 1, 3)))
+        return g_x
+
+    return out, backward
+
+
 class WordBertModel:
     """Embedding (direct or projected), position embeddings, L encoder layers."""
 
@@ -210,9 +291,19 @@ class WordBertModel:
         running on [B, A, T, D] stacks of heads. Returns hidden states
         flattened to [B*T, H]; position (b, t) lives at row b*T + t.
 
+        The encoder is one graph node. Its parents are the (projected) word
+        rows, the gathered position rows and every encoder parameter; its
+        forward runs on plain arrays, and its backward, written out layer by
+        layer in reverse, passes each parameter's gradient to
+        ``accumulate_grad``. The activations the backward reads stay in the
+        node's closure until the graph is dropped; under ``no_grad`` each
+        layer's go as soon as the layer returns.
+
         Dropout applies exactly when a dropout ``rng`` is given (and
-        ``config.dropout > 0``): after the embeddings, on the attention
-        probabilities and on each sublayer output, drawn in that order.
+        ``config.dropout > 0``). Each draw is one ``rng.random`` at the shape
+        of the tensor it masks, in this order: the embedding sum [B*T, H],
+        then per layer the attention probabilities [B, A, T, T], the attention
+        output [B*T, H] and the feed-forward output [B*T, H].
         """
         cfg = self.config
         p = self.params
@@ -228,55 +319,42 @@ class WordBertModel:
 
         rows = self._project(T.gather_rows(p["embedding.word"], ids.reshape(-1)))
         pos = T.gather_rows(p["embedding.position"], np.arange(t_len))
-        x = T.reshape(T.add(T.reshape(rows, (b_sz, t_len, cfg.hidden)), pos), (b_sz * t_len, cfg.hidden))
-        x = T.dropout(x, cfg.dropout, rng)
+        names = [name for name in parameter_shapes(cfg) if name.startswith("encoder.")]
+        layers = [
+            {name[len(pre):]: p[name] for name in names if name.startswith(pre)}
+            for pre in (f"encoder.{i}." for i in range(cfg.num_layers))
+        ]
+        rate = cfg.dropout if rng is not None else 0.0
 
+        def keep(shape):
+            """Inverted-dropout scales for one tensor, 0 or 1/(1-p); 1 when dropout is off."""
+            if rate <= 0.0:
+                return np.float32(1)
+            return (rng.random(shape) >= rate).astype(np.float32) / np.float32(1.0 - rate)
+
+        x = rows.data.reshape(b_sz, t_len, cfg.hidden) + pos.data
+        x = x.reshape(b_sz * t_len, cfg.hidden)
+        keep_embed = keep(x.shape)
+        x = x * keep_embed
         # one additive bias row per sequence, shared by its heads and queries:
         # 0 real, -1e9 padding keys
-        mask_bias = Tensor(((mask - 1.0) * np.float32(1e9)).reshape(b_sz, 1, 1, t_len))
-        for i in range(cfg.num_layers):
-            x = self._layer(i, x, mask_bias, b_sz, t_len, rng)
-        return x
+        mask_bias = ((mask - 1.0) * np.float32(1e9)).reshape(b_sz, 1, 1, t_len)
+        backwards = []
+        for w in layers:
+            x, layer_backward = _encoder_layer(w, x, mask_bias, cfg, keep)
+            if T.grad_enabled():
+                backwards.append(layer_backward)
+            del layer_backward  # without a graph, the layer's saved activations go here
 
-    def _layer(self, i: int, x: Tensor, mask_bias: Tensor, b_sz: int, t_len: int, rng) -> Tensor:
-        """Encoder layer i on x [B*T, H]: post-norm self-attention, then feed-forward."""
-        cfg = self.config
-        p = self.params
-        pre = f"encoder.{i}."
-        a, d = cfg.num_heads, cfg.head_dim
+        def backward(g):
+            for layer_backward in reversed(backwards):
+                g = layer_backward(g)
+            g = g * keep_embed
+            if rows.requires_grad:
+                rows.accumulate_grad(g)
+            pos.accumulate_grad(g.reshape(b_sz, t_len, cfg.hidden).sum(axis=0))
 
-        def split_heads(t2d, axes):  # [B*T, H] -> [B, A, T, D], or [B, A, D, T] for keys
-            return T.transpose(T.reshape(t2d, (b_sz, t_len, a, d)), axes)
-
-        q = T.add(T.matmul(x, p[pre + "attention.query.weight"]), p[pre + "attention.query.bias"])
-        k = T.add(T.matmul(x, p[pre + "attention.key.weight"]), p[pre + "attention.key.bias"])
-        v = T.add(T.matmul(x, p[pre + "attention.value.weight"]), p[pre + "attention.value.bias"])
-        qh = split_heads(q, (0, 2, 1, 3))
-        kh = split_heads(k, (0, 2, 3, 1))
-        vh = split_heads(v, (0, 2, 1, 3))
-        scores = T.add(T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(d)), mask_bias)
-        attn = T.softmax(scores)
-        attn = T.dropout(attn, cfg.dropout, rng)
-        ctx = T.reshape(T.transpose(T.matmul(attn, vh), (0, 2, 1, 3)), (b_sz * t_len, cfg.hidden))
-        attn_out = T.add(
-            T.matmul(ctx, p[pre + "attention.output.weight"]), p[pre + "attention.output.bias"]
-        )
-        attn_out = T.dropout(attn_out, cfg.dropout, rng)
-        x = T.layer_norm(
-            T.add(x, attn_out),
-            p[pre + "attention.norm.gamma"],
-            p[pre + "attention.norm.beta"],
-            cfg.layer_norm_eps,
-        )
-        inner = T.gelu(T.add(T.matmul(x, p[pre + "ffn.inner.weight"]), p[pre + "ffn.inner.bias"]))
-        ffn_out = T.add(T.matmul(inner, p[pre + "ffn.output.weight"]), p[pre + "ffn.output.bias"])
-        ffn_out = T.dropout(ffn_out, cfg.dropout, rng)
-        return T.layer_norm(
-            T.add(x, ffn_out),
-            p[pre + "ffn.norm.gamma"],
-            p[pre + "ffn.norm.beta"],
-            cfg.layer_norm_eps,
-        )
+        return T.make(x, (rows, pos, *(t for w in layers for t in w.values())), backward)
 
     def mlm_logits(self, hidden: Tensor, ids: np.ndarray) -> Tensor:
         """hidden [M,H] -> logits [M, len(ids)] against the tied rows + bias of ids."""
@@ -284,10 +362,10 @@ class WordBertModel:
             raise ContractError("batch vocabulary is empty")
         rows = self._project(T.gather_rows(self.params["embedding.word"], ids))
         bias = T.gather_rows(self.params["mlm.bias"], ids)
-        return T.add(T.matmul(hidden, T.transpose(rows, (1, 0))), bias)
+        return T.add(T.matmul(hidden, T.transpose(rows)), bias)
 
     def full_vocab_logits(self, hidden: Tensor) -> Tensor:
         """hidden [M,H] -> logits [M, V] over the entire vocabulary."""
         rows = self._project(self.params["embedding.word"])
-        return T.add(T.matmul(hidden, T.transpose(rows, (1, 0))), self.params["mlm.bias"])
+        return T.add(T.matmul(hidden, T.transpose(rows)), self.params["mlm.bias"])
 

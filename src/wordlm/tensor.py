@@ -1,13 +1,20 @@
 """Float32 tensors with reverse-mode automatic differentiation.
 
 Every differentiable operation records its parents and a backward closure on
-the output tensor; ``Tensor.backward()`` on a scalar loss topologically sorts
-the graph and accumulates gradients into every reachable tensor that requires
-them. Leaves (parameters and inputs) accumulate additively across calls and
-must be zeroed explicitly between optimizer steps; an interior tensor's
-gradient is released as soon as its backward closure has passed it on. Hot
-elementwise/row-wise math is delegated to :mod:`wordlm.kernels`; matrix
-products stay on BLAS via ``np.matmul``.
+the output tensor through ``make``; ``Tensor.backward()`` on a scalar loss
+topologically sorts the graph and accumulates gradients into every reachable
+tensor that requires them. Leaves (parameters and inputs) accumulate
+additively across calls and must be zeroed explicitly between optimizer
+steps; an interior tensor's gradient is released as soon as its backward
+closure has passed it on.
+
+The ops here are the ones the model uses outside its encoder: the embedding
+gathers, the projection and the tied MLM head with its loss, so 2-D matmul and
+transpose, broadcast add, row gather, row-wise cross-entropy and the mean.
+The encoder is a single node that ``WordBertModel.encode_batch`` builds with
+``make``, so GELU, layer norm, attention softmax and dropout have no op of
+their own; their math is in :mod:`wordlm.kernels`. Matrix products stay on
+BLAS via ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,11 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
+
+
+def grad_enabled() -> bool:
+    """Whether new nodes record their parents and backward (not inside ``no_grad``)."""
+    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -94,11 +106,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-
-
-def _make(data, parents, backward_fn) -> Tensor:
+def make(data, parents, backward_fn) -> Tensor:
+    """A graph node holding ``data``. It records ``parents`` and
+    ``backward_fn(g)``, which passes the node's gradient ``g`` on to them, only
+    while gradients are recorded and some parent requires one."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -108,23 +119,13 @@ def _make(data, parents, backward_fn) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
+    """Sum a gradient over the leading axes its operand was broadcast along."""
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.astype(np.float32, copy=False)
+    return g.sum(axis=tuple(range(extra))) if extra else g
 
 
-# ---------------------------------------------------------------------------
-# arithmetic
-# ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, either operand broadcast along leading axes only (a bias row, say)."""
     data = a.data + b.data
 
     def bw(g):
@@ -133,101 +134,23 @@ def add(a: Tensor, b) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.data.shape))
 
-    return _make(data, (a, b), bw)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float, np.floating)):
-        s = np.float32(b)
-        data = a.data * s
-
-        def bw_scalar(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * s)
-
-        return _make(data, (a,), bw_scalar)
-
-    b = _coerce(b)
-    data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), bw)
+    return make(data, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product [..., m, k] @ [..., k, n] over equal leading axes."""
+    """Matrix product [m, k] @ [k, n]."""
     sa, sb = a.data.shape, b.data.shape
-    if not (len(sa) == len(sb) >= 2 and sa[:-2] == sb[:-2] and sa[-1] == sb[-2]):
+    if not (len(sa) == len(sb) == 2 and sa[1] == sb[0]):
         raise ShapeError(f"matmul shape mismatch: {sa} @ {sb}")
     data = np.matmul(a.data, b.data)
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+            a.accumulate_grad(np.matmul(g, b.data.T))
         if b.requires_grad:
-            b.accumulate_grad(np.matmul(np.swapaxes(a.data, -1, -2), g))
+            b.accumulate_grad(np.matmul(a.data.T, g))
 
-    return _make(data, (a, b), bw)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities and normalization
-# ---------------------------------------------------------------------------
-
-
-def gelu(x: Tensor) -> Tensor:
-    """x * Phi(x) with the exact (erf) Gaussian CDF, the encoder's only activation."""
-    data, erf1 = kernels.gelu_erf_fwd(x.data)
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(kernels.gelu_erf_bwd(x.data, erf1, g))
-
-    return _make(data, (x,), bw)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the last axis, scaled and shifted."""
-    h = x.data.shape[-1]
-    if gamma.data.shape != (h,) or beta.data.shape != (h,):
-        raise ShapeError(
-            f"layer_norm expects gamma/beta of shape ({h},), "
-            f"got {gamma.data.shape} and {beta.data.shape}"
-        )
-    rows = x.data.reshape(-1, h)
-    y, mean, inv_std = kernels.layer_norm_fwd(rows, gamma.data, beta.data, np.float32(eps))
-
-    def bw(g):
-        gin, dgamma, dbeta = kernels.layer_norm_bwd(
-            rows, gamma.data, mean, inv_std, g.reshape(-1, h)
-        )
-        if x.requires_grad:
-            x.accumulate_grad(gin.reshape(x.data.shape))
-        if gamma.requires_grad:
-            gamma.accumulate_grad(dgamma)
-        if beta.requires_grad:
-            beta.accumulate_grad(dbeta)
-
-    return _make(y.reshape(x.data.shape), (x, gamma, beta), bw)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Stable softmax over the last axis."""
-    h = x.data.shape[-1]
-    rows = x.data.reshape(-1, h)
-    probs = kernels.softmax_rows(rows)
-
-    def bw(g):
-        if x.requires_grad:
-            gin = kernels.softmax_rows_bwd(probs, g.reshape(-1, h))
-            x.accumulate_grad(gin.reshape(x.data.shape))
-
-    return _make(probs.reshape(x.data.shape), (x,), bw)
+    return make(data, (a, b), bw)
 
 
 def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
@@ -245,12 +168,7 @@ def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
             grad = kernels.cross_entropy_rows_bwd(logits.data, targets, g)
             logits.accumulate_grad(grad)
 
-    return _make(losses, (logits,), bw)
-
-
-# ---------------------------------------------------------------------------
-# reductions, indexing, shape ops
-# ---------------------------------------------------------------------------
+    return make(losses, (logits,), bw)
 
 
 def mean(x: Tensor) -> Tensor:
@@ -261,7 +179,7 @@ def mean(x: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(np.full_like(x.data, np.float32(g / n)))
 
-    return _make(data, (x,), bw)
+    return make(data, (x,), bw)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -283,34 +201,18 @@ def gather_rows(table: Tensor, ids) -> Tensor:
             else:
                 kernels.scatter_add_rows(table.grad, ids, g)
 
-    return _make(data, (table,), bw)
+    return make(data, (table,), bw)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    data = x.data.reshape(shape)
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.data.shape))
-
-    return _make(data, (x,), bw)
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    data = np.ascontiguousarray(x.data.transpose(axes))
+def transpose(x: Tensor) -> Tensor:
+    """The transpose of a matrix, as a new C-contiguous array."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"transpose needs a matrix, got shape {x.data.shape}")
+    data = np.ascontiguousarray(x.data.T)
 
     def bw(g):
         if x.requires_grad:
-            x.accumulate_grad(np.ascontiguousarray(g.transpose(inverse)))
+            x.accumulate_grad(np.ascontiguousarray(g.T))
 
-    return _make(data, (x,), bw)
+    return make(data, (x,), bw)
 
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when p == 0 or there is no ``rng``."""
-    if rng is None or p <= 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= p).astype(np.float32) / np.float32(1.0 - p)
-    return mul(x, Tensor(keep))

@@ -110,6 +110,15 @@ class WordVocab:
     def size(self) -> int:
         return len(self.words)
 
+    def lookup(self, word: str) -> int:
+        """The id of ``word``, or ``UNK_ID``. A word is looked up as written, then,
+        in a lowercase vocabulary, lowercased if it starts with a letter or
+        digit: segmentation lowercases such words and keeps symbols as written."""
+        i = self.id_of.get(word)
+        if i is None and self.lowercase and word[:1].isalnum():
+            i = self.id_of.get(word.lower())
+        return UNK_ID if i is None else i
+
     def save(self, path):
         lines = [f"{_HEADER_PREFIX}{'true' if self.lowercase else 'false'}"]
         for word, freq in zip(self.words, self.frequency):
@@ -172,7 +181,7 @@ def encode(words, vocab: WordVocab, max_length: int = 512) -> EncodedSequence:
     """CLS-fronted, SEP-terminated, PAD-filled id sequence of fixed length."""
     if max_length < 3:
         raise ContractError(f"max_length must be >= 3, got {max_length}")
-    body = [vocab.id_of.get(w, UNK_ID) for w in list(words)[: max_length - 2]]
+    body = [vocab.lookup(w) for w in list(words)[: max_length - 2]]
     ids = np.full(max_length, PAD_ID, dtype=np.int64)
     ids[: len(body) + 2] = [CLS_ID, *body, SEP_ID]
     return EncodedSequence(ids, attention_mask(ids))

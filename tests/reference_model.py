@@ -3,7 +3,8 @@
 Implements the same architecture as the package model but independently:
 per-head slicing instead of batched transposes, float64 throughout, scipy
 erf. Used both as a value oracle and as the function finite differences are
-taken through.
+taken through, with dropout off or with the dropout scales the package's
+encoder draws from a given rng.
 """
 
 import numpy as np
@@ -32,14 +33,37 @@ def _softmax_rows(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ref_hidden(p, cfg, ids, mask):
-    """Encoder forward for one sequence; p maps names to float64 arrays."""
+def ref_dropout_scales(rng, rate, cfg, b_sz, t_len):
+    """Per sequence, the inverted-dropout scales (0 or 1/(1-rate)) that
+    ``encode_batch`` draws from ``rng`` for a [b_sz, t_len] batch, in its
+    documented order: the embedding sum, then per layer the attention
+    probabilities, the attention output and the feed-forward output."""
+
+    def draw(shape):
+        return (rng.random(shape) >= rate) / (1.0 - rate)
+
+    hidden = (b_sz, t_len, cfg.hidden)
+    embed = draw((b_sz * t_len, cfg.hidden)).reshape(hidden)
+    layers = [
+        (draw((b_sz, cfg.num_heads, t_len, t_len)),
+         draw((b_sz * t_len, cfg.hidden)).reshape(hidden),
+         draw((b_sz * t_len, cfg.hidden)).reshape(hidden))
+        for _ in range(cfg.num_layers)
+    ]
+    return [(embed[b], [tuple(s[b] for s in layer) for layer in layers]) for b in range(b_sz)]
+
+
+def ref_hidden(p, cfg, ids, mask, drop=None):
+    """Encoder forward for one sequence; p maps names to float64 arrays, and
+    ``drop`` is one sequence's entry of ``ref_dropout_scales`` (None: no dropout)."""
     ids = np.asarray(ids)
     t_len = ids.shape[0]
     x = p["embedding.word"][ids]
     if cfg.variant == "projected":
         x = x @ p["embedding.projection"]
     x = x + p["embedding.position"][:t_len]
+    if drop is not None:
+        x = x * drop[0]
     bias = (np.asarray(mask, dtype=np.float64) - 1.0) * 1e9
     n_heads = cfg.num_heads
     d = cfg.hidden // n_heads
@@ -52,8 +76,13 @@ def ref_hidden(p, cfg, ids, mask):
         for h in range(n_heads):
             sl = slice(h * d, (h + 1) * d)
             scores = q[:, sl] @ k[:, sl].T / np.sqrt(d) + bias[None, :]
-            ctx[:, sl] = _softmax_rows(scores) @ v[:, sl]
+            probs = _softmax_rows(scores)
+            if drop is not None:
+                probs = probs * drop[1][i][0][h]
+            ctx[:, sl] = probs @ v[:, sl]
         attn_out = ctx @ p[pre + "attention.output.weight"] + p[pre + "attention.output.bias"]
+        if drop is not None:
+            attn_out = attn_out * drop[1][i][1]
         x = _ln(
             x + attn_out,
             p[pre + "attention.norm.gamma"],
@@ -62,6 +91,8 @@ def ref_hidden(p, cfg, ids, mask):
         )
         inner = _gelu(x @ p[pre + "ffn.inner.weight"] + p[pre + "ffn.inner.bias"])
         ffn_out = inner @ p[pre + "ffn.output.weight"] + p[pre + "ffn.output.bias"]
+        if drop is not None:
+            ffn_out = ffn_out * drop[1][i][2]
         x = _ln(
             x + ffn_out,
             p[pre + "ffn.norm.gamma"],

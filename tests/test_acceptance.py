@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wordlm import kernels
 from wordlm import tensor as T
 from wordlm.model import ModelConfig, WordBertModel, parameter_counts
 from wordlm.sampling import NEIGHBORS, NeighborIndex, sample_batch_vocab
@@ -64,7 +65,11 @@ def report(n, text):
 
 
 def _primitive_checks():
-    """(name, loss tensor, [(leaf tensor, float64 loss fn)]) per primitive."""
+    """(name, [(analytic gradient, float64 loss fn, point)]) per primitive.
+
+    The tensor ops' gradients come from ``backward()`` of a scalar loss; the
+    GELU, layer norm and softmax, which the encoder node calls as kernels,
+    from their backward kernel given the loss's gradient at their output."""
     rng = np.random.default_rng(201)
 
     def leaf(*shape):
@@ -73,88 +78,83 @@ def _primitive_checks():
     def const(*shape):
         return Tensor(rng.standard_normal(shape).astype(np.float32))
 
+    def graph(loss, specs):
+        loss.backward()
+        return [(t.grad, f64, t.data) for t, f64 in specs]
+
+    def weights(r):  # the gradient of mean(y * r) with respect to y
+        return r * np.float32(1.0 / r.size)
+
     checks = []
 
-    a, b, r = leaf(3, 4), leaf(4, 5), const(3, 5)
-    checks.append((
-        "matmul",
-        T.mean(T.mul(T.matmul(a, b), r)),
-        [(a, lambda v: float(((v @ b.data.astype(np.float64)) * r.data).mean())),
-         (b, lambda v: float(((a.data.astype(np.float64) @ v) * r.data).mean()))],
-    ))
+    # weighted through a matmul against a constant: mean((a @ b) @ r)
+    a, b, r = leaf(3, 4), leaf(4, 5), const(5, 2)
+    checks.append(("matmul", graph(
+        T.mean(T.matmul(T.matmul(a, b), r)),
+        [(a, lambda v: float(((v @ b.data.astype(np.float64)) @ r.data).mean())),
+         (b, lambda v: float(((a.data.astype(np.float64) @ v) @ r.data).mean()))],
+    )))
 
-    x, rr = leaf(18), const(18)
-    checks.append((
-        "gelu_erf",
-        T.mean(T.mul(T.gelu(x), rr)),
-        [(x, lambda v: float((gelu64(v) * rr.data).mean()))],
-    ))
+    x, rr = (rng.standard_normal(18).astype(np.float32) for _ in range(2))
+    _, erf1 = kernels.gelu_erf_fwd(x)
+    checks.append(("gelu_erf", [
+        (kernels.gelu_erf_bwd(x, erf1, weights(rr)), lambda v: float((gelu64(v) * rr).mean()), x),
+    ]))
 
-    ln_x, gamma, beta, ln_r = leaf(4, 8), leaf(8), leaf(8), const(4, 8)
+    ln_x, gamma, beta, ln_r = (rng.standard_normal(shape).astype(np.float32)
+                               for shape in ((4, 8), (8,), (8,), (4, 8)))
 
     def ln64(xv, gv, bv):
         mu = xv.mean(axis=-1, keepdims=True)
         var = ((xv - mu) ** 2).mean(axis=-1, keepdims=True)
         return (xv - mu) / np.sqrt(var + 1e-5) * gv + bv
 
-    checks.append((
-        "layer_norm",
-        T.mean(T.mul(T.layer_norm(ln_x, gamma, beta), ln_r)),
-        [(ln_x, lambda v: float((ln64(v, gamma.data, beta.data) * ln_r.data).mean())),
-         (gamma, lambda v: float((ln64(ln_x.data.astype(np.float64), v, beta.data) * ln_r.data).mean())),
-         (beta, lambda v: float((ln64(ln_x.data.astype(np.float64), gamma.data, v) * ln_r.data).mean()))],
-    ))
+    _, mean, inv_std = kernels.layer_norm_fwd(ln_x, gamma, beta, np.float32(1e-5))
+    gx, dgamma, dbeta = kernels.layer_norm_bwd(ln_x, gamma, mean, inv_std, weights(ln_r))
+    checks.append(("layer_norm", [
+        (gx, lambda v: float((ln64(v, gamma, beta) * ln_r).mean()), ln_x),
+        (dgamma, lambda v: float((ln64(ln_x.astype(np.float64), v, beta) * ln_r).mean()), gamma),
+        (dbeta, lambda v: float((ln64(ln_x.astype(np.float64), gamma, v) * ln_r).mean()), beta),
+    ]))
 
-    sm_x, sm_r = leaf(3, 6), const(3, 6)
-    checks.append((
-        "softmax",
-        T.mean(T.mul(T.softmax(sm_x), sm_r)),
-        [(sm_x, lambda v: float((softmax64(v) * sm_r.data).mean()))],
-    ))
+    sm_x, sm_r = (rng.standard_normal((3, 6)).astype(np.float32) for _ in range(2))
+    checks.append(("softmax", [
+        (kernels.softmax_rows_bwd(kernels.softmax_rows(sm_x), weights(sm_r)),
+         lambda v: float((softmax64(v) * sm_r).mean()), sm_x),
+    ]))
 
-    ce_x, ce_t, ce_r = leaf(3, 11), np.array([4, 0, 10]), const(3)
+    # weighted by gathering the per-row losses with repeats: rows 0, 1, 2
+    # count 1, 2 and 3 times in the mean
+    ce_x, ce_t, ce_rows = leaf(3, 11), np.array([4, 0, 10]), np.array([0, 1, 1, 2, 2, 2])
 
     def ce64(v):
         m = v.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(v - m).sum(axis=1))
-        return float(((lse - v[np.arange(3), ce_t]) * ce_r.data).mean())
+        return float((lse - v[np.arange(3), ce_t])[ce_rows].mean())
 
-    checks.append((
-        "cross_entropy_rows",
-        T.mean(T.mul(T.cross_entropy_rows(ce_x, ce_t), ce_r)),
-        [(ce_x, ce64)],
-    ))
+    checks.append(("cross_entropy_rows", graph(
+        T.mean(T.gather_rows(T.cross_entropy_rows(ce_x, ce_t), ce_rows)), [(ce_x, ce64)],
+    )))
 
-    ax, ab, ar = leaf(3, 5), leaf(5), const(3, 5)
-    checks.append((
-        "add_broadcast",
-        T.mean(T.mul(T.add(ax, ab), ar)),
-        [(ax, lambda v: float(((v + ab.data) * ar.data).mean())),
-         (ab, lambda v: float(((ax.data.astype(np.float64) + v) * ar.data).mean()))],
-    ))
+    ax, ab, ar = leaf(3, 5), leaf(5), const(5, 2)
+    checks.append(("add_broadcast", graph(
+        T.mean(T.matmul(T.add(ax, ab), ar)),
+        [(ax, lambda v: float(((v + ab.data) @ ar.data).mean())),
+         (ab, lambda v: float(((ax.data.astype(np.float64) + v) @ ar.data).mean()))],
+    )))
 
-    mx, my = leaf(4, 4), leaf(4, 4)
-    checks.append((
-        "mul",
-        T.mean(T.mul(T.mul(mx, my), 0.5)),
-        [(mx, lambda v: float((v * my.data * 0.5).mean())),
-         (my, lambda v: float((mx.data.astype(np.float64) * v * 0.5).mean()))],
-    ))
-
-    table, gr = leaf(6, 3), const(4, 3)
+    table, gr = leaf(6, 3), const(3, 2)
     ids = np.array([5, 0, 5, 2])
-    checks.append((
-        "gather_rows",
-        T.mean(T.mul(T.gather_rows(table, ids), gr)),
-        [(table, lambda v: float((v[ids] * gr.data).mean()))],
-    ))
+    checks.append(("gather_rows", graph(
+        T.mean(T.matmul(T.gather_rows(table, ids), gr)),
+        [(table, lambda v: float((v[ids] @ gr.data).mean()))],
+    )))
 
-    tx = leaf(2, 3, 4)
-    checks.append((
-        "reshape_transpose_mean",
-        T.mean(T.transpose(T.reshape(tx, (6, 4)), (1, 0))),
-        [(tx, lambda v: float(v.mean()))],
-    ))
+    tx, tr = leaf(4, 6), const(4, 2)
+    checks.append(("transpose", graph(
+        T.mean(T.matmul(T.transpose(tx), tr)),
+        [(tx, lambda v: float((v.T @ tr.data).mean()))],
+    )))
 
     return checks
 
@@ -183,12 +183,11 @@ def _acceptance_model_and_batch():
 def test_criterion_01_gradient_correctness():
     start = time.monotonic()
 
-    for name, loss, fd_specs in _primitive_checks():
-        loss.backward()
-        for tensor_, f64 in fd_specs:
-            assert tensor_.grad is not None, f"{name}: no gradient"
-            fd = central_diff_grad(f64, tensor_.data)
-            err = rel_error(tensor_.grad, fd)
+    for name, fd_specs in _primitive_checks():
+        for analytic, f64, at in fd_specs:
+            assert analytic is not None, f"{name}: no gradient"
+            fd = central_diff_grad(f64, at)
+            err = rel_error(analytic, fd)
             assert err <= 1e-3, f"{name}: aggregate relative error {err:.2e}"
 
     model, masked, bv = _acceptance_model_and_batch()

@@ -17,6 +17,9 @@ parameter. Dataclass fields are settings, not parameters, and are not checked.
 
 ``PAD_ID`` is compared with ``==`` or ``!=`` in ``vocab.py`` alone, so the rule
 for which positions of an encoded line are real is stated once.
+
+No module of ``src/wordlm`` imports names from ``kernels``: a kernel is called
+as ``kernels.<name>``, which the benchmark's tracer can wrap.
 """
 
 import ast
@@ -216,3 +219,17 @@ def test_pad_id_is_compared_only_in_vocab():
                             for operand in (node.left, *node.comparators))):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"PAD_ID compared outside vocab.py: {found}"
+
+
+def test_kernels_are_called_through_the_module():
+    """``from .kernels import f`` binds f at import time, so the benchmark's
+    tracer, which replaces ``kernels.f``, would no longer see those calls."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.level > 0 and node.module == "kernels")
+                or node.module == "wordlm.kernels"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"names imported from kernels: {found}"

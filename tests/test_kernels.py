@@ -1,12 +1,112 @@
-"""Kernel accuracy tests against float64 oracles, and bit-for-bit tests of
-each kernel against the plainer formula it replaced."""
+"""Kernel accuracy tests against float64 oracles (values and finite-difference
+gradients of each forward/backward pair), and bit-for-bit tests of each kernel
+against the plainer formula it replaced."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from oracles import gelu64
+from oracles import central_diff_grad, gelu64, layer_norm_two_pass, rel_error, softmax64
 from wordlm import kernels
+
+RNG = np.random.default_rng
+
+
+def weights(r):
+    """The gradient of mean(y * r) with respect to y, in float32."""
+    return r * np.float32(1.0 / r.size)
+
+
+class TestGelu:
+    @staticmethod
+    def gelu(x):
+        return kernels.gelu_erf_fwd(np.asarray(x, np.float32))[0]
+
+    def test_zero(self):
+        assert self.gelu([0.0])[0] == 0.0
+
+    def test_saturated(self):
+        assert abs(self.gelu([10.0])[0] - 10.0) <= 1e-5
+
+    def test_value_at_one_vs_high_precision(self):
+        mpmath.mp.dps = 40
+        expected = float(mpmath.mpf(1) * mpmath.ncdf(1))
+        assert abs(float(self.gelu([1.0])[0]) - expected) <= 1e-5
+
+    def test_random_matches_erf_oracle(self):
+        x = RNG(7).standard_normal((4, 9)).astype(np.float32) * 3
+        np.testing.assert_allclose(self.gelu(x), gelu64(x), atol=1e-5)
+
+    def test_grad_vs_finite_differences(self):
+        rng = RNG(8)
+        x = rng.standard_normal(20).astype(np.float32)
+        r = rng.standard_normal(20).astype(np.float32)
+        _, erf1 = kernels.gelu_erf_fwd(x)
+        grad = kernels.gelu_erf_bwd(x, erf1, weights(r))
+        fd = central_diff_grad(lambda v: float((gelu64(v) * r).mean()), x)
+        assert rel_error(grad, fd) <= 1e-3
+
+
+class TestLayerNorm:
+    def test_constant_row_gives_zeros(self):
+        x = np.full((2, 8), 3.5, dtype=np.float32)
+        out = kernels.layer_norm_fwd(x, np.ones(8, np.float32), np.zeros(8, np.float32),
+                                     np.float32(1e-5))[0]
+        np.testing.assert_allclose(out, 0.0, atol=1e-6)
+
+    def test_gamma_zero_broadcasts_beta(self):
+        rng = RNG(10)
+        x = rng.standard_normal((3, 6)).astype(np.float32)
+        beta = rng.standard_normal(6).astype(np.float32)
+        out = kernels.layer_norm_fwd(x, np.zeros(6, np.float32), beta, np.float32(1e-5))[0]
+        np.testing.assert_allclose(out, np.tile(beta, (3, 1)), atol=1e-6)
+
+    def test_matches_two_pass_oracle(self):
+        rng = RNG(11)
+        x = rng.standard_normal((5, 16)).astype(np.float32) * 2
+        gamma = rng.standard_normal(16).astype(np.float32)
+        beta = rng.standard_normal(16).astype(np.float32)
+        out = kernels.layer_norm_fwd(x, gamma, beta, np.float32(1e-5))[0]
+        expected = layer_norm_two_pass(x, gamma, beta, 1e-5)
+        assert np.abs(out - expected).max() <= 1e-5
+
+    def test_grads_vs_finite_differences(self):
+        rng = RNG(12)
+        x = rng.standard_normal((3, 8)).astype(np.float32)
+        gamma = rng.standard_normal(8).astype(np.float32)
+        beta = rng.standard_normal(8).astype(np.float32)
+        r = rng.standard_normal((3, 8)).astype(np.float32)
+        _, mean, inv_std = kernels.layer_norm_fwd(x, gamma, beta, np.float32(1e-5))
+        gx, dgamma, dbeta = kernels.layer_norm_bwd(x, gamma, mean, inv_std, weights(r))
+        fd_x = central_diff_grad(
+            lambda v: float((layer_norm_two_pass(v, gamma, beta, 1e-5) * r).mean()), x
+        )
+        fd_g = central_diff_grad(
+            lambda v: float((layer_norm_two_pass(x, v, beta, 1e-5) * r).mean()), gamma
+        )
+        fd_b = central_diff_grad(
+            lambda v: float((layer_norm_two_pass(x, gamma, v, 1e-5) * r).mean()), beta
+        )
+        assert rel_error(gx, fd_x) <= 1e-3
+        assert rel_error(dgamma, fd_g) <= 1e-3
+        assert rel_error(dbeta, fd_b) <= 1e-3
+
+
+class TestSoftmax:
+    def test_rows_sum_to_one(self):
+        x = RNG(18).standard_normal((4, 3, 7)).astype(np.float32) * 4
+        probs = kernels.softmax_rows(x.reshape(-1, 7)).reshape(x.shape)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(probs, softmax64(x), atol=1e-6)
+
+    def test_grad_vs_finite_differences(self):
+        rng = RNG(19)
+        x = rng.standard_normal((2, 6)).astype(np.float32)
+        r = rng.standard_normal((2, 6)).astype(np.float32)
+        grad = kernels.softmax_rows_bwd(kernels.softmax_rows(x), weights(r))
+        fd = central_diff_grad(lambda v: float((softmax64(v) * r).mean()), x)
+        assert rel_error(grad, fd) <= 1e-3
 
 
 class TestGeluRange:

@@ -1,16 +1,19 @@
 """Model tests: embedding, encoder vs reference, tied MLM head, parameter accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wordlm import tensor as T
 from wordlm.errors import ContractError, ShapeError
-from wordlm.model import ModelConfig, WordBertModel, parameter_counts
+from wordlm.model import ModelConfig, WordBertModel, parameter_counts, parameter_shapes
 from wordlm.optim import Adam
 from wordlm.tensor import Tensor
-from wordlm.vocab import EncodedSequence
+from wordlm.vocab import EncodedSequence, attention_mask
 
-from reference_model import params64, ref_hidden
+from oracles import central_diff_grad, cosine_distance
+from reference_model import params64, ref_dropout_scales, ref_hidden
 
 
 def toy_config(**kw):
@@ -71,6 +74,15 @@ class TestEmbed:
         model = WordBertModel(cfg, seed=2, word_vectors=wv, projection=np.zeros((8, 16), np.float32))
         out = encode(model, seq_of([2, 9, 3])).data
         np.testing.assert_array_equal(out, model.params["embedding.position"].data[:3])
+
+    def test_dropout_scales_kept_values(self):
+        model = WordBertModel(toy_config(num_layers=0, dropout=0.25), seed=3)
+        ids = np.random.default_rng(8).integers(5, 40, size=(16, 24))
+        plain = model.encode_batch(ids, np.ones_like(ids)).data
+        dropped = model.encode_batch(ids, np.ones_like(ids), rng=np.random.default_rng(9)).data
+        kept = dropped != 0
+        np.testing.assert_allclose(dropped[kept], plain[kept] / 0.75, rtol=1e-6)
+        assert abs(kept.mean() - 0.75) < 0.02
 
     def test_length_error(self):
         model = WordBertModel(toy_config(num_layers=0), seed=3)
@@ -139,6 +151,67 @@ class TestEncoder:
         for b, seq in enumerate(seqs):
             expected = ref_hidden(p, model.config, seq.ids, seq.attention_mask)
             assert np.abs(flat[b * t_len : (b + 1) * t_len] - expected).max() <= 1e-4
+
+    def test_no_grad_forward_holds_one_layer_at_a_time(self):
+        """Without a graph, a layer's saved activations go as soon as the layer
+        returns, so the forward's peak does not grow with depth."""
+        ids = np.random.default_rng(25).integers(5, 40, size=(2, 24))
+
+        def peak(layers):
+            model = WordBertModel(toy_config(num_layers=layers, hidden=32, embed_dim=32), seed=26)
+            tracemalloc.start()
+            with T.no_grad():
+                model.encode_batch(ids, np.ones_like(ids))
+            _, top = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return top
+
+        assert peak(8) < 1.2 * peak(1)
+
+
+class TestEncoderBackward:
+    """The encoder node's written-out backward with dropout on, against central
+    finite differences of the float64 reference given the same dropout scales
+    (criterion 01 checks the model with dropout off)."""
+
+    def test_encoder_is_one_node_over_the_gathers_and_parameters(self):
+        model = WordBertModel(toy_config(), seed=24)
+        out = model.encode_batch(np.array([[2, 6, 3]]), np.ones((1, 3)))
+        rows, pos, *params = out._parents
+        names = [n for n in parameter_shapes(model.config) if n.startswith("encoder.")]
+        assert len(params) == len(names)
+        assert all(t is model.params[n] for t, n in zip(params, names))
+        assert rows._parents[0] is model.params["embedding.word"]
+        assert pos._parents[0] is model.params["embedding.position"]
+
+    def test_matches_reference_finite_differences_with_dropout(self):
+        model = WordBertModel(toy_config(vocab_size=12, hidden=8, embed_dim=8, max_positions=6,
+                                         dropout=0.3), seed=21)
+        cfg = model.config
+        ids = np.array([[2, 6, 7, 3, 0], [2, 8, 9, 10, 3]])
+        mask = attention_mask(ids)
+        r = np.random.default_rng(23).standard_normal((8, 3)).astype(np.float32)
+        out = model.encode_batch(ids, mask, rng=np.random.default_rng(22))
+        T.mean(T.matmul(out, Tensor(r))).backward()
+        drops = ref_dropout_scales(np.random.default_rng(22), 0.3, cfg, *ids.shape)
+        p64 = params64(model)
+
+        def hidden(p):
+            return np.concatenate([ref_hidden(p, cfg, ids[b], mask[b], drops[b]) for b in range(2)])
+
+        assert np.abs(out.data - hidden(p64)).max() <= 1e-4
+        for name, tensor_ in model.params.items():
+            if name == "mlm.bias":  # not an encoder input
+                continue
+            fd = central_diff_grad(lambda v: float((hidden({**p64, name: v}) @ r).mean()),
+                                   p64[name])
+            analytic = tensor_.grad.astype(np.float64)
+            gap = np.abs(analytic - fd)
+            floor = 1e-3 * max(np.abs(fd).max(), 1e-8)  # as in criterion 01
+            tol = 1e-2 * np.maximum(np.abs(analytic), np.abs(fd)) + floor
+            assert np.all(gap <= tol), f"{name}: per-component gradient mismatch"
+            if np.linalg.norm(fd) > 0:
+                assert cosine_distance(analytic, fd) <= 1e-3, name
 
 
 class TestDropout:

@@ -230,6 +230,16 @@ class TestEncode:
         with pytest.raises(ContractError):
             encode(["hello"], small_vocab, max_length=2)
 
+    def test_case_rule_follows_the_vocabulary(self):
+        counts = {"w2": 3, "W2": 2, "(": 1}
+        lower = build_vocabulary({"w2": 3, "(": 1}, k=2)
+        seq = encode(["W2", "w2", "(", "Zz"], lower, max_length=6)
+        assert list(seq.ids[1:5]) == [lower.id_of["w2"], lower.id_of["w2"], lower.id_of["("], UNK_ID]
+        assert lower.lookup("W2") == lower.id_of["w2"] and lower.lookup("W3") == UNK_ID
+        cased = build_vocabulary(counts, k=3, lowercase=False)
+        seq = encode(["W2", "w2", "w3"], cased, max_length=5)
+        assert list(seq.ids[1:4]) == [cased.id_of["W2"], cased.id_of["w2"], UNK_ID]
+
     def test_all_ids_in_range_and_unk_iff_absent(self, small_vocab):
         words = ["hello", "nope", "bar", "???"]
         seq = encode(words, small_vocab, max_length=10)
@@ -254,14 +264,17 @@ class TestDecode:
     def test_randomized_round_trip_property(self, small_vocab):
         rng = np.random.default_rng(7)
         in_vocab = small_vocab.words[NUM_SPECIALS:]
+        # a lowercase vocabulary looks a capitalized word up lowercased
+        cased = {"Hello": "hello", "BAR": "bar"}
         # the specials' spellings, the cloze blank and unknown words are not words
-        others = [*SPECIAL_TOKENS, "[BLANK]", "zzz", "Hello"]
-        drawn = in_vocab + others
+        others = [*SPECIAL_TOKENS, "[BLANK]", "zzz", "Zzz"]
+        drawn = in_vocab + list(cased) + others
         for _ in range(1000):
             n = int(rng.integers(0, 9))
             words = [drawn[i] for i in rng.integers(0, len(drawn), size=n)]
             seq = encode(words, small_vocab, max_length=10)
-            assert words_of(seq.ids, small_vocab) == [w for w in words if w in in_vocab]
+            assert words_of(seq.ids, small_vocab) == [cased.get(w, w) for w in words
+                                                      if w not in others]
             assert [i == UNK_ID for i in seq.ids[1 : n + 1]] == [w in others for w in words]
             assert seq.attention_mask.dtype == np.int64
             np.testing.assert_array_equal(seq.attention_mask, seq.ids != PAD_ID)
