@@ -11,6 +11,7 @@ import pytest
 
 from wordlm import tensor as T
 from wordlm.errors import ContractError, ShapeError
+from wordlm.model import ModelConfig, WordBertModel
 from wordlm.tensor import Tensor
 
 from oracles import (
@@ -281,6 +282,33 @@ class TestShapeOps:
         np.testing.assert_array_equal(tx.grad, np.ones((3, 4), np.float32))
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\)"):
             T.transpose(Tensor(np.zeros((2, 3, 4))))
+
+    # Dropout has no tensor op: it lives in the encoder node. With no layers
+    # that node is the word + position sum, so a switched-off dropout must
+    # leave it, forward and backward, exactly the plain gather-and-add graph.
+    def embedding_sum_vs_tensor_ops(self, dropout, rng):
+        cfg = ModelConfig(vocab_size=40, num_layers=0, num_heads=2, hidden=16,
+                          embed_dim=16, max_positions=24, dropout=dropout)
+        ids = np.array([[7, 3, 7, 12, 5]])
+        node_model, op_model = WordBertModel(cfg, seed=1), WordBertModel(cfg, seed=1)
+        node = node_model.encode_batch(ids, np.ones_like(ids), rng=rng)
+        p = op_model.params
+        ops = T.add(T.gather_rows(p["embedding.word"], ids[0]),
+                    T.gather_rows(p["embedding.position"], np.arange(ids.shape[1])))
+        assert node.data.tobytes() == ops.data.tobytes()
+        total(node).backward()
+        total(ops).backward()
+        for name in ("embedding.word", "embedding.position"):
+            np.testing.assert_array_equal(node_model.params[name].grad, p[name].grad)
+
+    def test_dropout_identity_when_p_zero(self):
+        rng = RNG(0)
+        self.embedding_sum_vs_tensor_ops(0.0, rng)
+        # nothing was drawn from the rng
+        assert rng.random() == RNG(0).random()
+
+    def test_dropout_identity_without_rng(self):
+        self.embedding_sum_vs_tensor_ops(0.5, None)
 
     def test_broadcast_add_gradient(self):
         rng = RNG(26)
