@@ -117,8 +117,8 @@ def _masked_logits(model: WordBertModel, vocab: WordVocab, words, positions, max
     seq = encode(words, vocab, max_length)
     seq.ids[enc_positions] = MASK_ID
     with T.no_grad():
-        flat = model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
-        return model.full_vocab_logits(T.gather_rows(flat, enc_positions)).data
+        flat, _ = model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
+    return model.full_vocab_logits(flat[enc_positions])
 
 
 def probe_topk(

@@ -1,4 +1,4 @@
-"""Hot numeric kernels in numpy, called by the model, tensor and optim modules.
+"""Hot numeric kernels in numpy, called by the model, training and optim modules.
 
 All kernels take and return float32 arrays; 2-D inputs are rows, and callers
 flatten leading dimensions. The elementwise kernels (GELU, Adam) compute in

@@ -2,7 +2,9 @@
 
 The MLM output weights are the input embedding rows themselves (direct
 variant) or their projection through the shared 300->H linear map (projected
-variant); there is no separate output matrix, only a per-word bias.
+variant); there is no separate output matrix, only a per-word bias. The
+forward passes run on plain float32 arrays and return their written-out
+backward with their output.
 """
 
 from __future__ import annotations
@@ -207,13 +209,15 @@ class WordBertModel:
         word_vectors: np.ndarray | None = None,
         projection: np.ndarray | None = None,
     ):
+        if config.variant == "projected" and word_vectors is None:
+            raise ContractError("projected variant requires pretrained word_vectors")
         given = {}  # parameter name -> (argument name, array copied in)
-        if config.variant == "projected":
-            if word_vectors is None:
-                raise ContractError("projected variant requires pretrained word_vectors")
-            given["embedding.word"] = ("word_vectors", word_vectors)
-            if projection is not None:
-                given["embedding.projection"] = ("projection", projection)
+        for arg, name, value in (("word_vectors", "embedding.word", word_vectors),
+                                 ("projection", "embedding.projection", projection)):
+            if value is not None:
+                if config.variant != "projected":
+                    raise ContractError(f"{arg} needs variant 'projected', got {config.variant!r}")
+                given[name] = (arg, value)
         rng = substream(seed, "init")
         arrays = {}
         for name, shape in parameter_shapes(config).items():
@@ -276,28 +280,40 @@ class WordBertModel:
     # forward passes
     # ------------------------------------------------------------------
 
-    def _project(self, rows: Tensor) -> Tensor:
+    def _project(self, rows: np.ndarray) -> np.ndarray:
         """Word-table rows in the hidden space: mapped through
         ``embedding.projection`` in the projected variant, unchanged in the direct one."""
         if self.config.variant == "projected":
-            return T.matmul(rows, self.params["embedding.projection"])
+            return T.matmul(rows, self.params["embedding.projection"].data)
         return rows
 
-    def encode_batch(self, input_ids, attention_masks, rng=None) -> Tensor:
+    def _word_rows(self, ids: np.ndarray):
+        """Rows ``ids`` of the word table in the hidden space, and their backward:
+        the rows' gradient to the table's (scattered) and the projection's,
+        whichever of the two trains."""
+        table = self.params["embedding.word"]
+        vectors = table.data[ids]
+
+        def backward(g):
+            if table.requires_grad:
+                _scatter_grad(table, ids, g)
+            if self.config.variant == "projected":
+                self.params["embedding.projection"].accumulate_grad(np.matmul(vectors.T, g))
+
+        return self._project(vectors), backward
+
+    def encode_batch(self, input_ids, attention_masks, rng=None):
         """Embeddings plus L encoder layers over a batch of equal-length sequences.
 
         Word (and projection) lookup plus learned position embeddings, then
         masked multi-head self-attention + feed-forward per layer, attention
-        running on [B, A, T, D] stacks of heads. Returns hidden states
-        flattened to [B*T, H]; position (b, t) lives at row b*T + t.
-
-        The encoder is one graph node. Its parents are the (projected) word
-        rows, the gathered position rows and every encoder parameter; its
-        forward runs on plain arrays, and its backward, written out layer by
-        layer in reverse, passes each parameter's gradient to
-        ``accumulate_grad``. The activations the backward reads stay in the
-        node's closure until the graph is dropped; under ``no_grad`` each
-        layer's go as soon as the layer returns.
+        running on [B, A, T, D] stacks of heads. Returns the hidden states
+        flattened to [B*T, H], position (b, t) at row b*T + t, and their
+        backward. The backward takes the hidden states' gradient and runs the
+        layers' backwards in reverse, passing each parameter's gradient on. The
+        activations it reads stay in its closure until it is dropped. Under
+        ``no_grad`` the backward is None, and each layer's activations go as
+        soon as the layer returns.
 
         Dropout applies exactly when a dropout ``rng`` is given (and
         ``config.dropout > 0``). Each draw is one ``rng.random`` at the shape
@@ -316,9 +332,10 @@ class WordBertModel:
         mask = np.asarray(attention_masks, dtype=np.float32)
         if mask.shape != (b_sz, t_len):
             raise ShapeError(f"attention mask shape {mask.shape} does not match {ids.shape}")
+        _check_ids(ids, cfg.vocab_size)
 
-        rows = self._project(T.gather_rows(p["embedding.word"], ids.reshape(-1)))
-        pos = T.gather_rows(p["embedding.position"], np.arange(t_len))
+        rows, rows_backward = self._word_rows(ids.reshape(-1))
+        positions = np.arange(t_len)
         names = [name for name in parameter_shapes(cfg) if name.startswith("encoder.")]
         layers = [
             {name[len(pre):]: p[name] for name in names if name.startswith(pre)}
@@ -332,7 +349,7 @@ class WordBertModel:
                 return np.float32(1)
             return (rng.random(shape) >= rate).astype(np.float32) / np.float32(1.0 - rate)
 
-        x = rows.data.reshape(b_sz, t_len, cfg.hidden) + pos.data
+        x = rows.reshape(b_sz, t_len, cfg.hidden) + p["embedding.position"].data[positions]
         x = x.reshape(b_sz * t_len, cfg.hidden)
         keep_embed = keep(x.shape)
         x = x * keep_embed
@@ -344,28 +361,64 @@ class WordBertModel:
             x, layer_backward = _encoder_layer(w, x, mask_bias, cfg, keep)
             if T.grad_enabled():
                 backwards.append(layer_backward)
-            del layer_backward  # without a graph, the layer's saved activations go here
+            del layer_backward  # without a backward, the layer's saved activations go here
+        if not T.grad_enabled():
+            return x, None
 
         def backward(g):
             for layer_backward in reversed(backwards):
                 g = layer_backward(g)
             g = g * keep_embed
-            if rows.requires_grad:
-                rows.accumulate_grad(g)
-            pos.accumulate_grad(g.reshape(b_sz, t_len, cfg.hidden).sum(axis=0))
+            rows_backward(g)
+            _scatter_grad(p["embedding.position"], positions,
+                          g.reshape(b_sz, t_len, cfg.hidden).sum(axis=0))
 
-        return T.make(x, (rows, pos, *(t for w in layers for t in w.values())), backward)
+        return x, backward
 
-    def mlm_logits(self, hidden: Tensor, ids: np.ndarray) -> Tensor:
-        """hidden [M,H] -> logits [M, len(ids)] against the tied rows + bias of ids."""
+    def mlm_logits(self, hidden: np.ndarray, ids):
+        """hidden [M,H] -> logits [M, len(ids)] against the tied rows + bias of ids.
+
+        Returns the logits and their backward, which runs in two phases. Given
+        the logits' gradient, it passes ``mlm.bias``'s on and returns hidden's
+        gradient with a function that passes the tied rows' gradient on to the
+        word table or projection; ``training.mlm_loss`` calls that function
+        after the encoder's backward, so a word-table row sums its input-side
+        gradient before its head-side one.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
         if len(ids) == 0:
             raise ContractError("batch vocabulary is empty")
-        rows = self._project(T.gather_rows(self.params["embedding.word"], ids))
-        bias = T.gather_rows(self.params["mlm.bias"], ids)
-        return T.add(T.matmul(hidden, T.transpose(rows)), bias)
+        _check_ids(ids, self.config.vocab_size)
+        bias = self.params["mlm.bias"]
+        rows, rows_backward = self._word_rows(ids)
+        rows_t = T.transpose(rows)
+        logits = T.matmul(hidden, rows_t) + bias.data[ids]
 
-    def full_vocab_logits(self, hidden: Tensor) -> Tensor:
+        def backward(g):
+            _scatter_grad(bias, ids, g.sum(axis=0))
+            g_rows = np.ascontiguousarray(np.matmul(hidden.T, g).T)
+            return np.matmul(g, rows_t.T), lambda: rows_backward(g_rows)
+
+        return logits, backward
+
+    def full_vocab_logits(self, hidden: np.ndarray) -> np.ndarray:
         """hidden [M,H] -> logits [M, V] over the entire vocabulary."""
-        rows = self._project(self.params["embedding.word"])
-        return T.add(T.matmul(hidden, T.transpose(rows)), self.params["mlm.bias"])
+        rows = self._project(self.params["embedding.word"].data)
+        return T.matmul(hidden, T.transpose(rows)) + self.params["mlm.bias"].data
 
+
+def _check_ids(ids: np.ndarray, size: int):
+    """Refuse an id outside [0, size): numpy would wrap a negative one silently."""
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise IndexError(f"id outside [0, {size})")
+
+
+def _scatter_grad(table: Tensor, ids: np.ndarray, g: np.ndarray):
+    """Add g's rows (elements, for a vector) into table's gradient at ids, the
+    first gradient of a step starting from zeros; repeated ids sum."""
+    if table.grad is None:
+        table.grad = np.zeros(table.data.shape, np.float32)
+    if table.data.ndim == 1:
+        kernels.scatter_add_vec(table.grad, ids, g)
+    else:
+        kernels.scatter_add_rows(table.grad, ids, g)

@@ -1,34 +1,29 @@
-"""Float32 tensors with reverse-mode automatic differentiation.
+"""Float32 parameters, the training loss, and the MLM head's two matrix ops.
 
-Every differentiable operation records its parents and a backward closure on
-the output tensor through ``make``; ``Tensor.backward()`` on a scalar loss
-topologically sorts the graph and accumulates gradients into every reachable
-tensor that requires them. Leaves (parameters and inputs) accumulate
-additively across calls and must be zeroed explicitly between optimizer
-steps; an interior tensor's gradient is released as soon as its backward
-closure has passed it on.
+wordlm writes its backward out by hand. ``WordBertModel.encode_batch``,
+``WordBertModel.mlm_logits`` and ``training.mlm_loss`` each return their output
+with a function that takes the output's gradient and passes it on, and the
+loss is a ``Tensor`` whose ``backward()`` runs that chain once. Every other
+``Tensor`` is a parameter: its gradient accumulates across backward passes
+and must be zeroed explicitly between optimizer steps.
 
-The ops here are the ones the model uses outside its encoder: the embedding
-gathers, the projection and the tied MLM head with its loss, so 2-D matmul and
-transpose, broadcast add, row gather, row-wise cross-entropy and the mean.
-The encoder is a single node that ``WordBertModel.encode_batch`` builds with
-``make``, so GELU, layer norm, attention softmax and dropout have no op of
-their own; their math is in :mod:`wordlm.kernels`. Matrix products stay on
-BLAS via ``np.matmul``.
+``matmul`` and ``transpose`` are the shape-checked 2-D product and the
+C-contiguous transposed copy that the projection and the tied head call as
+``tensor.matmul``/``tensor.transpose``, so a tracer can wrap them by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractError, ShapeError
 
 _GRAD_ENABLED = True
 
 
 class no_grad:
-    """Context manager that disables graph recording (evaluation paths)."""
+    """Context manager under which forward passes keep nothing for a backward
+    (evaluation paths)."""
 
     def __enter__(self):
         global _GRAD_ENABLED
@@ -43,21 +38,21 @@ class no_grad:
 
 
 def grad_enabled() -> bool:
-    """Whether new nodes record their parents and backward (not inside ``no_grad``)."""
+    """Whether forward passes keep what their backward reads (not inside ``no_grad``)."""
     return _GRAD_ENABLED
 
 
 class Tensor:
-    """Shape-carrying float32 array participating in a gradient graph."""
+    """A float32 array with a gradient slot: a parameter, or a scalar loss
+    that carries its backward."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, backward_fn=None):
         self.data = np.asarray(data, dtype=np.float32)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._backward_fn = None
+        self._backward_fn = backward_fn
 
     def item(self) -> float:
         return float(self.data)
@@ -70,149 +65,36 @@ class Tensor:
             raise ShapeError(f"gradient shape {g.shape} does not match tensor {self.data.shape}")
         if self.grad is None:
             # A new array in one pass, with the bits of 0 + g (-0.0 becomes
-            # +0.0); never g itself, which a backward may hand to two parents.
+            # +0.0); never g itself, which a backward may hand to two parameters.
             self.grad = np.add(g, np.float32(0), dtype=np.float32)
         else:
             self.grad += g
 
     def backward(self):
-        """Populate ``grad`` on every reachable tensor that requires it."""
+        """Pass this scalar loss's gradient, one, through its backward into
+        the gradient of every parameter it depends on."""
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
-        topo = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
-                node.grad = None
+        if self._backward_fn is None:
+            raise ContractError("backward requires a loss computed outside no_grad")
+        self._backward_fn(np.ones_like(self.data))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def make(data, parents, backward_fn) -> Tensor:
-    """A graph node holding ``data``. It records ``parents`` and
-    ``backward_fn(g)``, which passes the node's gradient ``g`` on to them, only
-    while gradients are recorded and some parent requires one."""
-    out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-    return out
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the leading axes its operand was broadcast along."""
-    extra = g.ndim - len(shape)
-    return g.sum(axis=tuple(range(extra))) if extra else g
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b, either operand broadcast along leading axes only (a bias row, say)."""
-    data = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
-
-    return make(data, (a, b), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product [m, k] @ [k, n]."""
-    sa, sb = a.data.shape, b.data.shape
+    sa, sb = a.shape, b.shape
     if not (len(sa) == len(sb) == 2 and sa[1] == sb[0]):
         raise ShapeError(f"matmul shape mismatch: {sa} @ {sb}")
-    data = np.matmul(a.data, b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.matmul(g, b.data.T))
-        if b.requires_grad:
-            b.accumulate_grad(np.matmul(a.data.T, g))
-
-    return make(data, (a, b), bw)
+    return np.matmul(a, b)
 
 
-def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
-    """Per-row -log softmax(logits)[target] for logits [M,V], targets [M]."""
-    targets = np.asarray(targets, dtype=np.int64)
-    m, v = logits.data.shape
-    if targets.shape != (m,):
-        raise ShapeError(f"targets shape {targets.shape} does not match {m} rows")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise IndexError(f"target id outside [0, {v})")
-    losses = kernels.cross_entropy_rows_fwd(logits.data, targets)
-
-    def bw(g):
-        if logits.requires_grad:
-            grad = kernels.cross_entropy_rows_bwd(logits.data, targets, g)
-            logits.accumulate_grad(grad)
-
-    return make(losses, (logits,), bw)
-
-
-def mean(x: Tensor) -> Tensor:
-    n = x.data.size
-    data = np.float32(x.data.sum(dtype=np.float64) / n)
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, np.float32(g / n)))
-
-    return make(data, (x,), bw)
-
-
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Rows (2-D table) or elements (1-D table) selected by integer ids."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"ids must be 1-D, got shape {ids.shape}")
-    v = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
-        raise IndexError(f"id outside [0, {v})")
-    data = table.data[ids]
-
-    def bw(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros(table.data.shape, np.float32)
-            if table.data.ndim == 1:
-                kernels.scatter_add_vec(table.grad, ids, g)
-            else:
-                kernels.scatter_add_rows(table.grad, ids, g)
-
-    return make(data, (table,), bw)
-
-
-def transpose(x: Tensor) -> Tensor:
+def transpose(x: np.ndarray) -> np.ndarray:
     """The transpose of a matrix, as a new C-contiguous array."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got shape {x.data.shape}")
-    data = np.ascontiguousarray(x.data.T)
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.ascontiguousarray(g.T))
-
-    return make(data, (x,), bw)
-
+    if x.ndim != 2:
+        raise ShapeError(f"transpose needs a matrix, got shape {x.shape}")
+    return np.ascontiguousarray(x.T)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
+from . import kernels
 from .errors import ContractError, WordlmError
 from .model import WordBertModel
 from .optim import Adam
@@ -96,15 +96,37 @@ def mlm_loss(
     """Mean cross-entropy over all masked positions, restricted to the sorted batch_ids.
 
     A dropout ``rng`` switches the encoder's dropout on; without one the
-    forward pass is deterministic.
+    forward pass is deterministic. The returned scalar carries the step's
+    backward: the loss's gradient through the head and then the encoder, after
+    which the head passes its tied rows' gradient on (see ``mlm_logits``).
     """
     if masked.num_targets == 0:
         raise ContractError("masked batch contains no targets")
     local_targets = remap_targets(masked.target_global_ids, batch_ids)
-    hidden_flat = model.encode_batch(masked.input_ids, attention_mask(masked.input_ids), rng=rng)
-    picked = T.gather_rows(hidden_flat, masked.positions)
-    logits = model.mlm_logits(picked, batch_ids)
-    return T.mean(T.cross_entropy_rows(logits, local_targets))
+    hidden, encoder_backward = model.encode_batch(
+        masked.input_ids, attention_mask(masked.input_ids), rng=rng
+    )
+    positions, hidden_shape = masked.positions, hidden.shape
+    if positions.min() < 0 or positions.max() >= len(hidden):
+        raise IndexError(f"target position outside [0, {len(hidden)})")
+    logits, head_backward = model.mlm_logits(hidden[positions], batch_ids)
+    losses = kernels.cross_entropy_rows_fwd(logits, local_targets)
+    n = losses.size
+    loss = np.float32(losses.sum(dtype=np.float64) / n)
+    if encoder_backward is None:  # under no_grad
+        return Tensor(loss)
+
+    def backward(g):
+        g_losses = np.full_like(losses, np.float32(g / n))
+        g_picked, head_rows_backward = head_backward(
+            kernels.cross_entropy_rows_bwd(logits, local_targets, g_losses)
+        )
+        g_hidden = np.zeros(hidden_shape, np.float32)
+        kernels.scatter_add_rows(g_hidden, positions, g_picked)
+        encoder_backward(g_hidden)
+        head_rows_backward()
+
+    return Tensor(loss, backward_fn=backward)
 
 
 # ---------------------------------------------------------------------------

@@ -154,10 +154,6 @@ def build_vocabulary(freqs, k: int, lowercase: bool = True) -> WordVocab:
     """Specials plus the top-k words by (count desc, word asc)."""
     if k < 1:
         raise ContractError(f"vocabulary size k must be >= 1, got {k}")
-    specials = set(SPECIAL_TOKENS)
-    for word in freqs:
-        if word in specials:
-            raise ContractError(f"corpus word {word!r} collides with a special token")
     ranked = sorted(freqs.items(), key=lambda item: (-item[1], item[0]))[:k]
     words = list(SPECIAL_TOKENS) + [w for w, _ in ranked]
     frequency = [0] * NUM_SPECIALS + [c for _, c in ranked]

@@ -32,9 +32,9 @@ def masked_top1_accuracy(model, vocab, lines, max_length):
             for r, pos in enumerate(real):
                 copies[r, pos] = MASK_ID
             masks = np.tile(seq.attention_mask, (real.size, 1))
-            flat = model.encode_batch(copies, masks)
-            rows = T.gather_rows(flat, [r * len(seq.ids) + p for r, p in enumerate(real)])
-            logits = model.full_vocab_logits(rows).data
+            flat, _ = model.encode_batch(copies, masks)
+            rows = flat[[r * len(seq.ids) + p for r, p in enumerate(real)]]
+            logits = model.full_vocab_logits(rows)
             hits += int((logits.argmax(axis=1) == seq.ids[real]).sum())
             total += real.size
     return hits / total
@@ -44,8 +44,8 @@ def restricted_loss64(model, masked, ids):
     """Mean masked-word loss, softmax renormalised over the columns ids of the
     full-vocabulary logits at the masked rows, in float64 numpy (not mlm_loss's head)."""
     with T.no_grad():
-        flat = model.encode_batch(masked.input_ids, attention_mask(masked.input_ids))
-        logits = model.full_vocab_logits(T.gather_rows(flat, masked.positions)).data
+        flat, _ = model.encode_batch(masked.input_ids, attention_mask(masked.input_ids))
+        logits = model.full_vocab_logits(flat[masked.positions])
     logits = logits.astype(np.float64)
     kept = logits[:, np.asarray(ids)]
     top = kept.max(axis=1)

@@ -18,11 +18,14 @@ parameter. Dataclass fields are settings, not parameters, and are not checked.
 ``PAD_ID`` is compared with ``==`` or ``!=`` in ``vocab.py`` alone, so the rule
 for which positions of an encoded line are real is stated once.
 
-No module of ``src/wordlm`` imports names from ``kernels``: a kernel is called
-as ``kernels.<name>``, which the benchmark's tracer can wrap.
+No module of ``src/wordlm`` imports names from ``kernels``, or ``matmul`` and
+``transpose`` from ``tensor``: they are called as ``kernels.<name>`` and
+``T.matmul``/``T.transpose``, which the benchmark's tracer can wrap. Every
+``owner.attr`` the tracer wraps exists on its owner.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -233,3 +236,53 @@ def test_kernels_are_called_through_the_module():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"names imported from kernels: {found}"
+
+
+def test_traced_tensor_ops_are_called_through_the_module():
+    """The tracer replaces ``tensor.matmul`` and ``tensor.transpose``; a name
+    imported from ``tensor``, or called bare, would hide those calls from it."""
+    traced = {"matmul", "transpose"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            imported = isinstance(node, ast.ImportFrom) and (
+                (node.level > 0 and node.module == "tensor") or node.module == "wordlm.tensor"
+            ) and traced & {alias.name for alias in node.names}
+            bare = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in traced)
+            if imported or bare:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"matmul or transpose not called as T.<name>: {found}"
+
+
+def test_every_name_the_tracer_wraps_exists():
+    """``Tracer.install`` wraps ``owner.attr`` through ``owner.__dict__``; a
+    renamed or moved function would end the benchmark run with a KeyError."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    scope = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("wordlm"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                if value is None:
+                    value = importlib.import_module(f"{node.module}.{alias.name}")
+                scope[alias.asname or alias.name] = value
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return scope[expr.id]
+        return getattr(resolve(expr.value), expr.attr)
+
+    (install,) = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "install"]
+    wrapped = [
+        (node.args[0], node.args[1].value)
+        for node in ast.walk(install)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "w"
+        and isinstance(node.args[1], ast.Constant)
+    ]
+    assert len(wrapped) > 20
+    missing = [f"{ast.unparse(owner)}.{attr}" for owner, attr in wrapped
+               if attr not in vars(resolve(owner))]
+    assert not missing, f"names the tracer wraps that do not exist: {missing}"

@@ -7,13 +7,13 @@ import pytest
 
 from wordlm import tensor as T
 from wordlm.errors import ContractError, ShapeError
-from wordlm.model import ModelConfig, WordBertModel, parameter_counts, parameter_shapes
+from wordlm.model import ModelConfig, WordBertModel, parameter_counts
 from wordlm.optim import Adam
-from wordlm.tensor import Tensor
+from wordlm.training import MaskedBatch, mlm_loss
 from wordlm.vocab import EncodedSequence, attention_mask
 
 from oracles import central_diff_grad, cosine_distance
-from reference_model import params64, ref_dropout_scales, ref_hidden
+from reference_model import params64, per_sequence, ref_dropout_scales, ref_hidden, ref_mlm_loss
 
 
 def toy_config(**kw):
@@ -39,7 +39,7 @@ def seq_of(ids):
 
 def encode(model, seq):
     """encode_batch on a batch of one; [T, H] hidden states."""
-    return model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
+    return model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])[0]
 
 
 class TestConfig:
@@ -64,7 +64,7 @@ class TestEmbed:
 
     def test_position_decomposition(self):
         model = WordBertModel(toy_config(num_layers=0), seed=1)
-        out = encode(model, seq_of([7, 7])).data
+        out = encode(model, seq_of([7, 7]))
         pos = model.params["embedding.position"].data
         np.testing.assert_allclose(out[1] - out[0], pos[1] - pos[0], atol=1e-6)
 
@@ -72,14 +72,14 @@ class TestEmbed:
         cfg = toy_config(num_layers=0, variant="projected", embed_dim=8, freeze_embeddings=True)
         wv = np.random.default_rng(0).standard_normal((40, 8)).astype(np.float32)
         model = WordBertModel(cfg, seed=2, word_vectors=wv, projection=np.zeros((8, 16), np.float32))
-        out = encode(model, seq_of([2, 9, 3])).data
+        out = encode(model, seq_of([2, 9, 3]))
         np.testing.assert_array_equal(out, model.params["embedding.position"].data[:3])
 
     def test_dropout_scales_kept_values(self):
         model = WordBertModel(toy_config(num_layers=0, dropout=0.25), seed=3)
         ids = np.random.default_rng(8).integers(5, 40, size=(16, 24))
-        plain = model.encode_batch(ids, np.ones_like(ids)).data
-        dropped = model.encode_batch(ids, np.ones_like(ids), rng=np.random.default_rng(9)).data
+        plain = model.encode_batch(ids, np.ones_like(ids))[0]
+        dropped = model.encode_batch(ids, np.ones_like(ids), rng=np.random.default_rng(9))[0]
         kept = dropped != 0
         np.testing.assert_allclose(dropped[kept], plain[kept] / 0.75, rtol=1e-6)
         assert abs(kept.mean() - 0.75) < 0.02
@@ -89,6 +89,12 @@ class TestEmbed:
         with pytest.raises(ShapeError, match="max_positions"):
             encode(model, seq_of([1] * 25))
 
+    @pytest.mark.parametrize("arg", ["word_vectors", "projection"])
+    def test_direct_variant_refuses_given_arrays(self, arg):
+        shape = (40, 16) if arg == "word_vectors" else (16, 16)
+        with pytest.raises(ContractError, match=arg):
+            WordBertModel(toy_config(), seed=3, **{arg: np.full(shape, 7, np.float32)})
+
     def test_frozen_embeddings_survive_a_training_step(self):
         cfg = toy_config(variant="projected", embed_dim=8, freeze_embeddings=True)
         wv = np.random.default_rng(1).standard_normal((40, 8)).astype(np.float32)
@@ -96,12 +102,8 @@ class TestEmbed:
         emb_before = model.params["embedding.word"].data.copy()
         w_before = model.params["embedding.projection"].data.copy()
 
-        seq = seq_of([2, 8, 9, 10, 3])
-        hidden = encode(model, seq)
-        picked = T.gather_rows(hidden, [2])
-        logits = model.mlm_logits(picked, np.arange(40))
-        loss = T.mean(T.cross_entropy_rows(logits, [9]))
-        loss.backward()
+        masked = MaskedBatch([[2, 8, 9, 10, 3]], positions=[2], target_global_ids=[9])
+        mlm_loss(model, masked, np.arange(40)).backward()
         opt = Adam(model.trainable_parameters())
         opt.step(lr=1e-2)
 
@@ -122,14 +124,14 @@ class TestEncoder:
         short = seq_of([2, 7, 8, 3])
         for extra in (1, 4, 9):
             longer = seq_of([2, 7, 8, 3] + [0] * extra)
-            a = encode(model, short).data
-            b = encode(model, longer).data
+            a = encode(model, short)
+            b = encode(model, longer)
             assert np.abs(b[:4] - a).max() <= 1e-5
 
     def test_matches_straight_line_reference(self):
         model = WordBertModel(toy_config(), seed=7)
         seq = seq_of([2, 6, 7, 8, 9, 3, 0, 0])
-        got = encode(model, seq).data
+        got = encode(model, seq)
         expected = ref_hidden(params64(model), model.config, seq.ids, seq.attention_mask)
         assert np.abs(got - expected).max() <= 1e-4
 
@@ -145,7 +147,7 @@ class TestEncoder:
         seqs = [seq_of([2, 6, 7, 3, 0, 0]), seq_of([2, 9, 10, 11, 12, 3])]
         ids = np.stack([s.ids for s in seqs])
         masks = np.stack([s.attention_mask for s in seqs])
-        flat = model.encode_batch(ids, masks).data
+        flat = model.encode_batch(ids, masks)[0]
         t_len = ids.shape[1]
         p = params64(model)
         for b, seq in enumerate(seqs):
@@ -169,20 +171,22 @@ class TestEncoder:
         assert peak(8) < 1.2 * peak(1)
 
 
-class TestEncoderBackward:
-    """The encoder node's written-out backward with dropout on, against central
-    finite differences of the float64 reference given the same dropout scales
-    (criterion 01 checks the model with dropout off)."""
+def assert_matches_finite_differences(name, analytic, fd):
+    """Criterion 01's per-component and cosine checks of one parameter's gradient."""
+    analytic = analytic.astype(np.float64)
+    gap = np.abs(analytic - fd)
+    floor = 1e-3 * max(np.abs(fd).max(), 1e-8)
+    tol = 1e-2 * np.maximum(np.abs(analytic), np.abs(fd)) + floor
+    assert np.all(gap <= tol), f"{name}: per-component gradient mismatch"
+    if np.linalg.norm(fd) > 0:
+        assert cosine_distance(analytic, fd) <= 1e-3, name
 
-    def test_encoder_is_one_node_over_the_gathers_and_parameters(self):
-        model = WordBertModel(toy_config(), seed=24)
-        out = model.encode_batch(np.array([[2, 6, 3]]), np.ones((1, 3)))
-        rows, pos, *params = out._parents
-        names = [n for n in parameter_shapes(model.config) if n.startswith("encoder.")]
-        assert len(params) == len(names)
-        assert all(t is model.params[n] for t, n in zip(params, names))
-        assert rows._parents[0] is model.params["embedding.word"]
-        assert pos._parents[0] is model.params["embedding.position"]
+
+class TestEncoderBackward:
+    """The written-out backwards against central finite differences of the
+    float64 reference: the encoder's with dropout on, given the same dropout
+    scales, and the projected variant's whole loss (criterion 01 checks the
+    direct model's loss with dropout off)."""
 
     def test_matches_reference_finite_differences_with_dropout(self):
         model = WordBertModel(toy_config(vocab_size=12, hidden=8, embed_dim=8, max_positions=6,
@@ -191,27 +195,43 @@ class TestEncoderBackward:
         ids = np.array([[2, 6, 7, 3, 0], [2, 8, 9, 10, 3]])
         mask = attention_mask(ids)
         r = np.random.default_rng(23).standard_normal((8, 3)).astype(np.float32)
-        out = model.encode_batch(ids, mask, rng=np.random.default_rng(22))
-        T.mean(T.matmul(out, Tensor(r))).backward()
+        out, backward = model.encode_batch(ids, mask, rng=np.random.default_rng(22))
+        # the gradient of mean(out @ r)
+        backward(np.tile(r.sum(axis=1), (len(out), 1)) * np.float32(1.0 / (len(out) * r.shape[1])))
         drops = ref_dropout_scales(np.random.default_rng(22), 0.3, cfg, *ids.shape)
         p64 = params64(model)
 
         def hidden(p):
             return np.concatenate([ref_hidden(p, cfg, ids[b], mask[b], drops[b]) for b in range(2)])
 
-        assert np.abs(out.data - hidden(p64)).max() <= 1e-4
+        assert np.abs(out - hidden(p64)).max() <= 1e-4
         for name, tensor_ in model.params.items():
             if name == "mlm.bias":  # not an encoder input
                 continue
             fd = central_diff_grad(lambda v: float((hidden({**p64, name: v}) @ r).mean()),
                                    p64[name])
-            analytic = tensor_.grad.astype(np.float64)
-            gap = np.abs(analytic - fd)
-            floor = 1e-3 * max(np.abs(fd).max(), 1e-8)  # as in criterion 01
-            tol = 1e-2 * np.maximum(np.abs(analytic), np.abs(fd)) + floor
-            assert np.all(gap <= tol), f"{name}: per-component gradient mismatch"
-            if np.linalg.norm(fd) > 0:
-                assert cosine_distance(analytic, fd) <= 1e-3, name
+            assert_matches_finite_differences(name, tensor_.grad, fd)
+
+    def test_projected_loss_matches_reference_finite_differences(self):
+        """The projection takes gradient from the input side and the tied head;
+        the frozen word table takes none."""
+        cfg = toy_config(vocab_size=14, num_layers=1, hidden=8, embed_dim=5, max_positions=6,
+                         variant="projected", freeze_embeddings=True)
+        wv = np.random.default_rng(30).standard_normal((14, 5)).astype(np.float32)
+        model = WordBertModel(cfg, seed=31, word_vectors=wv)
+        model.params["mlm.bias"].data[:] = np.random.default_rng(32).standard_normal(14) * 0.3
+        masked = MaskedBatch([[2, 4, 6, 7, 3, 0], [2, 8, 9, 10, 11, 3]], positions=[2, 3, 8, 10],
+                             target_global_ids=[12, 7, 13, 11])
+        bv = np.array([0, 1, 2, 3, 4, 6, 7, 9, 11, 12, 13])
+        mlm_loss(model, masked, bv).backward()
+        assert model.params["embedding.word"].grad is None
+        p64 = params64(model)
+        batch64 = per_sequence(masked, bv)
+        for name, tensor_ in model.trainable_parameters().items():
+            fd = central_diff_grad(
+                lambda v: ref_mlm_loss({**p64, name: v}, cfg, batch64, bv), p64[name]
+            )
+            assert_matches_finite_differences(name, tensor_.grad, fd)
 
 
 class TestDropout:
@@ -224,24 +244,24 @@ class TestDropout:
     def test_rng_switches_dropout_on(self):
         model = WordBertModel(toy_config(dropout=0.1), seed=4)
         ids, mask = self.batch()
-        plain = model.encode_batch(ids, mask).data
-        dropped = model.encode_batch(ids, mask, rng=np.random.default_rng(5)).data
+        plain = model.encode_batch(ids, mask)[0]
+        dropped = model.encode_batch(ids, mask, rng=np.random.default_rng(5))[0]
         assert not np.array_equal(plain, dropped)
-        np.testing.assert_array_equal(model.encode_batch(ids, mask).data, plain)
+        np.testing.assert_array_equal(model.encode_batch(ids, mask)[0], plain)
 
     def test_same_seed_gives_identical_hidden_states(self):
         model = WordBertModel(toy_config(dropout=0.1), seed=4)
         ids, mask = self.batch()
-        a = model.encode_batch(ids, mask, rng=np.random.default_rng(6)).data
-        b = model.encode_batch(ids, mask, rng=np.random.default_rng(6)).data
+        a = model.encode_batch(ids, mask, rng=np.random.default_rng(6))[0]
+        b = model.encode_batch(ids, mask, rng=np.random.default_rng(6))[0]
         assert a.tobytes() == b.tobytes()
 
     def test_zero_rate_ignores_the_rng(self):
         model = WordBertModel(toy_config(dropout=0.0), seed=4)
         ids, mask = self.batch()
-        plain = model.encode_batch(ids, mask).data
+        plain = model.encode_batch(ids, mask)[0]
         rng = np.random.default_rng(7)
-        with_rng = model.encode_batch(ids, mask, rng=rng).data
+        with_rng = model.encode_batch(ids, mask, rng=rng)[0]
         assert with_rng.tobytes() == plain.tobytes()
         # nothing was drawn from the rng
         assert rng.random() == np.random.default_rng(7).random()
@@ -250,21 +270,21 @@ class TestDropout:
 class TestMlmLogits:
     def rand_hidden(self, model, rows=3):
         rng = np.random.default_rng(13)
-        return Tensor(rng.standard_normal((rows, model.config.hidden)).astype(np.float32))
+        return rng.standard_normal((rows, model.config.hidden)).astype(np.float32)
 
     def test_full_vocab_restriction_is_identity(self):
         model = WordBertModel(toy_config(), seed=8)
         model.params["mlm.bias"].data[:] = np.random.default_rng(14).standard_normal(40)
         hidden = self.rand_hidden(model)
-        full = model.full_vocab_logits(hidden).data
-        restricted = model.mlm_logits(hidden, np.arange(40)).data
+        full = model.full_vocab_logits(hidden)
+        restricted = model.mlm_logits(hidden, np.arange(40))[0]
         np.testing.assert_array_equal(full, restricted)
 
     def test_zero_hidden_gives_bias(self):
         model = WordBertModel(toy_config(), seed=9)
         model.params["mlm.bias"].data[:] = np.arange(40, dtype=np.float32)
         bv = np.array([0, 1, 2, 3, 4, 11, 30])
-        logits = model.mlm_logits(Tensor(np.zeros((2, 16), np.float32)), bv).data
+        logits = model.mlm_logits(np.zeros((2, 16), np.float32), bv)[0]
         np.testing.assert_array_equal(logits, np.tile(bv.astype(np.float32), (2, 1)))
 
     def test_matches_per_word_dot_product_oracle(self):
@@ -272,12 +292,12 @@ class TestMlmLogits:
         model.params["mlm.bias"].data[:] = np.random.default_rng(15).standard_normal(40)
         hidden = self.rand_hidden(model, rows=4)
         bv = np.array([0, 1, 2, 3, 4, 7, 20, 33])
-        got = model.mlm_logits(hidden, bv).data
+        got = model.mlm_logits(hidden, bv)[0]
         emb = model.params["embedding.word"].data.astype(np.float64)
         bias = model.params["mlm.bias"].data.astype(np.float64)
         for m in range(4):
             for j, g in enumerate(bv):
-                expected = float(hidden.data[m].astype(np.float64) @ emb[g] + bias[g])
+                expected = float(hidden[m].astype(np.float64) @ emb[g] + bias[g])
                 assert abs(got[m, j] - expected) <= 1e-5
 
     def test_projected_variant_shares_projection_both_sides(self):
@@ -285,9 +305,9 @@ class TestMlmLogits:
         wv = np.random.default_rng(2).standard_normal((40, 8)).astype(np.float32)
         model = WordBertModel(cfg, seed=11, word_vectors=wv)
         hidden = self.rand_hidden(model, rows=2)
-        got = model.mlm_logits(hidden, np.arange(40)).data
+        got = model.mlm_logits(hidden, np.arange(40))[0]
         rows = wv.astype(np.float64) @ model.params["embedding.projection"].data.astype(np.float64)
-        expected = hidden.data.astype(np.float64) @ rows.T
+        expected = hidden.astype(np.float64) @ rows.T
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
     def test_empty_batch_vocab_rejected(self):
@@ -295,15 +315,22 @@ class TestMlmLogits:
         with pytest.raises(ContractError):
             model.mlm_logits(self.rand_hidden(model), np.array([], dtype=np.int64))
 
+    def test_ids_outside_vocabulary_rejected(self):
+        """numpy would wrap a negative id to the end of the table."""
+        model = WordBertModel(toy_config(), seed=12)
+        for bad in (-1, 40):
+            with pytest.raises(IndexError, match=r"\[0, 40\)"):
+                model.mlm_logits(self.rand_hidden(model), np.array([0, 5, bad]))
+
     def test_weight_tying_single_storage(self):
         model = WordBertModel(toy_config(num_layers=0), seed=13)
         hidden = self.rand_hidden(model)
         seq = seq_of([2, 17, 3])
-        before_logits = model.full_vocab_logits(hidden).data.copy()
-        before_embed = encode(model, seq).data.copy()
+        before_logits = model.full_vocab_logits(hidden).copy()
+        before_embed = encode(model, seq).copy()
         model.params["embedding.word"].data[17] += 1.0
-        after_logits = model.full_vocab_logits(hidden).data
-        after_embed = encode(model, seq).data
+        after_logits = model.full_vocab_logits(hidden)
+        after_embed = encode(model, seq)
         changed = np.abs(after_logits - before_logits).max(axis=0)
         assert changed[17] > 0
         assert np.all(changed[np.arange(40) != 17] == 0)

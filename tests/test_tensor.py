@@ -1,7 +1,9 @@
-"""Tests for the autodiff tensor library, checked against independent oracles.
+"""Tests for the tensor module, the loss's cross-entropy kernels, and the
+written-out backwards of the embedding gathers and the tied head, checked
+against independent oracles.
 
 The value and gradient tests of the GELU, layer norm and softmax kernels,
-which the encoder node calls directly, are in ``test_kernels.py``.
+which the encoder calls directly, are in ``test_kernels.py``.
 """
 
 import re
@@ -9,87 +11,93 @@ import re
 import numpy as np
 import pytest
 
+from wordlm import kernels
 from wordlm import tensor as T
 from wordlm.errors import ContractError, ShapeError
 from wordlm.model import ModelConfig, WordBertModel
 from wordlm.tensor import Tensor
+from wordlm.training import MaskedBatch, mlm_loss
 
-from oracles import (
-    central_diff_grad,
-    cosine_distance,
-    cross_entropy_direct,
-    matmul_triple_loop,
-    rel_error,
-)
+from oracles import central_diff_grad, cross_entropy_direct, matmul_triple_loop, rel_error
+from reference_model import params64, per_sequence, ref_mlm_loss
 
 RNG = np.random.default_rng
 
 
-def total(x):
-    """The sum of a matrix's elements, as ones(1, m) @ x @ ones(n, 1): the
-    gradient that reaches x is exactly one per element."""
-    m, n = x.data.shape
-    return T.mean(T.matmul(T.matmul(Tensor(np.ones((1, m))), x), Tensor(np.ones((n, 1)))))
+def zero_layer_model(dropout=0.0, seed=1, **kw):
+    """The embedding and the tied head alone: encode_batch returns the word
+    plus position rows, and mlm_logits their dot products with the tied rows."""
+    cfg = dict(vocab_size=12, num_layers=0, num_heads=1, hidden=4, embed_dim=4,
+               max_positions=6, dropout=dropout)
+    cfg.update(kw)
+    return WordBertModel(ModelConfig(**cfg), seed=seed)
 
 
 class TestMatmul:
     def test_identity(self):
         a = RNG(0).standard_normal((3, 3)).astype(np.float32)
-        out = T.matmul(Tensor(a), Tensor(np.eye(3, dtype=np.float32)))
-        np.testing.assert_array_equal(out.data, a)
+        out = T.matmul(a, np.eye(3, dtype=np.float32))
+        np.testing.assert_array_equal(out, a)
 
     def test_zeros(self):
         a = RNG(1).standard_normal((2, 4)).astype(np.float32)
-        out = T.matmul(Tensor(a), Tensor(np.zeros((4, 2), dtype=np.float32)))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 2), dtype=np.float32))
+        out = T.matmul(a, np.zeros((4, 2), dtype=np.float32))
+        np.testing.assert_array_equal(out, np.zeros((2, 2), dtype=np.float32))
 
     def test_matches_triple_loop_oracle(self):
         rng = RNG(2)
         a = rng.standard_normal((3, 4)).astype(np.float32)
         b = rng.standard_normal((4, 2)).astype(np.float32)
-        out = T.matmul(Tensor(a), Tensor(b)).data
+        out = T.matmul(a, b)
         expected = matmul_triple_loop(a, b)
         assert np.abs(out - expected).max() <= 1e-6
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            T.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
         # both operands must be matrices
         for sa, sb in [((2, 3, 4), (2, 4, 2)), ((2, 3, 4), (4, 2)), ((3, 4), (1, 4, 2)),
                        ((3,), (3,))]:
             with pytest.raises(ShapeError, match=re.escape(f"{sa} @ {sb}")):
-                T.matmul(Tensor(np.zeros(sa)), Tensor(np.zeros(sb)))
+                T.matmul(np.zeros(sa), np.zeros(sb))
 
     def test_associativity(self):
         rng = RNG(4)
         a, b, c = (
-            Tensor(rng.standard_normal((4, 5)).astype(np.float32)),
-            Tensor(rng.standard_normal((5, 3)).astype(np.float32)),
-            Tensor(rng.standard_normal((3, 6)).astype(np.float32)),
+            rng.standard_normal((4, 5)).astype(np.float32),
+            rng.standard_normal((5, 3)).astype(np.float32),
+            rng.standard_normal((3, 6)).astype(np.float32),
         )
-        left = T.matmul(T.matmul(a, b), c).data
-        right = T.matmul(a, T.matmul(b, c)).data
+        left = T.matmul(T.matmul(a, b), c)
+        right = T.matmul(a, T.matmul(b, c))
         np.testing.assert_allclose(left, right, atol=1e-4)
 
     def test_gradients_vs_finite_differences(self):
+        """The head's backward forms the gradients of its ``T.matmul``'s two
+        operands: the hidden rows' and, back through the transposed copy, the
+        tied table's."""
+        model = zero_layer_model(seed=5)
         rng = RNG(5)
-        a = rng.standard_normal((3, 4)).astype(np.float32)
-        b = rng.standard_normal((4, 2)).astype(np.float32)
-        r = rng.standard_normal((2, 5)).astype(np.float32)
-        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        T.mean(T.matmul(T.matmul(ta, tb), Tensor(r))).backward()
-        fd_a = central_diff_grad(lambda x: float(((x @ b.astype(np.float64)) @ r).mean()), a)
-        fd_b = central_diff_grad(lambda x: float(((a.astype(np.float64) @ x) @ r).mean()), b)
-        assert rel_error(ta.grad, fd_a) <= 1e-3
-        assert rel_error(tb.grad, fd_b) <= 1e-3
+        hidden = rng.standard_normal((3, 4)).astype(np.float32)
+        r = rng.standard_normal((3, 12)).astype(np.float32)
+        _, backward = model.mlm_logits(hidden, np.arange(12))
+        g_hidden, rows_backward = backward(r * np.float32(1.0 / r.size))
+        rows_backward()
+        table = model.params["embedding.word"].data
+        fd_hidden = central_diff_grad(lambda v: float(((v @ table.T.astype(np.float64)) * r).mean()),
+                                      hidden)
+        fd_table = central_diff_grad(lambda v: float(((hidden.astype(np.float64) @ v.T) * r).mean()),
+                                     table)
+        assert rel_error(g_hidden, fd_hidden) <= 1e-3
+        assert rel_error(model.params["embedding.word"].grad, fd_table) <= 1e-3
 
 
 class TestSoftmaxCrossEntropy:
-    """cross_entropy_rows on single [1, V] rows against scalar oracles."""
+    """The loss's cross-entropy kernels on single [1, V] rows against scalar oracles."""
 
     @staticmethod
     def ce(logits, target):
-        return T.cross_entropy_rows(Tensor(np.asarray(logits)[None, :]), [target]).data[0]
+        return kernels.cross_entropy_rows_fwd(np.asarray(logits)[None, :], np.array([target]))[0]
 
     def test_uniform_logits(self):
         loss = self.ce(np.zeros(500, dtype=np.float32), 123)
@@ -105,10 +113,15 @@ class TestSoftmaxCrossEntropy:
         assert abs(self.ce(logits, 2) - cross_entropy_direct(logits, 2)) <= 1e-6
 
     def test_target_out_of_range(self):
-        with pytest.raises(IndexError):
-            self.ce(np.zeros(4, np.float32), 4)
-        with pytest.raises(IndexError):
-            self.ce(np.zeros(4, np.float32), -1)
+        """mlm_loss refuses a target that is not in the batch vocabulary, and a
+        target position outside the batch, instead of scoring another word."""
+        model = zero_layer_model()
+        ids = [[2, 7, 8, 3]]
+        with pytest.raises(ContractError, match="absent from batch vocabulary"):
+            mlm_loss(model, MaskedBatch(ids, [1], [9]), np.arange(9))
+        for position in (-1, 4):
+            with pytest.raises(IndexError, match=r"\[0, 4\)"):
+                mlm_loss(model, MaskedBatch(ids, [position], [7]), np.arange(12))
 
     def test_shift_invariance(self):
         logits = RNG(14).standard_normal(64).astype(np.float32)
@@ -123,87 +136,71 @@ class TestSoftmaxCrossEntropy:
 
     def test_grad_vs_finite_differences(self):
         logits = RNG(16).standard_normal(12).astype(np.float32)
-        tl = Tensor(logits[None, :], requires_grad=True)
-        T.mean(T.cross_entropy_rows(tl, [4])).backward()
+        grad = kernels.cross_entropy_rows_bwd(logits[None, :], np.array([4]),
+                                              np.ones(1, np.float32))
         fd = central_diff_grad(lambda v: cross_entropy_direct(v, 4), logits)
-        assert rel_error(tl.grad[0], fd) <= 1e-3
+        assert rel_error(grad[0], fd) <= 1e-3
 
     def test_rows_variant_matches_single(self):
         rng = RNG(17)
         logits = rng.standard_normal((6, 11)).astype(np.float32)
         targets = rng.integers(0, 11, size=6)
-        rows = T.cross_entropy_rows(Tensor(logits), targets).data
+        rows = kernels.cross_entropy_rows_fwd(logits, targets)
         for i in range(6):
             assert abs(rows[i] - self.ce(logits[i], int(targets[i]))) <= 1e-6
 
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = Tensor(RNG(20).standard_normal((3, 4)).astype(np.float32), requires_grad=True)
-        total(x).backward()
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
-
-    def test_elementwise_square_gradient(self):
-        data = RNG(21).standard_normal((1, 10)).astype(np.float32)
-        x = Tensor(data, requires_grad=True)
-        T.mean(T.matmul(x, T.transpose(x))).backward()  # the sum of squares
-        np.testing.assert_allclose(x.grad, 2 * data, rtol=1e-6)
+        """backward() hands the loss's backward the loss's own gradient: one."""
+        seen = []
+        Tensor(np.float32(2.5), backward_fn=seen.append).backward()
+        assert len(seen) == 1
+        assert seen[0].dtype == np.float32 and seen[0] == 1
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor(np.zeros((2, 2), np.float32), requires_grad=True)
-        with pytest.raises(ContractError):
-            T.add(x, x).backward()
+        seen = []
+        with pytest.raises(ContractError, match="scalar"):
+            Tensor(np.zeros((2, 2), np.float32), backward_fn=seen.append).backward()
+        assert not seen
 
     def test_tensor_reused_on_two_paths_sums_gradients(self):
-        rng = RNG(22)
-        x = rng.standard_normal((2, 3)).astype(np.float32)
-        a = rng.standard_normal((3, 4)).astype(np.float32)
-        b = rng.standard_normal((3, 4)).astype(np.float32)
-        tx = Tensor(x, requires_grad=True)
-        loss = T.add(total(T.matmul(tx, Tensor(a))), total(T.matmul(tx, Tensor(b))))
-        loss.backward()
+        """The direct variant's word table feeds the input side and the tied
+        head; its gradient is the sum of both, against central differences of
+        the float64 reference loss."""
+        model = zero_layer_model(seed=22)
+        masked = MaskedBatch([[2, 7, 9, 7, 3], [2, 10, 3, 0, 0]], positions=[1, 3, 6],
+                             target_global_ids=[7, 7, 10])
+        bv = np.array([0, 1, 2, 3, 4, 7, 9, 10])
+        model.zero_grad()
+        mlm_loss(model, masked, bv).backward()
+        p64 = params64(model)
+        batch64 = per_sequence(masked, bv)
         fd = central_diff_grad(
-            lambda v: float((v @ a.astype(np.float64)).sum() + (v @ b.astype(np.float64)).sum()),
-            x,
+            lambda v: ref_mlm_loss({**p64, "embedding.word": v}, model.config, batch64, bv),
+            p64["embedding.word"],
         )
-        assert rel_error(tx.grad, fd) <= 1e-3
+        assert rel_error(model.params["embedding.word"].grad, fd) <= 1e-3
+        # rows 7 and 10 are inputs at target positions and head rows; row 11 is neither
+        assert np.all(fd[[7, 10]] != 0) and np.all(model.params["embedding.word"].grad[11] == 0)
 
     def test_grads_accumulate_until_zeroed(self):
         x = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
-        total(x).backward()
-        first = x.grad.copy()
-        total(x).backward()
-        np.testing.assert_array_equal(x.grad, 2 * first)
+        g = RNG(21).standard_normal((1, 3)).astype(np.float32)
+        x.accumulate_grad(g)
+        x.accumulate_grad(g)
+        np.testing.assert_array_equal(x.grad, 2 * g)
         x.zero_grad()
         assert x.grad is None
-
-    def test_interior_grads_released_and_leaves_kept(self):
-        rng = RNG(27)
-        x = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
-        const = Tensor(rng.standard_normal(4).astype(np.float32))
-        r = Tensor(rng.standard_normal((2, 1)).astype(np.float32))
-        h = T.add(T.matmul(x, w), const)
-        loss = T.mean(T.matmul(T.transpose(h), r))
-        loss.backward()
-        nodes, stack = [], [loss]
-        while stack:
-            node = stack.pop()
-            if all(node is not seen for seen in nodes):
-                nodes.append(node)
-                stack.extend(node._parents)
-        interior = [n for n in nodes if n._backward_fn is not None]
-        assert len(interior) == 5  # loss, matmul, transpose, add, matmul
-        assert all(n.grad is None for n in interior)
-        assert x.grad is not None and w.grad is not None
-        assert x.grad.shape == (2, 3) and w.grad.shape == (3, 4)
-        assert const.grad is None and r.grad is None and len(nodes) == 9
 
     def test_first_gradient_is_a_new_array(self):
         a = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
         b = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
-        total(T.add(a, b)).backward()
+        g = np.ones((1, 3), np.float32)
+        a.accumulate_grad(g)
+        b.accumulate_grad(g)
         assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, g)
         a.grad += 1.0
         np.testing.assert_array_equal(b.grad, np.ones((1, 3), np.float32))
 
@@ -219,110 +216,122 @@ class TestBackward:
             x.accumulate_grad(np.ones(4, np.float32))
         assert x.grad is None
 
-    def test_aggregate_cosine_distance_small(self):
-        rng = RNG(23)
-        x = rng.standard_normal((4, 6)).astype(np.float32)
-        w = rng.standard_normal((6, 5)).astype(np.float32)
-        targets = [0, 3, 4, 1]
-        tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        T.mean(T.cross_entropy_rows(T.matmul(tx, tw), targets)).backward()
-
-        def f(v):
-            logits = x.astype(np.float64) @ v
-            return float(np.mean([cross_entropy_direct(row, t) for row, t in zip(logits, targets)]))
-
-        fd = central_diff_grad(f, w)
-        assert cosine_distance(tw.grad, fd) <= 1e-3
-
 
 class TestGatherScatter:
     def test_gather_values(self):
-        table = np.arange(20, dtype=np.float32).reshape(5, 4)
-        out = T.gather_rows(Tensor(table), [3, 0, 3])
-        np.testing.assert_array_equal(out.data, table[[3, 0, 3]])
+        model = zero_layer_model()
+        ids = np.array([[3, 0, 3, 11]])
+        hidden, _ = model.encode_batch(ids, np.ones_like(ids))
+        p = model.params
+        expected = p["embedding.word"].data[ids[0]] + p["embedding.position"].data[:4]
+        np.testing.assert_array_equal(hidden, expected)
 
     def test_scatter_accumulates_duplicates(self):
-        table = Tensor(np.zeros((5, 2), np.float32), requires_grad=True)
-        out = T.gather_rows(table, [1, 1, 4])
-        total(out).backward()
-        expected = np.zeros((5, 2), np.float32)
+        model = zero_layer_model()
+        ids = np.array([[1, 1, 4]])
+        hidden, backward = model.encode_batch(ids, np.ones_like(ids))
+        backward(np.ones_like(hidden))
+        expected = np.zeros((12, 4), np.float32)
         expected[1] = 2.0
         expected[4] = 1.0
-        np.testing.assert_array_equal(table.grad, expected)
+        np.testing.assert_array_equal(model.params["embedding.word"].grad, expected)
+        expected = np.zeros((6, 4), np.float32)
+        expected[:3] = 1.0
+        np.testing.assert_array_equal(model.params["embedding.position"].grad, expected)
 
     def test_frozen_table_gets_no_grad(self):
-        table = Tensor(np.ones((4, 2), np.float32), requires_grad=False)
-        out = T.add(T.gather_rows(table, [0, 1]), Tensor(np.ones(2, np.float32)))
-        assert not out.requires_grad
-        assert table.grad is None
+        vectors = RNG(3).standard_normal((12, 3)).astype(np.float32)
+        model = WordBertModel(ModelConfig(vocab_size=12, num_layers=0, num_heads=1, hidden=4,
+                                          embed_dim=3, max_positions=6, variant="projected",
+                                          freeze_embeddings=True, dropout=0.0),
+                              seed=1, word_vectors=vectors)
+        mlm_loss(model, MaskedBatch([[2, 7, 8, 3]], [1], [7]), np.arange(12)).backward()
+        assert model.params["embedding.word"].grad is None
+        assert model.params["embedding.projection"].grad is not None
 
     def test_vector_gather_grad(self):
-        bias = Tensor(np.arange(6, dtype=np.float32), requires_grad=True)
-        T.mean(T.gather_rows(bias, [5, 5, 2])).backward()  # each gathered element gets 1/3
+        model = zero_layer_model()
+        hidden = RNG(6).standard_normal((1, 4)).astype(np.float32)
+        _, backward = model.mlm_logits(hidden, np.array([5, 5, 2]))
         third = np.float32(1) / np.float32(3)
-        expected = np.zeros(6, np.float32)
+        backward(np.full((1, 3), third, np.float32))  # each gathered element gets 1/3
+        expected = np.zeros(12, np.float32)
         expected[5] = third + third
         expected[2] = third
-        np.testing.assert_array_equal(bias.grad, expected)
+        np.testing.assert_array_equal(model.params["mlm.bias"].grad, expected)
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            T.gather_rows(Tensor(np.zeros((3, 2))), [3])
+        """encode_batch refuses a word id outside [0, V); numpy would wrap a
+        negative one to the end of the table."""
+        model = zero_layer_model()
+        for bad in (-1, 12):
+            ids = np.array([[2, bad, 3]])
+            with pytest.raises(IndexError, match=r"\[0, 12\)"):
+                model.encode_batch(ids, np.ones_like(ids))
 
 
 class TestShapeOps:
     def test_transpose_roundtrip_grads(self):
-        rng = RNG(24)
-        x = rng.standard_normal((3, 4)).astype(np.float32)
-        tx = Tensor(x, requires_grad=True)
-        y = T.transpose(tx)
-        assert y.data.flags.c_contiguous
-        np.testing.assert_array_equal(y.data, x.T)
-        total(T.transpose(y)).backward()
-        np.testing.assert_array_equal(tx.grad, np.ones((3, 4), np.float32))
+        x = RNG(24).standard_normal((3, 4)).astype(np.float32)
+        y = T.transpose(x)
+        assert y.flags.c_contiguous and not np.shares_memory(x, y)
+        np.testing.assert_array_equal(y, x.T)
+        np.testing.assert_array_equal(T.transpose(y), x)
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\)"):
-            T.transpose(Tensor(np.zeros((2, 3, 4))))
+            T.transpose(np.zeros((2, 3, 4)))
 
-    # Dropout has no tensor op: it lives in the encoder node. With no layers
-    # that node is the word + position sum, so a switched-off dropout must
-    # leave it, forward and backward, exactly the plain gather-and-add graph.
-    def embedding_sum_vs_tensor_ops(self, dropout, rng):
-        cfg = ModelConfig(vocab_size=40, num_layers=0, num_heads=2, hidden=16,
-                          embed_dim=16, max_positions=24, dropout=dropout)
+    # Dropout lives in the encoder. With no layers the encoder is the word +
+    # position sum, so a switched-off dropout must leave it, forward and
+    # backward, exactly the plain gather, add and scatter.
+    def embedding_sum_vs_plain_numpy(self, dropout, rng):
+        model = zero_layer_model(dropout=dropout, vocab_size=40, hidden=16, embed_dim=16,
+                                 max_positions=24)
         ids = np.array([[7, 3, 7, 12, 5]])
-        node_model, op_model = WordBertModel(cfg, seed=1), WordBertModel(cfg, seed=1)
-        node = node_model.encode_batch(ids, np.ones_like(ids), rng=rng)
-        p = op_model.params
-        ops = T.add(T.gather_rows(p["embedding.word"], ids[0]),
-                    T.gather_rows(p["embedding.position"], np.arange(ids.shape[1])))
-        assert node.data.tobytes() == ops.data.tobytes()
-        total(node).backward()
-        total(ops).backward()
-        for name in ("embedding.word", "embedding.position"):
-            np.testing.assert_array_equal(node_model.params[name].grad, p[name].grad)
+        p = model.params
+        hidden, backward = model.encode_batch(ids, np.ones_like(ids), rng=rng)
+        word, pos = p["embedding.word"].data, p["embedding.position"].data
+        assert hidden.tobytes() == (word[ids[0]] + pos[:5]).tobytes()
+        g = RNG(8).standard_normal(hidden.shape).astype(np.float32)
+        backward(g)
+        word_grad, pos_grad = np.zeros_like(word), np.zeros_like(pos)
+        np.add.at(word_grad, ids[0], g)
+        pos_grad[:5] += g
+        np.testing.assert_array_equal(p["embedding.word"].grad, word_grad)
+        np.testing.assert_array_equal(p["embedding.position"].grad, pos_grad)
 
     def test_dropout_identity_when_p_zero(self):
         rng = RNG(0)
-        self.embedding_sum_vs_tensor_ops(0.0, rng)
+        self.embedding_sum_vs_plain_numpy(0.0, rng)
         # nothing was drawn from the rng
         assert rng.random() == RNG(0).random()
 
     def test_dropout_identity_without_rng(self):
-        self.embedding_sum_vs_tensor_ops(0.5, None)
+        self.embedding_sum_vs_plain_numpy(0.5, None)
 
     def test_broadcast_add_gradient(self):
-        rng = RNG(26)
-        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
-        bias = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
-        total(T.add(x, bias)).backward()
-        np.testing.assert_array_equal(bias.grad, np.full(4, 3.0, dtype=np.float32))
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
+        """The head adds mlm.bias to every hidden row's logits, so the bias
+        takes the gradient's column sums, and hidden the gradient times the rows."""
+        model = zero_layer_model()
+        hidden = RNG(26).standard_normal((3, 4)).astype(np.float32)
+        ids = np.array([0, 4, 9])
+        _, backward = model.mlm_logits(hidden, ids)
+        g_hidden, _ = backward(np.ones((3, 3), np.float32))
+        expected = np.zeros(12, np.float32)
+        expected[ids] = 3.0
+        np.testing.assert_array_equal(model.params["mlm.bias"].grad, expected)
+        rows = model.params["embedding.word"].data[ids]
+        np.testing.assert_allclose(g_hidden, np.tile(rows.sum(axis=0), (3, 1)), rtol=1e-6)
 
 
 class TestNoGrad:
     def test_no_graph_recorded(self):
-        x = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
+        model = zero_layer_model()
+        masked = MaskedBatch([[2, 7, 8, 3]], [1], [7])
         with T.no_grad():
-            y = T.add(x, x)
-        assert not y.requires_grad
-        assert y._parents == ()
+            _, backward = model.encode_batch(masked.input_ids, np.ones((1, 4)))
+            loss = mlm_loss(model, masked, np.arange(12))
+        assert backward is None
+        assert T.grad_enabled()
+        with pytest.raises(ContractError, match="no_grad"):
+            loss.backward()
+        assert all(p.grad is None for p in model.params.values())
