@@ -1,13 +1,12 @@
 """Word-level masked-language-model pretraining toolkit."""
 
 from .errors import ConfigError, ContractError, IntegrityError, ShapeError, WordlmError
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tensor",
-    "no_grad",
     "WordlmError",
     "ShapeError",
     "ContractError",

@@ -119,8 +119,10 @@ def read_manifest(path) -> tuple[dict, int]:
     """Parse and check the manifest; also return the payload's offset in the file.
 
     Reads the file only up to the ``---`` line and takes the payload size
-    from the file size. Any malformed line raises ``IntegrityError`` naming
-    the file and the line.
+    from the file size. Any malformed line, a key given twice (``step``,
+    ``model_config hidden``, ``tensor mlm.bias``, ...) or a tensor whose bytes
+    overlap another's raises ``IntegrityError`` naming the file and the line.
+    Gaps between tensors are allowed.
     """
     with open(path, "rb") as fh:
         head = []
@@ -141,10 +143,15 @@ def read_manifest(path) -> tuple[dict, int]:
     lines = manifest_text.rstrip("\n").split("\n")
     if not lines or lines[0] != _MAGIC:
         raise IntegrityError(f"{path}: not a {_MAGIC} file")
-    tensor_lines = {}
+    tensor_lines, seen = {}, set()
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"{path}:{lineno}"
         parts = line.split(" ")
+        named = parts[0] in ("model_config", "opt_step", "tensor")  # one key per name
+        field = " ".join(parts[:2]) if named else parts[0]
+        if field in seen:  # only a well-formed line gets here twice: a bad one raises below
+            raise IntegrityError(f"{where}: repeated manifest key {field!r}")
+        seen.add(field)
         try:
             if parts[0] in ("step", "seed", "payload_bytes"):
                 info[parts[0]] = int(parts[1])
@@ -173,7 +180,7 @@ def read_manifest(path) -> tuple[dict, int]:
                 if min(offset, *shape) < 0:
                     raise IntegrityError(f"{where}: negative offset or dimension for {name}")
                 info["tensors"][name] = (shape, offset, length)
-                tensor_lines[name] = where
+                tensor_lines[name] = lineno
             else:
                 raise IntegrityError(f"{where}: unknown manifest line {line!r}")
         except (ValueError, IndexError) as err:
@@ -198,7 +205,13 @@ def read_manifest(path) -> tuple[dict, int]:
         for half, other in (("optimizer.m.", "optimizer.v."), ("optimizer.v.", "optimizer.m.")):
             twin = other + name[len(half):]
             if name.startswith(half) and twin not in info["tensors"]:
-                raise IntegrityError(f"{tensor_lines[name]}: {name} has no {twin}")
+                raise IntegrityError(f"{path}:{tensor_lines[name]}: {name} has no {twin}")
+    # sorted by offset, two tensors overlap only if two neighbours do
+    spans = sorted((offset, tensor_lines[name], length, name)
+                   for name, (_, offset, length) in info["tensors"].items() if length)
+    for (offset, _, length, name), (next_offset, lineno, _, next_name) in zip(spans, spans[1:]):
+        if next_offset < offset + length:
+            raise IntegrityError(f"{path}:{lineno}: tensor {next_name} overlaps tensor {name}")
     return info, payload_offset
 
 

@@ -13,7 +13,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError
 from .model import WordBertModel
 from .vocab import MASK_ID, UNK_ID, WordVocab, encode, read_text_lines, segment_words
@@ -116,8 +115,7 @@ def _masked_logits(model: WordBertModel, vocab: WordVocab, words, positions, max
         return np.empty((0, model.config.vocab_size), np.float32)
     seq = encode(words, vocab, max_length)
     seq.ids[enc_positions] = MASK_ID
-    with T.no_grad():
-        flat, _ = model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
+    flat, _ = model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
     return model.full_vocab_logits(flat[enc_positions])
 
 

@@ -309,17 +309,20 @@ class WordBertModel:
         masked multi-head self-attention + feed-forward per layer, attention
         running on [B, A, T, D] stacks of heads. Returns the hidden states
         flattened to [B*T, H], position (b, t) at row b*T + t, and their
-        backward. The backward takes the hidden states' gradient and runs the
-        layers' backwards in reverse, passing each parameter's gradient on. The
-        activations it reads stay in its closure until it is dropped. Under
-        ``no_grad`` the backward is None, and each layer's activations go as
-        soon as the layer returns.
+        backward or None.
 
-        Dropout applies exactly when a dropout ``rng`` is given (and
-        ``config.dropout > 0``). Each draw is one ``rng.random`` at the shape
-        of the tensor it masks, in this order: the embedding sum [B*T, H],
-        then per layer the attention probabilities [B, A, T, T], the attention
-        output [B*T, H] and the feed-forward output [B*T, H].
+        A dropout ``rng`` marks a training call: dropout runs at
+        ``config.dropout`` and the backward is returned. It takes the hidden
+        states' gradient and runs the layers' backwards in reverse, passing
+        each parameter's gradient on; the activations it reads stay in its
+        closure until it is dropped. Without an rng (an inference call) there
+        is no dropout and no backward, and each layer's activations go as soon
+        as the layer returns.
+
+        Each dropout draw is one ``rng.random`` at the shape of the tensor it
+        masks, in this order: the embedding sum [B*T, H], then per layer the
+        attention probabilities [B, A, T, T], the attention output [B*T, H]
+        and the feed-forward output [B*T, H]. At rate 0 nothing is drawn.
         """
         cfg = self.config
         p = self.params
@@ -359,10 +362,10 @@ class WordBertModel:
         backwards = []
         for w in layers:
             x, layer_backward = _encoder_layer(w, x, mask_bias, cfg, keep)
-            if T.grad_enabled():
+            if rng is not None:
                 backwards.append(layer_backward)
-            del layer_backward  # without a backward, the layer's saved activations go here
-        if not T.grad_enabled():
+            del layer_backward  # in an inference call, the layer's saved activations go here
+        if rng is None:
             return x, None
 
         def backward(g):

@@ -3,9 +3,11 @@
 wordlm writes its backward out by hand. ``WordBertModel.encode_batch``,
 ``WordBertModel.mlm_logits`` and ``training.mlm_loss`` each return their output
 with a function that takes the output's gradient and passes it on, and the
-loss is a ``Tensor`` whose ``backward()`` runs that chain once. Every other
-``Tensor`` is a parameter: its gradient accumulates across backward passes
-and must be zeroed explicitly between optimizer steps.
+loss is a ``Tensor`` whose ``backward()`` runs that chain once. Only a
+training call, one given a dropout rng, keeps a backward; the loss of an
+inference call refuses ``backward()``. Every other ``Tensor`` is a
+parameter: its gradient accumulates across backward passes and must be
+zeroed explicitly between optimizer steps.
 
 ``matmul`` and ``transpose`` are the shape-checked 2-D product and the
 C-contiguous transposed copy that the projection and the tied head call as
@@ -17,29 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-
-_GRAD_ENABLED = True
-
-
-class no_grad:
-    """Context manager under which forward passes keep nothing for a backward
-    (evaluation paths)."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
-
-
-def grad_enabled() -> bool:
-    """Whether forward passes keep what their backward reads (not inside ``no_grad``)."""
-    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -78,7 +57,8 @@ class Tensor:
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
         if self._backward_fn is None:
-            raise ContractError("backward requires a loss computed outside no_grad")
+            raise ContractError("backward requires a loss computed with a dropout rng "
+                                "(a training call)")
         self._backward_fn(np.ones_like(self.data))
 
     def __repr__(self):

@@ -14,6 +14,7 @@ without replaying earlier steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,11 @@ def mlm_loss(
 ) -> Tensor:
     """Mean cross-entropy over all masked positions, restricted to the sorted batch_ids.
 
-    A dropout ``rng`` switches the encoder's dropout on; without one the
-    forward pass is deterministic. The returned scalar carries the step's
-    backward: the loss's gradient through the head and then the encoder, after
-    which the head passes its tied rows' gradient on (see ``mlm_logits``).
+    A dropout ``rng`` marks a training call (see ``encode_batch``): the
+    returned scalar carries the step's backward, the loss's gradient through
+    the head and then the encoder, after which the head passes its tied rows'
+    gradient on (see ``mlm_logits``). Without one the forward pass is
+    deterministic and the loss's ``backward()`` raises ``ContractError``.
     """
     if masked.num_targets == 0:
         raise ContractError("masked batch contains no targets")
@@ -113,7 +115,7 @@ def mlm_loss(
     losses = kernels.cross_entropy_rows_fwd(logits, local_targets)
     n = losses.size
     loss = np.float32(losses.sum(dtype=np.float64) / n)
-    if encoder_backward is None:  # under no_grad
+    if encoder_backward is None:  # an inference call
         return Tensor(loss)
 
     def backward(g):
@@ -172,7 +174,9 @@ class TrainConfig:
             problems.append(
                 f"warmup_steps {self.warmup_steps} must be < total_steps {self.total_steps}"
             )
-        for name in ("peak_lr", "warmup_steps", "total_steps", "batch_size", "sample_size"):
+        if not 0 < self.peak_lr < math.inf:  # a NaN fails every comparison
+            problems.append("peak_lr must be positive and finite")
+        for name in ("warmup_steps", "total_steps", "batch_size", "sample_size"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive")
         if problems:

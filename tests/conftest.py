@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-from wordlm import tensor as T
 from wordlm.model import ModelConfig, WordBertModel
 from wordlm.training import TrainConfig, train
 from wordlm.vocab import (
@@ -21,31 +20,29 @@ from wordlm.vocab import (
 def masked_top1_accuracy(model, vocab, lines, max_length):
     """Mask each real position one at a time; full-vocabulary argmax accuracy."""
     hits = total = 0
-    with T.no_grad():
-        for line in lines:
-            words = segment_words(line, vocab.lowercase)
-            seq = encode(words, vocab, max_length)
-            real = np.where(seq.ids >= NUM_SPECIALS)[0]
-            if real.size == 0:
-                continue
-            copies = np.tile(seq.ids, (real.size, 1))
-            for r, pos in enumerate(real):
-                copies[r, pos] = MASK_ID
-            masks = np.tile(seq.attention_mask, (real.size, 1))
-            flat, _ = model.encode_batch(copies, masks)
-            rows = flat[[r * len(seq.ids) + p for r, p in enumerate(real)]]
-            logits = model.full_vocab_logits(rows)
-            hits += int((logits.argmax(axis=1) == seq.ids[real]).sum())
-            total += real.size
+    for line in lines:
+        words = segment_words(line, vocab.lowercase)
+        seq = encode(words, vocab, max_length)
+        real = np.where(seq.ids >= NUM_SPECIALS)[0]
+        if real.size == 0:
+            continue
+        copies = np.tile(seq.ids, (real.size, 1))
+        for r, pos in enumerate(real):
+            copies[r, pos] = MASK_ID
+        masks = np.tile(seq.attention_mask, (real.size, 1))
+        flat, _ = model.encode_batch(copies, masks)
+        rows = flat[[r * len(seq.ids) + p for r, p in enumerate(real)]]
+        logits = model.full_vocab_logits(rows)
+        hits += int((logits.argmax(axis=1) == seq.ids[real]).sum())
+        total += real.size
     return hits / total
 
 
 def restricted_loss64(model, masked, ids):
     """Mean masked-word loss, softmax renormalised over the columns ids of the
     full-vocabulary logits at the masked rows, in float64 numpy (not mlm_loss's head)."""
-    with T.no_grad():
-        flat, _ = model.encode_batch(masked.input_ids, attention_mask(masked.input_ids))
-        logits = model.full_vocab_logits(flat[masked.positions])
+    flat, _ = model.encode_batch(masked.input_ids, attention_mask(masked.input_ids))
+    logits = model.full_vocab_logits(flat[masked.positions])
     logits = logits.astype(np.float64)
     kept = logits[:, np.asarray(ids)]
     top = kept.max(axis=1)

@@ -151,7 +151,7 @@ def test_criterion_01_gradient_correctness():
             assert err <= 1e-3, f"{name}: aggregate relative error {err:.2e}"
 
     model, masked, bv = _acceptance_model_and_batch()
-    loss = mlm_loss(model, masked, bv)
+    loss = mlm_loss(model, masked, bv, rng=np.random.default_rng(0))  # dropout 0: no draw
     model.zero_grad()
     loss.backward()
 

@@ -22,6 +22,9 @@ No module of ``src/wordlm`` imports names from ``kernels``, or ``matmul`` and
 ``transpose`` from ``tensor``: they are called as ``kernels.<name>`` and
 ``T.matmul``/``T.transpose``, which the benchmark's tracer can wrap. Every
 ``owner.attr`` the tracer wraps exists on its owner.
+
+No function of ``src/wordlm`` has a ``global`` statement: a call's behaviour
+comes from its arguments, not from a module-level mode another call set.
 """
 
 import ast
@@ -222,6 +225,18 @@ def test_pad_id_is_compared_only_in_vocab():
                             for operand in (node.left, *node.comparators))):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"PAD_ID compared outside vocab.py: {found}"
+
+
+def test_no_global_statement():
+    """A dropout rng marks a training call; a module-level switch set by one
+    call and read by another would be a second, hidden argument."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, f"global statements: {found}"
 
 
 def test_kernels_are_called_through_the_module():

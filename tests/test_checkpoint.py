@@ -157,9 +157,15 @@ class TestIntegrity:
              "model_config hidden has invalid value 'eight'"),
             ("tensor optimizer.v.mlm.bias ", None,
              "optimizer.m.mlm.bias has no optimizer.v.mlm.bias"),
+            # a second step line, in place of the seed line
+            ("seed ", "step 999", "repeated manifest key 'step'"),
+            # a moment pointed at the bytes of its parameter, at payload offset 0
+            ("tensor optimizer.m.embedding.position ",
+             "tensor optimizer.m.embedding.position f32 10x8 0 320",
+             "tensor optimizer.m.embedding.position overlaps tensor embedding.position"),
         ],
         ids=["step-not-int", "tensor-too-few-fields", "negative-offset", "unknown-config-key",
-             "config-value-type", "moment-without-twin"],
+             "config-value-type", "moment-without-twin", "repeated-key", "overlapping-tensors"],
     )
     def test_corrupt_manifest_line_names_file_and_line(self, tmp_path, prefix, replacement, message):
         path, lines = _rewrite_manifest_line(tmp_path, prefix, replacement)

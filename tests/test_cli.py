@@ -219,6 +219,9 @@ class TestPretrain:
             ("model.layers=-1", ["model.layers"]),
             ("model.hidden=0", ["model.hidden"]),
             ("model.hidden=-8", ["model.hidden"]),
+            # a NaN or infinite learning rate is a setting's fault, not a batch's
+            ("train.peak_lr=nan", ["train.peak_lr"]),
+            ("train.peak_lr=inf", ["train.peak_lr"]),
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):

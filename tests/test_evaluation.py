@@ -1,6 +1,7 @@
 """Probing, cloze scoring and JSON-lines loading tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,29 @@ class TestScoreCloze:
         model.params["mlm.bias"].data[:] += 7.5  # shifts every vocabulary logit
         after = [score_cloze(model, vocab, it) for it in items]
         assert before == after
+
+    def test_peak_memory_does_not_grow_with_depth(self):
+        """Scoring keeps no backward: each layer's activations go as soon as
+        the layer returns, so an 8-layer model peaks like a 1-layer one."""
+        words = [f"opt{i}" for i in range(8)]
+        vocab = build_vocabulary(dict.fromkeys(words, 10), k=8)
+        passage = [str(w) for w in np.random.default_rng(64).choice(words, size=40)]
+        passage[20] = BLANK_SENTINEL
+        item = ClozeItem(passage, words[:4], 0)
+
+        def peak(layers):
+            model = WordBertModel(
+                ModelConfig(vocab_size=vocab.size, num_layers=layers, num_heads=2, hidden=32,
+                            embed_dim=32, max_positions=48),
+                seed=65,
+            )
+            tracemalloc.start()
+            score_cloze(model, vocab, item)
+            _, top = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return top
+
+        assert peak(8) < 1.2 * peak(1)
 
     def test_item_validation(self):
         with pytest.raises(ContractError):

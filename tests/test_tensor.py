@@ -173,7 +173,7 @@ class TestBackward:
                              target_global_ids=[7, 7, 10])
         bv = np.array([0, 1, 2, 3, 4, 7, 9, 10])
         model.zero_grad()
-        mlm_loss(model, masked, bv).backward()
+        mlm_loss(model, masked, bv, rng=RNG(0)).backward()  # dropout 0: nothing is drawn
         p64 = params64(model)
         batch64 = per_sequence(masked, bv)
         fd = central_diff_grad(
@@ -229,7 +229,7 @@ class TestGatherScatter:
     def test_scatter_accumulates_duplicates(self):
         model = zero_layer_model()
         ids = np.array([[1, 1, 4]])
-        hidden, backward = model.encode_batch(ids, np.ones_like(ids))
+        hidden, backward = model.encode_batch(ids, np.ones_like(ids), rng=RNG(0))
         backward(np.ones_like(hidden))
         expected = np.zeros((12, 4), np.float32)
         expected[1] = 2.0
@@ -245,7 +245,7 @@ class TestGatherScatter:
                                           embed_dim=3, max_positions=6, variant="projected",
                                           freeze_embeddings=True, dropout=0.0),
                               seed=1, word_vectors=vectors)
-        mlm_loss(model, MaskedBatch([[2, 7, 8, 3]], [1], [7]), np.arange(12)).backward()
+        mlm_loss(model, MaskedBatch([[2, 7, 8, 3]], [1], [7]), np.arange(12), rng=RNG(0)).backward()
         assert model.params["embedding.word"].grad is None
         assert model.params["embedding.projection"].grad is not None
 
@@ -281,32 +281,38 @@ class TestShapeOps:
             T.transpose(np.zeros((2, 3, 4)))
 
     # Dropout lives in the encoder. With no layers the encoder is the word +
-    # position sum, so a switched-off dropout must leave it, forward and
-    # backward, exactly the plain gather, add and scatter.
-    def embedding_sum_vs_plain_numpy(self, dropout, rng):
+    # position sum, so a switched-off dropout must leave its forward exactly
+    # the plain gather and add.
+    def embedding_sum(self, dropout, rng):
+        """The zero-layer encoder's output, checked against plain numpy, and its backward."""
         model = zero_layer_model(dropout=dropout, vocab_size=40, hidden=16, embed_dim=16,
                                  max_positions=24)
         ids = np.array([[7, 3, 7, 12, 5]])
-        p = model.params
         hidden, backward = model.encode_batch(ids, np.ones_like(ids), rng=rng)
-        word, pos = p["embedding.word"].data, p["embedding.position"].data
+        word, pos = model.params["embedding.word"].data, model.params["embedding.position"].data
         assert hidden.tobytes() == (word[ids[0]] + pos[:5]).tobytes()
+        return model, ids, hidden, backward
+
+    def test_dropout_identity_when_p_zero(self):
+        """A training call at rate 0: the backward is the plain scatter, and
+        nothing is drawn from the rng."""
+        rng = RNG(0)
+        model, ids, hidden, backward = self.embedding_sum(0.0, rng)
         g = RNG(8).standard_normal(hidden.shape).astype(np.float32)
         backward(g)
-        word_grad, pos_grad = np.zeros_like(word), np.zeros_like(pos)
+        p = model.params
+        word_grad = np.zeros_like(p["embedding.word"].data)
+        pos_grad = np.zeros_like(p["embedding.position"].data)
         np.add.at(word_grad, ids[0], g)
         pos_grad[:5] += g
         np.testing.assert_array_equal(p["embedding.word"].grad, word_grad)
         np.testing.assert_array_equal(p["embedding.position"].grad, pos_grad)
-
-    def test_dropout_identity_when_p_zero(self):
-        rng = RNG(0)
-        self.embedding_sum_vs_plain_numpy(0.0, rng)
-        # nothing was drawn from the rng
         assert rng.random() == RNG(0).random()
 
     def test_dropout_identity_without_rng(self):
-        self.embedding_sum_vs_plain_numpy(0.5, None)
+        """An inference call: no dropout at any rate, and no backward."""
+        _, _, _, backward = self.embedding_sum(0.5, None)
+        assert backward is None
 
     def test_broadcast_add_gradient(self):
         """The head adds mlm.bias to every hidden row's logits, so the bias
@@ -325,13 +331,13 @@ class TestShapeOps:
 
 class TestNoGrad:
     def test_no_graph_recorded(self):
+        """A call without a dropout rng keeps no backward: the encoder returns
+        None, and the loss refuses ``backward()`` and touches no gradient."""
         model = zero_layer_model()
         masked = MaskedBatch([[2, 7, 8, 3]], [1], [7])
-        with T.no_grad():
-            _, backward = model.encode_batch(masked.input_ids, np.ones((1, 4)))
-            loss = mlm_loss(model, masked, np.arange(12))
+        _, backward = model.encode_batch(masked.input_ids, np.ones((1, 4)))
+        loss = mlm_loss(model, masked, np.arange(12))
         assert backward is None
-        assert T.grad_enabled()
-        with pytest.raises(ContractError, match="no_grad"):
+        with pytest.raises(ContractError, match="dropout rng"):
             loss.backward()
         assert all(p.grad is None for p in model.params.values())

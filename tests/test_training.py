@@ -265,6 +265,9 @@ class TestSchedule:
             TrainConfig(warmup_steps=10, total_steps=10)
         with pytest.raises(ContractError):
             TrainConfig(batch_size=0)
+        for peak_lr in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="peak_lr must be positive and finite"):
+                TrainConfig(peak_lr=peak_lr)
 
 
 def tiny_corpus():
