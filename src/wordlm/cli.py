@@ -161,6 +161,9 @@ def cmd_pretrain(args) -> int:
     if violations:  # every view's violations together, before the corpus is read
         raise ConfigError(violations)
     train_cfg, model_cfg = views
+    if args.steps is not None and args.steps > train_cfg.total_steps:
+        raise ContractError(f"--steps {args.steps} exceeds train.total_steps "
+                            f"{train_cfg.total_steps}, past which the learning rate is 0")
     if cfg["train.use_neighbors"]:
         if vocab.size <= NEIGHBORS:
             raise ContractError(f"vocabulary {args.vocab} holds {vocab.size} words, but "

@@ -186,7 +186,8 @@ def score_cloze(
     """Index of the option with the highest MLM log-probability at the blank.
 
     Every option shares the blank's normalizer, so the highest logit wins.
-    Out-of-vocabulary options score -inf; ties break toward the lower index.
+    Out-of-vocabulary options score -inf; ties break toward the lower index,
+    so two options that look up one vocabulary word are refused.
     """
     blank = item.passage_words.index(BLANK_SENTINEL)
     logits = _masked_logits(model, vocab, item.passage_words, [blank], max_length)
@@ -195,6 +196,11 @@ def score_cloze(
     option_ids = [vocab.lookup(o) for o in item.options]
     if all(i == UNK_ID for i in option_ids):
         raise ContractError("every cloze option is out of vocabulary")
+    spelled = {}  # id -> the first option that looks it up
+    for option, i in zip(item.options, option_ids):
+        if i in spelled and i != UNK_ID:
+            raise ContractError(f"options {spelled[i]!r} and {option!r} are one vocabulary word")
+        spelled[i] = option
     scores = np.array([-np.inf if i == UNK_ID else logits[0, i] for i in option_ids])
     return int(np.argmax(scores))
 

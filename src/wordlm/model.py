@@ -65,12 +65,16 @@ class ModelConfig:
             problems.append(
                 f"variant 'direct' requires embed_dim == hidden ({self.embed_dim} != {self.hidden})"
             )
-        if self.variant == "projected" and not self.freeze_embeddings:
-            problems.append("variant 'projected' requires freeze_embeddings=true")
+        frozen = self.variant == "projected"  # the variant alone decides whether the table trains
+        if self.variant in VARIANTS and self.freeze_embeddings != frozen:
+            problems.append(f"variant {self.variant!r} requires "
+                            f"freeze_embeddings={str(frozen).lower()}")
         if self.variant == "projected" and self.embed_dim < 1:  # direct: embed_dim == hidden
             problems.append(f"embed_dim {self.embed_dim} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             problems.append(f"dropout {self.dropout} outside [0, 1)")
+        if not (math.isfinite(self.layer_norm_eps) and self.layer_norm_eps > 0):
+            problems.append(f"layer_norm_eps {self.layer_norm_eps} must be positive and finite")
         if problems:
             raise ContractError("; ".join(problems))
 
@@ -250,10 +254,7 @@ class WordBertModel:
     def _adopt(self, config: ModelConfig, seed: int, arrays: dict[str, np.ndarray]):
         self.config = config
         self.seed = seed
-        self.params: dict[str, Tensor] = {}
-        for name, data in arrays.items():
-            frozen = name == "embedding.word" and config.freeze_embeddings
-            self.params[name] = Tensor(data, requires_grad=not frozen)
+        self.params = {name: Tensor(data) for name, data in arrays.items()}
 
     # ------------------------------------------------------------------
     # parameter bookkeeping
@@ -263,7 +264,9 @@ class WordBertModel:
         return self.params
 
     def trainable_parameters(self) -> dict[str, Tensor]:
-        return {k: p for k, p in self.params.items() if p.requires_grad}
+        """Every parameter but the projected variant's frozen word table."""
+        frozen = "embedding.word" if self.config.variant == "projected" else None
+        return {k: p for k, p in self.params.items() if k != frozen}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -289,16 +292,16 @@ class WordBertModel:
 
     def _word_rows(self, ids: np.ndarray):
         """Rows ``ids`` of the word table in the hidden space, and their backward:
-        the rows' gradient to the table's (scattered) and the projection's,
-        whichever of the two trains."""
+        the rows' gradient to the projection's in the projected variant, whose
+        table is frozen, and scattered into the table's in the direct one."""
         table = self.params["embedding.word"]
         vectors = table.data[ids]
 
         def backward(g):
-            if table.requires_grad:
-                _scatter_grad(table, ids, g)
             if self.config.variant == "projected":
                 self.params["embedding.projection"].accumulate_grad(np.matmul(vectors.T, g))
+            else:
+                table.accumulate_grad(g, ids)
 
         return self._project(vectors), backward
 
@@ -373,8 +376,8 @@ class WordBertModel:
                 g = layer_backward(g)
             g = g * keep_embed
             rows_backward(g)
-            _scatter_grad(p["embedding.position"], positions,
-                          g.reshape(b_sz, t_len, cfg.hidden).sum(axis=0))
+            p["embedding.position"].accumulate_grad(
+                g.reshape(b_sz, t_len, cfg.hidden).sum(axis=0), positions)
 
         return x, backward
 
@@ -398,7 +401,7 @@ class WordBertModel:
         logits = T.matmul(hidden, rows_t) + bias.data[ids]
 
         def backward(g):
-            _scatter_grad(bias, ids, g.sum(axis=0))
+            bias.accumulate_grad(g.sum(axis=0), ids)
             g_rows = np.ascontiguousarray(np.matmul(hidden.T, g).T)
             return np.matmul(g, rows_t.T), lambda: rows_backward(g_rows)
 
@@ -414,14 +417,3 @@ def _check_ids(ids: np.ndarray, size: int):
     """Refuse an id outside [0, size): numpy would wrap a negative one silently."""
     if ids.size and (ids.min() < 0 or ids.max() >= size):
         raise IndexError(f"id outside [0, {size})")
-
-
-def _scatter_grad(table: Tensor, ids: np.ndarray, g: np.ndarray):
-    """Add g's rows (elements, for a vector) into table's gradient at ids, the
-    first gradient of a step starting from zeros; repeated ids sum."""
-    if table.grad is None:
-        table.grad = np.zeros(table.data.shape, np.float32)
-    if table.data.ndim == 1:
-        kernels.scatter_add_vec(table.grad, ids, g)
-    else:
-        kernels.scatter_add_rows(table.grad, ids, g)

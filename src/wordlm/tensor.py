@@ -7,7 +7,8 @@ loss is a ``Tensor`` whose ``backward()`` runs that chain once. Only a
 training call, one given a dropout rng, keeps a backward; the loss of an
 inference call refuses ``backward()``. Every other ``Tensor`` is a
 parameter: its gradient accumulates across backward passes and must be
-zeroed explicitly between optimizer steps.
+zeroed explicitly between optimizer steps. Which parameters train is the
+model's to say (``WordBertModel.trainable_parameters``), not the tensor's.
 
 ``matmul`` and ``transpose`` are the shape-checked 2-D product and the
 C-contiguous transposed copy that the projection and the tied head call as
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .errors import ContractError, ShapeError
 
 
@@ -25,11 +27,10 @@ class Tensor:
     """A float32 array with a gradient slot: a parameter, or a scalar loss
     that carries its backward."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward_fn")
+    __slots__ = ("data", "grad", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, backward_fn=None):
+    def __init__(self, data, backward_fn=None):
         self.data = np.asarray(data, dtype=np.float32)
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward_fn = backward_fn
 
@@ -39,15 +40,22 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray):
-        if g.shape != self.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match tensor {self.data.shape}")
+    def accumulate_grad(self, g: np.ndarray, ids: np.ndarray | None = None):
+        """Add g to the gradient, or, given ``ids``, g's rows (elements, for a
+        vector) at those rows, repeated ids summing. The first gradient after
+        ``zero_grad`` is a new array of zeros that g is added to: -0.0 becomes
+        +0.0, and no two parameters share one."""
+        shape = self.data.shape if ids is None else (len(ids),) + self.data.shape[1:]
+        if g.shape != shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match {shape}")
         if self.grad is None:
-            # A new array in one pass, with the bits of 0 + g (-0.0 becomes
-            # +0.0); never g itself, which a backward may hand to two parameters.
-            self.grad = np.add(g, np.float32(0), dtype=np.float32)
-        else:
+            self.grad = np.zeros(self.data.shape, np.float32)
+        if ids is None:
             self.grad += g
+        elif self.data.ndim == 1:
+            kernels.scatter_add_vec(self.grad, ids, g)
+        else:
+            kernels.scatter_add_rows(self.grad, ids, g)
 
     def backward(self):
         """Pass this scalar loss's gradient, one, through its backward into
@@ -62,7 +70,7 @@ class Tensor:
         self._backward_fn(np.ones_like(self.data))
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

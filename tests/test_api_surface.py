@@ -25,6 +25,9 @@ No module of ``src/wordlm`` imports names from ``kernels``, or ``matmul`` and
 
 No function of ``src/wordlm`` has a ``global`` statement: a call's behaviour
 comes from its arguments, not from a module-level mode another call set.
+
+Only ``tensor.py`` assigns a ``.grad`` attribute: ``Tensor.accumulate_grad``
+is the one place a parameter's gradient starts.
 """
 
 import ast
@@ -237,6 +240,20 @@ def test_no_global_statement():
         if isinstance(node, ast.Global)
     ]
     assert not found, f"global statements: {found}"
+
+
+def test_only_tensor_assigns_grad():
+    """A gradient started outside ``Tensor.accumulate_grad`` is a second rule
+    for its first value (zeros, or a copy of g) that can drift from the first."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "tensor.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and target.attr == "grad"
+    ]
+    assert not found, f".grad assigned outside tensor.py: {found}"
 
 
 def test_kernels_are_called_through_the_module():

@@ -102,8 +102,8 @@ class TestRoundTrip:
         save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.model.params["embedding.word"].data, wv)
-        assert not loaded.model.params["embedding.word"].requires_grad
-        assert loaded.model.params["embedding.projection"].requires_grad
+        trainable = loaded.model.trainable_parameters()
+        assert "embedding.word" not in trainable and "embedding.projection" in trainable
 
     @pytest.mark.parametrize("variant", ["direct", "projected"])
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch, variant):
@@ -199,10 +199,16 @@ class TestIntegrity:
              "optimizer.m.embedding.word, optimizer.m.encoder.0."),
             ("opt_step mlm.bias ", None, "no opt_step for mlm.bias"),
             ("opt_step mlm.bias ", "opt_step mlm.bias 5", "opt_step values differ"),
+            *[("model_config layer_norm_eps ", f"model_config layer_norm_eps {eps}",
+               f"invalid model_config: layer_norm_eps {eps} must be positive and finite")
+              for eps in ("nan", "-1.0", "0.0", "inf")],
+            ("model_config freeze_embeddings ", "model_config freeze_embeddings true",
+             "invalid model_config: variant 'direct' requires freeze_embeddings=false"),
         ],
         ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape", "invalid-config",
              "unknown-tensor", "unknown-moments", "unknown-opt-step", "partial-moments",
-             "no-optimizer-state", "partial-opt-steps", "opt-steps-differ"],
+             "no-optimizer-state", "partial-opt-steps", "opt-steps-differ", "eps-nan",
+             "eps-negative", "eps-zero", "eps-inf", "direct-frozen"],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, prefix, replacement, message):
         path, _ = _rewrite_manifest_line(tmp_path, prefix, replacement)

@@ -766,8 +766,12 @@ class TestExitCodes:
              "blank position falls outside the encoded window"),
             ({"passage_words": ["sun", "[BLANK]"], "options": ["a", "b", "c", "d"]},
              "every cloze option is out of vocabulary"),
+            # the vocabulary is lowercased: both spellings are one id, whose tie
+            # would always go to the first
+            ({"passage_words": ["sun", "[BLANK]"], "options": ["Rain", "rain", "wind", "fog"]},
+             "options 'Rain' and 'rain' are one vocabulary word"),
         ],
-        ids=["blank-outside-window", "options-out-of-vocabulary"],
+        ids=["blank-outside-window", "options-out-of-vocabulary", "options-one-word"],
     )
     def test_unscorable_cloze_item_is_named(self, trained, capsys, second, message):
         tmp, corpus, cfg, vocab, ckpt = trained
@@ -961,14 +965,18 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_pretrain_zero_steps_rejected_before_output(self, workdir, capsys):
+        """--steps 0 trains nothing, and steps past train.total_steps (12 in
+        TOY_CFG) would train at learning rate 0: both exit 1 on one line."""
         tmp, corpus, cfg = workdir
         vocab = tmp / "vocab.tsv"
         run_ok(["build-vocab", "--corpus", str(corpus), "--k", "50", "--out", str(vocab)])
         capsys.readouterr()
         out = tmp / "zero"
-        code = main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
-                     "--vocab", str(vocab), "--out", str(out), "--steps", "0"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("wordlm: error: --steps must be >= 1") and err.count("\n") == 1
-        assert not out.exists()
+        for steps, message in (("0", "--steps must be >= 1"),
+                               ("13", "--steps 13 exceeds train.total_steps 12")):
+            code = main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                         "--vocab", str(vocab), "--out", str(out), "--steps", steps])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"wordlm: error: {message}") and err.count("\n") == 1
+            assert not out.exists()

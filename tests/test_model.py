@@ -54,6 +54,11 @@ class TestConfig:
         with pytest.raises(ContractError, match="freeze"):
             toy_config(variant="projected", embed_dim=8, freeze_embeddings=False)
 
+    def test_direct_refuses_frozen_embeddings(self):
+        """The direct variant trains its table, so a frozen one is no variant."""
+        with pytest.raises(ContractError, match="variant 'direct' requires freeze_embeddings=false"):
+            ModelConfig(vocab_size=40, variant="direct", freeze_embeddings=True)
+
     def test_reference_defaults_valid(self):
         ModelConfig(vocab_size=500_005)
 

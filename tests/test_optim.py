@@ -32,7 +32,7 @@ def reference_adam_trajectory(x0, grad_fn, lr, beta1, beta2, eps, steps):
 
 class TestAdamStep:
     def test_zero_gradient_is_fixed_point(self):
-        p = Tensor(np.array([1.0, -2.0, 3.0], np.float32), requires_grad=True)
+        p = Tensor(np.array([1.0, -2.0, 3.0], np.float32))
         p.grad = np.zeros(3, np.float32)
         opt = Adam({"p": p})
         before = p.data.copy()
@@ -44,7 +44,7 @@ class TestAdamStep:
         rng = np.random.default_rng(0)
         g = rng.standard_normal(50).astype(np.float32)
         g[np.abs(g) < 0.1] = 0.5
-        p = Tensor(np.zeros(50, np.float32), requires_grad=True)
+        p = Tensor(np.zeros(50, np.float32))
         p.grad = g.copy()
         Adam({"p": p}).step(lr=0.01)
         np.testing.assert_allclose(p.data, -0.01 * np.sign(g), rtol=1e-3)
@@ -55,7 +55,7 @@ class TestAdamStep:
         expected = reference_adam_trajectory(
             0.0, grad_fn, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, steps=10
         )
-        p = Tensor(np.array([0.0], np.float32), requires_grad=True)
+        p = Tensor(np.array([0.0], np.float32))
         opt = Adam({"p": p})
         got = []
         for _ in range(10):
@@ -66,13 +66,13 @@ class TestAdamStep:
         assert opt.step_count == 10
 
     def test_missing_grad_raises(self):
-        p = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        p = Tensor(np.zeros(3, np.float32))
         with pytest.raises(ContractError, match="parameter p has no gradient"):
             Adam({"p": p}).step(lr=0.1)
 
     def test_grad_shape_mismatch_raises(self):
         # (3,) broadcasts against (2, 3); the update must not silently accept it
-        p = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        p = Tensor(np.zeros((2, 3), np.float32))
         p.grad = np.ones(3, np.float32)
         with pytest.raises(ContractError, match="gradient shape"):
             Adam({"p": p}).step(lr=0.1)
@@ -138,8 +138,8 @@ class TestAdamAgainstFloat64Oracle:
 class TestAdamWrapper:
     def test_steps_all_params_and_zeroes(self):
         params = {
-            "a": Tensor(np.ones(4, np.float32), requires_grad=True),
-            "b": Tensor(np.ones((2, 2), np.float32), requires_grad=True),
+            "a": Tensor(np.ones(4, np.float32)),
+            "b": Tensor(np.ones((2, 2), np.float32)),
         }
         opt = Adam(params)
         for p in params.values():
@@ -164,7 +164,7 @@ class TestAdamWrapper:
         def make(seed):
             rng = np.random.default_rng(seed)
             shapes = {"table": (CHUNK // 8 + 3, 16), "bias": (5,)}
-            params = {k: Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+            params = {k: Tensor(rng.standard_normal(s).astype(np.float32))
                       for k, s in shapes.items()}
             grads = [{k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
                      for _ in range(4)]

@@ -185,7 +185,7 @@ class TestBackward:
         assert np.all(fd[[7, 10]] != 0) and np.all(model.params["embedding.word"].grad[11] == 0)
 
     def test_grads_accumulate_until_zeroed(self):
-        x = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
+        x = Tensor(np.ones((1, 3), np.float32))
         g = RNG(21).standard_normal((1, 3)).astype(np.float32)
         x.accumulate_grad(g)
         x.accumulate_grad(g)
@@ -194,8 +194,8 @@ class TestBackward:
         assert x.grad is None
 
     def test_first_gradient_is_a_new_array(self):
-        a = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
-        b = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
+        a = Tensor(np.ones((1, 3), np.float32))
+        b = Tensor(np.ones((1, 3), np.float32))
         g = np.ones((1, 3), np.float32)
         a.accumulate_grad(g)
         b.accumulate_grad(g)
@@ -205,16 +205,32 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, np.ones((1, 3), np.float32))
 
     def test_first_gradient_turns_negative_zero_positive(self):
-        x = Tensor(np.ones((1, 3), np.float32), requires_grad=True)
+        x = Tensor(np.ones((1, 3), np.float32))
         g = np.full((1, 3), -0.0, np.float32)
         x.accumulate_grad(g)
         assert not np.signbit(x.grad).any() and not np.shares_memory(x.grad, g)
 
     def test_gradient_of_another_shape_rejected(self):
-        x = Tensor(np.zeros((3, 4), np.float32), requires_grad=True)
+        x = Tensor(np.zeros((3, 4), np.float32))
         with pytest.raises(ShapeError):
             x.accumulate_grad(np.ones(4, np.float32))
+        with pytest.raises(ShapeError):  # two rows for one id
+            x.accumulate_grad(np.ones((2, 4), np.float32), np.array([1]))
         assert x.grad is None
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3)], ids=["vector", "matrix"])
+    def test_first_scattered_gradient_is_add_at_on_zeros(self, shape):
+        """Given ids, the first gradient has the bits of ``np.add.at`` into
+        zeros: repeated ids sum in order, and a -0.0 row becomes +0.0."""
+        ids = np.array([4, 1, 4, 6, 1, 4])
+        g = RNG(22).standard_normal((len(ids),) + shape[1:]).astype(np.float32)
+        g[3] = -0.0  # id 6's only row
+        x = Tensor(np.ones(shape, np.float32))
+        x.accumulate_grad(g, ids)
+        expected = np.zeros(shape, np.float32)
+        np.add.at(expected, ids, g)
+        assert x.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(x.grad[6]).any()
 
 
 class TestGatherScatter:
