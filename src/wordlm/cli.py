@@ -211,13 +211,10 @@ def cmd_probe(args) -> int:
     cfg = RunConfig.load(args.config, overrides=args.set)
     buckets = cfg.view(FrequencyBuckets, reference_frequencies={})
     vocab, model = _load_vocab_and_model(args)
-    if args.probes:
+    if args.probes is not None:
         probes = load_records(args.probes, ProbeExample)
-    else:
-        if not args.corpus:
-            raise WordlmError("probe needs either --probes or --corpus")
-        ref_path = args.ref_corpus or args.corpus
-        buckets.reference_frequencies = dict(count_corpus_file(ref_path, lowercase=vocab.lowercase))
+    else:  # a word's bucket is its count in the corpus the vocabulary was built from
+        buckets.reference_frequencies = dict(zip(vocab.words, vocab.frequency.tolist()))
         lines = read_corpus_lines(args.corpus)
         probes = []
         for bucket in BUCKET_NAMES:
@@ -240,7 +237,7 @@ def cmd_probe(args) -> int:
         cfg.echo_into(args.out)
         with open(os.path.join(args.out, "probe_report.tsv"), "w", encoding="utf-8") as fh:
             fh.write(table + "\n")
-        if not args.probes:
+        if args.corpus is not None:
             save_probe_examples(probes, os.path.join(args.out, "probes.jsonl"))
     return 0
 
@@ -333,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--probes", help="prebuilt probe JSONL")
-    p.add_argument("--corpus", help="build probes from this corpus instead")
-    p.add_argument("--ref-corpus", help="reference corpus for frequencies (default: --corpus)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--probes", help="prebuilt probe JSONL")
+    source.add_argument("--corpus", help="build probes from this corpus, by vocabulary counts")
     p.add_argument("--out", help="optional output directory")
     p.set_defaults(fn=cmd_probe)
 

@@ -1,8 +1,9 @@
 """Flat ``key = value`` run configuration with command-line overrides.
 
 Keys are sectioned with dots (model.hidden, train.peak_lr). Precedence:
-defaults < config file < ``--set`` overrides. Unknown keys and uncoercible
-values are rejected together, each named in the error. A key backed by a
+defaults < config file < ``--set`` overrides. Unknown keys, uncoercible
+values (a negative train.seed among them) and a key the file sets twice are
+rejected together, each named in the error. A key backed by a
 dataclass field (``FIELD_KEYS``) takes its type and default from that field.
 """
 
@@ -29,6 +30,13 @@ def _parse_bool(s: str) -> bool:
         raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_seed(s: str) -> int:
+    seed = int(s)
+    if seed < 0:  # numpy seeds a generator from non-negative integers only
+        raise ValueError(f"negative seed: {s!r}")
+    return seed
+
+
 _RENAMED = {
     "num_layers": "layers", "num_heads": "heads",
     "high": "threshold_high", "medium": "threshold_medium", "low": "threshold_low",
@@ -49,7 +57,7 @@ DECLARED_KEYS: dict[str, tuple] = {
     keys[f.name]: (_parse_bool if hint is bool else hint, f.default)
     for cls, keys in FIELD_KEYS.items() for f in fields(cls) if f.name in keys
     for hint in [get_type_hints(cls)[f.name]]
-} | {"train.use_neighbors": (_parse_bool, False)}
+} | {"train.use_neighbors": (_parse_bool, False), "train.seed": (_parse_seed, TrainConfig.seed)}
 
 
 class RunConfig:
@@ -83,6 +91,7 @@ class RunConfig:
                 raise ConfigError([f"cannot read config file {path}: {err}"]) from err
             except ContractError as err:  # a line that is not UTF-8
                 raise ConfigError([str(err)]) from err
+            set_at = {}  # key -> the file line that set it
             for lineno, line in enumerate(lines, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -91,7 +100,13 @@ class RunConfig:
                     violations.append(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
                     continue
                 key, _, raw = stripped.partition("=")
-                apply(key.strip(), raw, f"{path}:{lineno}")
+                key = key.strip()
+                if key in set_at:
+                    violations.append(
+                        f"{path}:{lineno}: key {key!r} already set at line {set_at[key]}")
+                    continue
+                set_at[key] = lineno
+                apply(key, raw, f"{path}:{lineno}")
 
         for item in overrides or []:
             if "=" not in item:

@@ -237,6 +237,16 @@ def _has_shape(value, hint) -> bool:
     return type(value) is hint
 
 
+def _unique_fields(pairs) -> dict:
+    """A JSON object's dict, refusing a field given twice (``json`` keeps the last)."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ContractError(f"field {name!r} given twice")
+        obj[name] = value
+    return obj
+
+
 def load_records(path, cls) -> list:
     """One validated ``cls`` record per nonblank JSON-lines line; the JSON keys
     are its field names, every one required and of its annotated JSON type."""
@@ -247,9 +257,11 @@ def load_records(path, cls) -> list:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_unique_fields)
         except json.JSONDecodeError as err:
             raise ContractError(f"{path}:{lineno}: invalid JSON: {err}") from err
+        except ContractError as err:
+            raise ContractError(f"{path}:{lineno}: {err}") from err
         if not isinstance(obj, dict):
             raise ContractError(f"{path}:{lineno}: not a JSON object: {line!r}")
         unknown = set(obj) - set(hints)

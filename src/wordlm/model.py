@@ -130,10 +130,10 @@ def _encoder_layer(w: dict[str, Tensor], x: np.ndarray, mask_bias: np.ndarray,
     ``w`` maps the layer's parameter names, less ``encoder.<i>.``, to tensors.
 
     Returns the output and the layer's backward: the output's gradient to
-    x's, passing each parameter's gradient to ``accumulate_grad``. It makes
-    the numpy and kernel calls of the per-op graph this layer once was, on
-    the same operand layouts, and sums a gradient with several sources in
-    that graph's order: x takes the residual's before the query's, key's and
+    x's, passing each parameter's gradient to ``accumulate_grad``. Operand
+    layouts, and the order in which a gradient with several sources is
+    summed, stay fixed so that a run's ``metrics.tsv`` stays byte-identical
+    across commits: x takes the residual's before the query's, key's and
     value's; the attention norm's output the residual's before ``ffn.inner``'s.
     """
     b_sz, t_len = mask_bias.shape[0], mask_bias.shape[-1]

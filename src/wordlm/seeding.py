@@ -10,6 +10,7 @@ import numpy as np
 
 
 def substream(seed: int, name: str, step: int = 0) -> np.random.Generator:
-    """Generator for a named stream at a given step, stable across runs."""
+    """Generator for a named stream at a given step, stable across runs; every
+    non-negative seed, however wide, is a stream of its own."""
     tag = zlib.crc32(name.encode("utf-8"))
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, tag, int(step)])
+    return np.random.default_rng([int(seed), tag, int(step)])

@@ -222,6 +222,8 @@ class TestPretrain:
             # a NaN or infinite learning rate is a setting's fault, not a batch's
             ("train.peak_lr=nan", ["train.peak_lr"]),
             ("train.peak_lr=inf", ["train.peak_lr"]),
+            # numpy seeds a generator from non-negative integers only
+            ("train.seed=-1", ["train.seed"]),
         ],
     )
     def test_invalid_setting_exits_3_before_output(self, workdir, capsys, setting, keys):
@@ -550,6 +552,28 @@ class TestEvalCommands:
         assert (tmp / "probe_out" / "probes.jsonl").exists()
         assert (tmp / "probe_out" / "effective.cfg").exists()
 
+    def test_probe_buckets_by_the_vocabulary_count(self, trained, capsys):
+        """A word whose count in the vocabulary's corpus reaches
+        eval.threshold_high is High, though the probe corpus holds it once."""
+        from wordlm.seeding import substream
+
+        tmp, corpus, cfg, vocab, ckpt = trained
+        loaded = WordVocab.load(vocab)
+        count = int(loaded.frequency[loaded.lookup("sun")])
+        assert count > 10  # above TOY_CFG's eval.threshold_medium
+        probe_corpus, out = tmp / "probe.txt", tmp / "probe_out"
+        probe_corpus.write_text("sun\n", encoding="utf-8")
+        # the first seed whose High stream masks the one High word (p = 0.15)
+        seed = next(s for s in range(100) if substream(s, "probe-High").random() < 0.15)
+        run_ok(["probe", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                "--corpus", str(probe_corpus), "--out", str(out),
+                "--set", f"eval.threshold_high={count}", "--set", f"train.seed={seed}"])
+        rows = [line.split("\t")[:3] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["High", "1", "0"], ["Medium", "0", "0"], ["Low", "0", "0"],
+                        ["Rare", "0", "0"]]
+        assert json.loads((out / "probes.jsonl").read_text()) == {
+            "words": ["sun"], "masked_positions": [0], "gold_words": ["sun"], "bucket": "High"}
+
     def test_probe_accepts_prebuilt_probes_and_matches_library(self, trained, capsys):
         from wordlm.checkpoint import load_checkpoint
         from wordlm.evaluation import ProbeExample, load_records, probe_topk
@@ -590,6 +614,8 @@ class TestEvalCommands:
             ("train.max_length=2", ["unknown key 'train.max_length'"]),
             ("train.max_length=20", ["unknown key 'train.max_length'"]),
             *REMOVED_RECIPE_KEYS,
+            # train.seed seeds the probe-set streams
+            ("train.seed=-1", ["train.seed"]),
         ],
     )
     def test_probe_invalid_setting_exits_3_before_reading(self, workdir, capsys, setting, keys):
@@ -747,9 +773,8 @@ class TestExitCodes:
         argv = {
             "pretrain": ["pretrain", "--config", str(cfg), "--corpus", str(bad),
                          "--vocab", str(vocab), "--out", str(out)],
-            # the reference counts come from a good file: the probe corpus itself is bad
             "probe": ["probe", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab", str(vocab),
-                      "--corpus", str(bad), "--ref-corpus", str(corpus), "--out", str(out)],
+                      "--corpus", str(bad), "--out", str(out)],
         }[command]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -821,6 +846,28 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sources,message",
+        [(["--corpus", "c.txt", "--ref-corpus", "c.txt"], "unrecognized arguments: --ref-corpus"),
+         (["--probes", "p.jsonl", "--corpus", "c.txt"],
+          "argument --corpus: not allowed with argument --probes"),
+         ([], "one of the arguments --probes --corpus is required")],
+        ids=["ref-corpus", "both", "neither"],
+    )
+    def test_probe_takes_exactly_one_source(self, tmp_path, capsys, sources, message):
+        """The buckets come from the vocabulary's counts, so ``--ref-corpus`` is
+        gone; ``--probes`` and ``--corpus`` are one required choice. None of
+        the files exists: argparse refuses each command line before any is read."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--checkpoint", "c.ckpt", "--vocab", "v.tsv", *sources,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert captured.out == "" and len(errors) == 1 and message in errors[0], captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "reader,code,prefix",

@@ -66,6 +66,18 @@ class TestLoading:
         assert "bogus.key" in str(exc.value)
         assert "model.hidden" in str(exc.value)
 
+    def test_key_set_twice_in_the_file_rejected(self, tmp_path):
+        """A file that sets a key twice names both lines; a ``--set`` still
+        overrides the file, and a repeated ``--set`` keeps its last value."""
+        p = tmp_path / "run.cfg"
+        p.write_text("train.seed = 1\n" + "# filler\n" * 8 + "train.seed = 2\n")
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.load(p)
+        assert exc.value.violations == [f"{p}:10: key 'train.seed' already set at line 1"]
+        p.write_text("train.seed = 1\n")
+        overrides = ["train.seed=2", "train.seed=3"]
+        assert RunConfig.load(p, overrides=overrides)["train.seed"] == 3
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("just some words\n")

@@ -1,6 +1,7 @@
 """Probing, cloze scoring and JSON-lines loading tests."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -315,6 +316,24 @@ class TestJsonl:
                         '"answer_index": 0, "extra": 1}\n')
         with pytest.raises(ContractError, match="unknown fields"):
             load_records(path, ClozeItem)
+
+    @pytest.mark.parametrize(
+        "cls,line,name",
+        [
+            # json.loads alone keeps the last value: this item would be scored against answer 3
+            (ClozeItem, '{"passage_words": ["[BLANK]"], "options": ["w", "x", "y", "z"], '
+                        '"answer_index": 0, "answer_index": 3}', "answer_index"),
+            (ProbeExample, '{"words": ["a", "b"], "masked_positions": [0], "gold_words": ["a"], '
+                           '"bucket": "Low", "bucket": "High"}', "bucket"),
+        ],
+        ids=["cloze", "probe"],
+    )
+    def test_field_given_twice_rejected(self, tmp_path, cls, line, name):
+        path = tmp_path / "twice.jsonl"
+        path.write_text("\n" + line + "\n")  # the blank first line is skipped but counted
+        where = re.escape(f"{path}:2:")
+        with pytest.raises(ContractError, match=f"^{where} field '{name}' given twice$"):
+            load_records(path, cls)
 
     def test_invalid_json_named_with_line(self, tmp_path):
         path = tmp_path / "bad2.jsonl"

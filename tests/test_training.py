@@ -1,11 +1,14 @@
 """Masking, restricted loss, projection pretraining, schedule, train loop."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from wordlm import kernels
 from wordlm.errors import ContractError, WordlmError
 from wordlm.model import ModelConfig, WordBertModel
+from wordlm.seeding import substream
 from wordlm.training import (
     TrainConfig,
     apply_masking,
@@ -316,6 +319,15 @@ class TestTrainLoop:
             records, _ = train(lines, vocab, model, tiny_train_config())
             runs.append([r.loss for r in records])
         assert runs[0] == runs[1]
+
+    def test_seeds_two_to_the_32_apart_draw_different_streams(self):
+        """A seed keeps all its bits: 0 and 2**32 (and 2**32 - 1 and 2**33 - 1)
+        are different runs, and a seed below 2**32 draws the stream it always has."""
+        for low in (0, 2**32 - 1):
+            draws = [substream(seed, "masking", 4).random(8) for seed in (low, low + 2**32)]
+            assert not np.array_equal(*draws)
+            old = np.random.default_rng([low, zlib.crc32(b"masking"), 4]).random(8)
+            assert np.array_equal(draws[0], old)
 
     def test_frozen_embedding_checksum_constant_over_run(self):
         lines, vocab = tiny_corpus()
