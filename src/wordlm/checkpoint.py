@@ -1,46 +1,54 @@
 """Checkpoint archive: text manifest + concatenated little-endian float32 payload.
 
-Layout: a UTF-8 manifest block (one line per field, one ``tensor`` line per
-array with name, dtype, shape, byte offset, byte length), a ``---`` separator
-line, then the raw payload. Tensors are sorted by name, so save -> load ->
-save is byte-identical. The manifest also carries the model configuration so
-a model can be reconstructed from the file alone; the line
-``model_config gelu_approx false``, which files written before the tanh GELU
-was removed carry, is read as a no-op. A checkpoint holds exactly the tensors
-the model and its optimizer own: every parameter, and the two moments of every
-trainable parameter with one ``opt_step`` line each, all carrying the
-optimizer's single step count.
+The layout is stated once, by ``layout``: from the model configuration, the
+step, seed, config digest and the optimizer's step count it gives every
+manifest line and each tensor's shape, byte offset and byte length. The
+manifest is a magic line; ``step``, ``seed`` and ``config_digest`` lines; a
+``model_config <field> <value>`` line per ``ModelConfig`` field, the value
+spelled by the field's type; an ``opt_step <name> <count>`` line per
+trainable parameter; a ``tensor <name> f32 <shape> <offset> <length>`` line
+per array (every parameter, and the Adam moments ``optimizer.m.<name>`` and
+``optimizer.v.<name>`` of every trainable one), in name order with no gaps;
+and ``payload_bytes``. A ``---`` line and the payload follow. So save ->
+load -> save is byte-identical.
 
-A load reads the manifest up to the ``---`` line, then reads each tensor's
-bytes straight into the parameter or moment array that owns it, so it holds
-no copy of the payload; ``read_manifest`` alone (``inspect-checkpoint``)
-reads no tensor bytes. A save streams each tensor's bytes into
-``<path>.tmp``, fsyncs it and renames it onto ``path``, so a crash mid-save
-leaves the previous checkpoint intact.
+A read checks the magic line before reading on, parses only what no
+configuration implies (step, seed, digest, the optimizer's step count) and
+the typed ``model_config`` values, then compares the manifest line by line
+with the layout those imply: the first line that differs is an
+``IntegrityError`` naming the file, the line and the expected text. The line
+``model_config gelu_approx false``, which files written before the tanh GELU
+was removed carry, is skipped. The layer count is checked against the
+manifest's length before the layout is built, so no manifest value makes a
+read compute or allocate in proportion to it.
+
+A load reads each tensor's bytes straight into the parameter or moment array
+that owns it, so it holds no copy of the payload; ``read_manifest`` alone
+(``inspect-checkpoint``) reads no tensor bytes. A save streams each tensor's
+bytes into ``<path>.tmp``, fsyncs it and renames it onto ``path``, so a crash
+mid-save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ContractError, IntegrityError
-from .model import ModelConfig, WordBertModel
+from .model import ModelConfig, WordBertModel, parameter_shapes, trainable_names
 from .optim import Adam
 
 _MAGIC = "#wordlm-checkpoint v1"
 _SEPARATOR = b"---\n"
-# Value types a manifest may give each ModelConfig field (an int is a valid float).
-_CONFIG_TYPES = {
-    key: (float, int) if hint is float else (hint,)
-    for key, hint in get_type_hints(ModelConfig).items()
-}
-_REQUIRED_CONFIG = [f.name for f in fields(ModelConfig) if f.default is MISSING]
+_LEGACY_GELU = "model_config gelu_approx false"
+_FIELD_TYPES = get_type_hints(ModelConfig)  # field -> type, in field order
+_PARSE = {int: int, float: float, str: str, bool: {"true": True, "false": False}.__getitem__}
 
 
 def config_digest(text: str) -> str:
@@ -53,17 +61,52 @@ def format_value(v):
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _parse_value(s: str):
-    if s in ("true", "false"):
-        return s == "true"
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
+@dataclass
+class Layout:
+    """The values a checkpoint's layout is built from, its manifest lines (the
+    ``---`` line excluded), and each tensor's (shape, offset, byte length) in
+    name order."""
+
+    config: ModelConfig
+    step: int
+    seed: int
+    digest: str
+    opt_step: int
+    lines: list[str]
+    tensors: dict[str, tuple[tuple[int, ...], int, int]]
+
+    @property
+    def payload_bytes(self) -> int:
+        return sum(length for _, _, length in self.tensors.values())
+
+
+def layout(config: ModelConfig, step: int, seed: int, digest: str, opt_step: int) -> Layout:
+    """The checkpoint layout these values imply; allocates no tensor."""
+    shapes = parameter_shapes(config)
+    trainable = sorted(trainable_names(config))
+    for name in trainable:
+        shapes[f"optimizer.m.{name}"] = shapes[f"optimizer.v.{name}"] = shapes[name]
+    lines = [_MAGIC, f"step {step}", f"seed {seed}", f"config_digest {digest}"]
+    lines += [f"model_config {key} {format_value(kind(getattr(config, key)))}"
+              for key, kind in _FIELD_TYPES.items()]
+    lines += [f"opt_step {name} {opt_step}" for name in trainable]
+    tensors, offset = {}, 0
+    for name in sorted(shapes):
+        shape, length = shapes[name], 4 * math.prod(shapes[name])
+        tensors[name] = (shape, offset, length)
+        lines.append(f"tensor {name} f32 {'x'.join(map(str, shape))} {offset} {length}")
+        offset += length
+    lines.append(f"payload_bytes {offset}")
+    return Layout(config, step, seed, digest, opt_step, lines, tensors)
+
+
+def _arrays(model: WordBertModel, optimizer: Adam) -> dict[str, np.ndarray]:
+    """Every array a checkpoint of ``model`` and ``optimizer`` holds, by tensor name."""
+    arrays = {name: t.data for name, t in model.params.items()}
+    for name in optimizer.params:
+        arrays[f"optimizer.m.{name}"] = optimizer.first_moment[name]
+        arrays[f"optimizer.v.{name}"] = optimizer.second_moment[name]
+    return arrays
 
 
 def save_checkpoint(
@@ -73,31 +116,23 @@ def save_checkpoint(
     path,
     digest: str = "-",
 ):
-    """Write model and optimizer state to the archive format, atomically."""
-    tensors: dict[str, np.ndarray] = {name: t.data for name, t in model.parameters().items()}
-    lines = [_MAGIC, f"step {int(step)}", f"seed {int(model.seed)}", f"config_digest {digest}"]
-    for key, value in asdict(model.config).items():
-        lines.append(f"model_config {key} {format_value(value)}")
-    for name in sorted(optimizer.params):
-        tensors[f"optimizer.m.{name}"] = optimizer.first_moment[name]
-        tensors[f"optimizer.v.{name}"] = optimizer.second_moment[name]
-        lines.append(f"opt_step {name} {optimizer.step_count}")
-
-    arrays = {name: np.ascontiguousarray(tensors[name], dtype="<f4") for name in sorted(tensors)}
-    offset = 0
-    for name, arr in arrays.items():
-        shape = "x".join(str(d) for d in arr.shape)
-        lines.append(f"tensor {name} f32 {shape} {offset} {arr.nbytes}")
-        offset += arr.nbytes
-    lines.append(f"payload_bytes {offset}")
-
+    """Write model and optimizer state to the archive format, atomically. The
+    optimizer must hold exactly the model's trainable parameters."""
+    manifest = layout(model.config, int(step), int(model.seed), digest, optimizer.step_count)
+    arrays = _arrays(model, optimizer)
+    for name in sorted(arrays.keys() | manifest.tensors.keys()):
+        held = arrays[name].shape if name in arrays else None
+        implied = manifest.tensors[name][0] if name in manifest.tensors else None
+        if held != implied:
+            raise ContractError(f"cannot save tensor {name}: shape {held}, but the model's "
+                                f"configuration implies {implied}")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write("\n".join(lines).encode("utf-8") + b"\n")
+            fh.write("\n".join(manifest.lines).encode("utf-8") + b"\n")
             fh.write(_SEPARATOR)
-            for arr in arrays.values():
-                fh.write(arr)
+            for name in manifest.tensors:
+                fh.write(np.ascontiguousarray(arrays[name], dtype="<f4"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -115,155 +150,73 @@ class Checkpoint:
     digest: str
 
 
-def read_manifest(path) -> tuple[dict, int]:
-    """Parse and check the manifest; also return the payload's offset in the file.
-
-    Reads the file only up to the ``---`` line and takes the payload size
-    from the file size. Any malformed line, a key given twice (``step``,
-    ``model_config hidden``, ``tensor mlm.bias``, ...) or a tensor whose bytes
-    overlap another's raises ``IntegrityError`` naming the file and the line.
-    Gaps between tensors are allowed.
-    """
+def read_manifest(path) -> tuple[Layout, int]:
+    """The file's layout, once its manifest matches line by line the one its
+    values imply, and the payload's offset in the file. Reads the file up to
+    the ``---`` line and takes the payload size from the file size."""
     with open(path, "rb") as fh:
-        head = []
-        for raw in fh:
+        if fh.readline(len(_MAGIC) + 1) != _MAGIC.encode() + b"\n":
+            raise IntegrityError(f"{path}: not a {_MAGIC} file")
+        lines = []  # (line number, text) of each line after the magic, through the separator
+        for lineno, raw in enumerate(fh, start=2):
+            try:
+                line = raw.decode("utf-8")[:-1]
+            except UnicodeDecodeError as err:
+                raise IntegrityError(f"{path}:{lineno}: manifest is not UTF-8: {err}") from err
+            if line != _LEGACY_GELU:  # only the erf GELU is left
+                lines.append((lineno, line))
             if raw == _SEPARATOR:
                 break
-            head.append(raw)
         else:
             raise IntegrityError(f"{path}: missing manifest separator")
         payload_offset = fh.tell()
         payload_size = os.fstat(fh.fileno()).st_size - payload_offset
-    try:
-        manifest_text = b"".join(head).decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise IntegrityError(f"{path}: manifest is not UTF-8: {err}") from err
 
-    info = {"model_config": {}, "opt_steps": {}, "tensors": {}}
-    lines = manifest_text.rstrip("\n").split("\n")
-    if not lines or lines[0] != _MAGIC:
-        raise IntegrityError(f"{path}: not a {_MAGIC} file")
-    tensor_lines, seen = {}, set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        where = f"{path}:{lineno}"
-        parts = line.split(" ")
-        named = parts[0] in ("model_config", "opt_step", "tensor")  # one key per name
-        field = " ".join(parts[:2]) if named else parts[0]
-        if field in seen:  # only a well-formed line gets here twice: a bad one raises below
-            raise IntegrityError(f"{where}: repeated manifest key {field!r}")
-        seen.add(field)
+    found = iter(lines)  # the separator ends it, and matches no key
+
+    def value(key, kind):
+        """The value ending the next line, which must start with ``key``."""
+        lineno, line = next(found)
         try:
-            if parts[0] in ("step", "seed", "payload_bytes"):
-                info[parts[0]] = int(parts[1])
-            elif parts[0] == "config_digest":
-                info["digest"] = parts[1]
-            elif parts[0] == "model_config":
-                key, value = parts[1], _parse_value(" ".join(parts[2:]))
-                if key == "gelu_approx":  # written by earlier versions; only the erf GELU is left
-                    if value is not False:
-                        raise IntegrityError(f"{where}: model_config gelu_approx {value!r} "
-                                             "(tanh GELU) is no longer supported")
-                    continue
-                if key not in _CONFIG_TYPES:
-                    raise IntegrityError(f"{where}: unknown model_config key {key!r}")
-                if type(value) not in _CONFIG_TYPES[key]:
-                    raise IntegrityError(f"{where}: model_config {key} has invalid value {value!r}")
-                info["model_config"][key] = value
-            elif parts[0] == "opt_step":
-                info["opt_steps"][parts[1]] = int(parts[2])
-            elif parts[0] == "tensor":
-                _, name, dtype, shape_s, offset, length = parts
-                if dtype != "f32":
-                    raise IntegrityError(f"{where}: unsupported dtype {dtype} for {name}")
-                shape = tuple(int(d) for d in shape_s.split("x")) if shape_s else ()
-                offset, length = int(offset), int(length)
-                if min(offset, *shape) < 0:
-                    raise IntegrityError(f"{where}: negative offset or dimension for {name}")
-                info["tensors"][name] = (shape, offset, length)
-                tensor_lines[name] = lineno
-            else:
-                raise IntegrityError(f"{where}: unknown manifest line {line!r}")
-        except (ValueError, IndexError) as err:
-            raise IntegrityError(f"{where}: malformed manifest line {line!r}") from err
+            if line.startswith(key + " "):
+                return _PARSE[kind](line.rpartition(" ")[2])
+        except (KeyError, ValueError):
+            pass
+        raise IntegrityError(f"{path}:{lineno}: expected '{key} <{kind.__name__}>', found {line!r}")
 
-    missing = [key for key in ("step", "seed", "payload_bytes") if key not in info]
-    missing += [f"model_config {key}" for key in _REQUIRED_CONFIG if key not in info["model_config"]]
-    if missing:
-        raise IntegrityError(f"{path}: manifest missing {', '.join(missing)}")
-    declared = info["payload_bytes"]
-    if declared != payload_size:
-        raise IntegrityError(
-            f"{path}: payload size mismatch: expected {declared} bytes, got {payload_size}"
-        )
-    for name, (shape, offset, length) in info["tensors"].items():
-        expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        if expected != length or offset + length > payload_size:
-            raise IntegrityError(
-                f"{path}: tensor {name} expects {expected} bytes at offset {offset}, "
-                f"payload has {payload_size}"
-            )
-        for half, other in (("optimizer.m.", "optimizer.v."), ("optimizer.v.", "optimizer.m.")):
-            twin = other + name[len(half):]
-            if name.startswith(half) and twin not in info["tensors"]:
-                raise IntegrityError(f"{path}:{tensor_lines[name]}: {name} has no {twin}")
-    # sorted by offset, two tensors overlap only if two neighbours do
-    spans = sorted((offset, tensor_lines[name], length, name)
-                   for name, (_, offset, length) in info["tensors"].items() if length)
-    for (offset, _, length, name), (next_offset, lineno, _, next_name) in zip(spans, spans[1:]):
-        if next_offset < offset + length:
-            raise IntegrityError(f"{path}:{lineno}: tensor {next_name} overlaps tensor {name}")
-    return info, payload_offset
-
-
-def _read_into(fh, path, name, entry, payload_offset: int, target: np.ndarray):
-    """Fill ``target`` in place with the little-endian float32 bytes of one tensor."""
-    shape, offset, length = entry
-    if shape != target.shape:
-        raise IntegrityError(
-            f"{path}: tensor {name} shape {shape} does not match model {target.shape}"
-        )
-    fh.seek(payload_offset + offset)
-    got = fh.readinto(target)
-    if got != length:
-        raise IntegrityError(f"{path}: tensor {name}: read {got} of {length} bytes")
-    if sys.byteorder == "big":
-        target.byteswap(inplace=True)
+    step, seed, digest = value("step", int), value("seed", int), value("config_digest", str)
+    values = {key: value(f"model_config {key}", kind) for key, kind in _FIELD_TYPES.items()}
+    try:
+        config = ModelConfig(**values)
+    except ContractError as err:
+        raise IntegrityError(f"{path}: invalid model_config: {err}") from err
+    if config.num_layers > len(lines):  # each layer has its own lines
+        lineno = next(n for n, line in lines if line.startswith("model_config num_layers "))
+        raise IntegrityError(f"{path}:{lineno}: model_config num_layers {config.num_layers} "
+                             f"exceeds the {len(lines)} lines of the manifest")
+    manifest = layout(config, step, seed, digest, value("opt_step", int))
+    for (lineno, line), expected in zip(lines, manifest.lines[1:] + ["---"]):
+        if line != expected:
+            raise IntegrityError(f"{path}:{lineno}: expected {expected!r}, found {line!r}")
+    if manifest.payload_bytes != payload_size:
+        raise IntegrityError(f"{path}: payload size mismatch: expected "
+                             f"{manifest.payload_bytes} bytes, got {payload_size}")
+    return manifest, payload_offset
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Reconstruct model, optimizer state, and step from an archive."""
-    info, payload_offset = read_manifest(path)
-    try:
-        config = ModelConfig(**info["model_config"])
-    except ContractError as err:
-        raise IntegrityError(f"{path}: invalid model_config: {err}") from err
-
-    model = WordBertModel._unfilled(config, info["seed"])
-    trainable = model.trainable_parameters()
-    tensors, opt_steps = info["tensors"], info["opt_steps"]
-    known = set(model.params) | {f"optimizer.{half}.{name}" for name in trainable for half in "mv"}
-    unknown = sorted(set(tensors) - known)
-    if unknown:
-        raise IntegrityError(f"{path}: unknown tensor {', '.join(unknown)}")
-    absent = sorted(known - set(tensors))
-    if absent:
-        raise IntegrityError(f"{path}: manifest has no tensor {', '.join(absent)}")
-    stray = sorted(set(opt_steps) - set(trainable))
-    if stray:
-        raise IntegrityError(f"{path}: opt_step {', '.join(stray)} names no trainable parameter")
-    missing = sorted(set(trainable) - set(opt_steps))
-    if missing:
-        raise IntegrityError(f"{path}: no opt_step for {', '.join(missing)}")
-    if len(set(opt_steps.values())) > 1:
-        raise IntegrityError(f"{path}: opt_step values differ: {sorted(set(opt_steps.values()))}")
-
-    optimizer = Adam(trainable)
-    targets = {name: param.data for name, param in model.params.items()}
-    for name in trainable:
-        targets[f"optimizer.m.{name}"] = optimizer.first_moment[name]
-        targets[f"optimizer.v.{name}"] = optimizer.second_moment[name]
+    manifest, payload_offset = read_manifest(path)
+    model = WordBertModel._unfilled(manifest.config, manifest.seed)
+    optimizer = Adam(model.trainable_parameters())
+    optimizer.step_count = manifest.opt_step
+    arrays = _arrays(model, optimizer)
     with open(path, "rb") as fh:
-        for name, target in targets.items():
-            _read_into(fh, path, name, tensors[name], payload_offset, target)
-    optimizer.step_count = next(iter(opt_steps.values()))
-    return Checkpoint(model, optimizer, step=info["step"], digest=info.get("digest", "-"))
+        fh.seek(payload_offset)
+        for name, (_, _, length) in manifest.tensors.items():  # back to back, in file order
+            got = fh.readinto(arrays[name])
+            if got != length:
+                raise IntegrityError(f"{path}: tensor {name}: read {got} of {length} bytes")
+            if sys.byteorder == "big":
+                arrays[name].byteswap(inplace=True)
+    return Checkpoint(model, optimizer, step=manifest.step, digest=manifest.digest)

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -75,17 +76,22 @@ def _npz_shape(path, key):
 
 def _load_finite(path, key):
     """The 2-D array ``key`` of npz file ``path`` as float32, refusing one that
-    holds a NaN or infinity by its first such row. Callers check the array's
-    header through ``_npz_shape`` first."""
+    holds a NaN, an infinity or a value outside float32 range by its first
+    such row. Callers check the array's header through ``_npz_shape`` first."""
     try:
         with zipfile.ZipFile(path) as archive, archive.open(f"{key}.npy") as fp:
-            array = np.lib.format.read_array(fp).astype(np.float32, copy=False)  # a fresh array
+            array = np.lib.format.read_array(fp)
     except (ValueError, zipfile.BadZipFile) as err:  # data cut short, or a CRC mismatch
         raise ContractError(f"{path}: array {key!r} cannot be read: {err}") from err
-    bad = np.flatnonzero(~np.isfinite(array).all(axis=1))
-    if bad.size:
-        raise ContractError(f"{path}: row {bad[0]} of array {key!r} holds a NaN or infinity")
-    return array
+    high, low = array.max(axis=1), array.min(axis=1)  # a NaN reaches both
+    limit = np.finfo(np.float32).max
+    rows = np.flatnonzero(~((low >= -limit) & (high <= limit)))  # a NaN compares false
+    if rows.size:  # refused before the cast, which would overflow
+        row = rows[0]
+        problem = ("a value outside float32 range" if np.isfinite([low[row], high[row]]).all()
+                   else "a NaN or infinity")
+        raise ContractError(f"{path}: row {row} of array {key!r} holds {problem}")
+    return array.astype(np.float32, copy=False)  # a fresh array
 
 
 def _word_table(word_vectors_path, vocab_size: int, hidden: int):
@@ -260,18 +266,15 @@ def cmd_eval_cloze(args) -> int:
 
 
 def cmd_inspect_checkpoint(args) -> int:
-    info, _ = read_manifest(args.checkpoint)
-    print(f"step {info['step']}")
-    print(f"seed {info['seed']}")
-    print(f"config_digest {info.get('digest', '-')}")
-    for key, value in info["model_config"].items():
+    manifest, _ = read_manifest(args.checkpoint)
+    print(f"step {manifest.step}")
+    print(f"seed {manifest.seed}")
+    print(f"config_digest {manifest.digest}")
+    for key, value in asdict(manifest.config).items():
         print(f"model_config {key} {format_value(value)}")  # as the manifest spells it
-    total = 0
-    for name in sorted(info["tensors"]):
-        shape, _, length = info["tensors"][name]
-        total += length
+    for name, (shape, _, length) in manifest.tensors.items():
         print(f"tensor {name} f32 {'x'.join(map(str, shape))} {length} bytes")
-    print(f"payload {total} bytes in {len(info['tensors'])} tensors")
+    print(f"payload {manifest.payload_bytes} bytes in {len(manifest.tensors)} tensors")
     return 0
 
 

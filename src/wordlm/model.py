@@ -113,6 +113,13 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def trainable_names(config: ModelConfig) -> list[str]:
+    """Every parameter name but the projected variant's frozen word table, in
+    initialization order."""
+    frozen = "embedding.word" if config.variant == "projected" else None
+    return [name for name in parameter_shapes(config) if name != frozen]
+
+
 def parameter_counts(config: ModelConfig) -> dict[str, int]:
     """Parameter totals by group, from the shapes alone (nothing is allocated)."""
     group_of = {"embedding.word": "embedding", "embedding.projection": "embedding", "mlm.bias": "mlm_head"}
@@ -264,9 +271,7 @@ class WordBertModel:
         return self.params
 
     def trainable_parameters(self) -> dict[str, Tensor]:
-        """Every parameter but the projected variant's frozen word table."""
-        frozen = "embedding.word" if self.config.variant == "projected" else None
-        return {k: p for k, p in self.params.items() if k != frozen}
+        return {name: self.params[name] for name in trainable_names(self.config)}
 
     def zero_grad(self):
         for p in self.params.values():

@@ -143,6 +143,8 @@ class WordVocab:
                 raise ContractError(
                     f"{path}:{lineno}: frequency {freq!r} is not an integer"
                 ) from err
+            if freqs[-1] < 0:  # probe buckets words by this count
+                raise ContractError(f"{path}:{lineno}: frequency {freq!r} is negative")
             words.append(word)
         try:
             return cls(words, freqs, lowercase=flag == "true")

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from wordlm.checkpoint import config_digest, load_checkpoint, read_manifest, save_checkpoint
-from wordlm.errors import IntegrityError
+from wordlm.cli import main
+from wordlm.errors import ContractError, IntegrityError
 from wordlm.model import ModelConfig, WordBertModel
 from wordlm.optim import Adam
 from wordlm.training import TrainConfig, train
@@ -38,13 +39,14 @@ def _rewrite_manifest_line(tmp_path, prefix, replacement):
     """Save a small checkpoint with Adam state, then replace (or, for None, drop)
     its manifest lines starting with ``prefix`` (a string or a tuple of them);
     ``{}`` in the replacement is filled with the line's payload offset, and a
-    callable replacement maps the old line to the new one."""
+    callable replacement maps the old line to the new one. Returns the path
+    and the manifest's lines before and after the edit."""
     path = tmp_path / "c.ckpt"
     model = small_model(seed=9)
     save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
     manifest, payload = path.read_bytes().split(b"---\n", 1)
-    lines = []
-    for line in manifest.decode().split("\n"):
+    before, lines = manifest.decode().split("\n"), []
+    for line in before:
         if line.startswith(prefix):
             if replacement is None:
                 continue
@@ -54,7 +56,14 @@ def _rewrite_manifest_line(tmp_path, prefix, replacement):
                 line = replacement.format(*line.split(" ")[4:5])
         lines.append(line)
     path.write_bytes("\n".join(lines).encode() + b"---\n" + payload)
-    return path, lines
+    return path, before, lines
+
+
+def _first_difference(before, after):
+    """The 1-based number of the first line at which two manifests differ, with
+    the line before the edit and the line after it, both quoted."""
+    i = next(i for i, (a, b) in enumerate(zip(before, after)) if a != b)
+    return i + 1, repr(before[i]), repr(after[i])
 
 
 class TestRoundTrip:
@@ -86,6 +95,17 @@ class TestRoundTrip:
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model, opt, step=3, path=p1, digest="d1")
         loaded = load_checkpoint(p1)
+        save_checkpoint(loaded.model, loaded.optimizer, loaded.step, p2, digest=loaded.digest)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_float_field_given_as_int_round_trips(self, tmp_path):
+        """``ModelConfig(dropout=0)`` is written as its field's type spells it."""
+        model = small_model(seed=4, dropout=0)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(model, Adam(model.trainable_parameters()), 2, p1)
+        assert b"\nmodel_config dropout 0.0\n" in p1.read_bytes()
+        loaded = load_checkpoint(p1)
+        assert loaded.model.config == model.config
         save_checkpoint(loaded.model, loaded.optimizer, loaded.step, p2, digest=loaded.digest)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -148,30 +168,28 @@ class TestIntegrity:
     @pytest.mark.parametrize(
         "prefix,replacement,message",
         [
-            ("step ", "step x", "malformed manifest line 'step x'"),
-            ("tensor mlm.bias ", "tensor mlm.bias f32 30 0", "malformed manifest line"),
-            ("tensor mlm.bias ", "tensor mlm.bias f32 30 -4 120",
-             "negative offset or dimension for mlm.bias"),
-            ("model_config hidden ", "model_config depth 3", "unknown model_config key 'depth'"),
+            ("step ", "step x", "expected 'step <int>', found 'step x'"),
+            ("tensor mlm.bias ", "tensor mlm.bias f32 30 0", "expected {want}, found {got}"),
+            ("tensor mlm.bias ", "tensor mlm.bias f32 30 -4 120", "expected {want}, found {got}"),
+            ("model_config hidden ", "model_config depth 3",
+             "expected 'model_config hidden <int>', found 'model_config depth 3'"),
             ("model_config hidden ", "model_config hidden eight",
-             "model_config hidden has invalid value 'eight'"),
-            ("tensor optimizer.v.mlm.bias ", None,
-             "optimizer.m.mlm.bias has no optimizer.v.mlm.bias"),
+             "expected 'model_config hidden <int>', found 'model_config hidden eight'"),
+            ("tensor optimizer.v.mlm.bias ", None, "expected {want}, found {got}"),
             # a second step line, in place of the seed line
-            ("seed ", "step 999", "repeated manifest key 'step'"),
+            ("seed ", "step 999", "expected 'seed <int>', found 'step 999'"),
             # a moment pointed at the bytes of its parameter, at payload offset 0
             ("tensor optimizer.m.embedding.position ",
-             "tensor optimizer.m.embedding.position f32 10x8 0 320",
-             "tensor optimizer.m.embedding.position overlaps tensor embedding.position"),
+             "tensor optimizer.m.embedding.position f32 10x8 0 320", "expected {want}, found {got}"),
         ],
         ids=["step-not-int", "tensor-too-few-fields", "negative-offset", "unknown-config-key",
              "config-value-type", "moment-without-twin", "repeated-key", "overlapping-tensors"],
     )
     def test_corrupt_manifest_line_names_file_and_line(self, tmp_path, prefix, replacement, message):
-        path, lines = _rewrite_manifest_line(tmp_path, prefix, replacement)
-        # the named line is the edited one, or the surviving half of a moment pair
-        named = replacement or "tensor optimizer.m.mlm.bias "
-        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(named))
+        path, before, after = _rewrite_manifest_line(tmp_path, prefix, replacement)
+        # the named line is the first that differs from the saved manifest
+        lineno, want, got = _first_difference(before, after)
+        message = message.format(want=want, got=got)
         for read in (read_manifest, load_checkpoint):
             with pytest.raises(IntegrityError, match=re.escape(f"{path}:{lineno}: {message}")):
                 read(path)
@@ -179,31 +197,29 @@ class TestIntegrity:
     @pytest.mark.parametrize(
         "prefix,replacement,message",
         [
-            ("step ", None, "manifest missing step"),
-            ("model_config vocab_size ", None, "manifest missing model_config vocab_size"),
-            ("tensor mlm.bias ", None, "manifest has no tensor mlm.bias"),
+            ("step ", None, ":{line}: expected 'step <int>', found 'seed 9'"),
+            ("model_config vocab_size ", None,
+             ":{line}: expected 'model_config vocab_size <int>', found 'model_config num_layers 1'"),
+            ("tensor mlm.bias ", None, ":{line}: expected {want}, found {got}"),
             ("tensor optimizer.m.mlm.bias ", "tensor optimizer.m.mlm.bias f32 3x10 {} 120",
-             "tensor optimizer.m.mlm.bias shape (3, 10) does not match model (30,)"),
+             ":{line}: expected {want}, found {got}"),
             ("model_config num_heads ", "model_config num_heads 3",
-             "invalid model_config: hidden 8 not divisible by num_heads 3"),
+             ": invalid model_config: hidden 8 not divisible by num_heads 3"),
             ("tensor mlm.bias ", "tensor head.tags.weight f32 30 {} 120",
-             "unknown tensor head.tags.weight"),
+             ":{line}: expected {want}, found {got}"),
             (MLM_BIAS_MOMENTS, lambda line: line.replace("mlm.bias", "bogus"),
-             "unknown tensor optimizer.m.bogus, optimizer.v.bogus"),
-            ("opt_step mlm.bias ", "opt_step bogus 0",
-             "opt_step bogus names no trainable parameter"),
-            (MLM_BIAS_MOMENTS, None,
-             "manifest has no tensor optimizer.m.mlm.bias, optimizer.v.mlm.bias"),
+             ":{line}: expected {want}, found {got}"),
+            ("opt_step mlm.bias ", "opt_step bogus 0", ":{line}: expected {want}, found {got}"),
+            (MLM_BIAS_MOMENTS, None, ":{line}: expected {want}, found {got}"),
             (("tensor optimizer.", "opt_step "), None,
-             "manifest has no tensor optimizer.m.embedding.position, "
-             "optimizer.m.embedding.word, optimizer.m.encoder.0."),
-            ("opt_step mlm.bias ", None, "no opt_step for mlm.bias"),
-            ("opt_step mlm.bias ", "opt_step mlm.bias 5", "opt_step values differ"),
+             ":{line}: expected 'opt_step <int>', found {got}"),
+            ("opt_step mlm.bias ", None, ":{line}: expected {want}, found {got}"),
+            ("opt_step mlm.bias ", "opt_step mlm.bias 5", ":{line}: expected {want}, found {got}"),
             *[("model_config layer_norm_eps ", f"model_config layer_norm_eps {eps}",
-               f"invalid model_config: layer_norm_eps {eps} must be positive and finite")
+               f": invalid model_config: layer_norm_eps {eps} must be positive and finite")
               for eps in ("nan", "-1.0", "0.0", "inf")],
             ("model_config freeze_embeddings ", "model_config freeze_embeddings true",
-             "invalid model_config: variant 'direct' requires freeze_embeddings=false"),
+             ": invalid model_config: variant 'direct' requires freeze_embeddings=false"),
         ],
         ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape", "invalid-config",
              "unknown-tensor", "unknown-moments", "unknown-opt-step", "partial-moments",
@@ -211,16 +227,37 @@ class TestIntegrity:
              "eps-negative", "eps-zero", "eps-inf", "direct-frozen"],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, prefix, replacement, message):
-        path, _ = _rewrite_manifest_line(tmp_path, prefix, replacement)
-        with pytest.raises(IntegrityError, match=re.escape(f"{path}: {message}")):
+        path, before, after = _rewrite_manifest_line(tmp_path, prefix, replacement)
+        lineno, want, got = _first_difference(before, after)
+        message = message.format(line=lineno, want=want, got=got)
+        with pytest.raises(IntegrityError, match=re.escape(f"{path}{message}")):
             load_checkpoint(path)
+
+    def test_gap_between_tensors_is_refused(self, tmp_path):
+        """Four bytes before the last tensor, with its offset and the payload size
+        moved to match: every tensor still lies in the payload, but no writer
+        leaves a gap."""
+        path, before, _ = _rewrite_manifest_line(tmp_path, "tensor optimizer.v.mlm.bias ", None)
+        last = next(line for line in before if line.startswith("tensor optimizer.v.mlm.bias "))
+        *head, offset, length = last.split(" ")
+        size = int(before[-2].split(" ")[1])
+        lines = before[:-3] + [" ".join([*head, str(int(offset) + 4), length]),
+                               f"payload_bytes {size + 4}", ""]
+        payload = path.read_bytes().split(b"---\n", 1)[1]
+        path.write_bytes("\n".join(lines).encode() + b"---\n" + payload[:int(offset)]
+                         + bytes(4) + payload[int(offset):])
+        lineno = len(lines) - 2
+        for read in (read_manifest, load_checkpoint):
+            with pytest.raises(IntegrityError, match=re.escape(
+                    f"{path}:{lineno}: expected {last!r}, found {lines[lineno - 1]!r}")):
+                read(path)
 
     @pytest.mark.parametrize("value", ["false", "true"])
     def test_legacy_gelu_approx_line(self, tmp_path, value):
         """Files written while a tanh GELU could be selected carry a gelu_approx
         line after dropout: false loads as before, true is refused."""
         legacy = f"model_config gelu_approx {value}"
-        path, _ = _rewrite_manifest_line(
+        path, _, _ = _rewrite_manifest_line(
             tmp_path, "model_config dropout ", lambda line: f"{line}\n{legacy}"
         )
         if value == "false":
@@ -229,7 +266,8 @@ class TestIntegrity:
         lineno = path.read_bytes().split(b"\n").index(legacy.encode()) + 1
         for read in (read_manifest, load_checkpoint):
             with pytest.raises(IntegrityError, match=re.escape(
-                    f"{path}:{lineno}: model_config gelu_approx True (tanh GELU) is no longer supported")):
+                    f"{path}:{lineno}: expected 'model_config layer_norm_eps <float>', "
+                    f"found {legacy!r}")):
                 read(path)
 
     def test_manifest_lists_tensors(self, tmp_path):
@@ -237,11 +275,59 @@ class TestIntegrity:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, Adam(model.trainable_parameters()), 12, path,
                         digest=config_digest("cfg text"))
-        info, _ = read_manifest(path)
-        assert info["step"] == 12
-        assert "embedding.word" in info["tensors"]
-        shape, offset, length = info["tensors"]["embedding.word"]
+        manifest, _ = read_manifest(path)
+        assert manifest.step == 12
+        assert manifest.lines == path.read_bytes().split(b"\n---\n")[0].decode().split("\n")
+        shape, offset, length = manifest.tensors["embedding.word"]
         assert shape == (30, 8) and length == 30 * 8 * 4
+
+
+class TestRefusedEarly:
+    """A manifest value is checked against the file before anything in
+    proportion to it is computed or allocated."""
+
+    @pytest.mark.parametrize(
+        "prefix,replacement,message",
+        [
+            ("model_config vocab_size ", "model_config vocab_size 1000000000000",
+             ":{line}: expected 'tensor embedding.word f32 1000000000000x8 320 32000000000000', "
+             "found 'tensor embedding.word f32 30x8 320 960'"),
+            ("model_config num_layers ", "model_config num_layers 1000000000",
+             ":{line}: model_config num_layers 1000000000 exceeds the {lines} lines of the manifest"),
+        ],
+        ids=["vocab-size", "num-layers"],
+    )
+    def test_huge_config_value_is_one_line(self, tmp_path, capsys, prefix, replacement, message):
+        path, before, after = _rewrite_manifest_line(tmp_path, prefix, replacement)
+        named = "tensor embedding.word " if "vocab_size" in prefix else prefix
+        line = next(i for i, text in enumerate(after, 1) if text.startswith(named))
+        message = message.format(line=line, lines=len(after) - 1)  # from step to the separator
+        tracemalloc.start()
+        try:
+            code = main(["inspect-checkpoint", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"wordlm: error: {path}{message}\n")
+        assert peak < 2**20, f"inspect-checkpoint allocated {peak} B"
+        with pytest.raises(IntegrityError, match=re.escape(f"{path}{message}")):
+            load_checkpoint(path)
+
+    def test_text_file_is_refused_at_its_first_line(self, tmp_path, capsys):
+        path = tmp_path / "corpus.txt"
+        line = b"the quick brown fox jumps over the lazy dog\n"
+        path.write_bytes(line * (16 * 2**20 // len(line)))
+        tracemalloc.start()
+        try:
+            code = main(["inspect-checkpoint", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"wordlm: error: {path}: not a #wordlm-checkpoint v1 file\n"
+        assert peak < 2**20, f"inspect-checkpoint allocated {peak} B on a {path.stat().st_size} B file"
 
 
 class TestSave:
@@ -255,9 +341,21 @@ class TestSave:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        info, _ = read_manifest(path)
-        payload = info["payload_bytes"]
+        payload = read_manifest(path)[0].payload_bytes
         assert peak < 0.1 * payload, f"peak {peak} B for a {payload} B payload"
+
+    def test_optimizer_over_other_parameters_is_refused(self, tmp_path):
+        wv = np.random.default_rng(8).standard_normal((30, 6)).astype(np.float32)
+        model = small_model(seed=7, embed_dim=6, variant="projected",
+                            freeze_embeddings=True, word_vectors=wv)
+        path = tmp_path / "m.ckpt"
+        trainable = model.trainable_parameters()
+        del trainable["mlm.bias"]
+        for optimizer, name in ((Adam(model.parameters()), "optimizer.m.embedding.word"),
+                                (Adam(trainable), "optimizer.m.mlm.bias")):
+            with pytest.raises(ContractError, match=re.escape(f"cannot save tensor {name}: ")):
+                save_checkpoint(model, optimizer, 0, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         model = small_model(seed=4)
@@ -308,9 +406,9 @@ class TestLoadMemory:
 
     def test_read_manifest_reads_no_payload(self, big_checkpoint):
         path, _ = big_checkpoint
-        (info, offset), peak = self._peak(lambda: read_manifest(path))
+        (manifest, offset), peak = self._peak(lambda: read_manifest(path))
         assert peak < 2**20, f"read_manifest allocated {peak} B"
-        assert offset + info["payload_bytes"] == path.stat().st_size
+        assert offset + manifest.payload_bytes == path.stat().st_size
 
 
 class TestResume:

@@ -353,6 +353,11 @@ class TestProjectedPretrain:
              "every word's neighbors"),
             ("projection", _with_rows(np.ones((WIDTH, 8)), {2: np.nan}), [],
              "row 2 of array 'projection' holds a NaN or infinity"),
+            # float64 values a float32 cast would turn into infinities
+            ("vectors", _with_rows(np.ones((13, WIDTH)), {7: 1e300, 9: np.nan}), [],
+             "row 7 of array 'vectors' holds a value outside float32 range"),
+            ("projection", _with_rows(np.ones((WIDTH, 8)), {2: -1e300}), [],
+             "row 2 of array 'projection' holds a value outside float32 range"),
             ("projection", np.ones((WIDTH - 1, 8)), [],
              f"array 'projection' has shape ({WIDTH - 1}, 8), expected [{WIDTH}, 8]: "
              "the vectors' width by model.hidden"),
@@ -360,8 +365,8 @@ class TestProjectedPretrain:
              "array 'projection' has dtype complex128, expected integers or floats"),
         ],
         ids=["vectors-object", "vectors-complex", "vectors-nan", "vectors-inf-neighbors",
-             "vectors-zero-row-neighbors", "projection-nan", "projection-wrong-shape",
-             "projection-complex"],
+             "vectors-zero-row-neighbors", "projection-nan", "vectors-beyond-float32",
+             "projection-beyond-float32", "projection-wrong-shape", "projection-complex"],
     )
     def test_bad_values_refused_before_the_corpus(self, inputs, name, array, flags, message):
         tmp, corpus, cfg, vocab, vectors, proj = inputs
@@ -721,6 +726,8 @@ class TestExitCodes:
         "case,content,where",
         [
             ("pretrain", "#wordvocab v1 lowercase=true\n[PAD]\t0\n[UNK]\tmany\n", ":3:"),
+            ("pretrain", "#wordvocab v1 lowercase=true\n[PAD]\t0\n[UNK]\t-7\n",
+             ":3: frequency '-7' is negative\n"),
             ("pretrain-projection", "not an archive\n", ":"),
             ("eval-cloze", CLOZE + '"answer_index": 0}\n{"passage_words": [\n', ":2: invalid JSON"),
             ("eval-cloze", CLOZE[:-2] + "}\n", ":1: missing fields ['answer_index']"),
@@ -742,7 +749,7 @@ class TestExitCodes:
         ],
         # the ids from span-json to tag-field-type name the prediction files these loader
         # cases were first written against; they now feed the same faults in cloze items
-        ids=["vocab-frequency", "npz", "span-json", "span-fields",
+        ids=["vocab-frequency", "vocab-negative-frequency", "npz", "span-json", "span-fields",
              "span-string", "span-null", "span-float", "span-bool", "span-unknown-field",
              "gold-not-object", "tag-field-type", "cloze-passage-int", "cloze-passage-string",
              "cloze-options-string"],
@@ -993,6 +1000,19 @@ class TestExitCodes:
         np.savez(pairs, **arrays)
         err = _refusal(["pretrain-projection", "--pairs", pairs, "--out", out])
         assert err == f"wordlm: error: {pairs}: row 4 of array {name!r} holds a NaN or infinity\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,big", [("v_in", 1e300), ("v_out", -1e300)])
+    def test_pretrain_projection_pairs_beyond_float32_refused_without_output(
+        self, tmp_path, name, big
+    ):
+        arrays = {"v_in": np.ones((6, 3)), "v_out": np.ones((6, 4))}
+        arrays[name][3, 1] = big
+        pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
+        np.savez(pairs, **arrays)
+        err = _refusal(["pretrain-projection", "--pairs", pairs, "--out", out])
+        assert err == (f"wordlm: error: {pairs}: row 3 of array {name!r} holds a value "
+                       "outside float32 range\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -203,6 +203,17 @@ class TestBuildVocabulary:
             WordVocab.load(path)
         assert str(err.value) == f"{path}:1: lowercase='{flag}' must be true or false"
 
+    @pytest.mark.parametrize("freq,problem", [("many", "is not an integer"), ("-7", "is negative")],
+                             ids=["not-an-integer", "negative"])
+    def test_frequency_other_than_a_count_rejected(self, tmp_path, freq, problem):
+        path = tmp_path / "vocab.tsv"
+        build_vocabulary({"w2": 9, "w3": 125}, k=2).save(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("w3\t125", f"w3\t{freq}"), encoding="utf-8")
+        with pytest.raises(ContractError) as err:
+            WordVocab.load(path)
+        assert str(err.value) == f"{path}:7: frequency {freq!r} {problem}"
+
 
 @pytest.fixture
 def small_vocab():
