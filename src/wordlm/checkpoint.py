@@ -5,7 +5,8 @@ step, seed, config digest and the optimizer's step count it gives every
 manifest line and each tensor's shape, byte offset and byte length. The
 manifest is a magic line; ``step``, ``seed`` and ``config_digest`` lines; a
 ``model_config <field> <value>`` line per ``ModelConfig`` field, the value
-spelled by the field's type; an ``opt_step <name> <count>`` line per
+spelled by the field's type, and the fixed line ``model_config layer_norm_eps
+1e-05``, the model's constant; an ``opt_step <name> <count>`` line per
 trainable parameter; a ``tensor <name> f32 <shape> <offset> <length>`` line
 per array (every parameter, and the Adam moments ``optimizer.m.<name>`` and
 ``optimizer.v.<name>`` of every trainable one), in name order with no gaps;
@@ -14,8 +15,8 @@ load -> save is byte-identical.
 
 A read checks the magic line before reading on, parses only what no
 configuration implies (step, seed, digest, the optimizer's step count) and
-the typed ``model_config`` values, then compares the manifest line by line
-with the layout those imply: the first line that differs is an
+the typed ``model_config`` field values, then compares the manifest line by
+line with the layout those imply: the first line that differs is an
 ``IntegrityError`` naming the file, the line and the expected text. The line
 ``model_config gelu_approx false``, which files written before the tanh GELU
 was removed carry, is skipped. The layer count is checked against the
@@ -35,7 +36,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -47,7 +48,8 @@ from .optim import Adam
 _MAGIC = "#wordlm-checkpoint v1"
 _SEPARATOR = b"---\n"
 _LEGACY_GELU = "model_config gelu_approx false"
-_FIELD_TYPES = get_type_hints(ModelConfig)  # field -> type, in field order
+_EPS_LINE = f"model_config layer_norm_eps {ModelConfig.layer_norm_eps!r}"
+_FIELD_TYPES = {f.name: get_type_hints(ModelConfig)[f.name] for f in fields(ModelConfig)}
 _PARSE = {int: int, float: float, str: str, bool: {"true": True, "false": False}.__getitem__}
 
 
@@ -88,7 +90,7 @@ def layout(config: ModelConfig, step: int, seed: int, digest: str, opt_step: int
         shapes[f"optimizer.m.{name}"] = shapes[f"optimizer.v.{name}"] = shapes[name]
     lines = [_MAGIC, f"step {step}", f"seed {seed}", f"config_digest {digest}"]
     lines += [f"model_config {key} {format_value(kind(getattr(config, key)))}"
-              for key, kind in _FIELD_TYPES.items()]
+              for key, kind in _FIELD_TYPES.items()] + [_EPS_LINE]
     lines += [f"opt_step {name} {opt_step}" for name in trainable]
     tensors, offset = {}, 0
     for name in sorted(shapes):
@@ -186,6 +188,8 @@ def read_manifest(path) -> tuple[Layout, int]:
 
     step, seed, digest = value("step", int), value("seed", int), value("config_digest", str)
     values = {key: value(f"model_config {key}", kind) for key, kind in _FIELD_TYPES.items()}
+    if (eps := next(found))[1] != _EPS_LINE:  # the model's constant: a fixed line, no value
+        raise IntegrityError(f"{path}:{eps[0]}: expected {_EPS_LINE!r}, found {eps[1]!r}")
     try:
         config = ModelConfig(**values)
     except ContractError as err:

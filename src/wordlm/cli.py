@@ -11,11 +11,10 @@ import argparse
 import os
 import sys
 import zipfile
-from dataclasses import asdict
 
 import numpy as np
 
-from .checkpoint import config_digest, format_value, load_checkpoint, read_manifest, save_checkpoint
+from .checkpoint import config_digest, load_checkpoint, read_manifest, save_checkpoint
 from .config import RunConfig
 from .errors import ConfigError, ContractError, WordlmError
 from .evaluation import (
@@ -106,6 +105,17 @@ def _word_table(word_vectors_path, vocab_size: int, hidden: int):
     return {"variant": "projected", "embed_dim": shape[1], "freeze_embeddings": True}
 
 
+def _check_out_dir(out):
+    """Refuse an ``--out`` that cannot become the output directory: the nearest
+    of it and its ancestors that exists must be a writable directory. Creates
+    nothing."""
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise WordlmError(f"--out {out}: {existing} is not a writable directory")
+
+
 def _load_vocab_and_model(args):
     """The vocabulary and the checkpoint's model, refused unless their sizes agree."""
     vocab = WordVocab.load(args.vocab)
@@ -150,6 +160,7 @@ def cmd_pretrain(args) -> int:
         raise ContractError(f"--steps must be >= 1, got {args.steps}")
     if args.projection is not None and args.word_vectors is None:
         raise WordlmError("--projection needs --word-vectors")
+    _check_out_dir(args.out)  # before training, so a run that cannot be written does not start
     cfg = RunConfig.load(args.config, overrides=args.set)
     vocab = WordVocab.load(args.vocab)
     table = _word_table(args.word_vectors, vocab.size, cfg["model.hidden"])
@@ -181,6 +192,9 @@ def cmd_pretrain(args) -> int:
             raise ContractError(f"{args.word_vectors}: row {zero[0] + NUM_SPECIALS} of array "
                                 "'vectors' is all zeros, but train.use_neighbors = true ranks "
                                 "every word's neighbors")
+    total = parameter_counts(model_cfg)["total"]
+    if 8 * total > np.iinfo(np.intp).max:  # the initialization draws each parameter in float64
+        raise ContractError(f"the model's {total} parameters exceed what this machine can address")
     projection = None
     if args.projection is not None:
         shape = _npz_shape(args.projection, "projection")
@@ -267,11 +281,9 @@ def cmd_eval_cloze(args) -> int:
 
 def cmd_inspect_checkpoint(args) -> int:
     manifest, _ = read_manifest(args.checkpoint)
-    print(f"step {manifest.step}")
-    print(f"seed {manifest.seed}")
-    print(f"config_digest {manifest.digest}")
-    for key, value in asdict(manifest.config).items():
-        print(f"model_config {key} {format_value(value)}")  # as the manifest spells it
+    for line in manifest.lines[1:]:  # the manifest's own spelling of the values it holds
+        if line.startswith(("step ", "seed ", "config_digest ", "model_config ")):
+            print(line)
     for name, (shape, _, length) in manifest.tensors.items():
         print(f"tensor {name} f32 {'x'.join(map(str, shape))} {length} bytes")
     print(f"payload {manifest.payload_bytes} bytes in {len(manifest.tensors)} tensors")
@@ -279,6 +291,8 @@ def cmd_inspect_checkpoint(args) -> int:
 
 
 def cmd_param_count(args) -> int:
+    if args.vocab_size < NUM_SPECIALS:
+        raise ContractError(f"--vocab-size must be >= {NUM_SPECIALS}, got {args.vocab_size}")
     cfg = RunConfig.load(args.config, overrides=args.set)
     table = _word_table(args.word_vectors, args.vocab_size, cfg["model.hidden"])
     counts = parameter_counts(cfg.view(ModelConfig, vocab_size=args.vocab_size, **table))
@@ -373,6 +387,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as err:
         print(f"wordlm: error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"wordlm: error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

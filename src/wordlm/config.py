@@ -42,13 +42,13 @@ _RENAMED = {
     "high": "threshold_high", "medium": "threshold_medium", "low": "threshold_low",
 }
 
-# dataclass -> {field name: dotted key}; vocab_size, layer_norm_eps, the reference
-# frequencies and the word table's kind and width (set by --word-vectors) are not
-# settings, and TrainConfig.max_length, the encoded window, is model.max_positions
+# dataclass -> {field name: dotted key}; vocab_size, the reference frequencies and
+# the word table's kind and width (set by --word-vectors) are not settings, and
+# TrainConfig.max_length, the encoded window, is model.max_positions
 FIELD_KEYS = {
     cls: {f.name: f"{section}.{_RENAMED.get(f.name, f.name)}" for f in fields(cls)
-          if f.name not in ("vocab_size", "layer_norm_eps", "reference_frequencies",
-                            "variant", "embed_dim", "freeze_embeddings", "max_length")}
+          if f.name not in ("vocab_size", "reference_frequencies", "variant", "embed_dim",
+                            "freeze_embeddings", "max_length")}
     for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (FrequencyBuckets, "eval"))
 }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class ModelConfig:
     variant: str = "direct"
     freeze_embeddings: bool = False
     dropout: float = 0.1
-    layer_norm_eps: float = 1e-5
+    layer_norm_eps: ClassVar[float] = 1e-5  # fixed: a checkpoint's epsilon line must equal it
 
     @property
     def ffn_dim(self) -> int:
@@ -73,8 +74,6 @@ class ModelConfig:
             problems.append(f"embed_dim {self.embed_dim} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             problems.append(f"dropout {self.dropout} outside [0, 1)")
-        if not (math.isfinite(self.layer_norm_eps) and self.layer_norm_eps > 0):
-            problems.append(f"layer_norm_eps {self.layer_norm_eps} must be positive and finite")
         if problems:
             raise ContractError("; ".join(problems))
 

@@ -53,9 +53,11 @@ def ref_dropout_scales(rng, rate, cfg, b_sz, t_len):
     return [(embed[b], [tuple(s[b] for s in layer) for layer in layers]) for b in range(b_sz)]
 
 
-def ref_hidden(p, cfg, ids, mask, drop=None):
+def ref_hidden(p, cfg, ids, mask, drop=None, attention=None):
     """Encoder forward for one sequence; p maps names to float64 arrays, and
-    ``drop`` is one sequence's entry of ``ref_dropout_scales`` (None: no dropout)."""
+    ``drop`` is one sequence's entry of ``ref_dropout_scales`` (None: no dropout).
+    A list given as ``attention`` gets each head's [T, T] attention
+    probabilities (before dropout), layer by layer."""
     ids = np.asarray(ids)
     t_len = ids.shape[0]
     x = p["embedding.word"][ids]
@@ -77,6 +79,8 @@ def ref_hidden(p, cfg, ids, mask, drop=None):
             sl = slice(h * d, (h + 1) * d)
             scores = q[:, sl] @ k[:, sl].T / np.sqrt(d) + bias[None, :]
             probs = _softmax_rows(scores)
+            if attention is not None:
+                attention.append(probs)
             if drop is not None:
                 probs = probs * drop[1][i][0][h]
             ctx[:, sl] = probs @ v[:, sl]

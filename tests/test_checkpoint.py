@@ -1,5 +1,6 @@
 """Checkpoint archive round-trip, integrity, and resume-equivalence tests."""
 
+import json
 import os
 import re
 import tracemalloc
@@ -94,6 +95,31 @@ class TestRoundTrip:
         opt = Adam(model.trainable_parameters())
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model, opt, step=3, path=p1, digest="d1")
+        loaded = load_checkpoint(p1)
+        save_checkpoint(loaded.model, loaded.optimizer, loaded.step, p2, digest=loaded.digest)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["direct", "projected"])
+    def test_manifest_head_is_unchanged(self, tmp_path, variant):
+        """Through the first opt_step line, the manifest is the one every writer
+        of the format has written, the fixed epsilon line included; such a
+        file loads and saves back byte-identically."""
+        if variant == "direct":
+            model, embed, frozen = small_model(seed=7), 8, "false"
+        else:
+            wv = np.random.default_rng(8).standard_normal((30, 6)).astype(np.float32)
+            model = small_model(seed=7, embed_dim=6, variant="projected",
+                                freeze_embeddings=True, word_vectors=wv)
+            embed, frozen = 6, "true"
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(model, Adam(model.trainable_parameters()), 5, p1, digest="0123abcd")
+        head = ["#wordlm-checkpoint v1", "step 5", "seed 7", "config_digest 0123abcd",
+                *[f"model_config {line}" for line in (
+                    "vocab_size 30", "num_layers 1", "num_heads 2", "hidden 8",
+                    f"embed_dim {embed}", "max_positions 10", f"variant {variant}",
+                    f"freeze_embeddings {frozen}", "dropout 0.0", "layer_norm_eps 1e-05")],
+                "opt_step embedding.position 0"]
+        assert p1.read_bytes().decode("latin-1").split("\n")[:len(head)] == head
         loaded = load_checkpoint(p1)
         save_checkpoint(loaded.model, loaded.optimizer, loaded.step, p2, digest=loaded.digest)
         assert p1.read_bytes() == p2.read_bytes()
@@ -216,7 +242,7 @@ class TestIntegrity:
             ("opt_step mlm.bias ", None, ":{line}: expected {want}, found {got}"),
             ("opt_step mlm.bias ", "opt_step mlm.bias 5", ":{line}: expected {want}, found {got}"),
             *[("model_config layer_norm_eps ", f"model_config layer_norm_eps {eps}",
-               f": invalid model_config: layer_norm_eps {eps} must be positive and finite")
+               ":{line}: expected {want}, found {got}")
               for eps in ("nan", "-1.0", "0.0", "inf")],
             ("model_config freeze_embeddings ", "model_config freeze_embeddings true",
              ": invalid model_config: variant 'direct' requires freeze_embeddings=false"),
@@ -266,9 +292,31 @@ class TestIntegrity:
         lineno = path.read_bytes().split(b"\n").index(legacy.encode()) + 1
         for read in (read_manifest, load_checkpoint):
             with pytest.raises(IntegrityError, match=re.escape(
-                    f"{path}:{lineno}: expected 'model_config layer_norm_eps <float>', "
+                    f"{path}:{lineno}: expected 'model_config layer_norm_eps 1e-05', "
                     f"found {legacy!r}")):
                 read(path)
+
+    @pytest.mark.parametrize("eps", ["1e+30", "0.5", "1.0e-05"])
+    def test_other_epsilon_is_refused_at_its_line(self, tmp_path, capsys, eps):
+        """The layer-norm epsilon is a constant of the model, so its line reads
+        1e-05 and nothing else, not even the same value spelled another way."""
+        path, _, _ = _rewrite_manifest_line(tmp_path, "model_config layer_norm_eps ",
+                                            f"model_config layer_norm_eps {eps}")
+        message = (f"{path}:14: expected 'model_config layer_norm_eps 1e-05', "
+                   f"found 'model_config layer_norm_eps {eps}'")
+        for read in (read_manifest, load_checkpoint):
+            with pytest.raises(IntegrityError, match=re.escape(message)):
+                read(path)
+        vocab, items = tmp_path / "vocab.tsv", tmp_path / "cloze.jsonl"
+        corpus_and_vocab()[1].save(vocab)
+        items.write_text(json.dumps({"passage_words": ["red", "[BLANK]", "blue"],
+                                     "options": ["green", "cyan", "teal", "plum"],
+                                     "answer_index": 0}) + "\n")
+        for argv in (["inspect-checkpoint", str(path)],
+                     ["eval-cloze", "--checkpoint", str(path), "--vocab", str(vocab),
+                      "--items", str(items)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"wordlm: error: {message}\n")
 
     def test_manifest_lists_tensors(self, tmp_path):
         model = small_model(seed=8)

@@ -656,6 +656,12 @@ class TestEvalCommands:
         out = capsys.readouterr().out
         assert "step 12" in out
         assert "tensor embedding.word" in out
+        # the manifest's own lines, the layer-norm epsilon spelled as ever
+        assert [line for line in out.splitlines() if line.startswith("model_config ")] == [
+            f"model_config {line}" for line in (
+                "vocab_size 13", "num_layers 1", "num_heads 2", "hidden 8", "embed_dim 8",
+                "max_positions 8", "variant direct", "freeze_embeddings false", "dropout 0.0",
+                "layer_norm_eps 1e-05")]
 
     def test_param_count(self, capsys):
         run_ok(["param-count", "--vocab-size", "500005"])
@@ -663,6 +669,11 @@ class TestEvalCommands:
         counts = {line.split("\t")[0]: int(line.split("\t")[1]) for line in out.strip().splitlines()}
         assert abs(counts["transformer"] - 85e6) / 85e6 < 0.02
         assert abs(counts["embedding"] - 384e6) / 384e6 < 0.02
+
+    def test_param_count_refuses_vocab_size_below_specials_by_flag(self, capsys):
+        """--vocab-size is a flag, not a key: refused with exit 1, as --steps 0 is."""
+        assert main(["param-count", "--vocab-size", "3"]) == 1
+        assert capsys.readouterr() == ("", "wordlm: error: --vocab-size must be >= 5, got 3\n")
 
     def test_param_count_invalid_model_exits_3(self, capsys):
         assert main(["param-count", "--vocab-size", "100", "--set", "model.heads=7"]) == 3
@@ -1029,6 +1040,50 @@ class TestExitCodes:
         err = _refusal(["pretrain-projection", "--pairs", pairs, "--out", out])
         assert err == (f"wordlm: error: {pairs}: arrays 'v_in' and 'v_out' have shapes {v_in} "
                        f"and {v_out}, expected [N, E] and [N, H] with the same N, all >= 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    def test_pretrain_unusable_out_refused_before_training(self, workdir, capsys, monkeypatch,
+                                                           sub):
+        """An --out that is a file, or lies below one, is refused before the
+        corpus is read (here it is missing) and before training, and nothing is
+        created."""
+        tmp, corpus, cfg = workdir
+        vocab = tmp / "vocab.tsv"
+        run_ok(["build-vocab", "--corpus", str(corpus), "--k", "50", "--out", str(vocab)])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_training", lambda *a, **k: pytest.fail("training ran"))
+        before = sorted(tmp.iterdir())
+        out = cfg / sub if sub else cfg
+        code = main(["pretrain", "--config", str(cfg), "--corpus", str(tmp / "missing.txt"),
+                     "--vocab", str(vocab), "--out", str(out)])
+        assert (code, capsys.readouterr()) == (
+            1, ("", f"wordlm: error: --out {out}: {cfg} is not a writable directory\n"))
+        assert sorted(tmp.iterdir()) == before and cfg.read_text() == TOY_CFG
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("model.max_positions=1000000000000", "out of memory: Unable to allocate 466. TiB "
+             "for an array with shape (1000000000000, 64) and data type float64"),
+            ("train.batch_size=100000000000000", "out of memory: Unable to allocate 728. TiB "
+             "for an array with shape (100000000000000,) and data type int64"),
+            ("model.max_positions=1000000000000000000",
+             "the model's 64000000000000050829 parameters exceed what this machine can address"),
+        ],
+        ids=["positions-tib", "batch-tib", "positions-beyond-address-space"],
+    )
+    def test_pretrain_size_no_machine_holds_is_one_line(self, workdir, setting, message):
+        """Sizes far beyond any machine's memory, so nothing is allocated: numpy
+        refuses the first array at once, and a model beyond the address space
+        is refused before it is built."""
+        tmp, corpus, cfg = workdir
+        vocab = tmp / "vocab.tsv"
+        run_ok(["build-vocab", "--corpus", str(corpus), "--k", "50", "--out", str(vocab)])
+        out = tmp / "out"
+        err = _refusal(["pretrain", "--config", cfg, "--corpus", corpus, "--vocab", vocab,
+                        "--out", out, "--set", "model.hidden=64", "--set", setting])
+        assert err == f"wordlm: error: {message}\n"
         assert not out.exists()
 
     def test_pretrain_zero_steps_rejected_before_output(self, workdir, capsys):

@@ -1,6 +1,7 @@
 """Model tests: embedding, encoder vs reference, tied MLM head, parameter accounting."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,6 +42,27 @@ def encode(model, seq):
     return model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])[0]
 
 
+def sharpen_attention(model):
+    """``model`` with every layer's query and key weights redrawn at std 0.5. At
+    the init's std 0.02 the attention rows are within 2e-3 of uniform, and an
+    encoder that ignored the scores would match the reference within 1e-4."""
+    rng = np.random.default_rng(0)
+    for name, t in model.params.items():
+        if name.endswith(("attention.query.weight", "attention.key.weight")):
+            t.data[...] = rng.standard_normal(t.data.shape) * 0.5
+    return model
+
+
+def assert_attention_far_from_uniform(p, cfg, seq):
+    """In the reference's last layer, each real position puts at least 0.1 more
+    than a uniform share on its likeliest real key."""
+    attention = []
+    ref_hidden(p, cfg, seq.ids, seq.attention_mask, attention=attention)
+    real = seq.attention_mask.astype(bool)
+    last = np.stack(attention[-cfg.num_heads:])[:, real][:, :, real]
+    assert (last.max(axis=-1) >= 1.0 / real.sum() + 0.1).all()
+
+
 class TestConfig:
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ContractError, match="divisible"):
@@ -53,6 +75,13 @@ class TestConfig:
     def test_projected_requires_frozen_embeddings(self):
         with pytest.raises(ContractError, match="freeze"):
             toy_config(variant="projected", embed_dim=8, freeze_embeddings=False)
+
+    def test_layer_norm_eps_is_a_constant(self):
+        """The epsilon is the model's constant: no field, so no argument."""
+        assert "layer_norm_eps" not in {f.name for f in fields(ModelConfig)}
+        assert toy_config().layer_norm_eps == ModelConfig.layer_norm_eps == 1e-5
+        with pytest.raises(TypeError, match="layer_norm_eps"):
+            toy_config(layer_norm_eps=1e-6)
 
     def test_direct_refuses_frozen_embeddings(self):
         """The direct variant trains its table, so a frozen one is no variant."""
@@ -133,10 +162,12 @@ class TestEncoder:
             assert np.abs(b[:4] - a).max() <= 1e-5
 
     def test_matches_straight_line_reference(self):
-        model = WordBertModel(toy_config(), seed=7)
+        model = sharpen_attention(WordBertModel(toy_config(), seed=7))
         seq = seq_of([2, 6, 7, 8, 9, 3, 0, 0])
         got = encode(model, seq)
-        expected = ref_hidden(params64(model), model.config, seq.ids, seq.attention_mask)
+        p = params64(model)
+        assert_attention_far_from_uniform(p, model.config, seq)
+        expected = ref_hidden(p, model.config, seq.ids, seq.attention_mask)
         assert np.abs(got - expected).max() <= 1e-4
 
     def test_deterministic_init(self):
@@ -147,7 +178,7 @@ class TestEncoder:
         assert a.checksum() != c.checksum()
 
     def test_batched_forward_matches_reference(self):
-        model = WordBertModel(toy_config(), seed=16)
+        model = sharpen_attention(WordBertModel(toy_config(), seed=16))
         seqs = [seq_of([2, 6, 7, 3, 0, 0]), seq_of([2, 9, 10, 11, 12, 3])]
         ids = np.stack([s.ids for s in seqs])
         masks = np.stack([s.attention_mask for s in seqs])
@@ -155,6 +186,7 @@ class TestEncoder:
         t_len = ids.shape[1]
         p = params64(model)
         for b, seq in enumerate(seqs):
+            assert_attention_far_from_uniform(p, model.config, seq)
             expected = ref_hidden(p, model.config, seq.ids, seq.attention_mask)
             assert np.abs(flat[b * t_len : (b + 1) * t_len] - expected).max() <= 1e-4
 
