@@ -1,6 +1,6 @@
 """Word-level masked-language-model pretraining toolkit."""
 
-from .errors import ConfigError, ContractError, IntegrityError, ShapeError, WordlmError
+from .errors import ConfigError, ContractError, IntegrityError, WordlmError
 from .tensor import Tensor
 
 __version__ = "0.1.0"
@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor",
     "WordlmError",
-    "ShapeError",
     "ContractError",
     "IntegrityError",
     "ConfigError",

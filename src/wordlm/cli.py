@@ -29,17 +29,11 @@ from .evaluation import (
     save_probe_examples,
 )
 from .model import ModelConfig, WordBertModel, parameter_counts
-from .sampling import NEIGHBORS, NeighborIndex
+from .sampling import NeighborIndex
 from .seeding import substream
 from .training import TrainConfig, pretrain_projection, write_metrics
 from .training import train as run_training
-from .vocab import (
-    NUM_SPECIALS,
-    WordVocab,
-    build_vocabulary,
-    count_corpus_file,
-    read_corpus_lines,
-)
+from .vocab import NUM_SPECIALS, WordVocab, build_vocabulary, count_frequencies, read_text_lines
 
 _CLOZE_EXAMPLE = (
     'cloze JSONL example: {"passage_words": ["the", "dog", "[BLANK]", "loudly"], '
@@ -116,6 +110,16 @@ def _check_out_dir(out):
         raise WordlmError(f"--out {out}: {existing} is not a writable directory")
 
 
+def _check_out_file(out):
+    """Refuse an ``--out`` that cannot become the output file: it must not be a
+    directory, and its parent must be a writable directory. Creates nothing."""
+    if os.path.isdir(out):
+        raise WordlmError(f"--out {out} is a directory")
+    parent = os.path.dirname(os.path.abspath(out))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise WordlmError(f"--out {out}: {parent} is not a writable directory")
+
+
 def _load_vocab_and_model(args):
     """The vocabulary and the checkpoint's model, refused unless their sizes agree."""
     vocab = WordVocab.load(args.vocab)
@@ -132,7 +136,8 @@ def _load_vocab_and_model(args):
 
 
 def cmd_build_vocab(args) -> int:
-    counts = count_corpus_file(args.corpus, lowercase=not args.no_lowercase)
+    _check_out_file(args.out)  # before the corpus is counted
+    counts = count_frequencies(read_text_lines(args.corpus), lowercase=not args.no_lowercase)
     vocab = build_vocabulary(counts, k=args.k, lowercase=not args.no_lowercase)
     vocab.save(args.out)
     print(f"wrote {vocab.size} words ({vocab.size - NUM_SPECIALS} corpus words of {args.k} "
@@ -141,6 +146,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_pretrain_projection(args) -> int:
+    _check_out_file(args.out)  # before the pairs are read
     shape_in, shape_out = _npz_shape(args.pairs, "v_in"), _npz_shape(args.pairs, "v_out")
     if not (len(shape_in) == len(shape_out) == 2 and shape_in[0] == shape_out[0]
             and min(shape_in + shape_out) >= 1):
@@ -181,17 +187,12 @@ def cmd_pretrain(args) -> int:
     if args.steps is not None and args.steps > train_cfg.total_steps:
         raise ContractError(f"--steps {args.steps} exceeds train.total_steps "
                             f"{train_cfg.total_steps}, past which the learning rate is 0")
+    neighbor_index = None
     if cfg["train.use_neighbors"]:
-        if vocab.size <= NEIGHBORS:
-            raise ContractError(f"vocabulary {args.vocab} holds {vocab.size} words, but "
-                                f"train.use_neighbors = true ranks {NEIGHBORS} neighbors of each "
-                                "word among the others")
-        # a zero vector has no cosine neighbors
-        zero = np.flatnonzero(~vectors[NUM_SPECIALS:].any(axis=1))
-        if zero.size:
-            raise ContractError(f"{args.word_vectors}: row {zero[0] + NUM_SPECIALS} of array "
-                                "'vectors' is all zeros, but train.use_neighbors = true ranks "
-                                "every word's neighbors")
+        try:
+            neighbor_index = NeighborIndex(vectors)
+        except ContractError as err:
+            raise ContractError(f"{args.word_vectors}: {err}") from err
     total = parameter_counts(model_cfg)["total"]
     if 8 * total > np.iinfo(np.intp).max:  # the initialization draws each parameter in float64
         raise ContractError(f"the model's {total} parameters exceed what this machine can address")
@@ -204,9 +205,8 @@ def cmd_pretrain(args) -> int:
                                 "the vectors' width by model.hidden")
         projection = _load_finite(args.projection, "projection")
     model = WordBertModel(model_cfg, train_cfg.seed, word_vectors=vectors, projection=projection)
-    neighbor_index = NeighborIndex(vectors) if cfg["train.use_neighbors"] else None
     del vectors, projection  # the model holds its own copies
-    corpus = read_corpus_lines(args.corpus)
+    corpus = read_text_lines(args.corpus)
     try:
         records, optimizer = run_training(
             corpus, vocab, model, train_cfg, neighbor_index=neighbor_index, num_steps=args.steps,
@@ -228,6 +228,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.out:  # before any input is read
+        _check_out_dir(args.out)
     cfg = RunConfig.load(args.config, overrides=args.set)
     buckets = cfg.view(FrequencyBuckets, reference_frequencies={})
     vocab, model = _load_vocab_and_model(args)
@@ -235,7 +237,7 @@ def cmd_probe(args) -> int:
         probes = load_records(args.probes, ProbeExample)
     else:  # a word's bucket is its count in the corpus the vocabulary was built from
         buckets.reference_frequencies = dict(zip(vocab.words, vocab.frequency.tolist()))
-        lines = read_corpus_lines(args.corpus)
+        lines = read_text_lines(args.corpus)
         probes = []
         for bucket in BUCKET_NAMES:
             probes.extend(
@@ -263,6 +265,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_eval_cloze(args) -> int:
+    if args.out:  # before any input is read
+        _check_out_dir(args.out)
     items = load_records(args.items, ClozeItem)
     if not items:  # an accuracy over no items is undefined
         raise WordlmError(f"{args.items}: no records")

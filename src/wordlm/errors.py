@@ -5,10 +5,6 @@ class WordlmError(Exception):
     """Base class for all package errors."""
 
 
-class ShapeError(WordlmError, ValueError):
-    """Tensor or array shapes are incompatible with an operation."""
-
-
 class ContractError(WordlmError, ValueError):
     """A documented precondition of an operation was violated."""
 

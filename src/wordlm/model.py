@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .seeding import substream
 from .tensor import Tensor
 
@@ -235,7 +235,7 @@ class WordBertModel:
                 arg, value = given[name]
                 data = np.asarray(value, dtype=np.float32)
                 if data.shape != shape:
-                    raise ShapeError(f"{arg} shape {data.shape} does not match {shape}")
+                    raise ContractError(f"{arg} shape {data.shape} does not match {shape}")
                 data = data.copy()
             elif name == "embedding.word":
                 data = (rng.standard_normal(shape) * 0.02).astype(np.float32)
@@ -335,13 +335,14 @@ class WordBertModel:
         p = self.params
         ids = np.asarray(input_ids, dtype=np.int64)
         if ids.ndim != 2:
-            raise ShapeError(f"input_ids must be [batch, length], got {ids.shape}")
+            raise ContractError(f"input_ids must be [batch, length], got {ids.shape}")
         b_sz, t_len = ids.shape
         if t_len > cfg.max_positions:
-            raise ShapeError(f"sequence length {t_len} exceeds max_positions {cfg.max_positions}")
+            raise ContractError(
+                f"sequence length {t_len} exceeds max_positions {cfg.max_positions}")
         mask = np.asarray(attention_masks, dtype=np.float32)
         if mask.shape != (b_sz, t_len):
-            raise ShapeError(f"attention mask shape {mask.shape} does not match {ids.shape}")
+            raise ContractError(f"attention mask shape {mask.shape} does not match {ids.shape}")
         _check_ids(ids, cfg.vocab_size)
 
         rows, rows_backward = self._word_rows(ids.reshape(-1))

@@ -64,13 +64,14 @@ _SCRATCH_BYTES = 16 << 20
 class NeighborIndex:
     """Exact cosine-similarity search over an embedding table.
 
-    The table needs more than ``NEIGHBORS`` rows. Zero-norm rows never appear
-    as neighbors; querying one is an error. A block of queries is scored
-    against every row in one float32 GEMM; the candidates within rounding
-    reach of the ``NEIGHBORS``-th best score are then ordered by the float64
-    dot product of the stored float32 unit rows, ties toward the lower word
-    id. So a query's list depends only on the rows involved,
-    not on the other queries of its block or on the BLAS kernel.
+    The table needs more than ``NEIGHBORS`` rows, and every row past the five
+    specials must be nonzero: a zero vector has no cosine neighbors. A zero
+    special row never appears as a neighbor; querying one is an error. A
+    block of queries is scored against every row in one float32 GEMM; the
+    candidates within rounding reach of the ``NEIGHBORS``-th best score are
+    then ordered by the float64 dot product of the stored float32 unit rows,
+    ties toward the lower word id. So a query's list depends only on the rows
+    involved, not on the other queries of its block or on the BLAS kernel.
     """
 
     def __init__(self, embeddings):
@@ -83,6 +84,10 @@ class NeighborIndex:
         unit = emb.astype(np.float64)
         norms = np.linalg.norm(unit, axis=1)
         self._zero = norms == 0.0
+        zero = np.flatnonzero(self._zero[NUM_SPECIALS:])
+        if zero.size:
+            raise ContractError(f"row {zero[0] + NUM_SPECIALS} of the embedding table is all "
+                                "zeros, and a zero vector has no cosine neighbors")
         unit /= np.where(self._zero, 1.0, norms)[:, None]
         self._unit = unit.astype(np.float32)
         self.size = emb.shape[0]

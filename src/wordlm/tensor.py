@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 
 class Tensor:
@@ -47,7 +47,7 @@ class Tensor:
         +0.0, and no two parameters share one."""
         shape = self.data.shape if ids is None else (len(ids),) + self.data.shape[1:]
         if g.shape != shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match {shape}")
+            raise ContractError(f"gradient shape {g.shape} does not match {shape}")
         if self.grad is None:
             self.grad = np.zeros(self.data.shape, np.float32)
         if ids is None:
@@ -77,12 +77,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product [m, k] @ [k, n]."""
     sa, sb = a.shape, b.shape
     if not (len(sa) == len(sb) == 2 and sa[1] == sb[0]):
-        raise ShapeError(f"matmul shape mismatch: {sa} @ {sb}")
+        raise ContractError(f"matmul shape mismatch: {sa} @ {sb}")
     return np.matmul(a, b)
 
 
 def transpose(x: np.ndarray) -> np.ndarray:
     """The transpose of a matrix, as a new C-contiguous array."""
     if x.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got shape {x.shape}")
+        raise ContractError(f"transpose needs a matrix, got shape {x.shape}")
     return np.ascontiguousarray(x.T)

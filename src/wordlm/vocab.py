@@ -9,6 +9,7 @@ ranked by frequency (ties broken lexicographically); no special token is a word.
 
 from __future__ import annotations
 
+import codecs
 from collections import Counter
 from dataclasses import dataclass
 
@@ -57,10 +58,11 @@ def count_frequencies(documents, lowercase: bool = True) -> Counter:
 
 
 def read_text_lines(path) -> list[str]:
-    """The UTF-8 lines of a text file, split at LF, CRLF or CR; a line that is
-    not UTF-8 is a ``ContractError`` naming ``path:line``."""
+    """The UTF-8 lines of a text file, split at LF, CRLF or CR, with a leading
+    byte-order mark dropped; a line that is not UTF-8 is a ``ContractError``
+    naming ``path:line``. Every text input is read here."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
     lines = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         try:
@@ -68,22 +70,6 @@ def read_text_lines(path) -> list[str]:
         except UnicodeDecodeError as err:
             raise ContractError(f"{path}:{lineno}: {err}") from err
     return lines
-
-
-def read_corpus_lines(path) -> list[str]:
-    """The lines of a one-document-per-line corpus file; a failure names the
-    file (and line)."""
-    try:
-        return read_text_lines(path)
-    except OSError as err:
-        raise ContractError(f"unreadable document {path}: {err}") from err
-    except ContractError as err:
-        raise ContractError(f"unreadable document {err}") from err
-
-
-def count_corpus_file(path, lowercase: bool = True) -> Counter:
-    """Count a one-document-per-line corpus file, naming the file on failure."""
-    return count_frequencies(read_corpus_lines(path), lowercase=lowercase)
 
 
 class WordVocab:

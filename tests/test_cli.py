@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import codecs
 import json
 import os
 import re
@@ -128,6 +129,21 @@ class TestPretrain:
         assert m1 == m2
         assert (outs[0] / "checkpoint.ckpt").exists()
         assert (outs[0] / "effective.cfg").read_text().splitlines()[0].startswith("eval.")
+
+    def test_corpus_byte_order_mark_changes_no_output(self, workdir):
+        """A corpus saved with a UTF-8 byte-order mark builds the same vocabulary
+        and trains the same run as the corpus without it."""
+        tmp, corpus, cfg = workdir
+        marked = tmp / "marked.txt"
+        marked.write_bytes(codecs.BOM_UTF8 + corpus.read_bytes())
+        for name, path in (("plain", corpus), ("marked", marked)):
+            run_ok(["build-vocab", "--corpus", str(path), "--k", "50",
+                    "--out", str(tmp / f"{name}.tsv")])
+            run_ok(["pretrain", "--config", str(cfg), "--corpus", str(path),
+                    "--vocab", str(tmp / f"{name}.tsv"), "--out", str(tmp / name)])
+        assert (tmp / "marked.tsv").read_bytes() == (tmp / "plain.tsv").read_bytes()
+        for artifact in ("metrics.tsv", "checkpoint.ckpt"):
+            assert (tmp / "marked" / artifact).read_bytes() == (tmp / "plain" / artifact).read_bytes()
 
     def test_invalid_config_exits_3(self, workdir, capsys):
         tmp, corpus, cfg = workdir
@@ -349,8 +365,8 @@ class TestProjectedPretrain:
             # the specials' rows may be zero: they are never a target
             ("vectors", _with_rows(np.ones((13, WIDTH)), {0: 0, 4: 0, 6: 0, 11: 0}),
              ["--set", "train.use_neighbors=true"],
-             "row 6 of array 'vectors' is all zeros, but train.use_neighbors = true ranks "
-             "every word's neighbors"),
+             "row 6 of the embedding table is all zeros, and a zero vector has no cosine "
+             "neighbors"),
             ("projection", _with_rows(np.ones((WIDTH, 8)), {2: np.nan}), [],
              "row 2 of array 'projection' holds a NaN or infinity"),
             # float64 values a float32 cast would turn into infinities
@@ -428,9 +444,8 @@ class TestProjectedPretrain:
         err = _refusal(["pretrain", "--config", cfg, "--corpus", tmp / "none.txt",
                         "--vocab", small, "--out", out, "--word-vectors", vectors,
                         "--set", "train.use_neighbors=true"])
-        assert err == (f"wordlm: error: vocabulary {small} holds 10 words, but "
-                       "train.use_neighbors = true ranks 10 neighbors of each word among "
-                       "the others\n")
+        assert err == (f"wordlm: error: {vectors}: embedding table has 10 rows, but the "
+                       "neighbor search needs more than 10\n")
         assert not out.exists()
 
     def test_eleven_words_pass_the_neighbor_check(self, inputs):
@@ -556,6 +571,27 @@ class TestEvalCommands:
         assert (tmp / "probe_out" / "probe_report.tsv").exists()
         assert (tmp / "probe_out" / "probes.jsonl").exists()
         assert (tmp / "probe_out" / "effective.cfg").exists()
+
+    def test_byte_order_mark_in_config_vocab_and_items_ignored(self, trained, capsys):
+        """A config, vocabulary and cloze JSONL saved with a UTF-8 byte-order
+        mark each load as the file without it."""
+        tmp, corpus, cfg, vocab, ckpt = trained
+        items = tmp / "cloze.jsonl"
+        items.write_text(CLOZE + '"answer_index": 0}\n')
+        marked = {}
+        for path in (cfg, vocab, items):
+            marked[path] = tmp / f"marked-{path.name}"
+            marked[path].write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert WordVocab.load(marked[vocab]).words == WordVocab.load(vocab).words
+        capsys.readouterr()
+        outputs = []
+        for c, v, i in ((cfg, vocab, items), (marked[cfg], marked[vocab], marked[items])):
+            run_ok(["probe", "--config", str(c), "--checkpoint", str(ckpt), "--vocab", str(v),
+                    "--corpus", str(corpus)])
+            run_ok(["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(v), "--items", str(i)])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("bucket\t") and "cloze accuracy" in outputs[0]
 
     def test_probe_buckets_by_the_vocabulary_count(self, trained, capsys):
         """A word whose count in the vocabulary's corpus reaches
@@ -797,7 +833,7 @@ class TestExitCodes:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"wordlm: error: unreadable document {bad}:2: ")
+        assert captured.err.startswith(f"wordlm: error: {bad}:2: ")
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
@@ -1060,6 +1096,52 @@ class TestExitCodes:
         assert (code, capsys.readouterr()) == (
             1, ("", f"wordlm: error: --out {out}: {cfg} is not a writable directory\n"))
         assert sorted(tmp.iterdir()) == before and cfg.read_text() == TOY_CFG
+
+    @pytest.mark.parametrize(
+        "command,worker,out,message",
+        [
+            ("probe", "probe_topk", "corpus.txt",
+             "{out}: {tmp}/corpus.txt is not a writable directory"),
+            ("eval-cloze", "cloze_accuracy", "cloze.jsonl/sub",
+             "{out}: {tmp}/cloze.jsonl is not a writable directory"),
+            ("build-vocab", "count_frequencies", "adir", "{out} is a directory"),
+            ("build-vocab", "count_frequencies", "corpus.txt/vocab.tsv",
+             "{out}: {tmp}/corpus.txt is not a writable directory"),
+            ("pretrain-projection", "pretrain_projection", "adir", "{out} is a directory"),
+            ("pretrain-projection", "pretrain_projection", "none/proj.npz",
+             "{out}: {tmp}/none is not a writable directory"),
+        ],
+        ids=["probe-file", "eval-cloze-below-file", "build-vocab-directory",
+             "build-vocab-below-file", "pretrain-projection-directory",
+             "pretrain-projection-missing-parent"],
+    )
+    def test_unusable_out_refused_before_the_work(self, trained, capsys, monkeypatch, command,
+                                                  worker, out, message):
+        """An --out that cannot be written is refused on one line before any
+        input is read, and nothing is created: the monkeypatched worker fails
+        the test if it runs."""
+        tmp, corpus, cfg, vocab, ckpt = trained
+        (tmp / "adir").mkdir()
+        items, pairs = tmp / "cloze.jsonl", tmp / "pairs.npz"
+        items.write_text(CLOZE + '"answer_index": 0}\n')
+        np.savez(pairs, v_in=np.eye(3), v_out=np.eye(3))
+        monkeypatch.setattr(cli, worker, lambda *a, **k: pytest.fail(f"{worker} ran"))
+        out = tmp / out
+        argv = {
+            "probe": ["probe", "--config", str(cfg), "--checkpoint", str(ckpt),
+                      "--vocab", str(vocab), "--corpus", str(corpus), "--out", str(out)],
+            "eval-cloze": ["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                           "--items", str(items), "--out", str(out)],
+            "build-vocab": ["build-vocab", "--corpus", str(corpus), "--k", "5", "--out", str(out)],
+            "pretrain-projection": ["pretrain-projection", "--pairs", str(pairs),
+                                    "--out", str(out)],
+        }[command]
+        before = sorted(tmp.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"wordlm: error: --out {message.format(out=out, tmp=tmp)}\n")
+        assert sorted(tmp.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "setting,message",

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from wordlm.errors import ContractError, ShapeError
+from wordlm.errors import ContractError
 from wordlm.model import ModelConfig, WordBertModel, parameter_counts
 from wordlm.optim import Adam
 from wordlm.training import MaskedBatch, mlm_loss
@@ -119,7 +119,7 @@ class TestEmbed:
 
     def test_length_error(self):
         model = WordBertModel(toy_config(num_layers=0), seed=3)
-        with pytest.raises(ShapeError, match="max_positions"):
+        with pytest.raises(ContractError, match="max_positions"):
             encode(model, seq_of([1] * 25))
 
     @pytest.mark.parametrize("arg", ["word_vectors", "projection"])

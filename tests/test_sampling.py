@@ -108,7 +108,7 @@ class TestNearestWords:
         # the stored unit rows decide every neighbor list, so building them
         # from one float64 copy must not move a single bit
         emb = np.random.default_rng(8).standard_normal((300, 30)).astype(np.float32)
-        emb[17] = 0.0
+        emb[3] = 0.0  # a special's row may be zero
         norms = np.linalg.norm(emb.astype(np.float64), axis=1)
         zero = norms == 0.0
         expected = (emb.astype(np.float64) / np.where(zero, 1.0, norms)[:, None]).astype(np.float32)
@@ -129,6 +129,14 @@ class TestNearestWords:
             with pytest.raises(IndexError, match=r"outside \[0, 12\)"):
                 index.neighbors_of_many([bad])
         assert len(index.neighbors_of_many([11])) == 10
+
+    def test_zero_word_row_refused_at_build(self):
+        emb = np.ones((40, 3), dtype=np.float32)
+        emb[[4, 29, 33]] = 0.0  # row 4 is a special's, so the first word row named is 29
+        with pytest.raises(ContractError, match="row 29 of the embedding table is all zeros"):
+            NeighborIndex(emb)
+        emb[[29, 33]] = 1e-30  # tiny is not zero
+        assert len(NeighborIndex(emb).neighbors_of_many([29])) == 10
 
     @pytest.mark.parametrize("rows", [1, 10])
     def test_table_of_at_most_ten_rows_refused(self, rows):
@@ -187,12 +195,12 @@ class TestBatchedSearch:
 
     def test_fewer_live_rows_than_k(self):
         # fewer than ten live rows besides each query: the lists are shorter
-        emb = np.random.default_rng(10).standard_normal((14, 4)).astype(np.float32)
-        emb[[1, 4, 7, 8, 10, 13]] = 0.0
+        emb = np.random.default_rng(10).standard_normal((12, 4)).astype(np.float32)
+        emb[[1, 2, 3, 4]] = 0.0  # zero rows are specials' rows
         index = NeighborIndex(emb)
-        got = index.neighbors_of_many([0, 3, 5])
+        got = index.neighbors_of_many([0, 5, 9])
         expected = brute_force_topk(emb, k=7)  # seven live rows besides each query
-        np.testing.assert_array_equal(got, np.concatenate([expected[q] for q in (0, 3, 5)]))
+        np.testing.assert_array_equal(got, np.concatenate([expected[q] for q in (0, 5, 9)]))
 
     @pytest.mark.parametrize(
         "ids,error",

@@ -8,6 +8,7 @@ import pytest
 from wordlm import kernels
 from wordlm.errors import ContractError, WordlmError
 from wordlm.model import ModelConfig, WordBertModel
+from wordlm.sampling import NeighborIndex
 from wordlm.seeding import substream
 from wordlm.training import (
     TrainConfig,
@@ -344,6 +345,22 @@ class TestTrainLoop:
         train(lines, vocab, model, tiny_train_config(total_steps=100), num_steps=100)
         np.testing.assert_array_equal(model.params["embedding.word"].data, before)
         assert np.abs(model.params["embedding.projection"].data - proj_before).max() > 0
+
+    def test_zero_word_vector_refused_when_the_index_is_built(self):
+        """A library caller's frozen table with an all-zero word row is refused
+        as the neighbor index is built, not once ``train`` first masks that word."""
+        lines, vocab = tiny_corpus()
+        wv = np.random.default_rng(42).standard_normal((vocab.size, 6)).astype(np.float32)
+        wv[9] = 0.0
+        model = WordBertModel(
+            ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2, hidden=8,
+                        embed_dim=6, max_positions=10, variant="projected",
+                        freeze_embeddings=True, dropout=0.0),
+            seed=8,
+            word_vectors=wv,
+        )
+        with pytest.raises(ContractError, match="row 9 of the embedding table is all zeros"):
+            NeighborIndex(model.params["embedding.word"].data)
 
     def test_non_finite_loss_aborts_with_step(self):
         lines, vocab = tiny_corpus()

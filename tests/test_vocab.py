@@ -16,10 +16,9 @@ from wordlm.vocab import (
     UNK_ID,
     WordVocab,
     build_vocabulary,
-    count_corpus_file,
     count_frequencies,
     encode,
-    read_corpus_lines,
+    read_text_lines,
     segment_words,
 )
 
@@ -121,13 +120,13 @@ class TestCounting:
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"ok line\n\xff\xfe broken\n")
         with pytest.raises(ContractError, match="bad.txt:2"):
-            count_corpus_file(bad)
+            read_text_lines(bad)
 
     def test_file_counting_matches_in_memory(self, tmp_path):
         lines = ["the cat sat.", "the dog ran!"]
         p = tmp_path / "corpus.txt"
         p.write_text("\n".join(lines), encoding="utf-8")
-        assert count_corpus_file(p) == count_frequencies(lines)
+        assert count_frequencies(read_text_lines(p)) == count_frequencies(lines)
 
     def test_lines_split_as_text_mode_reading_splits_them(self, tmp_path):
         # the corpus was read in text mode (universal newlines) before one reader served all
@@ -135,7 +134,24 @@ class TestCounting:
         p.write_bytes("a b\nc\r\nd é\re\n\n\tf \x0cg\n\r\nh".encode("utf-8"))
         with open(p, encoding="utf-8") as fh:
             text_mode = [line.rstrip("\n") for line in fh]
-        assert read_corpus_lines(p) == text_mode == ["a b", "c", "d é", "e", "", "\tf \x0cg", "", "h"]
+        assert read_text_lines(p) == text_mode == ["a b", "c", "d é", "e", "", "\tf \x0cg", "", "h"]
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes("the cat\nsat. \ufeffé\n".encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_text_lines(marked) == read_text_lines(plain) == ["the cat", "sat. \ufeffé"]
+        marked.write_bytes(b"\xef\xbb\xbfok\n\xff broken\n")  # lines are still counted from 1
+        with pytest.raises(ContractError, match="marked.txt:2"):
+            read_text_lines(marked)
+
+    def test_byte_order_mark_past_the_first_bytes_kept(self, tmp_path):
+        # only a file's first three bytes can be its mark; a later one is text
+        p = tmp_path / "corpus.txt"
+        p.write_bytes(b" \xef\xbb\xbfa\n\xef\xbb\xbfb\n")
+        assert read_text_lines(p) == [" \ufeffa", "\ufeffb"]
+        p.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\n")  # a second mark is text
+        assert read_text_lines(p) == ["\ufeffa"]
 
 
 class TestBuildVocabulary:
