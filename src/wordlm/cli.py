@@ -101,8 +101,10 @@ def _word_table(word_vectors_path, vocab_size: int, hidden: int):
 
 def _check_out_dir(out):
     """Refuse an ``--out`` that cannot become the output directory: the nearest
-    of it and its ancestors that exists must be a writable directory. Creates
-    nothing."""
+    of it and its ancestors that exists must be a writable directory, and it
+    must not be empty. Creates nothing."""
+    if not out:  # names nothing; abspath would read it as the working directory
+        raise WordlmError("--out is empty")
     existing = os.path.abspath(out)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -112,7 +114,10 @@ def _check_out_dir(out):
 
 def _check_out_file(out):
     """Refuse an ``--out`` that cannot become the output file: it must not be a
-    directory, and its parent must be a writable directory. Creates nothing."""
+    directory or empty, and its parent must be a writable directory. Creates
+    nothing."""
+    if not out:  # names nothing; abspath would read it as the working directory
+        raise WordlmError("--out is empty")
     if os.path.isdir(out):
         raise WordlmError(f"--out {out} is a directory")
     parent = os.path.dirname(os.path.abspath(out))
@@ -228,7 +233,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    if args.out:  # before any input is read
+    if args.out is not None:  # before any input is read
         _check_out_dir(args.out)
     cfg = RunConfig.load(args.config, overrides=args.set)
     buckets = cfg.view(FrequencyBuckets, reference_frequencies={})
@@ -254,7 +259,7 @@ def cmd_probe(args) -> int:
         rows.append(f"{bucket}\t{report['total'][bucket]}\t{report['oov'][bucket]}{accs}")
     table = "\n".join(rows)
     print(table)
-    if args.out:
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         cfg.echo_into(args.out)
         with open(os.path.join(args.out, "probe_report.tsv"), "w", encoding="utf-8") as fh:
@@ -265,7 +270,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_eval_cloze(args) -> int:
-    if args.out:  # before any input is read
+    if args.out is not None:  # before any input is read
         _check_out_dir(args.out)
     items = load_records(args.items, ClozeItem)
     if not items:  # an accuracy over no items is undefined
@@ -276,7 +281,7 @@ def cmd_eval_cloze(args) -> int:
     except ContractError as err:
         raise ContractError(f"{args.items}: {err}") from err
     print(f"cloze accuracy {acc:.4f} over {len(items)} items")
-    if args.out:
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "cloze_report.tsv"), "w", encoding="utf-8") as fh:
             fh.write(f"items\t{len(items)}\naccuracy\t{acc!r}\n")

@@ -108,7 +108,10 @@ def build_probe_set(
 def _masked_logits(model: WordBertModel, vocab: WordVocab, words, positions, max_length):
     """Full-vocabulary logits [n, V], all masked at once, at the first n word
     ``positions`` (strictly increasing): those inside the window of [CLS] and
-    ``max_length - 2`` words (default the model's). With n = 0 nothing runs."""
+    ``max_length - 2`` words (default the model's). With n = 0 nothing runs.
+
+    Each call builds its own ``model.output_table()``; sharing one table across
+    a ``probe_topk`` call is ROADMAP item 5."""
     max_length = max_length or model.config.max_positions
     enc_positions = [pos + 1 for pos in positions if pos < max_length - 2]  # right of [CLS]
     if not enc_positions:
@@ -116,7 +119,7 @@ def _masked_logits(model: WordBertModel, vocab: WordVocab, words, positions, max
     seq = encode(words, vocab, max_length)
     seq.ids[enc_positions] = MASK_ID
     flat, _ = model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
-    return model.full_vocab_logits(flat[enc_positions])
+    return model.full_vocab_logits(flat[enc_positions], model.output_table())
 
 
 def probe_topk(

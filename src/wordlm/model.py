@@ -412,10 +412,17 @@ class WordBertModel:
 
         return logits, backward
 
-    def full_vocab_logits(self, hidden: np.ndarray) -> np.ndarray:
-        """hidden [M,H] -> logits [M, V] over the entire vocabulary."""
-        rows = self._project(self.params["embedding.word"].data)
-        return T.matmul(hidden, T.transpose(rows)) + self.params["mlm.bias"].data
+    def output_table(self) -> np.ndarray:
+        """The tied head's weights for every word, as the C-contiguous [H, V]
+        table ``full_vocab_logits`` multiplies by: the word table in the hidden
+        space, transposed. A table is stale once the word table or projection
+        changes."""
+        return T.transpose(self._project(self.params["embedding.word"].data))
+
+    def full_vocab_logits(self, hidden: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """hidden [M,H] -> logits [M, V] over the entire vocabulary, against
+        ``table`` from ``output_table()``."""
+        return T.matmul(hidden, table) + self.params["mlm.bias"].data
 
 
 def _check_ids(ids: np.ndarray, size: int):

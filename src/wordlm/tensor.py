@@ -13,6 +13,8 @@ model's to say (``WordBertModel.trainable_parameters``), not the tensor's.
 ``matmul`` and ``transpose`` are the shape-checked 2-D product and the
 C-contiguous transposed copy that the projection and the tied head call as
 ``tensor.matmul``/``tensor.transpose``, so a tracer can wrap them by name.
+``transpose`` copies in blocks of rows, so the rows it reads and the columns
+it writes stay in cache; the bytes are those of ``np.ascontiguousarray(x.T)``.
 """
 
 from __future__ import annotations
@@ -81,8 +83,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
+_TRANSPOSE_BLOCK = 256  # rows of x per copied block
+
+
 def transpose(x: np.ndarray) -> np.ndarray:
-    """The transpose of a matrix, as a new C-contiguous array."""
+    """The transpose of a matrix, as a new C-contiguous array, copied
+    ``_TRANSPOSE_BLOCK`` rows of x (columns of the result) at a time: the
+    same bytes as ``np.ascontiguousarray(x.T)``, several times faster on a
+    table of thousands of rows."""
     if x.ndim != 2:
         raise ContractError(f"transpose needs a matrix, got shape {x.shape}")
-    return np.ascontiguousarray(x.T)
+    out = np.empty(x.shape[::-1], x.dtype)
+    for i in range(0, x.shape[0], _TRANSPOSE_BLOCK):
+        out[:, i:i + _TRANSPOSE_BLOCK] = x[i:i + _TRANSPOSE_BLOCK].T
+    return out

@@ -20,6 +20,7 @@ from wordlm.vocab import (
 def masked_top1_accuracy(model, vocab, lines, max_length):
     """Mask each real position one at a time; full-vocabulary argmax accuracy."""
     hits = total = 0
+    table = model.output_table()
     for line in lines:
         words = segment_words(line, vocab.lowercase)
         seq = encode(words, vocab, max_length)
@@ -32,7 +33,7 @@ def masked_top1_accuracy(model, vocab, lines, max_length):
         masks = np.tile(seq.attention_mask, (real.size, 1))
         flat, _ = model.encode_batch(copies, masks)
         rows = flat[[r * len(seq.ids) + p for r, p in enumerate(real)]]
-        logits = model.full_vocab_logits(rows)
+        logits = model.full_vocab_logits(rows, table)
         hits += int((logits.argmax(axis=1) == seq.ids[real]).sum())
         total += real.size
     return hits / total
@@ -42,7 +43,7 @@ def restricted_loss64(model, masked, ids):
     """Mean masked-word loss, softmax renormalised over the columns ids of the
     full-vocabulary logits at the masked rows, in float64 numpy (not mlm_loss's head)."""
     flat, _ = model.encode_batch(masked.input_ids, attention_mask(masked.input_ids))
-    logits = model.full_vocab_logits(flat[masked.positions])
+    logits = model.full_vocab_logits(flat[masked.positions], model.output_table())
     logits = logits.astype(np.float64)
     kept = logits[:, np.asarray(ids)]
     top = kept.max(axis=1)

@@ -1143,6 +1143,24 @@ class TestExitCodes:
             "", f"wordlm: error: --out {message.format(out=out, tmp=tmp)}\n")
         assert sorted(tmp.rglob("*")) == before
 
+    @pytest.mark.parametrize("command,flags", [
+        ("build-vocab", ["--corpus", "in.txt", "--k", "5"]),
+        ("pretrain-projection", ["--pairs", "in.npz"]),
+        ("pretrain", ["--config", "in.cfg", "--corpus", "in.txt", "--vocab", "in.tsv"]),
+        ("probe", ["--config", "in.cfg", "--checkpoint", "in.ckpt", "--vocab", "in.tsv",
+                   "--corpus", "in.txt"]),
+        ("eval-cloze", ["--checkpoint", "in.ckpt", "--vocab", "in.tsv", "--items", "in.jsonl"]),
+    ])
+    def test_empty_out_refused_before_any_input(self, tmp_path, capsys, monkeypatch, command,
+                                                flags):
+        """An empty --out names no file or directory. It is refused on one line
+        before any input is read (each named input is missing, which would be
+        another error), and nothing is created in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *flags, "--out", ""]) == 1
+        assert capsys.readouterr() == ("", "wordlm: error: --out is empty\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "setting,message",
         [

@@ -16,6 +16,7 @@ from wordlm.evaluation import (
     ProbeExample,
     bucket_of,
     build_probe_set,
+    cloze_accuracy,
     load_records,
     probe_topk,
     save_probe_examples,
@@ -290,6 +291,27 @@ class TestScoreCloze:
             ClozeItem([BLANK_SENTINEL], ["w", "w", "y", "z"], 0)  # dup options
         with pytest.raises(ContractError):
             ClozeItem([BLANK_SENTINEL], ["w", "x", "y", "z"], 4)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_output_table_built_once_per_scored_query(n, monkeypatch, probe_model_and_vocab):
+    """``probe_topk`` builds the [H, V] output table once per example, however
+    many positions it masks, and ``cloze_accuracy`` once per item."""
+    model, vocab = probe_model_and_vocab
+    builds = []
+    build = WordBertModel.output_table
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(WordBertModel, "output_table", counted)
+    probes = [ProbeExample(["lo1", "hi0", "lo1"], [0, 2], ["lo1", "lo1"], "Low")] * n
+    report = probe_topk(model, vocab, probes, ks=(1,))
+    assert report["total"]["Low"] == 2 * n and builds == [model] * n
+    item = ClozeItem(["hi0", BLANK_SENTINEL], ["lo1", "hi0", "hi1", "hi2"], 0)
+    cloze_accuracy(model, vocab, [item] * n)
+    assert builds == [model] * (2 * n)
 
 
 class TestJsonl:

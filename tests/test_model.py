@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from wordlm import tensor as T
 from wordlm.errors import ContractError
 from wordlm.model import ModelConfig, WordBertModel, parameter_counts
 from wordlm.optim import Adam
@@ -311,9 +312,29 @@ class TestMlmLogits:
         model = WordBertModel(toy_config(), seed=8)
         model.params["mlm.bias"].data[:] = np.random.default_rng(14).standard_normal(40)
         hidden = self.rand_hidden(model)
-        full = model.full_vocab_logits(hidden)
+        full = model.full_vocab_logits(hidden, model.output_table())
         restricted = model.mlm_logits(hidden, np.arange(40))[0]
         np.testing.assert_array_equal(full, restricted)
+
+    @pytest.mark.parametrize("variant", ["direct", "projected"])
+    def test_full_vocab_logits_match_the_one_shot_copy(self, variant):
+        """Logits against ``output_table()`` are the bytes of a product with a
+        one-shot transposed copy of the projected word table, for one masked
+        row (a cloze blank) and for several."""
+        embed_dim = 12 if variant == "projected" else 32
+        cfg = toy_config(vocab_size=600, num_layers=0, hidden=32, embed_dim=embed_dim,
+                         variant=variant, freeze_embeddings=variant == "projected")
+        vectors = np.random.default_rng(16).standard_normal((600, embed_dim)).astype(np.float32)
+        model = WordBertModel(cfg, seed=14,
+                              word_vectors=vectors if variant == "projected" else None)
+        bias = model.params["mlm.bias"].data
+        bias[:] = np.random.default_rng(17).standard_normal(600)
+        rows = model._project(model.params["embedding.word"].data)
+        table = model.output_table()
+        for m in (1, 9):
+            hidden = self.rand_hidden(model, rows=m)
+            old = T.matmul(hidden, np.ascontiguousarray(rows.T)) + bias
+            assert np.array_equal(model.full_vocab_logits(hidden, table), old)
 
     def test_zero_hidden_gives_bias(self):
         model = WordBertModel(toy_config(), seed=9)
@@ -361,10 +382,10 @@ class TestMlmLogits:
         model = WordBertModel(toy_config(num_layers=0), seed=13)
         hidden = self.rand_hidden(model)
         seq = seq_of([2, 17, 3])
-        before_logits = model.full_vocab_logits(hidden).copy()
+        before_logits = model.full_vocab_logits(hidden, model.output_table()).copy()
         before_embed = encode(model, seq).copy()
         model.params["embedding.word"].data[17] += 1.0
-        after_logits = model.full_vocab_logits(hidden)
+        after_logits = model.full_vocab_logits(hidden, model.output_table())
         after_embed = encode(model, seq)
         changed = np.abs(after_logits - before_logits).max(axis=0)
         assert changed[17] > 0

@@ -296,6 +296,16 @@ class TestShapeOps:
         with pytest.raises(ContractError, match=r"\(2, 3, 4\)"):
             T.transpose(np.zeros((2, 3, 4)))
 
+    @pytest.mark.parametrize("shape", [(1, 7), (255, 16), (256, 16), (257, 16), (513, 16),
+                                       (50005, 256)])
+    def test_blocked_transpose_is_the_one_shot_copy(self, shape):
+        """The copy in blocks of rows gives the bytes of a one-shot transposed
+        copy at every block boundary, up to the 50k-row word table."""
+        x = RNG(25).standard_normal(shape).astype(np.float32)
+        y = T.transpose(x)
+        assert y.flags.c_contiguous and y.dtype == x.dtype
+        assert np.array_equal(y, np.ascontiguousarray(x.T))
+
     # Dropout lives in the encoder. With no layers the encoder is the word +
     # position sum, so a switched-off dropout must leave its forward exactly
     # the plain gather and add.
