@@ -14,8 +14,9 @@ and ``payload_bytes``. A ``---`` line and the payload follow. So save ->
 load -> save is byte-identical.
 
 A read checks the magic line before reading on, parses only what no
-configuration implies (step, seed, digest, the optimizer's step count) and
-the typed ``model_config`` field values, then compares the manifest line by
+configuration implies (step, seed, digest, the optimizer's step count; a
+negative step, seed or count is refused at its line) and the typed
+``model_config`` field values, then compares the manifest line by
 line with the layout those imply: the first line that differs is an
 ``IntegrityError`` naming the file, the line and the expected text. The line
 ``model_config gelu_approx false``, which files written before the tanh GELU
@@ -176,17 +177,22 @@ def read_manifest(path) -> tuple[Layout, int]:
 
     found = iter(lines)  # the separator ends it, and matches no key
 
-    def value(key, kind):
+    def value(key, kind, nonnegative=False):
         """The value ending the next line, which must start with ``key``."""
         lineno, line = next(found)
         try:
             if line.startswith(key + " "):
-                return _PARSE[kind](line.rpartition(" ")[2])
+                parsed = _PARSE[kind](line.rpartition(" ")[2])
+                if nonnegative and parsed < 0:
+                    raise IntegrityError(f"{path}:{lineno}: {key} must not be negative, "
+                                         f"found {line!r}")
+                return parsed
         except (KeyError, ValueError):
             pass
         raise IntegrityError(f"{path}:{lineno}: expected '{key} <{kind.__name__}>', found {line!r}")
 
-    step, seed, digest = value("step", int), value("seed", int), value("config_digest", str)
+    step, seed = value("step", int, nonnegative=True), value("seed", int, nonnegative=True)
+    digest = value("config_digest", str)
     values = {key: value(f"model_config {key}", kind) for key, kind in _FIELD_TYPES.items()}
     if (eps := next(found))[1] != _EPS_LINE:  # the model's constant: a fixed line, no value
         raise IntegrityError(f"{path}:{eps[0]}: expected {_EPS_LINE!r}, found {eps[1]!r}")
@@ -198,7 +204,7 @@ def read_manifest(path) -> tuple[Layout, int]:
         lineno = next(n for n, line in lines if line.startswith("model_config num_layers "))
         raise IntegrityError(f"{path}:{lineno}: model_config num_layers {config.num_layers} "
                              f"exceeds the {len(lines)} lines of the manifest")
-    manifest = layout(config, step, seed, digest, value("opt_step", int))
+    manifest = layout(config, step, seed, digest, value("opt_step", int, nonnegative=True))
     for (lineno, line), expected in zip(lines, manifest.lines[1:] + ["---"]):
         if line != expected:
             raise IntegrityError(f"{path}:{lineno}: expected {expected!r}, found {line!r}")

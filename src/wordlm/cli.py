@@ -184,7 +184,8 @@ def cmd_pretrain(args) -> int:
         except ConfigError as err:
             violations.extend(err.violations)
     if cfg["train.use_neighbors"] and vectors is None:
-        # the neighbor lists are computed once, so the table they rank must not train
+        # the NeighborIndex is built once, from the word table as training starts,
+        # and searched every step, so the table it ranks must not train
         violations.append("train.use_neighbors = true needs --word-vectors")
     if violations:  # every view's violations together, before the corpus is read
         raise ConfigError(violations)

@@ -1,14 +1,17 @@
 """Hot numeric kernels in numpy, called by the model, training and optim modules.
 
-All kernels take and return float32 arrays; 2-D inputs are rows, and callers
+All kernels take and return float32 arrays, save the float64 softmax the
+cross-entropy forward hands its backward; 2-D inputs are rows, and callers
 flatten leading dimensions. The elementwise kernels (GELU, Adam) compute in
 float32; the GELU is the exact one, x * Phi(x) with the erf Gaussian CDF. Its
 forward also returns erf(x / sqrt 2) + 1, which the backward takes instead of
-computing erf again. Adam updates param, m and v in place, chunk by chunk,
-through one scratch buffer per call. The reductions (layer norm, softmax,
-cross-entropy) accumulate in float64. The row scatter adds each id's first
-row in one buffered step and the repeats after it, so every table row gets
-its additions in the order ``np.add.at`` gives them, with the same bits.
+computing erf again; the cross-entropy forward likewise returns its rows'
+softmax, which the backward takes instead of the logits. Adam updates param, m
+and v in place, chunk by chunk, through one scratch buffer per call. The
+reductions (layer norm, softmax, cross-entropy) accumulate in float64. The row
+scatter adds each id's first row in one buffered step and the repeats after
+it, so every table row gets its additions in the order ``np.add.at`` gives
+them, with the same bits.
 """
 
 import math
@@ -87,20 +90,20 @@ def softmax_rows_bwd(probs, gout):
 
 
 def cross_entropy_rows_fwd(logits, targets):
-    x64 = logits.astype(np.float64)
-    m = x64.max(axis=1)
-    lse = m + np.log(np.exp(x64 - m[:, None]).sum(axis=1))
-    picked = x64[np.arange(x64.shape[0]), targets]
-    return (lse - picked).astype(np.float32)
-
-
-def cross_entropy_rows_bwd(logits, targets, gout):
+    """(losses, probs): each row's cross-entropy, and its float64 softmax for the backward."""
     x64 = logits.astype(np.float64)
     m = x64.max(axis=1, keepdims=True)
     e = np.exp(x64 - m)
-    p = e / e.sum(axis=1, keepdims=True)
-    grad = p * gout.astype(np.float64)[:, None]
-    grad[np.arange(x64.shape[0]), targets] -= gout.astype(np.float64)
+    total = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
+    picked = x64[np.arange(x64.shape[0]), targets]
+    return (lse - picked).astype(np.float32), e / total
+
+
+def cross_entropy_rows_bwd(probs, targets, gout):
+    g64 = gout.astype(np.float64)
+    grad = probs * g64[:, None]
+    grad[np.arange(probs.shape[0]), targets] -= g64
     return grad.astype(np.float32)
 
 

@@ -112,7 +112,7 @@ def mlm_loss(
     if positions.min() < 0 or positions.max() >= len(hidden):
         raise IndexError(f"target position outside [0, {len(hidden)})")
     logits, head_backward = model.mlm_logits(hidden[positions], batch_ids)
-    losses = kernels.cross_entropy_rows_fwd(logits, local_targets)
+    losses, probs = kernels.cross_entropy_rows_fwd(logits, local_targets)
     n = losses.size
     loss = np.float32(losses.sum(dtype=np.float64) / n)
     if encoder_backward is None:  # an inference call
@@ -121,7 +121,7 @@ def mlm_loss(
     def backward(g):
         g_losses = np.full_like(losses, np.float32(g / n))
         g_picked, head_rows_backward = head_backward(
-            kernels.cross_entropy_rows_bwd(logits, local_targets, g_losses)
+            kernels.cross_entropy_rows_bwd(probs, local_targets, g_losses)
         )
         g_hidden = np.zeros(hidden_shape, np.float32)
         kernels.scatter_add_rows(g_hidden, positions, g_picked)
@@ -228,21 +228,24 @@ def train(
     cfg: TrainConfig,
     neighbor_index: NeighborIndex | None = None,
     optimizer: Adam | None = None,
-    start_step: int = 0,
     num_steps: int | None = None,
 ) -> tuple[list[StepRecord], Adam]:
-    """Run MLM training steps [start_step, start_step + num_steps).
+    """Run MLM training steps [s, s + num_steps), s the optimizer's step count:
+    0 for a new ``Adam``, the saved count for one from ``load_checkpoint``, so
+    a run continued with its optimizer takes the steps one run would have.
+    ``num_steps=None`` runs to ``cfg.total_steps``.
 
     Each step draws a batch, masks it, samples a batch vocabulary, takes one
     Adam step at the scheduled learning rate, and records (step, lr, loss).
     """
     pool = prepare_corpus(corpus_lines, vocab, cfg.max_length)
     optimizer = optimizer or Adam(model.trainable_parameters())
+    start = optimizer.step_count
     if num_steps is None:
-        num_steps = cfg.total_steps - start_step
+        num_steps = cfg.total_steps - start
     records = []
     vocab_size = model.config.vocab_size
-    for step in range(start_step, start_step + num_steps):
+    for step in range(start, start + num_steps):
         batch_rng = substream(cfg.seed, "batch", step)
         line_ids = batch_rng.integers(0, len(pool), size=cfg.batch_size)
         masked = apply_masking(pool[line_ids], substream(cfg.seed, "masking", step), vocab_size)

@@ -1,15 +1,15 @@
 """Straight-line float64 reference for the encoder and the restricted MLM loss.
 
 Implements the same architecture as the package model but independently:
-per-head slicing instead of batched transposes, float64 throughout, scipy
-erf. Used both as a value oracle and as the function finite differences are
-taken through, with dropout off or with the dropout scales the package's
-encoder draws from a given rng.
+per-head slicing instead of batched transposes, float64 throughout, with the
+erf GELU and the softmax of ``oracles``. Used both as a value oracle and as
+the function finite differences are taken through, with dropout off or with
+the dropout scales the package's encoder draws from a given rng.
 """
 
 import numpy as np
-from scipy.special import erf
 
+from oracles import gelu64, softmax64
 from wordlm.vocab import attention_mask
 
 
@@ -17,20 +17,10 @@ def params64(model):
     return {k: t.data.astype(np.float64) for k, t in model.parameters().items()}
 
 
-def _gelu(x):
-    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-
-
 def _ln(x, gamma, beta, eps):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gamma + beta
-
-
-def _softmax_rows(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def ref_dropout_scales(rng, rate, cfg, b_sz, t_len):
@@ -78,7 +68,7 @@ def ref_hidden(p, cfg, ids, mask, drop=None, attention=None):
         for h in range(n_heads):
             sl = slice(h * d, (h + 1) * d)
             scores = q[:, sl] @ k[:, sl].T / np.sqrt(d) + bias[None, :]
-            probs = _softmax_rows(scores)
+            probs = softmax64(scores)
             if attention is not None:
                 attention.append(probs)
             if drop is not None:
@@ -93,7 +83,7 @@ def ref_hidden(p, cfg, ids, mask, drop=None, attention=None):
             p[pre + "attention.norm.beta"],
             cfg.layer_norm_eps,
         )
-        inner = _gelu(x @ p[pre + "ffn.inner.weight"] + p[pre + "ffn.inner.bias"])
+        inner = gelu64(x @ p[pre + "ffn.inner.weight"] + p[pre + "ffn.inner.bias"])
         ffn_out = inner @ p[pre + "ffn.output.weight"] + p[pre + "ffn.output.bias"]
         if drop is not None:
             ffn_out = ffn_out * drop[1][i][2]

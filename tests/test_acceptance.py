@@ -112,8 +112,9 @@ def _kernel_checks():
         return float((lse - v[np.arange(3), ce_t])[ce_rows].mean())
 
     ce_gout = np.bincount(ce_rows).astype(np.float32) / np.float32(ce_rows.size)
+    _, ce_probs = kernels.cross_entropy_rows_fwd(ce_x, ce_t)
     checks.append(("cross_entropy_rows", [
-        (kernels.cross_entropy_rows_bwd(ce_x, ce_t, ce_gout), ce64, ce_x),
+        (kernels.cross_entropy_rows_bwd(ce_probs, ce_t, ce_gout), ce64, ce_x),
     ]))
 
     return checks
@@ -456,7 +457,7 @@ def test_criterion_09_reproducibility(tmp_path):
     save_checkpoint(model_half, opt_half, step=100, path=ckpt)
     loaded = load_checkpoint(ckpt)
     resumed, _ = train(lines, vocab, loaded.model, cfg,
-                       optimizer=loaded.optimizer, start_step=100, num_steps=5)
+                       optimizer=loaded.optimizer, num_steps=5)
     tail_full = [r.loss for r in records_full[100:]]
     tail_resumed = [r.loss for r in resumed]
     assert tail_full == tail_resumed
@@ -496,7 +497,7 @@ def resume_identity(out_dir):
     save_checkpoint(model, optimizer, step=4, path=out / "half.ckpt")
     loaded = load_checkpoint(out / "half.ckpt")
     records, optimizer = train(lines, vocab, loaded.model, cfg, optimizer=loaded.optimizer,
-                               start_step=4, num_steps=2)
+                               num_steps=2)
     write_metrics(records, out / "resumed.tsv")
     save_checkpoint(loaded.model, optimizer, step=6, path=out / "resumed.ckpt")
 

@@ -45,8 +45,6 @@ ALLOWED = {
 
 # Parameter defaults that no call in the code base has to override.
 ALLOWED_DEFAULTS = {
-    "train.start_step": "resuming a run from a checkpoint (criterion 09); a CLI "
-                        "--resume would pass it",
     "main.argv": "the console script calls main() with no arguments",
 }
 

@@ -246,11 +246,17 @@ class TestIntegrity:
               for eps in ("nan", "-1.0", "0.0", "inf")],
             ("model_config freeze_embeddings ", "model_config freeze_embeddings true",
              ": invalid model_config: variant 'direct' requires freeze_embeddings=false"),
+            # negative counts: the lines agree with the layout they imply
+            ("step ", "step -3", ":{line}: step must not be negative, found 'step -3'"),
+            ("seed ", "seed -1", ":{line}: seed must not be negative, found 'seed -1'"),
+            ("opt_step ", lambda line: line.rpartition(" ")[0] + " -3",
+             ":{line}: opt_step must not be negative, found {got}"),
         ],
         ids=["no-step", "no-vocab-size", "no-parameter", "moment-shape", "invalid-config",
              "unknown-tensor", "unknown-moments", "unknown-opt-step", "partial-moments",
              "no-optimizer-state", "partial-opt-steps", "opt-steps-differ", "eps-nan",
-             "eps-negative", "eps-zero", "eps-inf", "direct-frozen"],
+             "eps-negative", "eps-zero", "eps-inf", "direct-frozen", "negative-step",
+             "negative-seed", "negative-opt-step"],
     )
     def test_inconsistent_manifest_names_file(self, tmp_path, prefix, replacement, message):
         path, before, after = _rewrite_manifest_line(tmp_path, prefix, replacement)
@@ -486,7 +492,7 @@ class TestResume:
         resumed_cfg = TrainConfig(**{**cfg.__dict__, "seed": cfg.seed})
         records_b2, _ = train(
             lines, vocab, loaded.model, resumed_cfg,
-            optimizer=loaded.optimizer, start_step=loaded.step, num_steps=5,
+            optimizer=loaded.optimizer, num_steps=5,
         )
         all_b = [r.loss for r in records_b1 + records_b2]
         all_a = [r.loss for r in records_a]

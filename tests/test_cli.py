@@ -217,7 +217,7 @@ class TestPretrain:
             # the neighbors rule is reported together with the views' violations
             ("train.use_neighbors=true train.batch_size=0",
              ["train.batch_size", "train.use_neighbors", "--word-vectors"]),
-            # neighbor lists are computed once, so the word table they rank must not train
+            # the neighbor index is built once, so the word table it ranks must not train
             ("train.use_neighbors=true", ["train.use_neighbors", "--word-vectors"]),
             ("train.max_length=2", ["train.max_length"]),
             # every view's violations are reported by one run

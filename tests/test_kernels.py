@@ -170,6 +170,54 @@ class TestGeluSameBitsAsRecomputedErf:
         assert d.tobytes() == self.backward(self.x, gout).tobytes()
 
 
+class TestCrossEntropySameBitsAsTwoPasses:
+    """The forward hands its float64 softmax to the backward; the losses and
+    the gradient keep the bits of the formulas that computed the softmax in
+    each pass."""
+
+    @staticmethod
+    def forward(logits, targets):
+        x64 = logits.astype(np.float64)
+        m = x64.max(axis=1)
+        lse = m + np.log(np.exp(x64 - m[:, None]).sum(axis=1))
+        return (lse - x64[np.arange(x64.shape[0]), targets]).astype(np.float32)
+
+    @staticmethod
+    def backward(logits, targets, gout):
+        x64 = logits.astype(np.float64)
+        m = x64.max(axis=1, keepdims=True)
+        e = np.exp(x64 - m)
+        p = e / e.sum(axis=1, keepdims=True)
+        grad = p * gout.astype(np.float64)[:, None]
+        grad[np.arange(x64.shape[0]), targets] -= gout.astype(np.float64)
+        return grad.astype(np.float32)
+
+    @staticmethod
+    def logits(name):
+        rng = np.random.default_rng(3)
+        if name == "batch-vocabulary":  # masked targets against a sampled batch vocabulary
+            return rng.standard_normal((100, 5478)).astype(np.float32) * np.float32(4)
+        if name == "large":
+            return (rng.choice([-1e4, 1e4], size=(25, 345))
+                    + rng.standard_normal((25, 345))).astype(np.float32)
+        x = rng.integers(-3, 4, size=(25, 345)).astype(np.float32)  # many maxima per row
+        x[:, :7] = x.max(axis=1, keepdims=True)
+        return x
+
+    @pytest.mark.parametrize("name", ["batch-vocabulary", "large", "tied-maxima"])
+    def test_forward_and_backward(self, name):
+        logits = self.logits(name)
+        rng = np.random.default_rng(4)
+        targets = rng.integers(0, logits.shape[1], size=logits.shape[0])
+        gout = rng.random(logits.shape[0]).astype(np.float32)
+        losses, probs = kernels.cross_entropy_rows_fwd(logits, targets)
+        assert np.array_equal(losses.view(np.uint32),
+                              self.forward(logits, targets).view(np.uint32))
+        grad = kernels.cross_entropy_rows_bwd(probs, targets, gout)
+        assert np.array_equal(grad.view(np.uint32),
+                              self.backward(logits, targets, gout).view(np.uint32))
+
+
 def _scatter_case(name):
     rng = np.random.default_rng(1)
     if name == "many-duplicates":

@@ -156,7 +156,7 @@ class TestMlmLoss:
         model = toy_model(seed=22)
         bv = np.arange(VOCAB_SIZE)
         logits, _ = model.mlm_logits(np.zeros((4, 16), np.float32), bv)
-        losses = kernels.cross_entropy_rows_fwd(logits, np.array([5, 9, 30, 2]))
+        losses, _ = kernels.cross_entropy_rows_fwd(logits, np.array([5, 9, 30, 2]))
         np.testing.assert_allclose(losses, np.log(float(len(bv))), atol=1e-5)
 
     def test_matches_explicit_enumeration_oracle(self):
@@ -329,6 +329,27 @@ class TestTrainLoop:
             assert not np.array_equal(*draws)
             old = np.random.default_rng([low, zlib.crc32(b"masking"), 4]).random(8)
             assert np.array_equal(draws[0], old)
+
+    def test_a_run_continued_with_its_optimizer_is_one_run(self):
+        """train starts at its optimizer's step count: two 3-step calls sharing
+        the optimizer record what one 6-step call does, dropout on."""
+        lines, vocab = tiny_corpus()
+
+        def fresh():
+            return WordBertModel(
+                ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2, hidden=8,
+                            embed_dim=8, max_positions=10, dropout=0.1),
+                seed=12,
+            )
+
+        cfg = tiny_train_config()
+        whole, _ = train(lines, vocab, fresh(), cfg, num_steps=6)
+        model = fresh()
+        first, optimizer = train(lines, vocab, model, cfg, num_steps=3)
+        second, _ = train(lines, vocab, model, cfg, optimizer=optimizer, num_steps=3)
+        assert [r.step for r in whole] == list(range(6))
+        assert [(r.step, r.lr, r.loss) for r in first + second] == \
+            [(r.step, r.lr, r.loss) for r in whole]
 
     def test_frozen_embedding_checksum_constant_over_run(self):
         lines, vocab = tiny_corpus()
