@@ -150,32 +150,15 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def cmd_pretrain_projection(args) -> int:
-    _check_out_file(args.out)  # before the pairs are read
-    shape_in, shape_out = _npz_shape(args.pairs, "v_in"), _npz_shape(args.pairs, "v_out")
-    if not (len(shape_in) == len(shape_out) == 2 and shape_in[0] == shape_out[0]
-            and min(shape_in + shape_out) >= 1):
-        raise ContractError(f"{args.pairs}: arrays 'v_in' and 'v_out' have shapes {shape_in} and "
-                            f"{shape_out}, expected [N, E] and [N, H] with the same N, all >= 1")
-    v_in, v_out = _load_finite(args.pairs, "v_in"), _load_finite(args.pairs, "v_out")
-    w, mse = pretrain_projection(v_in, v_out)
-    with open(args.out, "wb") as fh:  # np.savez given a name would append ".npz" to it
-        np.savez(fh, projection=w, final_loss=np.float32(mse))
-    print(f"fitted {v_in.shape[1]}x{v_out.shape[1]} projection on {len(v_in)} pairs, "
-          f"final mse {mse:.6g} -> {args.out}")
-    return 0
-
-
 def cmd_pretrain(args) -> int:
     if args.steps is not None and args.steps < 1:
         raise ContractError(f"--steps must be >= 1, got {args.steps}")
-    if args.projection is not None and args.word_vectors is None:
-        raise WordlmError("--projection needs --word-vectors")
+    if args.pairs is not None and args.word_vectors is None:
+        raise WordlmError("--pairs needs --word-vectors")
     _check_out_dir(args.out)  # before training, so a run that cannot be written does not start
     cfg = RunConfig.load(args.config, overrides=args.set)
     vocab = WordVocab.load(args.vocab)
     table = _word_table(args.word_vectors, vocab.size, cfg["model.hidden"])
-    vectors = None if args.word_vectors is None else _load_finite(args.word_vectors, "vectors")
     views, violations = [], []
     for view in (lambda: cfg.view(TrainConfig, max_length=cfg["model.max_positions"]),
                  lambda: cfg.view(ModelConfig, vocab_size=vocab.size, **table)):
@@ -183,16 +166,17 @@ def cmd_pretrain(args) -> int:
             views.append(view())
         except ConfigError as err:
             violations.extend(err.violations)
-    if cfg["train.use_neighbors"] and vectors is None:
+    if cfg["train.use_neighbors"] and args.word_vectors is None:
         # the NeighborIndex is built once, from the word table as training starts,
         # and searched every step, so the table it ranks must not train
         violations.append("train.use_neighbors = true needs --word-vectors")
-    if violations:  # every view's violations together, before the corpus is read
+    if violations:  # every view's violations together, before any array or the corpus is read
         raise ConfigError(violations)
     train_cfg, model_cfg = views
     if args.steps is not None and args.steps > train_cfg.total_steps:
         raise ContractError(f"--steps {args.steps} exceeds train.total_steps "
                             f"{train_cfg.total_steps}, past which the learning rate is 0")
+    vectors = None if args.word_vectors is None else _load_finite(args.word_vectors, "vectors")
     neighbor_index = None
     if cfg["train.use_neighbors"]:
         try:
@@ -203,13 +187,17 @@ def cmd_pretrain(args) -> int:
     if 8 * total > np.iinfo(np.intp).max:  # the initialization draws each parameter in float64
         raise ContractError(f"the model's {total} parameters exceed what this machine can address")
     projection = None
-    if args.projection is not None:
-        shape = _npz_shape(args.projection, "projection")
-        if shape != (model_cfg.embed_dim, model_cfg.hidden):
-            raise ContractError(f"{args.projection}: array 'projection' has shape {shape}, "
-                                f"expected [{model_cfg.embed_dim}, {model_cfg.hidden}]: "
-                                "the vectors' width by model.hidden")
-        projection = _load_finite(args.projection, "projection")
+    if args.pairs is not None:  # the map starts from the least-squares fit to the pairs
+        width, hidden = model_cfg.embed_dim, model_cfg.hidden
+        shape_in, shape_out = _npz_shape(args.pairs, "v_in"), _npz_shape(args.pairs, "v_out")
+        if not (len(shape_in) == len(shape_out) == 2 and shape_in[0] == shape_out[0] >= 1
+                and (shape_in[1], shape_out[1]) == (width, hidden)):
+            raise ContractError(f"{args.pairs}: arrays 'v_in' and 'v_out' have shapes {shape_in} "
+                                f"and {shape_out}, expected [N, {width}] and [N, {hidden}] with "
+                                "the same N >= 1: the vectors' width and model.hidden")
+        projection, mse = pretrain_projection(_load_finite(args.pairs, "v_in"),
+                                              _load_finite(args.pairs, "v_out"))
+        print(f"fitted {width}x{hidden} projection on {shape_in[0]} pairs, final mse {mse:.6g}")
     model = WordBertModel(model_cfg, train_cfg.seed, word_vectors=vectors, projection=projection)
     del vectors, projection  # the model holds its own copies
     corpus = read_text_lines(args.corpus)
@@ -336,12 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-lowercase", action="store_true")
     p.set_defaults(fn=cmd_build_vocab)
 
-    p = sub.add_parser("pretrain-projection",
-                       help="fit the source->hidden linear map on overlapping-word vector pairs")
-    p.add_argument("--pairs", required=True, help="npz with arrays v_in [N,E] and v_out [N,H]")
-    p.add_argument("--out", required=True, help="npz to write (array 'projection')")
-    p.set_defaults(fn=cmd_pretrain_projection)
-
     p = sub.add_parser("pretrain", help="run MLM pretraining")
     _add_config_args(p)
     p.add_argument("--corpus", required=True)
@@ -349,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--steps", type=int, help="run only this many steps")
     p.add_argument("--word-vectors", help="npz with array 'vectors' [V,E]: frozen, projected to H")
-    p.add_argument("--projection", help="npz with array 'projection' [E,H] (needs --word-vectors)")
+    p.add_argument("--pairs", help="npz with arrays v_in [N,E] and v_out [N,H] of vector pairs, "
+                   "to start the projection from their least-squares fit (needs --word-vectors)")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("probe", help="frequency-stratified zero-shot masked-word probing",

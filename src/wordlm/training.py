@@ -142,7 +142,7 @@ def pretrain_projection(v_in: np.ndarray, v_out: np.ndarray) -> tuple[np.ndarray
     Ordinary least squares, solved once in float64: the minimum-norm W when
     v_in has rank below E. Returns the float32 map and its float32 mean
     squared error; a NaN or infinity in either array raises ``ContractError``.
-    Shapes are the caller's: ``pretrain-projection`` checks them from the
+    Shapes are the caller's: ``pretrain --pairs`` checks them from the
     ``.npy`` headers, and names the file, array and row of a non-finite pair.
     """
     if not (np.isfinite(v_in).all() and np.isfinite(v_out).all()):
@@ -233,16 +233,21 @@ def train(
     """Run MLM training steps [s, s + num_steps), s the optimizer's step count:
     0 for a new ``Adam``, the saved count for one from ``load_checkpoint``, so
     a run continued with its optimizer takes the steps one run would have.
-    ``num_steps=None`` runs to ``cfg.total_steps``.
+    ``num_steps=None`` runs to ``cfg.total_steps``. A range that is empty or
+    reaches past ``cfg.total_steps``, where the learning rate is 0, raises
+    ``ContractError`` before the corpus is read.
 
     Each step draws a batch, masks it, samples a batch vocabulary, takes one
     Adam step at the scheduled learning rate, and records (step, lr, loss).
     """
-    pool = prepare_corpus(corpus_lines, vocab, cfg.max_length)
-    optimizer = optimizer or Adam(model.trainable_parameters())
-    start = optimizer.step_count
+    start = 0 if optimizer is None else optimizer.step_count
     if num_steps is None:
         num_steps = cfg.total_steps - start
+    if num_steps < 1 or start + num_steps > cfg.total_steps:
+        raise ContractError(f"cannot run {num_steps} steps from step {start}: a run takes at "
+                            f"least one step and ends by total_steps {cfg.total_steps}")
+    pool = prepare_corpus(corpus_lines, vocab, cfg.max_length)
+    optimizer = optimizer or Adam(model.trainable_parameters())
     records = []
     vocab_size = model.config.vocab_size
     for step in range(start, start + num_steps):

@@ -265,6 +265,19 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match=re.escape(f"{path}{message}")):
             load_checkpoint(path)
 
+    def test_manifest_line_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        model = small_model(seed=9)
+        save_checkpoint(model, Adam(model.trainable_parameters()), 0, path)
+        data = path.read_bytes()
+        at = data.index(b"\nseed ") + len(b"\nseed ")
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        lineno = data[:at].count(b"\n") + 1
+        for read in (read_manifest, load_checkpoint):
+            with pytest.raises(IntegrityError, match=re.escape(
+                    f"{path}:{lineno}: manifest is not UTF-8: 'utf-8' codec can't decode byte 0xff")):
+                read(path)
+
     def test_gap_between_tensors_is_refused(self, tmp_path):
         """Four bytes before the last tensor, with its offset and the payload size
         moved to match: every tensor still lies in the payload, but no writer

@@ -21,6 +21,7 @@ from wordlm import cli
 from wordlm.checkpoint import load_checkpoint
 from wordlm.cli import build_parser, main
 from wordlm.config import RunConfig
+from wordlm.errors import WordlmError
 from wordlm.vocab import WordVocab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -155,8 +156,8 @@ class TestPretrain:
         assert code == 3
         assert "model.depth" in capsys.readouterr().err
 
-    # without --word-vectors the run is direct, and a projection has nothing to map
-    @pytest.mark.parametrize("flag", ["--projection"])
+    # without --word-vectors the run is direct, and there is no projection to fit
+    @pytest.mark.parametrize("flag", ["--pairs"])
     def test_projected_inputs_refused_for_direct_variant(self, workdir, capsys, flag):
         tmp, corpus, cfg = workdir
         vocab = self._vocab(tmp, corpus)
@@ -167,7 +168,7 @@ class TestPretrain:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "wordlm: error: --projection needs --word-vectors\n"
+        assert captured.err == "wordlm: error: --pairs needs --word-vectors\n"
         assert not out.exists()
 
     def test_non_finite_loss_is_one_line_without_output(self, workdir, capsys):
@@ -271,6 +272,22 @@ def _refusal(argv):
     return proc.stderr
 
 
+def _pairs_refusal(workdir, arrays):
+    """The pairs file of ``arrays`` and the stderr of ``pretrain --pairs`` given
+    it, with vectors 3 wide and ``model.hidden`` 8: a refusal on one line, made
+    before the corpus (here missing) is read, that writes nothing."""
+    tmp, corpus, cfg = workdir
+    vocab, vectors, pairs, out = (tmp / name for name in
+                                  ("vocab.tsv", "vectors.npz", "pairs.npz", "run"))
+    run_ok(["build-vocab", "--corpus", str(corpus), "--k", "50", "--out", str(vocab)])
+    np.savez(vectors, vectors=np.ones((WordVocab.load(vocab).size, 3)))
+    np.savez(pairs, **arrays)
+    err = _refusal(["pretrain", "--config", cfg, "--corpus", tmp / "none.txt", "--vocab", vocab,
+                    "--out", out, "--word-vectors", vectors, "--pairs", pairs])
+    assert not out.exists()
+    return pairs, err
+
+
 def _with_rows(array, values):
     """``array`` with each row ``i`` of ``values`` set to ``values[i]``."""
     for row, value in values.items():
@@ -290,22 +307,28 @@ class TestProjectedPretrain:
         vocab = tmp / "vocab.tsv"
         run_ok(["build-vocab", "--corpus", str(corpus), "--k", "50", "--out", str(vocab)])
         rng = np.random.default_rng(72)
-        vectors, projection = tmp / "vectors.npz", tmp / "proj.npz"
+        vectors, pairs = tmp / "vectors.npz", tmp / "pairs.npz"
         np.savez(vectors, vectors=rng.standard_normal((WordVocab.load(vocab).size, self.WIDTH)))
-        np.savez(projection, projection=rng.standard_normal((self.WIDTH, 8)) * 0.1)
-        return tmp, corpus, cfg, vocab, vectors, projection
+        np.savez(pairs, v_in=rng.standard_normal((20, self.WIDTH)),
+                 v_out=rng.standard_normal((20, 8)))
+        return tmp, corpus, cfg, vocab, vectors, pairs
 
+    # "projection": the map starts from the least-squares fit to --pairs
     @pytest.mark.parametrize("projection,neighbors", [(False, False), (True, False), (True, True)],
                              ids=["vectors", "vectors-projection", "vectors-projection-neighbors"])
     def test_pretrain_then_probe_and_cloze(self, inputs, capsys, projection, neighbors):
-        tmp, corpus, cfg, vocab, vectors, proj = inputs
+        tmp, corpus, cfg, vocab, vectors, pairs = inputs
         out = tmp / "run"
+        capsys.readouterr()
         run_ok(["pretrain", "--config", str(cfg), "--corpus", str(corpus), "--vocab", str(vocab),
                 "--out", str(out), "--word-vectors", str(vectors),
-                *(["--projection", str(proj)] if projection else []),
+                *(["--pairs", str(pairs)] if projection else []),
                 *(["--set", "train.use_neighbors=true"] if neighbors else [])])
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1 + projection and printed[-1].startswith("trained 12 steps")
+        assert not projection or printed[0].startswith(
+            f"fitted {self.WIDTH}x8 projection on 20 pairs, final mse ")
         ckpt = out / "checkpoint.ckpt"
-        capsys.readouterr()
         run_ok(["inspect-checkpoint", str(ckpt)])
         lines = capsys.readouterr().out.splitlines()
         assert {"model_config variant projected", f"model_config embed_dim {self.WIDTH}",
@@ -351,49 +374,82 @@ class TestProjectedPretrain:
                                 "expected [14, E >= 1]: one row per vocabulary word\n")
 
     @pytest.mark.parametrize(
-        "name,array,flags,message",
+        "arrays,flags,message",
         [
-            ("vectors", np.full((13, WIDTH), None), [],
+            ({"vectors": np.full((13, WIDTH), None)}, [],
              "array 'vectors' has dtype object, expected integers or floats"),
-            ("vectors", np.ones((13, WIDTH), complex), [],
+            ({"vectors": np.ones((13, WIDTH), complex)}, [],
              "array 'vectors' has dtype complex128, expected integers or floats"),
-            ("vectors", _with_rows(np.ones((13, WIDTH)), {7: np.nan, 9: np.inf}), [],
+            ({"vectors": _with_rows(np.ones((13, WIDTH)), {7: np.nan, 9: np.inf})}, [],
              "row 7 of array 'vectors' holds a NaN or infinity"),
-            ("vectors", _with_rows(np.ones((13, WIDTH)), {9: -np.inf}),
+            ({"vectors": _with_rows(np.ones((13, WIDTH)), {9: -np.inf})},
              ["--set", "train.use_neighbors=true"],
              "row 9 of array 'vectors' holds a NaN or infinity"),
             # the specials' rows may be zero: they are never a target
-            ("vectors", _with_rows(np.ones((13, WIDTH)), {0: 0, 4: 0, 6: 0, 11: 0}),
+            ({"vectors": _with_rows(np.ones((13, WIDTH)), {0: 0, 4: 0, 6: 0, 11: 0})},
              ["--set", "train.use_neighbors=true"],
              "row 6 of the embedding table is all zeros, and a zero vector has no cosine "
              "neighbors"),
-            ("projection", _with_rows(np.ones((WIDTH, 8)), {2: np.nan}), [],
-             "row 2 of array 'projection' holds a NaN or infinity"),
+            # the projection's cases: faults of the --pairs it is fitted on
+            ({"v_in": _with_rows(np.ones((10, WIDTH)), {2: np.nan}), "v_out": np.ones((10, 8))},
+             [], "row 2 of array 'v_in' holds a NaN or infinity"),
             # float64 values a float32 cast would turn into infinities
-            ("vectors", _with_rows(np.ones((13, WIDTH)), {7: 1e300, 9: np.nan}), [],
+            ({"vectors": _with_rows(np.ones((13, WIDTH)), {7: 1e300, 9: np.nan})}, [],
              "row 7 of array 'vectors' holds a value outside float32 range"),
-            ("projection", _with_rows(np.ones((WIDTH, 8)), {2: -1e300}), [],
-             "row 2 of array 'projection' holds a value outside float32 range"),
-            ("projection", np.ones((WIDTH - 1, 8)), [],
-             f"array 'projection' has shape ({WIDTH - 1}, 8), expected [{WIDTH}, 8]: "
-             "the vectors' width by model.hidden"),
-            ("projection", np.ones((WIDTH, 8), complex), [],
-             "array 'projection' has dtype complex128, expected integers or floats"),
+            ({"v_in": np.ones((10, WIDTH)), "v_out": _with_rows(np.ones((10, 8)), {2: -1e300})},
+             [], "row 2 of array 'v_out' holds a value outside float32 range"),
+            ({"v_in": np.ones((10, WIDTH - 1)), "v_out": np.ones((10, 8))}, [],
+             f"arrays 'v_in' and 'v_out' have shapes (10, {WIDTH - 1}) and (10, 8), expected "
+             f"[N, {WIDTH}] and [N, 8] with the same N >= 1: the vectors' width and model.hidden"),
+            ({"v_in": np.ones((10, WIDTH)), "v_out": np.ones((10, 8), complex)}, [],
+             "array 'v_out' has dtype complex128, expected integers or floats"),
         ],
         ids=["vectors-object", "vectors-complex", "vectors-nan", "vectors-inf-neighbors",
              "vectors-zero-row-neighbors", "projection-nan", "vectors-beyond-float32",
              "projection-beyond-float32", "projection-wrong-shape", "projection-complex"],
     )
-    def test_bad_values_refused_before_the_corpus(self, inputs, name, array, flags, message):
-        tmp, corpus, cfg, vocab, vectors, proj = inputs
+    def test_bad_values_refused_before_the_corpus(self, inputs, arrays, flags, message):
+        tmp, corpus, cfg, vocab, vectors, _ = inputs
         bad, out = tmp / "bad.npz", tmp / "run"
-        np.savez(bad, **{name: array})
-        files = {"vectors": vectors, "projection": proj, name: bad}
+        np.savez(bad, **arrays)
+        files = ["--word-vectors", bad] if "vectors" in arrays else \
+            ["--word-vectors", vectors, "--pairs", bad]
         # a corpus that does not exist shows the refusal comes before it is read
         err = _refusal(["pretrain", "--config", cfg, "--corpus", tmp / "none.txt",
-                        "--vocab", vocab, "--out", out, "--word-vectors", files["vectors"],
-                        *(["--projection", bad] if name == "projection" else []), *flags])
+                        "--vocab", vocab, "--out", out, *files, *flags])
         assert err == f"wordlm: error: {bad}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["without-v_out", "v_in-not-npy"])
+    def test_pairs_file_without_its_arrays_refused(self, inputs, fault):
+        tmp, corpus, cfg, vocab, vectors, pairs = inputs
+        bad, out = tmp / "bad.npz", tmp / "run"
+        with zipfile.ZipFile(pairs) as archive, zipfile.ZipFile(bad, "w") as copy:
+            if fault == "v_in-not-npy":
+                copy.writestr("v_in.npy", b"not an array")
+                copy.writestr("v_out.npy", archive.read("v_out.npy"))
+            else:
+                copy.writestr("v_in.npy", archive.read("v_in.npy"))
+        # a corpus that does not exist shows the refusal comes before it is read
+        err = _refusal(["pretrain", "--config", cfg, "--corpus", tmp / "none.txt",
+                        "--vocab", vocab, "--out", out, "--word-vectors", vectors, "--pairs", bad])
+        assert err.startswith(f"wordlm: error: {bad} does not contain array 'v_out'"
+                              if fault == "without-v_out" else
+                              f"wordlm: error: {bad}: array 'v_in' is not a .npy array: "), err
+        assert not out.exists()
+
+    def test_settings_are_checked_before_the_vectors_are_read(self, inputs, capsys):
+        """A bad setting exits 3 naming its keys before the vectors are read and
+        scanned: their NaN row would exit 1."""
+        tmp, corpus, cfg, vocab, _, _ = inputs
+        bad, out = tmp / "nan.npz", tmp / "run"
+        np.savez(bad, vectors=_with_rows(np.ones((13, self.WIDTH)), {7: np.nan}))
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                     "--vocab", str(vocab), "--out", str(out), "--word-vectors", str(bad),
+                     "--set", "model.heads=3"]) == 3
+        assert capsys.readouterr() == (
+            "", "wordlm: config error: model.hidden 8 not divisible by model.heads 3\n")
         assert not out.exists()
 
     def test_truncated_vectors_refused_before_output(self, inputs, capsys):
@@ -459,38 +515,30 @@ class TestProjectedPretrain:
                         "--set", "train.use_neighbors=true"])
         assert err.startswith("wordlm: error: ") and str(missing) in err
 
-    def test_fitted_projection_is_written_to_exactly_out(self, inputs, capsys):
-        tmp, corpus, cfg, vocab, vectors, _ = inputs
-        rng = np.random.default_rng(74)
-        pairs, fitted = tmp / "pairs.npz", tmp / "fitted"
-        np.savez(pairs, v_in=rng.standard_normal((20, self.WIDTH)),
-                 v_out=rng.standard_normal((20, 8)))
+    def test_pairs_start_the_map_from_their_least_squares_fit(self, inputs, capsys, monkeypatch):
+        """``--pairs`` fits the projection by least squares, prints the fit's
+        mean squared error and builds the model with it: the map training
+        starts from."""
+        tmp, corpus, cfg, vocab, vectors, pairs = inputs
+        with np.load(pairs) as z:
+            v_in, v_out = z["v_in"].astype(np.float32), z["v_out"].astype(np.float32)
+        started = []
+
+        def stop(corpus_lines, vocab, model, cfg, **kwargs):
+            started.append(model.params["embedding.projection"].data.copy())
+            raise WordlmError("stopped before the first step")
+
+        monkeypatch.setattr(cli, "run_training", stop)
         capsys.readouterr()
-        run_ok(["pretrain-projection", "--pairs", str(pairs), "--out", str(fitted)])
-        assert capsys.readouterr().out.endswith(f" -> {fitted}\n")
-        assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("fitted")) == ["fitted"]
-        run_ok(["pretrain", "--config", str(cfg), "--corpus", str(corpus), "--vocab", str(vocab),
-                "--out", str(tmp / "run"), "--steps", "1", "--word-vectors", str(vectors),
-                "--projection", str(fitted)])
-
-
-class TestPretrainProjection:
-    def test_writes_least_squares_map_and_its_mse(self, tmp_path, capsys):
-        rng = np.random.default_rng(71)
-        v_in = rng.standard_normal((50, 6)).astype(np.float32)
-        v_out = rng.standard_normal((50, 4)).astype(np.float32)
-        pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
-        np.savez(pairs, v_in=v_in, v_out=v_out)
-        run_ok(["pretrain-projection", "--pairs", str(pairs), "--out", str(out)])
-        with np.load(out) as z:
-            assert sorted(z.files) == ["final_loss", "projection"]
-            w, final = z["projection"], z["final_loss"]
+        assert main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                     "--vocab", str(vocab), "--out", str(tmp / "run"),
+                     "--word-vectors", str(vectors), "--pairs", str(pairs)]) == 1
+        (w,) = started
         expected = np.linalg.lstsq(v_in.astype(np.float64), v_out.astype(np.float64), rcond=None)[0]
         np.testing.assert_allclose(w, expected, atol=1e-5)
-        assert final == np.float32(((v_in @ w - v_out) ** 2).mean(dtype=np.float64))
+        mse = np.float32(((v_in @ w - v_out) ** 2).mean(dtype=np.float64))
         assert capsys.readouterr().out == (
-            f"fitted 6x4 projection on 50 pairs, final mse {final:.6g} -> {out}\n"
-        )
+            f"fitted {self.WIDTH}x8 projection on 20 pairs, final mse {mse:.6g}\n")
 
 
 def test_readme_commands_parse(tmp_path):
@@ -775,7 +823,7 @@ class TestExitCodes:
             ("pretrain", "#wordvocab v1 lowercase=true\n[PAD]\t0\n[UNK]\tmany\n", ":3:"),
             ("pretrain", "#wordvocab v1 lowercase=true\n[PAD]\t0\n[UNK]\t-7\n",
              ":3: frequency '-7' is negative\n"),
-            ("pretrain-projection", "not an archive\n", ":"),
+            ("pairs", "not an archive\n", ": not an npz archive: "),
             ("eval-cloze", CLOZE + '"answer_index": 0}\n{"passage_words": [\n', ":2: invalid JSON"),
             ("eval-cloze", CLOZE[:-2] + "}\n", ":1: missing fields ['answer_index']"),
             ("eval-cloze", CLOZE + '"answer_index": 0}\n' + CLOZE + '"answer_index": "x"}\n',
@@ -793,22 +841,31 @@ class TestExitCodes:
              '"answer_index": 0}\n', ":1: passage_words must be a list of strings, got 'a [BLANK] b'"),
             ("eval-cloze", '{"passage_words": ["[BLANK]"], "options": "wxyz", "answer_index": 0}\n',
              ":1: options must be a list of strings, got 'wxyz'"),
+            # well-typed fields, but an item that checks itself and fails
+            ("eval-cloze", '{"passage_words": ["sun"], "options": ["w", "x", "y", "z"], '
+             '"answer_index": 0}\n', ":1: passage must contain exactly one [BLANK]\n"),
         ],
         # the ids from span-json to tag-field-type name the prediction files these loader
         # cases were first written against; they now feed the same faults in cloze items
         ids=["vocab-frequency", "vocab-negative-frequency", "npz", "span-json", "span-fields",
              "span-string", "span-null", "span-float", "span-bool", "span-unknown-field",
              "gold-not-object", "tag-field-type", "cloze-passage-int", "cloze-passage-string",
-             "cloze-options-string"],
+             "cloze-options-string", "cloze-no-blank"],
     )
     def test_malformed_input_is_plain_error(self, workdir, capsys, case, content, where):
         tmp, corpus, cfg = workdir
         bad, out = tmp / "bad", tmp / "out"
         bad.write_text(content)
+        vocab, vectors = tmp / "vocab.tsv", tmp / "vectors.npz"
+        if case == "pairs":  # a vocabulary and vectors that pass, so the pairs are at fault
+            run_ok(["build-vocab", "--corpus", str(corpus), "--k", "50", "--out", str(vocab)])
+            np.savez(vectors, vectors=np.ones((WordVocab.load(vocab).size, 3)))
         argv = {
             "pretrain": ["pretrain", "--config", str(cfg), "--corpus", str(corpus),
                          "--vocab", str(bad), "--out", str(out)],
-            "pretrain-projection": ["pretrain-projection", "--pairs", str(bad), "--out", str(out)],
+            "pairs": ["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                      "--vocab", str(vocab), "--out", str(out), "--word-vectors", str(vectors),
+                      "--pairs", str(bad)],
             # the items are read first: neither the vocabulary nor the checkpoint exists
             "eval-cloze": ["eval-cloze", "--checkpoint", str(tmp / "none.ckpt"),
                            "--vocab", str(tmp / "none.tsv"), "--items", str(bad), "--out", str(out)],
@@ -892,14 +949,25 @@ class TestExitCodes:
         "argv",
         [["pretrain", "--corpus", "c", "--vocab", "v", "--out", "o", "--seed", "7"],
          ["eval-cloze", "--checkpoint", "c", "--vocab", "v", "--items", "i", "--config", "x"],
-         ["eval-cloze", "--checkpoint", "c", "--vocab", "v", "--items", "i", "--set", "k=v"]],
-        ids=["pretrain-seed", "eval-cloze-config", "eval-cloze-set"],
+         ["eval-cloze", "--checkpoint", "c", "--vocab", "v", "--items", "i", "--set", "k=v"],
+         ["pretrain", "--corpus", "c", "--vocab", "v", "--out", "o", "--word-vectors", "w",
+          "--projection", "p"]],
+        ids=["pretrain-seed", "eval-cloze-config", "eval-cloze-set", "pretrain-projection"],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_pretrain_projection_command_is_gone(self, tmp_path, capsys):
+        """``pretrain --pairs`` fits the projection where it is used, so the
+        command that wrote it to a file for ``pretrain`` is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["pretrain-projection", "--pairs", "pairs.npz", "--out", str(tmp_path / "p.npz")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'pretrain-projection'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "sources,message",
@@ -1029,54 +1097,49 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--lr", "--epochs", "--seed"])
     def test_pretrain_projection_has_no_descent_flags(self, tmp_path, flag):
+        """The projection is fitted by least squares: ``pretrain --pairs`` takes
+        no learning rate, epoch count or seed for it."""
         with pytest.raises(SystemExit) as exc:
-            main(["pretrain-projection", "--pairs", str(tmp_path / "pairs.npz"),
-                  "--out", str(tmp_path / "proj.npz"), flag, "1"])
+            main(["pretrain", "--corpus", "c.txt", "--vocab", "v.tsv", "--out", str(tmp_path),
+                  "--word-vectors", "vectors.npz", "--pairs", "pairs.npz", flag, "1"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("name,bad", [("v_in", np.nan), ("v_out", np.inf),
                                           ("v_in", np.inf), ("v_out", np.nan)],
                              ids=["nan-v_in", "inf-v_out", "inf-v_in", "nan-v_out"])
     def test_pretrain_projection_non_finite_pairs_refused_without_output(
-        self, tmp_path, name, bad
+        self, workdir, name, bad
     ):
-        arrays = {"v_in": np.ones((6, 3)), "v_out": np.ones((6, 4))}
+        arrays = {"v_in": np.ones((6, 3)), "v_out": np.ones((6, 8))}
         arrays[name][4, 2] = bad
         arrays[name][5, 0] = bad
-        pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
-        np.savez(pairs, **arrays)
-        err = _refusal(["pretrain-projection", "--pairs", pairs, "--out", out])
+        pairs, err = _pairs_refusal(workdir, arrays)
         assert err == f"wordlm: error: {pairs}: row 4 of array {name!r} holds a NaN or infinity\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("name,big", [("v_in", 1e300), ("v_out", -1e300)])
     def test_pretrain_projection_pairs_beyond_float32_refused_without_output(
-        self, tmp_path, name, big
+        self, workdir, name, big
     ):
-        arrays = {"v_in": np.ones((6, 3)), "v_out": np.ones((6, 4))}
+        arrays = {"v_in": np.ones((6, 3)), "v_out": np.ones((6, 8))}
         arrays[name][3, 1] = big
-        pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
-        np.savez(pairs, **arrays)
-        err = _refusal(["pretrain-projection", "--pairs", pairs, "--out", out])
+        pairs, err = _pairs_refusal(workdir, arrays)
         assert err == (f"wordlm: error: {pairs}: row 3 of array {name!r} holds a value "
                        "outside float32 range\n")
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "v_in,v_out",
-        [((3,), (3, 4)), ((3, 2), (3,)), ((2, 3), (3, 4)), ((0, 3), (0, 4)), ((4, 0), (4, 2)),
-         ((4, 3), (4, 0)), ((2, 2, 3), (2, 2, 4))],
+        [((3,), (3, 8)), ((3, 3), (3,)), ((2, 3), (3, 8)), ((0, 3), (0, 8)), ((4, 0), (4, 8)),
+         ((4, 3), (4, 0)), ((2, 2, 3), (2, 2, 8)), ((4, 2), (4, 8)), ((4, 3), (4, 4))],
         ids=["v_in-1d", "v_out-1d", "pair-counts-differ", "no-pairs", "v_in-no-columns",
-             "v_out-no-columns", "3d"],
+             "v_out-no-columns", "3d", "v_in-not-the-vectors-width", "v_out-not-model-hidden"],
     )
-    def test_pretrain_projection_pair_shapes_refused_without_output(self, tmp_path, v_in, v_out):
-        pairs, out = tmp_path / "pairs.npz", tmp_path / "proj.npz"
+    def test_pretrain_projection_pair_shapes_refused_without_output(self, workdir, v_in, v_out):
         # the NaN shows the shapes are checked from the headers, before any data is read
-        np.savez(pairs, v_in=np.full(v_in, np.nan), v_out=np.ones(v_out))
-        err = _refusal(["pretrain-projection", "--pairs", pairs, "--out", out])
+        pairs, err = _pairs_refusal(workdir, {"v_in": np.full(v_in, np.nan),
+                                              "v_out": np.ones(v_out)})
         assert err == (f"wordlm: error: {pairs}: arrays 'v_in' and 'v_out' have shapes {v_in} "
-                       f"and {v_out}, expected [N, E] and [N, H] with the same N, all >= 1\n")
-        assert not out.exists()
+                       f"and {v_out}, expected [N, 3] and [N, 8] with the same N >= 1: the "
+                       "vectors' width and model.hidden\n")
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
     def test_pretrain_unusable_out_refused_before_training(self, workdir, capsys, monkeypatch,
@@ -1107,13 +1170,9 @@ class TestExitCodes:
             ("build-vocab", "count_frequencies", "adir", "{out} is a directory"),
             ("build-vocab", "count_frequencies", "corpus.txt/vocab.tsv",
              "{out}: {tmp}/corpus.txt is not a writable directory"),
-            ("pretrain-projection", "pretrain_projection", "adir", "{out} is a directory"),
-            ("pretrain-projection", "pretrain_projection", "none/proj.npz",
-             "{out}: {tmp}/none is not a writable directory"),
         ],
         ids=["probe-file", "eval-cloze-below-file", "build-vocab-directory",
-             "build-vocab-below-file", "pretrain-projection-directory",
-             "pretrain-projection-missing-parent"],
+             "build-vocab-below-file"],
     )
     def test_unusable_out_refused_before_the_work(self, trained, capsys, monkeypatch, command,
                                                   worker, out, message):
@@ -1122,9 +1181,8 @@ class TestExitCodes:
         the test if it runs."""
         tmp, corpus, cfg, vocab, ckpt = trained
         (tmp / "adir").mkdir()
-        items, pairs = tmp / "cloze.jsonl", tmp / "pairs.npz"
+        items = tmp / "cloze.jsonl"
         items.write_text(CLOZE + '"answer_index": 0}\n')
-        np.savez(pairs, v_in=np.eye(3), v_out=np.eye(3))
         monkeypatch.setattr(cli, worker, lambda *a, **k: pytest.fail(f"{worker} ran"))
         out = tmp / out
         argv = {
@@ -1133,8 +1191,6 @@ class TestExitCodes:
             "eval-cloze": ["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
                            "--items", str(items), "--out", str(out)],
             "build-vocab": ["build-vocab", "--corpus", str(corpus), "--k", "5", "--out", str(out)],
-            "pretrain-projection": ["pretrain-projection", "--pairs", str(pairs),
-                                    "--out", str(out)],
         }[command]
         before = sorted(tmp.rglob("*"))
         capsys.readouterr()
@@ -1145,7 +1201,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,flags", [
         ("build-vocab", ["--corpus", "in.txt", "--k", "5"]),
-        ("pretrain-projection", ["--pairs", "in.npz"]),
+        ("pretrain", ["--config", "in.cfg", "--corpus", "in.txt", "--vocab", "in.tsv",
+                      "--word-vectors", "in.npz", "--pairs", "in.npz"]),
         ("pretrain", ["--config", "in.cfg", "--corpus", "in.txt", "--vocab", "in.tsv"]),
         ("probe", ["--config", "in.cfg", "--checkpoint", "in.ckpt", "--vocab", "in.tsv",
                    "--corpus", "in.txt"]),

@@ -28,8 +28,20 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wordlm"
          "gold word 'a' does not sit at position 1"),
         (lambda: ClozeItem(["a", "b"], ["w", "x", "y", "z"], 0),
          "passage must contain exactly one [BLANK]"),
+        (lambda: ModelConfig(vocab_size=4, num_heads=2, hidden=16, embed_dim=16),
+         "vocab_size 4 must cover the specials"),
+        (lambda: ModelConfig(vocab_size=40, num_heads=2, hidden=16, embed_dim=0,
+                             variant="projected", freeze_embeddings=True),
+         "embed_dim 0 must be positive"),
+        (lambda: ProbeExample(["a", "b"], [1], ["b"], "Common"), "unknown bucket 'Common'"),
+        (lambda: ProbeExample(["a", "b"], [0, 1], ["a"], "Low"),
+         "masked_positions and gold_words must align"),
+        (lambda: ProbeExample(["a", "b"], [1, 0], ["b", "a"], "Low"),
+         "masked_positions must be strictly increasing"),
     ],
-    ids=["ModelConfig", "TrainConfig", "FrequencyBuckets", "ProbeExample", "ClozeItem"],
+    ids=["ModelConfig", "TrainConfig", "FrequencyBuckets", "ProbeExample", "ClozeItem",
+         "ModelConfig-vocab-size", "ModelConfig-projected-embed-dim", "ProbeExample-bucket",
+         "ProbeExample-unaligned", "ProbeExample-unordered"],
 )
 def test_settings_and_records_check_themselves_when_built(build, message):
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
@@ -83,6 +95,17 @@ class TestLoading:
         p.write_text("just some words\n")
         with pytest.raises(ConfigError, match="key = value"):
             RunConfig.load(p)
+
+    def test_unreadable_file_and_override_without_equals_rejected(self, tmp_path):
+        missing = tmp_path / "none.cfg"
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.load(missing)
+        assert exc.value.violations == [
+            f"cannot read config file {missing}: [Errno 2] No such file or directory: "
+            f"'{missing}'"]
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.load(None, overrides=["train.seed"])
+        assert exc.value.violations == ["override 'train.seed' is not key=value"]
 
     def test_bool_parsing(self):
         cfg = RunConfig.load(None, overrides=["train.use_neighbors=true"])

@@ -75,6 +75,10 @@ class TestBuildProbeSet:
         )
         assert examples == []
 
+    def test_unknown_bucket_rejected(self, buckets):
+        with pytest.raises(ContractError, match="unknown bucket 'Common'"):
+            build_probe_set(["hi0 lo1"], buckets, "Common", p=1.0, rng=np.random.default_rng(0))
+
     def test_p_one_masks_every_member(self, buckets):
         examples = build_probe_set(
             ["hi0 lo1 hi2 md3 hi1"], buckets, "High", p=1.0, rng=np.random.default_rng(1)

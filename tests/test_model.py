@@ -123,6 +123,32 @@ class TestEmbed:
         with pytest.raises(ContractError, match="max_positions"):
             encode(model, seq_of([1] * 25))
 
+    @pytest.mark.parametrize(
+        "ids,mask,message",
+        [(np.array([2, 9, 3]), np.ones(3), r"input_ids must be \[batch, length\], got \(3,\)"),
+         (np.array([[2, 9, 3]]), np.ones((1, 2)),
+          r"attention mask shape \(1, 2\) does not match \(1, 3\)")],
+        ids=["ids-1d", "mask-shape"],
+    )
+    def test_encode_batch_refuses_misshapen_input(self, ids, mask, message):
+        model = WordBertModel(toy_config(num_layers=0), seed=3)
+        with pytest.raises(ContractError, match=message):
+            model.encode_batch(ids, mask)
+
+    @pytest.mark.parametrize(
+        "arrays,message",
+        [({}, "projected variant requires pretrained word_vectors"),
+         ({"word_vectors": np.ones((39, 8))},
+          r"word_vectors shape \(39, 8\) does not match \(40, 8\)"),
+         ({"word_vectors": np.ones((40, 8)), "projection": np.ones((8, 15))},
+          r"projection shape \(8, 15\) does not match \(8, 16\)")],
+        ids=["no-vectors", "vectors-shape", "projection-shape"],
+    )
+    def test_projected_variant_refuses_missing_or_misshapen_arrays(self, arrays, message):
+        cfg = toy_config(variant="projected", embed_dim=8, freeze_embeddings=True)
+        with pytest.raises(ContractError, match=message):
+            WordBertModel(cfg, seed=3, **arrays)
+
     @pytest.mark.parametrize("arg", ["word_vectors", "projection"])
     def test_direct_variant_refuses_given_arrays(self, arg):
         shape = (40, 16) if arg == "word_vectors" else (16, 16)

@@ -138,6 +138,10 @@ class TestNearestWords:
         emb[[29, 33]] = 1e-30  # tiny is not zero
         assert len(NeighborIndex(emb).neighbors_of_many([29])) == 10
 
+    def test_table_that_is_not_2d_refused(self):
+        with pytest.raises(ContractError, match=r"embedding table must be 2-D, got shape \(40,\)"):
+            NeighborIndex(np.ones(40, dtype=np.float32))
+
     @pytest.mark.parametrize("rows", [1, 10])
     def test_table_of_at_most_ten_rows_refused(self, rows):
         with pytest.raises(ContractError, match=f"embedding table has {rows} rows, but the "

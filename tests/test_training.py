@@ -1,5 +1,6 @@
 """Masking, restricted loss, projection pretraining, schedule, train loop."""
 
+import re
 import zlib
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from wordlm import kernels
 from wordlm.errors import ContractError, WordlmError
 from wordlm.model import ModelConfig, WordBertModel
+from wordlm.optim import Adam
 from wordlm.sampling import NeighborIndex
 from wordlm.seeding import substream
 from wordlm.training import (
@@ -350,6 +352,28 @@ class TestTrainLoop:
         assert [r.step for r in whole] == list(range(6))
         assert [(r.step, r.lr, r.loss) for r in first + second] == \
             [(r.step, r.lr, r.loss) for r in whole]
+
+    @pytest.mark.parametrize("num_steps", [3, None], ids=["three", "to-the-end"])
+    def test_a_run_past_total_steps_is_refused(self, num_steps):
+        """An optimizer already at total_steps (10) has no step left: three
+        more would train at learning rate 0, and running to the end runs
+        nothing. Both are refused before the first step, and the optimizer
+        does not move."""
+        lines, vocab = tiny_corpus()
+        model = WordBertModel(
+            ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2, hidden=8,
+                        embed_dim=8, max_positions=10, dropout=0.0),
+            seed=13,
+        )
+        optimizer = Adam(model.trainable_parameters())
+        optimizer.step_count = 10
+        n = 3 if num_steps else 0
+        with pytest.raises(ContractError, match=re.escape(
+                f"cannot run {n} steps from step 10: a run takes at least one step and ends by "
+                "total_steps 10")):
+            train(lines, vocab, model, tiny_train_config(), optimizer=optimizer,
+                  num_steps=num_steps)
+        assert optimizer.step_count == 10
 
     def test_frozen_embedding_checksum_constant_over_run(self):
         lines, vocab = tiny_corpus()

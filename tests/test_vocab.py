@@ -209,6 +209,19 @@ class TestBuildVocabulary:
         loaded.save(tmp_path / "loaded.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "loaded.tsv").read_bytes()
 
+    @pytest.mark.parametrize("text", ["", "hello\t7\n", "#wordvocab v0 lowercase=true\n"],
+                             ids=["empty", "no-header", "other-version"])
+    def test_file_without_the_header_rejected(self, tmp_path, text):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ContractError) as err:
+            WordVocab.load(path)
+        assert str(err.value) == f"{path}: not a wordvocab v1 file"
+
+    def test_frequency_of_another_length_than_the_words_rejected(self):
+        with pytest.raises(ContractError, match="frequency array length does not match word list"):
+            WordVocab([*SPECIAL_TOKENS, "hello"], [0] * NUM_SPECIALS)
+
     @pytest.mark.parametrize("flag", ["TRUE", "maybe", ""])
     def test_lowercase_flag_other_than_true_or_false_rejected(self, tmp_path, flag):
         path = tmp_path / "vocab.tsv"
