@@ -105,21 +105,18 @@ def build_probe_set(
     return examples
 
 
-def _masked_logits(model: WordBertModel, vocab: WordVocab, words, positions, max_length):
-    """Full-vocabulary logits [n, V], all masked at once, at the first n word
-    ``positions`` (strictly increasing): those inside the window of [CLS] and
-    ``max_length - 2`` words (default the model's). With n = 0 nothing runs.
-
-    Each call builds its own ``model.output_table()``; sharing one table across
-    a ``probe_topk`` call is ROADMAP item 5."""
+def _masked_hidden(model: WordBertModel, vocab: WordVocab, words, positions, max_length):
+    """Hidden rows [n, H], all masked at once, at the first n word ``positions``
+    (strictly increasing): those inside the window of [CLS] and
+    ``max_length - 2`` words (default the model's). With n = 0 nothing runs."""
     max_length = max_length or model.config.max_positions
     enc_positions = [pos + 1 for pos in positions if pos < max_length - 2]  # right of [CLS]
     if not enc_positions:
-        return np.empty((0, model.config.vocab_size), np.float32)
+        return np.empty((0, model.config.hidden), np.float32)
     seq = encode(words, vocab, max_length)
     seq.ids[enc_positions] = MASK_ID
     flat, _ = model.encode_batch(seq.ids[None, :], seq.attention_mask[None, :])
-    return model.full_vocab_logits(flat[enc_positions], model.output_table())
+    return flat[enc_positions]
 
 
 def probe_topk(
@@ -140,7 +137,10 @@ def probe_topk(
     totals = {b: 0 for b in BUCKET_NAMES}
     oov = {b: 0 for b in BUCKET_NAMES}
     for ex in probes:
-        logits = _masked_logits(model, vocab, ex.words, ex.masked_positions, max_length)
+        hidden = _masked_hidden(model, vocab, ex.words, ex.masked_positions, max_length)
+        if not len(hidden):
+            continue
+        logits = model.full_vocab_logits(hidden, model.output_table())
         for row, gold in zip(logits, ex.gold_words):
             totals[ex.bucket] += 1
             gold_id = vocab.lookup(gold)
@@ -188,13 +188,16 @@ def score_cloze(
 ) -> int:
     """Index of the option with the highest MLM log-probability at the blank.
 
-    Every option shares the blank's normalizer, so the highest logit wins.
+    Every option shares the blank's normalizer, so the highest logit wins, and
+    only the known options' logits are computed: the head's restricted path
+    ``model.mlm_logits`` over at most four rows, never the [H, V] table. Its
+    narrow product may differ from a full-vocabulary column in the last bits.
     Out-of-vocabulary options score -inf; ties break toward the lower index,
     so two options that look up one vocabulary word are refused.
     """
     blank = item.passage_words.index(BLANK_SENTINEL)
-    logits = _masked_logits(model, vocab, item.passage_words, [blank], max_length)
-    if logits.shape[0] == 0:
+    hidden = _masked_hidden(model, vocab, item.passage_words, [blank], max_length)
+    if hidden.shape[0] == 0:
         raise ContractError("blank position falls outside the encoded window")
     option_ids = [vocab.lookup(o) for o in item.options]
     if all(i == UNK_ID for i in option_ids):
@@ -204,7 +207,10 @@ def score_cloze(
         if i in spelled and i != UNK_ID:
             raise ContractError(f"options {spelled[i]!r} and {option!r} are one vocabulary word")
         spelled[i] = option
-    scores = np.array([-np.inf if i == UNK_ID else logits[0, i] for i in option_ids])
+    known = [k for k, i in enumerate(option_ids) if i != UNK_ID]
+    logits, _ = model.mlm_logits(hidden, [option_ids[k] for k in known])
+    scores = np.full(len(option_ids), -np.inf)
+    scores[known] = logits[0]
     return int(np.argmax(scores))
 
 

@@ -23,7 +23,7 @@ from wordlm.evaluation import (
     score_cloze,
 )
 from wordlm.model import ModelConfig, WordBertModel
-from wordlm.vocab import PAD_ID, build_vocabulary, segment_words
+from wordlm.vocab import PAD_ID, UNK_ID, build_vocabulary, segment_words
 
 
 @pytest.fixture
@@ -265,28 +265,78 @@ class TestScoreCloze:
         after = [score_cloze(model, vocab, it) for it in items]
         assert before == after
 
+    @staticmethod
+    def peak(layers=1, words=8):
+        """``tracemalloc`` peak of one ``score_cloze`` call, with a vocabulary
+        of ``words`` words and ``layers`` encoder layers."""
+        names = [f"opt{i}" for i in range(words)]
+        vocab = build_vocabulary(dict.fromkeys(names, 10), k=words)
+        passage = [str(w) for w in np.random.default_rng(64).choice(names[:8], size=40)]
+        passage[20] = BLANK_SENTINEL
+        item = ClozeItem(passage, names[:4], 0)
+        model = WordBertModel(
+            ModelConfig(vocab_size=vocab.size, num_layers=layers, num_heads=2, hidden=32,
+                        embed_dim=32, max_positions=48),
+            seed=65,
+        )
+        tracemalloc.start()
+        score_cloze(model, vocab, item)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
     def test_peak_memory_does_not_grow_with_depth(self):
         """Scoring keeps no backward: each layer's activations go as soon as
         the layer returns, so an 8-layer model peaks like a 1-layer one."""
-        words = [f"opt{i}" for i in range(8)]
-        vocab = build_vocabulary(dict.fromkeys(words, 10), k=8)
-        passage = [str(w) for w in np.random.default_rng(64).choice(words, size=40)]
-        passage[20] = BLANK_SENTINEL
-        item = ClozeItem(passage, words[:4], 0)
+        assert self.peak(layers=8) < 1.2 * self.peak(layers=1)
 
-        def peak(layers):
-            model = WordBertModel(
-                ModelConfig(vocab_size=vocab.size, num_layers=layers, num_heads=2, hidden=32,
-                            embed_dim=32, max_positions=48),
-                seed=65,
-            )
-            tracemalloc.start()
-            score_cloze(model, vocab, item)
-            _, top = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            return top
+    def test_peak_memory_does_not_grow_with_vocabulary(self):
+        """The options are scored through the restricted head: no [H, V] table
+        and no V logits, so a 50k-word vocabulary peaks like a 5k-word one."""
+        assert self.peak(words=50_000) < 1.2 * self.peak(words=5_000)
 
-        assert peak(8) < 1.2 * peak(1)
+    @pytest.mark.parametrize("variant", ["direct", "projected"])
+    def test_option_logits_match_full_vocabulary_columns(self, monkeypatch, variant):
+        """The known options' logits equal their full-table columns up to the
+        last bits of a narrower product; an out-of-vocabulary option scores
+        -inf whatever the [UNK] column holds, so the pick is the argmax of the
+        known options' full-table columns."""
+        words = [f"opt{i}" for i in range(40)]
+        vocab = build_vocabulary(dict.fromkeys(words, 10), k=len(words))
+        projected = variant == "projected"
+        embed = 6 if projected else 16
+        vectors = np.random.default_rng(66).standard_normal((vocab.size, embed)).astype(np.float32)
+        model = WordBertModel(
+            ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2, hidden=16,
+                        embed_dim=embed, max_positions=12, variant=variant,
+                        freeze_embeddings=projected, dropout=0.0),
+            seed=66, word_vectors=vectors if projected else None,
+        )
+        model.params["mlm.bias"].data[UNK_ID] = 100.0
+        scored = []
+        restricted = WordBertModel.mlm_logits
+
+        def spy(self, hidden, ids):
+            logits, backward = restricted(self, hidden, ids)
+            scored.append((hidden, list(ids), logits))
+            return logits, backward
+
+        monkeypatch.setattr(WordBertModel, "mlm_logits", spy)
+        rng = np.random.default_rng(67)
+        for trial in range(20):
+            options = [str(w) for w in rng.choice(words, size=4, replace=False)]
+            oov = trial % 4 if trial % 2 else None
+            if oov is not None:
+                options[oov] = "nowhere"
+            passage = [str(w) for w in rng.choice(words, size=6)]
+            passage[int(rng.integers(0, 6))] = BLANK_SENTINEL
+            pick = score_cloze(model, vocab, ClozeItem(passage, options, 0))
+            hidden, ids, logits = scored.pop()
+            known = [k for k in range(4) if k != oov]
+            assert ids == [vocab.id_of[options[k]] for k in known]
+            full = model.full_vocab_logits(hidden, model.output_table())[:, ids]
+            np.testing.assert_allclose(logits, full, rtol=0, atol=1e-5)
+            assert pick == known[int(np.argmax(full[0]))]
 
     def test_item_validation(self):
         with pytest.raises(ContractError):
@@ -300,22 +350,31 @@ class TestScoreCloze:
 @pytest.mark.parametrize("n", [1, 6])
 def test_output_table_built_once_per_scored_query(n, monkeypatch, probe_model_and_vocab):
     """``probe_topk`` builds the [H, V] output table once per example, however
-    many positions it masks, and ``cloze_accuracy`` once per item."""
+    many positions it masks; ``cloze_accuracy`` builds none and scores no
+    full-vocabulary row."""
     model, vocab = probe_model_and_vocab
-    builds = []
+    builds, products = [], []
     build = WordBertModel.output_table
+    full = WordBertModel.full_vocab_logits
 
     def counted(self):
         builds.append(self)
         return build(self)
 
+    def counted_product(self, hidden, table):
+        products.append(self)
+        return full(self, hidden, table)
+
     monkeypatch.setattr(WordBertModel, "output_table", counted)
+    monkeypatch.setattr(WordBertModel, "full_vocab_logits", counted_product)
     probes = [ProbeExample(["lo1", "hi0", "lo1"], [0, 2], ["lo1", "lo1"], "Low")] * n
     report = probe_topk(model, vocab, probes, ks=(1,))
     assert report["total"]["Low"] == 2 * n and builds == [model] * n
+    builds.clear()
+    products.clear()
     item = ClozeItem(["hi0", BLANK_SENTINEL], ["lo1", "hi0", "hi1", "hi2"], 0)
     cloze_accuracy(model, vocab, [item] * n)
-    assert builds == [model] * (2 * n)
+    assert builds == [] and products == []
 
 
 class TestJsonl:
