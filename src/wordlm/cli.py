@@ -141,6 +141,8 @@ def _load_vocab_and_model(args):
 
 
 def cmd_build_vocab(args) -> int:
+    if args.k < 1:
+        raise ContractError(f"--k must be >= 1, got {args.k}")
     _check_out_file(args.out)  # before the corpus is counted
     counts = count_frequencies(read_text_lines(args.corpus), lowercase=not args.no_lowercase)
     vocab = build_vocabulary(counts, k=args.k, lowercase=not args.no_lowercase)

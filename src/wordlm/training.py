@@ -239,6 +239,9 @@ def train(
 
     Each step draws a batch, masks it, samples a batch vocabulary, takes one
     Adam step at the scheduled learning rate, and records (step, lr, loss).
+    A step whose loss is not finite, or whose forward, backward or Adam step
+    overflows or computes an invalid value, raises ``WordlmError`` naming the
+    step and its batch lines.
     """
     start = 0 if optimizer is None else optimizer.step_count
     if num_steps is None:
@@ -262,16 +265,20 @@ def train(
             rng=substream(cfg.seed, "sampling", step),
             neighbor_index=neighbor_index,
         )
-        loss = mlm_loss(model, masked, batch_ids, rng=substream(cfg.seed, "dropout", step))
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise WordlmError(
-                f"non-finite loss {loss_value} at step {step}, batch lines {line_ids.tolist()}"
-            )
-        model.zero_grad()
-        loss.backward()
         lr = lr_at(step, cfg)
-        optimizer.step(lr)
+        try:  # an overflow or invalid value in the step is divergence, as a non-finite loss is
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                loss = mlm_loss(model, masked, batch_ids, rng=substream(cfg.seed, "dropout", step))
+                loss_value = loss.item()
+                if not np.isfinite(loss_value):  # NaN parameters raise no flag
+                    raise WordlmError(f"non-finite loss {loss_value} at step {step}, "
+                                      f"batch lines {line_ids.tolist()}")
+                model.zero_grad()
+                loss.backward()
+                optimizer.step(lr)
+        except FloatingPointError as err:
+            raise WordlmError(f"floating-point {err} at step {step}, "
+                              f"batch lines {line_ids.tolist()}") from err
         model.zero_grad()
         records.append(StepRecord(step, lr, loss_value))
     return records, optimizer

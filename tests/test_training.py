@@ -415,7 +415,7 @@ class TestTrainLoop:
             seed=9,
         )
         model.params["mlm.bias"].data[5] = np.nan
-        with pytest.raises(WordlmError, match="step 0"):
+        with pytest.raises(WordlmError, match="non-finite loss nan at step 0, batch lines"):
             train(lines, vocab, model, tiny_train_config())
 
     def test_metrics_file_format(self, tmp_path):
