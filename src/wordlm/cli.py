@@ -144,8 +144,8 @@ def cmd_build_vocab(args) -> int:
     if args.k < 1:
         raise ContractError(f"--k must be >= 1, got {args.k}")
     _check_out_file(args.out)  # before the corpus is counted
-    counts = count_frequencies(read_text_lines(args.corpus), lowercase=not args.no_lowercase)
-    vocab = build_vocabulary(counts, k=args.k, lowercase=not args.no_lowercase)
+    counts = count_frequencies(read_text_lines(args.corpus))
+    vocab = build_vocabulary(counts, k=args.k)
     vocab.save(args.out)
     print(f"wrote {vocab.size} words ({vocab.size - NUM_SPECIALS} corpus words of {args.k} "
           f"requested + {NUM_SPECIALS} specials) to {args.out}")
@@ -236,12 +236,8 @@ def cmd_probe(args) -> int:
         lines = read_text_lines(args.corpus)
         probes = []
         for bucket in BUCKET_NAMES:
-            probes.extend(
-                build_probe_set(
-                    lines, buckets, bucket, rng=substream(cfg["train.seed"], f"probe-{bucket}"),
-                    lowercase=vocab.lowercase,
-                )
-            )
+            probes.extend(build_probe_set(lines, buckets, bucket,
+                                          rng=substream(cfg["train.seed"], f"probe-{bucket}")))
     report = probe_topk(model, vocab, probes, ks=_PROBE_KS)
     header = "bucket\tmasked\toov" + "".join(f"\ttop-{k}" for k in _PROBE_KS)
     rows = [header]
@@ -261,8 +257,6 @@ def cmd_probe(args) -> int:
 
 
 def cmd_eval_cloze(args) -> int:
-    if args.out is not None:  # before any input is read
-        _check_out_dir(args.out)
     items = load_records(args.items, ClozeItem)
     if not items:  # an accuracy over no items is undefined
         raise WordlmError(f"{args.items}: no records")
@@ -272,10 +266,6 @@ def cmd_eval_cloze(args) -> int:
     except ContractError as err:
         raise ContractError(f"{args.items}: {err}") from err
     print(f"cloze accuracy {acc:.4f} over {len(items)} items")
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "cloze_report.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(f"items\t{len(items)}\naccuracy\t{acc!r}\n")
     return 0
 
 
@@ -323,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="UTF-8 text, one document per line")
     p.add_argument("--k", type=int, required=True, help="number of corpus words to keep")
     p.add_argument("--out", required=True, help="vocabulary file to write")
-    p.add_argument("--no-lowercase", action="store_true")
     p.set_defaults(fn=cmd_build_vocab)
 
     p = sub.add_parser("pretrain", help="run MLM pretraining")
@@ -352,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--items", required=True)
-    p.add_argument("--out", help="optional output directory")
     p.set_defaults(fn=cmd_eval_cloze)
 
     p = sub.add_parser("inspect-checkpoint", help="print a checkpoint manifest")

@@ -14,6 +14,7 @@ import re
 from dataclasses import fields
 from typing import get_type_hints
 
+from .checkpoint import format_value
 from .errors import ConfigError, ContractError
 from .evaluation import FrequencyBuckets
 from .model import ModelConfig
@@ -121,13 +122,7 @@ class RunConfig:
 
     def text(self) -> str:
         """Canonical rendering: sorted keys, one ``key = value`` per line."""
-        out = []
-        for key in sorted(self.values):
-            v = self.values[key]
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            out.append(f"{key} = {v}")
-        return "\n".join(out) + "\n"
+        return "".join(f"{key} = {format_value(self.values[key])}\n" for key in sorted(self.values))
 
     def echo_into(self, out_dir):
         with open(os.path.join(out_dir, "effective.cfg"), "w", encoding="utf-8") as fh:

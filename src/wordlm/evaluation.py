@@ -83,7 +83,6 @@ def build_probe_set(
     bucket_label: str,
     rng: np.random.Generator,
     p: float = 0.15,
-    lowercase: bool = True,
 ) -> list[ProbeExample]:
     """Mask each word of the chosen bucket with probability p, per sentence.
 
@@ -94,7 +93,7 @@ def build_probe_set(
         raise ContractError(f"unknown bucket {bucket_label!r}")
     examples = []
     for line in corpus_lines:
-        words = segment_words(line, lowercase=lowercase)
+        words = segment_words(line)
         positions, golds = [], []
         for i, w in enumerate(words):
             if bucket_of(w, buckets) == bucket_label and rng.random() < p:

@@ -212,7 +212,7 @@ def prepare_corpus(corpus_lines, vocab: WordVocab, max_length: int) -> np.ndarra
     with at least one maskable word, in corpus order."""
     rows = []
     for line in corpus_lines:
-        ids = encode(segment_words(line, vocab.lowercase), vocab, max_length).ids
+        ids = encode(segment_words(line), vocab, max_length).ids
         if (ids >= NUM_SPECIALS).any():
             rows.append(ids)
     if not rows:

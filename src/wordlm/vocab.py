@@ -2,7 +2,7 @@
 
 Segmentation rules (version v1, recorded in the vocab file header): split on
 whitespace, peel leading/trailing non-alphanumeric characters off each chunk
-as single-character tokens, optionally lowercase the remaining core. Word ids
+as single-character tokens, lowercase the remaining core. Word ids
 are dense, with the five special tokens pinned to ids 0-4 and corpus words
 ranked by frequency (ties broken lexicographically); no special token is a word.
 """
@@ -20,12 +20,10 @@ from .errors import ContractError
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 NUM_SPECIALS = len(SPECIAL_TOKENS)
-SEGMENTATION_VERSION = "v1"
-
-_HEADER_PREFIX = f"#wordvocab {SEGMENTATION_VERSION} lowercase="
+_HEADER = "#wordvocab v1 lowercase=true"
 
 
-def segment_words(text: str, lowercase: bool = True) -> list[str]:
+def segment_words(text: str) -> list[str]:
     """Deterministic whitespace + punctuation-peeling segmentation."""
     tokens = []
     for chunk in text.split():
@@ -42,18 +40,18 @@ def segment_words(text: str, lowercase: bool = True) -> list[str]:
         tokens.extend(lead)
         core = chunk[i:j]
         if core:
-            tokens.append(core.lower() if lowercase else core)
+            tokens.append(core.lower())
         tokens.extend(trail)
     return tokens
 
 
-def count_frequencies(documents, lowercase: bool = True) -> Counter:
+def count_frequencies(documents) -> Counter:
     """Exact word counts over the segmentation of every document."""
     counts: Counter = Counter()
     for i, doc in enumerate(documents):
         if not isinstance(doc, str):
             raise ContractError(f"document {i} is not readable text ({type(doc).__name__})")
-        counts.update(segment_words(doc, lowercase=lowercase))
+        counts.update(segment_words(doc))
     return counts
 
 
@@ -75,10 +73,9 @@ def read_text_lines(path) -> list[str]:
 class WordVocab:
     """Rank-ordered word list with dense ids: specials first, then top-K."""
 
-    def __init__(self, words: list[str], frequency, lowercase: bool = True):
+    def __init__(self, words: list[str], frequency):
         self.words = list(words)
         self.frequency = np.asarray(frequency, dtype=np.int64)
-        self.lowercase = bool(lowercase)
         if tuple(self.words[:NUM_SPECIALS]) != SPECIAL_TOKENS:
             raise ContractError("vocabulary must start with the five special tokens")
         corpus_words = self.words[NUM_SPECIALS:]  # a special token's spelling encodes as [UNK]
@@ -97,16 +94,16 @@ class WordVocab:
         return len(self.words)
 
     def lookup(self, word: str) -> int:
-        """The id of ``word``, or ``UNK_ID``. A word is looked up as written, then,
-        in a lowercase vocabulary, lowercased if it starts with a letter or
-        digit: segmentation lowercases such words and keeps symbols as written."""
+        """The id of ``word``, or ``UNK_ID``. A word is looked up as written, then
+        lowercased if it starts with a letter or digit: segmentation lowercases
+        such words and keeps symbols as written."""
         i = self.id_of.get(word)
-        if i is None and self.lowercase and word[:1].isalnum():
+        if i is None and word[:1].isalnum():
             i = self.id_of.get(word.lower())
         return UNK_ID if i is None else i
 
     def save(self, path):
-        lines = [f"{_HEADER_PREFIX}{'true' if self.lowercase else 'false'}"]
+        lines = [_HEADER]
         for word, freq in zip(self.words, self.frequency):
             lines.append(f"{word}\t{int(freq)}")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -115,11 +112,8 @@ class WordVocab:
     @classmethod
     def load(cls, path) -> "WordVocab":
         lines = read_text_lines(path)
-        if not lines or not lines[0].startswith(_HEADER_PREFIX):
-            raise ContractError(f"{path}: not a wordvocab {SEGMENTATION_VERSION} file")
-        flag = lines[0][len(_HEADER_PREFIX):]
-        if flag not in ("true", "false"):
-            raise ContractError(f"{path}:1: lowercase={flag!r} must be true or false")
+        if not lines or lines[0] != _HEADER:
+            raise ContractError(f"{path}: not a wordvocab file: first line must be {_HEADER!r}")
         words, freqs = [], []
         for lineno, line in enumerate(lines[1:], start=2):
             word, _, freq = line.partition("\t")
@@ -133,19 +127,19 @@ class WordVocab:
                 raise ContractError(f"{path}:{lineno}: frequency {freq!r} is negative")
             words.append(word)
         try:
-            return cls(words, freqs, lowercase=flag == "true")
+            return cls(words, freqs)
         except ContractError as err:
             raise ContractError(f"{path}: {err}") from err
 
 
-def build_vocabulary(freqs, k: int, lowercase: bool = True) -> WordVocab:
+def build_vocabulary(freqs, k: int) -> WordVocab:
     """Specials plus the top-k words by (count desc, word asc)."""
     if k < 1:
         raise ContractError(f"vocabulary size k must be >= 1, got {k}")
     ranked = sorted(freqs.items(), key=lambda item: (-item[1], item[0]))[:k]
     words = list(SPECIAL_TOKENS) + [w for w, _ in ranked]
     frequency = [0] * NUM_SPECIALS + [c for _, c in ranked]
-    return WordVocab(words, frequency, lowercase=lowercase)
+    return WordVocab(words, frequency)
 
 
 @dataclass

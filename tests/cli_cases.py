@@ -172,8 +172,7 @@ PRETRAIN_PAIRS = cmd(PRETRAIN_VECTORS, pairs="bad.npz")
 PROBE_NOTHING = ["probe", "--config", "toy.cfg", "--checkpoint", "none.ckpt", "--vocab", "none.tsv",
                  "--corpus", "none.txt", "--out", "out"]
 PROBE = cmd(PROBE_NOTHING, checkpoint="run/checkpoint.ckpt", vocab="vocab.tsv", corpus="corpus.txt")
-CLOZE_NOTHING = ["eval-cloze", "--checkpoint", "none.ckpt", "--vocab", "none.tsv",
-                 "--items", "bad", "--out", "out"]
+CLOZE_NOTHING = ["eval-cloze", "--checkpoint", "none.ckpt", "--vocab", "none.tsv", "--items", "bad"]
 CLOZE = cmd(CLOZE_NOTHING, checkpoint="run/checkpoint.ckpt", vocab="vocab.tsv", items="cloze.jsonl")
 PARAM_COUNT = ["param-count", "--config", "toy.cfg", "--vocab-size", "13"]
 
@@ -589,12 +588,15 @@ CASES: dict[str, list[Case]] = {
             ("special-spelled-word", SPECIALS + ["sun", "moon", "[PAD]"],
              "special token '[PAD]' repeated as a word at id 7"))
     ],
+    # lowercasing is the one case rule: a vocabulary naming another is refused
     "TestExitCodes::test_vocabulary_lowercase_flag_must_be_true_or_false": [
         Case(name, "toy", cmd(argv, vocab="bad.tsv"), 1, "",
-             "wordlm: error: bad.tsv:1: lowercase='TRUE' must be true or false",
-             {"bad.tsv": vocab_text(SPECIALS + ["sun"], lowercase="TRUE")})
-        for name, argv in (("pretrain", PRETRAIN),
-                           ("probe", cmd(PROBE_NOTHING, corpus="corpus.txt")))
+             "wordlm: error: bad.tsv: not a wordvocab file: first line must be "
+             "'#wordvocab v1 lowercase=true'",
+             {"bad.tsv": vocab_text(SPECIALS + ["sun"], lowercase=flag), "cloze.jsonl": GOOD_ITEM})
+        for name, argv, flag in (("pretrain", PRETRAIN, "TRUE"),
+                                 ("probe", cmd(PROBE_NOTHING, corpus="corpus.txt"), "TRUE"),
+                                 ("eval-cloze", cmd(CLOZE_NOTHING, items="cloze.jsonl"), "false"))
     ],
     "TestExitCodes::test_vocabulary_of_another_size_than_checkpoint_is_plain_error": [
         Case(name, "trained", cmd(argv, vocab="other.tsv"), 1, "",
@@ -626,8 +628,7 @@ CASES: dict[str, list[Case]] = {
             cmd(PRETRAIN_NO_CORPUS, config="none.cfg", vocab="none.tsv", word_vectors="none.npz",
                 pairs="none.npz"),
             cmd(PRETRAIN_NO_CORPUS, config="none.cfg", vocab="none.tsv"),
-            cmd(PROBE_NOTHING, config="none.cfg"),
-            cmd(CLOZE_NOTHING, items="none.jsonl")))
+            cmd(PROBE_NOTHING, config="none.cfg")))
     ],
     # an --out that cannot be written is refused before any input is read
     "TestExitCodes::test_pretrain_unusable_out_refused_before_training": [
@@ -642,9 +643,6 @@ CASES: dict[str, list[Case]] = {
         for name, setup, argv, out, message, files in (
             ("probe-file", "toy", PROBE_NOTHING, "corpus.txt",
              r": /.*/corpus\.txt is not a writable directory", {}),
-            ("eval-cloze-below-file", "toy", cmd(CLOZE_NOTHING, items="none.jsonl"),
-             "cloze.jsonl/sub", r": /.*/cloze\.jsonl is not a writable directory",
-             {"cloze.jsonl": GOOD_ITEM}),
             ("build-vocab-directory", "trained", BUILD_VOCAB, "run", " is a directory", {}),
             ("build-vocab-below-file", "toy", BUILD_VOCAB, "corpus.txt/vocab.tsv",
              r": /.*/corpus\.txt is not a writable directory", {}))
@@ -667,13 +665,16 @@ CASES: dict[str, list[Case]] = {
              "", "wordlm: error: unrecognized arguments: --bogus"),
     ],
     "TestExitCodes::test_removed_flags_are_usage_errors": [
-        Case(name, "toy", argv, 2, "",
-             f"wordlm: error: unrecognized arguments: {' '.join(argv[-2:])}")
-        for name, argv in (
-            ("pretrain-seed", cmd(PRETRAIN, "--seed", "7")),
-            ("eval-cloze-config", cmd(CLOZE_NOTHING, "--config", "toy.cfg")),
-            ("eval-cloze-set", cmd(CLOZE_NOTHING, "--set", "k=v")),
-            ("pretrain-projection", cmd(PRETRAIN_VECTORS, "--projection", "p.npz")))
+        Case(name, "toy", cmd(base, *removed), 2, "",
+             f"wordlm: error: unrecognized arguments: {' '.join(removed)}")
+        for name, base, removed in (
+            ("pretrain-seed", PRETRAIN, ["--seed", "7"]),
+            ("eval-cloze-config", CLOZE_NOTHING, ["--config", "toy.cfg"]),
+            ("eval-cloze-set", CLOZE_NOTHING, ["--set", "k=v"]),
+            ("pretrain-projection", PRETRAIN_VECTORS, ["--projection", "p.npz"]),
+            # lowercasing is the one case rule, and eval-cloze reports on stdout alone
+            ("build-vocab-no-lowercase", BUILD_VOCAB, ["--no-lowercase"]),
+            ("eval-cloze-out", CLOZE_NOTHING, ["--out", "d"]))
     ],
     "TestExitCodes::test_missing_file_is_plain_error": [
         Case(None, "toy", BUILD_VOCAB, 1, "",

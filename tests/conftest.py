@@ -22,7 +22,7 @@ def masked_top1_accuracy(model, vocab, lines, max_length):
     hits = total = 0
     table = model.output_table()
     for line in lines:
-        words = segment_words(line, vocab.lowercase)
+        words = segment_words(line)
         seq = encode(words, vocab, max_length)
         real = np.where(seq.ids >= NUM_SPECIALS)[0]
         if real.size == 0:

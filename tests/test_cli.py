@@ -219,7 +219,7 @@ class TestProjectedPretrain:
         items = tmp / "cloze.jsonl"
         items.write_text(GOOD_ITEM)
         run_ok(["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
-                "--items", str(items), "--out", str(tmp / "cloze_out")])
+                "--items", str(items)])
 
     def test_param_count_reads_only_the_vectors_header(self, tmp_path, capsys):
         vectors = tmp_path / "vectors.npz"
@@ -420,13 +420,12 @@ class TestExitCodes:
         options = {"options": ["moon", "rain", "wind", "fog"], "answer_index": 0}
         sixth = json.dumps({"passage_words": ["sun"] * 5 + ["[BLANK]"], **options}) + "\n"
         seventh = json.dumps({"passage_words": ["sun"] * 6 + ["[BLANK]"], **options}) + "\n"
-        items, out = tmp / "cloze.jsonl", tmp / "out"
+        items = tmp / "cloze.jsonl"
         items.write_text(sixth)
         capsys.readouterr()
         run_ok(["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
-                "--items", str(items), "--out", str(out)])
+                "--items", str(items)])
         assert capsys.readouterr().out.endswith(" over 1 items\n")
-        assert [p.name for p in out.iterdir()] == ["cloze_report.tsv"]  # no setting to echo
         items.write_text(sixth + seventh)
         assert main(["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
                      "--items", str(items)]) == 1

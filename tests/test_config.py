@@ -122,6 +122,9 @@ class TestViews:
         again = RunConfig.load(p)
         assert again.values == cfg.values
         assert again.text() == cfg.text()
+        # each value spelled as the checkpoint manifest spells it
+        assert {"train.use_neighbors = false", "train.peak_lr = 5e-05",
+                "model.hidden = 32"} <= set(cfg.text().splitlines())
 
     def test_echo_into_directory(self, tmp_path):
         cfg = RunConfig.load()

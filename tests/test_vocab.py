@@ -23,7 +23,7 @@ from wordlm.vocab import (
 )
 
 
-def oracle_segment(text, lowercase=True):
+def oracle_segment(text):
     """Independent interpreter of the v1 rules: locate the alnum core span."""
     out = []
     for chunk in text.split():
@@ -34,7 +34,7 @@ def oracle_segment(text, lowercase=True):
         a, b = alnum_pos[0], alnum_pos[-1]
         out.extend(chunk[:a])
         core = chunk[a : b + 1]
-        out.append(core.lower() if lowercase else core)
+        out.append(core.lower())
         out.extend(chunk[b + 1 :])
     return out
 
@@ -73,13 +73,6 @@ class TestSegmentation:
     def test_fixture_matches_rule_interpreter(self):
         for sentence in FIXTURE_SENTENCES:
             assert segment_words(sentence) == oracle_segment(sentence), sentence
-            assert segment_words(sentence, lowercase=False) == oracle_segment(
-                sentence, lowercase=False
-            ), sentence
-
-    def test_lowercase_flag(self):
-        assert segment_words("Hello", lowercase=False) == ["Hello"]
-        assert segment_words("Hello") == ["hello"]
 
     def test_internal_punctuation_kept(self):
         assert segment_words("don't") == ["don't"]
@@ -198,39 +191,35 @@ class TestBuildVocabulary:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_file_round_trip(self, tmp_path):
-        vocab = build_vocabulary({"hello": 7, "world": 3}, k=5, lowercase=False)
+        vocab = build_vocabulary({"hello": 7, "world": 3}, k=5)
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         loaded = WordVocab.load(path)
         assert loaded.words == vocab.words
-        assert loaded.lowercase is False
         np.testing.assert_array_equal(loaded.frequency, vocab.frequency)
         vocab.save(tmp_path / "again.tsv")
         loaded.save(tmp_path / "loaded.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "loaded.tsv").read_bytes()
 
-    @pytest.mark.parametrize("text", ["", "hello\t7\n", "#wordvocab v0 lowercase=true\n"],
-                             ids=["empty", "no-header", "other-version"])
+    # lowercasing is the one case rule: a header naming another is refused,
+    # whatever words follow it
+    @pytest.mark.parametrize("text", [
+        "", "hello\t7\n", "#wordvocab v0 lowercase=true\n",
+        *[f"#wordvocab v1 lowercase={flag}\n" + "".join(f"{w}\t0\n" for w in SPECIAL_TOKENS)
+          for flag in ("false", "TRUE", "maybe", "")],
+    ], ids=["empty", "no-header", "other-version", "lowercase=false", "lowercase=TRUE",
+            "lowercase=maybe", "lowercase="])
     def test_file_without_the_header_rejected(self, tmp_path, text):
         path = tmp_path / "vocab.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ContractError) as err:
             WordVocab.load(path)
-        assert str(err.value) == f"{path}: not a wordvocab v1 file"
+        assert str(err.value) == (f"{path}: not a wordvocab file: first line must be "
+                                  "'#wordvocab v1 lowercase=true'")
 
     def test_frequency_of_another_length_than_the_words_rejected(self):
         with pytest.raises(ContractError, match="frequency array length does not match word list"):
             WordVocab([*SPECIAL_TOKENS, "hello"], [0] * NUM_SPECIALS)
-
-    @pytest.mark.parametrize("flag", ["TRUE", "maybe", ""])
-    def test_lowercase_flag_other_than_true_or_false_rejected(self, tmp_path, flag):
-        path = tmp_path / "vocab.tsv"
-        build_vocabulary({"hello": 7}, k=1).save(path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text.replace("lowercase=true", f"lowercase={flag}", 1), encoding="utf-8")
-        with pytest.raises(ContractError) as err:
-            WordVocab.load(path)
-        assert str(err.value) == f"{path}:1: lowercase='{flag}' must be true or false"
 
     @pytest.mark.parametrize("freq,problem", [("many", "is not an integer"), ("-7", "is negative")],
                              ids=["not-an-integer", "negative"])
@@ -271,14 +260,10 @@ class TestEncode:
             encode(["hello"], small_vocab, max_length=2)
 
     def test_case_rule_follows_the_vocabulary(self):
-        counts = {"w2": 3, "W2": 2, "(": 1}
         lower = build_vocabulary({"w2": 3, "(": 1}, k=2)
         seq = encode(["W2", "w2", "(", "Zz"], lower, max_length=6)
         assert list(seq.ids[1:5]) == [lower.id_of["w2"], lower.id_of["w2"], lower.id_of["("], UNK_ID]
         assert lower.lookup("W2") == lower.id_of["w2"] and lower.lookup("W3") == UNK_ID
-        cased = build_vocabulary(counts, k=3, lowercase=False)
-        seq = encode(["W2", "w2", "w3"], cased, max_length=5)
-        assert list(seq.ids[1:4]) == [cased.id_of["W2"], cased.id_of["w2"], UNK_ID]
 
     def test_all_ids_in_range_and_unk_iff_absent(self, small_vocab):
         words = ["hello", "nope", "bar", "???"]
