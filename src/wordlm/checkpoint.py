@@ -45,6 +45,7 @@ import numpy as np
 from .errors import ContractError, IntegrityError
 from .model import ModelConfig, WordBertModel, parameter_shapes, trainable_names
 from .optim import Adam
+from .vocab import write_atomically
 
 _MAGIC = "#wordlm-checkpoint v1"
 _SEPARATOR = b"---\n"
@@ -129,20 +130,13 @@ def save_checkpoint(
         if held != implied:
             raise ContractError(f"cannot save tensor {name}: shape {held}, but the model's "
                                 f"configuration implies {implied}")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write("\n".join(manifest.lines).encode("utf-8") + b"\n")
-            fh.write(_SEPARATOR)
-            for name in manifest.tensors:
-                fh.write(np.ascontiguousarray(arrays[name], dtype="<f4"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+
+    def chunks():  # each tensor's bytes made as they are written: no copy of the payload
+        yield "\n".join(manifest.lines).encode("utf-8") + b"\n" + _SEPARATOR
+        for name in manifest.tensors:
+            yield np.ascontiguousarray(arrays[name], dtype="<f4")
+
+    write_atomically(path, chunks())
 
 
 @dataclass

@@ -21,12 +21,10 @@ from .evaluation import (
     BUCKET_NAMES,
     ClozeItem,
     FrequencyBuckets,
-    ProbeExample,
     build_probe_set,
     cloze_accuracy,
     load_records,
     probe_topk,
-    save_probe_examples,
 )
 from .model import ModelConfig, WordBertModel, parameter_counts
 from .sampling import NeighborIndex
@@ -40,10 +38,6 @@ _CLOZE_EXAMPLE = (
     '"options": ["barked", "sat", "blue", "seven"], "answer_index": 0}'
 )
 _PROBE_KS = (1, 5, 10)
-_PROBE_EXAMPLE = (
-    'probe JSONL example: {"words": ["the", "cat", "sat"], "masked_positions": [1], '
-    '"gold_words": ["cat"], "bucket": "Low"}'
-)
 
 
 def _npz_shape(path, key):
@@ -224,35 +218,21 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    if args.out is not None:  # before any input is read
-        _check_out_dir(args.out)
     cfg = RunConfig.load(args.config, overrides=args.set)
     buckets = cfg.view(FrequencyBuckets, reference_frequencies={})
     vocab, model = _load_vocab_and_model(args)
-    if args.probes is not None:
-        probes = load_records(args.probes, ProbeExample)
-    else:  # a word's bucket is its count in the corpus the vocabulary was built from
-        buckets.reference_frequencies = dict(zip(vocab.words, vocab.frequency.tolist()))
-        lines = read_text_lines(args.corpus)
-        probes = []
-        for bucket in BUCKET_NAMES:
-            probes.extend(build_probe_set(lines, buckets, bucket,
-                                          rng=substream(cfg["train.seed"], f"probe-{bucket}")))
+    # a word's bucket is its count in the corpus the vocabulary was built from
+    buckets.reference_frequencies = dict(zip(vocab.words, vocab.frequency.tolist()))
+    lines = read_text_lines(args.corpus)
+    probes = []
+    for bucket in BUCKET_NAMES:
+        probes.extend(build_probe_set(lines, buckets, bucket,
+                                      rng=substream(cfg["train.seed"], f"probe-{bucket}")))
     report = probe_topk(model, vocab, probes, ks=_PROBE_KS)
-    header = "bucket\tmasked\toov" + "".join(f"\ttop-{k}" for k in _PROBE_KS)
-    rows = [header]
+    print("bucket\tmasked\toov" + "".join(f"\ttop-{k}" for k in _PROBE_KS))
     for bucket in BUCKET_NAMES:
         accs = "".join(f"\t{report['accuracy'][bucket][k]:.4f}" for k in _PROBE_KS)
-        rows.append(f"{bucket}\t{report['total'][bucket]}\t{report['oov'][bucket]}{accs}")
-    table = "\n".join(rows)
-    print(table)
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        cfg.echo_into(args.out)
-        with open(os.path.join(args.out, "probe_report.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        if args.corpus is not None:
-            save_probe_examples(probes, os.path.join(args.out, "probes.jsonl"))
+        print(f"{bucket}\t{report['total'][bucket]}\t{report['oov'][bucket]}{accs}")
     return 0
 
 
@@ -326,15 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
                    "to start the projection from their least-squares fit (needs --word-vectors)")
     p.set_defaults(fn=cmd_pretrain)
 
-    p = sub.add_parser("probe", help="frequency-stratified zero-shot masked-word probing",
-                       epilog=_PROBE_EXAMPLE)
+    p = sub.add_parser("probe", help="frequency-stratified zero-shot masked-word probing")
     _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--probes", help="prebuilt probe JSONL")
-    source.add_argument("--corpus", help="build probes from this corpus, by vocabulary counts")
-    p.add_argument("--out", help="optional output directory")
+    p.add_argument("--corpus", required=True,
+                   help="build probes from this corpus, by vocabulary counts")
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("eval-cloze", help="score 4-option cloze items", epilog=_CLOZE_EXAMPLE)

@@ -14,22 +14,12 @@ import re
 from dataclasses import fields
 from typing import get_type_hints
 
-from .checkpoint import format_value
+from .checkpoint import _PARSE, format_value
 from .errors import ConfigError, ContractError
 from .evaluation import FrequencyBuckets
 from .model import ModelConfig
 from .training import TrainConfig
 from .vocab import read_text_lines
-
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _parse_bool(s: str) -> bool:
-    try:
-        return _BOOL_STRINGS[s.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {s!r}")
-
 
 def _parse_seed(s: str) -> int:
     seed = int(s)
@@ -55,10 +45,10 @@ FIELD_KEYS = {
 
 # key -> (type converter, default)
 DECLARED_KEYS: dict[str, tuple] = {
-    keys[f.name]: (_parse_bool if hint is bool else hint, f.default)
+    keys[f.name]: (_PARSE[bool] if hint is bool else hint, f.default)
     for cls, keys in FIELD_KEYS.items() for f in fields(cls) if f.name in keys
     for hint in [get_type_hints(cls)[f.name]]
-} | {"train.use_neighbors": (_parse_bool, False), "train.seed": (_parse_seed, TrainConfig.seed)}
+} | {"train.use_neighbors": (_PARSE[bool], False), "train.seed": (_parse_seed, TrainConfig.seed)}
 
 
 class RunConfig:
@@ -82,7 +72,7 @@ class RunConfig:
             conv = DECLARED_KEYS[key][0]
             try:
                 values[key] = conv(raw.strip())
-            except (ValueError, TypeError):
+            except (KeyError, ValueError, TypeError):  # KeyError: a bool not spelled true or false
                 violations.append(f"bad value for {key}: {raw!r} ({source})")
 
         if path is not None:

@@ -1,14 +1,14 @@
 """Frequency-stratified zero-shot probing and cloze scoring.
 
 All scoring runs over immutable model snapshots (no parameter is touched).
-Dataset records are JSON-lines with field names matching the dataclasses
-here; see the CLI help for one worked example of each format.
+Probe sets are built from a corpus; cloze items are JSON lines whose field
+names are ``ClozeItem``'s, with one worked example in ``eval-cloze --help``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -231,10 +231,8 @@ def cloze_accuracy(model, vocab, items, max_length=None) -> float:
 
 # The JSON value each field annotation of a record admits, as error messages name it.
 _JSON_SHAPES = {
-    str: "a string",
     int: "an integer",
     list[str]: "a list of strings",
-    list[int]: "a list of integers",
 }
 
 
@@ -289,8 +287,3 @@ def load_records(path, cls) -> list:
             raise ContractError(f"{path}:{lineno}: {err}") from err
     return records
 
-
-def save_probe_examples(examples, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ex in examples:
-            fh.write(json.dumps(asdict(ex), ensure_ascii=False) + "\n")

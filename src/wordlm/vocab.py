@@ -10,6 +10,7 @@ ranked by frequency (ties broken lexicographically); no special token is a word.
 from __future__ import annotations
 
 import codecs
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -70,6 +71,25 @@ def read_text_lines(path) -> list[str]:
     return lines
 
 
+def write_atomically(path, chunks):
+    """Write the bytes of each of ``chunks`` into ``<path>.tmp``, fsync it and
+    rename it onto ``path``, so a failed or killed write leaves the previous
+    file intact; on any exception the tmp file is removed. The vocabulary
+    and the checkpoint are written here."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 class WordVocab:
     """Rank-ordered word list with dense ids: specials first, then top-K."""
 
@@ -106,8 +126,7 @@ class WordVocab:
         lines = [_HEADER]
         for word, freq in zip(self.words, self.frequency):
             lines.append(f"{word}\t{int(freq)}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomically(path, ["\n".join(lines).encode("utf-8") + b"\n"])
 
     @classmethod
     def load(cls, path) -> "WordVocab":

@@ -170,7 +170,7 @@ PRETRAIN_VECTORS = cmd(PRETRAIN_NO_CORPUS, word_vectors="vectors.npz")
 PRETRAIN_PAIRS = cmd(PRETRAIN_VECTORS, pairs="bad.npz")
 # none of the inputs exists: a refusal comes before any is read
 PROBE_NOTHING = ["probe", "--config", "toy.cfg", "--checkpoint", "none.ckpt", "--vocab", "none.tsv",
-                 "--corpus", "none.txt", "--out", "out"]
+                 "--corpus", "none.txt"]
 PROBE = cmd(PROBE_NOTHING, checkpoint="run/checkpoint.ckpt", vocab="vocab.tsv", corpus="corpus.txt")
 CLOZE_NOTHING = ["eval-cloze", "--checkpoint", "none.ckpt", "--vocab", "none.tsv", "--items", "bad"]
 CLOZE = cmd(CLOZE_NOTHING, checkpoint="run/checkpoint.ckpt", vocab="vocab.tsv", items="cloze.jsonl")
@@ -268,6 +268,10 @@ CASES: dict[str, list[Case]] = {
         ("train.peak_lr=inf", CONFIG + "train.peak_lr must be positive and finite"),
         # numpy seeds a generator from non-negative integers only
         ("train.seed=-1", CONFIG + "bad value for train.seed: '-1' (command line)"),
+        # a boolean is spelled true or false, as effective.cfg writes it
+        *[(f"train.use_neighbors={value}",
+           CONFIG + f"bad value for train.use_neighbors: '{value}' (command line)")
+          for value in ("yes", "1", "TRUE")],
     ]),
     "TestPretrain::test_projected_inputs_refused_for_direct_variant": [
         # without --word-vectors the run is direct, and there is no projection to fit
@@ -480,15 +484,15 @@ CASES: dict[str, list[Case]] = {
             # train.seed seeds the probe-set streams
             ("train.seed=-1", CONFIG + "bad value for train.seed: '-1' (command line)"),
         ]),
+    # the probe set is built from --corpus, its one source, by the vocabulary's counts
     "TestExitCodes::test_probe_takes_exactly_one_source": [
-        # the buckets come from the vocabulary's counts, so --ref-corpus is gone
         Case("ref-corpus", "toy", cmd(PROBE_NOTHING, "--ref-corpus", "none.txt"), 2, "",
              "wordlm: error: unrecognized arguments: --ref-corpus none.txt"),
-        Case("both", "toy", ["probe", "--checkpoint", "none.ckpt", "--vocab", "none.tsv",
-                             "--probes", "none.jsonl", "--corpus", "none.txt", "--out", "out"], 2,
-             "", "wordlm probe: error: argument --corpus: not allowed with argument --probes"),
+        # prebuilt probes are gone
+        Case("both", "toy", cmd(PROBE_NOTHING, "--probes", "none.jsonl"), 2, "",
+             "wordlm: error: unrecognized arguments: --probes none.jsonl"),
         Case("neither", "toy", ["probe", "--checkpoint", "none.ckpt", "--vocab", "none.tsv"], 2, "",
-             "wordlm probe: error: one of the arguments --probes --corpus is required"),
+             "wordlm probe: error: the following arguments are required: --corpus"),
     ],
 
     # -- eval-cloze ----------------------------------------------------------
@@ -627,8 +631,7 @@ CASES: dict[str, list[Case]] = {
             BUILD_VOCAB,
             cmd(PRETRAIN_NO_CORPUS, config="none.cfg", vocab="none.tsv", word_vectors="none.npz",
                 pairs="none.npz"),
-            cmd(PRETRAIN_NO_CORPUS, config="none.cfg", vocab="none.tsv"),
-            cmd(PROBE_NOTHING, config="none.cfg")))
+            cmd(PRETRAIN_NO_CORPUS, config="none.cfg", vocab="none.tsv")))
     ],
     # an --out that cannot be written is refused before any input is read
     "TestExitCodes::test_pretrain_unusable_out_refused_before_training": [
@@ -641,8 +644,6 @@ CASES: dict[str, list[Case]] = {
         Case(name, setup, cmd(argv, out=out), 1, "", rx(f"wordlm: error: --out {re.escape(out)}"
                                                          + message), files)
         for name, setup, argv, out, message, files in (
-            ("probe-file", "toy", PROBE_NOTHING, "corpus.txt",
-             r": /.*/corpus\.txt is not a writable directory", {}),
             ("build-vocab-directory", "trained", BUILD_VOCAB, "run", " is a directory", {}),
             ("build-vocab-below-file", "toy", BUILD_VOCAB, "corpus.txt/vocab.tsv",
              r": /.*/corpus\.txt is not a writable directory", {}))
@@ -674,7 +675,10 @@ CASES: dict[str, list[Case]] = {
             ("pretrain-projection", PRETRAIN_VECTORS, ["--projection", "p.npz"]),
             # lowercasing is the one case rule, and eval-cloze reports on stdout alone
             ("build-vocab-no-lowercase", BUILD_VOCAB, ["--no-lowercase"]),
-            ("eval-cloze-out", CLOZE_NOTHING, ["--out", "d"]))
+            ("eval-cloze-out", CLOZE_NOTHING, ["--out", "d"]),
+            # probe reports on stdout alone; its removed --probes is a row of
+            # test_probe_takes_exactly_one_source
+            ("probe-out", PROBE_NOTHING, ["--out", "d"]))
     ],
     "TestExitCodes::test_missing_file_is_plain_error": [
         Case(None, "toy", BUILD_VOCAB, 1, "",

@@ -21,9 +21,9 @@ from wordlm.checkpoint import load_checkpoint
 from wordlm.cli import build_parser, main
 from wordlm.config import RunConfig
 from wordlm.errors import WordlmError
-from wordlm.evaluation import ProbeExample, load_records, probe_topk
+from wordlm.evaluation import BUCKET_NAMES, FrequencyBuckets, build_probe_set, probe_topk
 from wordlm.seeding import substream
-from wordlm.vocab import WordVocab
+from wordlm.vocab import WordVocab, read_text_lines
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -215,7 +215,7 @@ class TestProjectedPretrain:
                 load_checkpoint(ckpt).model.params["embedding.word"].data,
                 z["vectors"].astype(np.float32))
         run_ok(["probe", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab", str(vocab),
-                "--corpus", str(corpus), "--out", str(tmp / "probe_out")])
+                "--corpus", str(corpus)])
         items = tmp / "cloze.jsonl"
         items.write_text(GOOD_ITEM)
         run_ok(["eval-cloze", "--checkpoint", str(ckpt), "--vocab", str(vocab),
@@ -316,17 +316,16 @@ def test_every_flag_is_read_by_its_command():
 
 
 class TestEvalCommands:
-    def test_probe_prints_bucket_rows(self, trained, capsys):
+    def test_probe_prints_bucket_rows(self, trained, capsys, monkeypatch):
         tmp, corpus, cfg, vocab, ckpt = trained
+        monkeypatch.chdir(tmp)
+        before = _contents(tmp)
         run_ok(["probe", "--config", str(cfg), "--checkpoint", str(ckpt),
-                "--vocab", str(vocab), "--corpus", str(corpus),
-                "--out", str(tmp / "probe_out")])
+                "--vocab", str(vocab), "--corpus", str(corpus)])
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("bucket")
         assert [l.split("\t")[0] for l in lines[1:]] == ["High", "Medium", "Low", "Rare"]
-        assert (tmp / "probe_out" / "probe_report.tsv").exists()
-        assert (tmp / "probe_out" / "probes.jsonl").exists()
-        assert (tmp / "probe_out" / "effective.cfg").exists()
+        assert _contents(tmp) == before  # the table is printed, and no file is written
 
     def test_byte_order_mark_in_config_vocab_and_items_ignored(self, trained, capsys):
         """A config, vocabulary and cloze JSONL saved with a UTF-8 byte-order
@@ -356,40 +355,37 @@ class TestEvalCommands:
         loaded = WordVocab.load(vocab)
         count = int(loaded.frequency[loaded.lookup("sun")])
         assert count > 10  # above the toy config's eval.threshold_medium
-        probe_corpus, out = tmp / "probe.txt", tmp / "probe_out"
+        probe_corpus = tmp / "probe.txt"
         probe_corpus.write_text("sun\n", encoding="utf-8")
         # the first seed whose High stream masks the one High word (p = 0.15)
         seed = next(s for s in range(100) if substream(s, "probe-High").random() < 0.15)
         run_ok(["probe", "--config", str(cfg), "--checkpoint", str(ckpt), "--vocab", str(vocab),
-                "--corpus", str(probe_corpus), "--out", str(out),
+                "--corpus", str(probe_corpus),
                 "--set", f"eval.threshold_high={count}", "--set", f"train.seed={seed}"])
         rows = [line.split("\t")[:3] for line in capsys.readouterr().out.splitlines()[1:]]
         assert rows == [["High", "1", "0"], ["Medium", "0", "0"], ["Low", "0", "0"],
                         ["Rare", "0", "0"]]
-        assert json.loads((out / "probes.jsonl").read_text()) == {
-            "words": ["sun"], "masked_positions": [0], "gold_words": ["sun"], "bucket": "High"}
 
-    def test_probe_accepts_prebuilt_probes_and_matches_library(self, trained, capsys):
+    def test_probe_matches_library(self, trained, capsys):
+        """The table is ``probe_topk``'s report on the probe set ``build_probe_set``
+        draws from the corpus, bucketed by the vocabulary's counts."""
         tmp, corpus, cfg, vocab, ckpt = trained
-        probes = tmp / "probes.jsonl"
-        probes.write_text(
-            json.dumps({"words": ["sun", "moon"], "masked_positions": [0],
-                        "gold_words": ["sun"], "bucket": "High"}) + "\n"
-            + json.dumps({"words": ["rain", "wind", "fog"], "masked_positions": [1, 2],
-                          "gold_words": ["wind", "fog"], "bucket": "Low"}) + "\n"
-        )
+        capsys.readouterr()
         run_ok(["probe", "--config", str(cfg), "--checkpoint", str(ckpt),
-                "--vocab", str(vocab), "--probes", str(probes)])
-        out = capsys.readouterr().out.strip().splitlines()
-
-        report = probe_topk(
-            load_checkpoint(ckpt).model, WordVocab.load(vocab),
-            load_records(probes, ProbeExample), ks=(1, 5, 10),
-        )
-        table = {row.split("\t")[0]: row.split("\t") for row in out[1:]}
-        for bucket in ("High", "Low"):
-            assert int(table[bucket][1]) == report["total"][bucket]
-            assert float(table[bucket][3]) == pytest.approx(report["accuracy"][bucket][1], abs=1e-4)
+                "--vocab", str(vocab), "--corpus", str(corpus)])
+        out = capsys.readouterr().out
+        loaded, config = WordVocab.load(vocab), RunConfig.load(cfg)
+        buckets = config.view(FrequencyBuckets, reference_frequencies=dict(
+            zip(loaded.words, loaded.frequency.tolist())))
+        lines = read_text_lines(corpus)
+        probes = [ex for bucket in BUCKET_NAMES for ex in build_probe_set(
+            lines, buckets, bucket, rng=substream(config["train.seed"], f"probe-{bucket}"))]
+        report = probe_topk(load_checkpoint(ckpt).model, loaded, probes, ks=(1, 5, 10))
+        assert out == "bucket\tmasked\toov\ttop-1\ttop-5\ttop-10\n" + "".join(
+            f"{b}\t{report['total'][b]}\t{report['oov'][b]}"
+            + "".join(f"\t{report['accuracy'][b][k]:.4f}" for k in (1, 5, 10)) + "\n"
+            for b in BUCKET_NAMES)
+        assert sum(report["total"].values()) > 0
 
     def test_inspect_checkpoint(self, trained, capsys):
         tmp, corpus, cfg, vocab, ckpt = trained

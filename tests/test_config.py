@@ -113,6 +113,14 @@ class TestLoading:
         with pytest.raises(ConfigError):
             RunConfig.load(None, overrides=["train.use_neighbors=maybe"])
 
+    # a boolean is spelled as effective.cfg and the checkpoint manifest write it
+    @pytest.mark.parametrize("value", ["yes", "1", "TRUE"])
+    def test_bool_spelled_otherwise_refused(self, value):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.load(None, overrides=[f"train.use_neighbors={value}"])
+        assert exc.value.violations == [
+            f"bad value for train.use_neighbors: '{value}' (command line)"]
+
 
 class TestViews:
     def test_canonical_text_round_trips(self, tmp_path):

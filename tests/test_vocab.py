@@ -1,10 +1,12 @@
 """Vocabulary construction and codec tests."""
 
+import errno
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from wordlm import vocab as vocab_module
 from wordlm.errors import ContractError
 from wordlm.vocab import (
     CLS_ID,
@@ -200,6 +202,37 @@ class TestBuildVocabulary:
         vocab.save(tmp_path / "again.tsv")
         loaded.save(tmp_path / "loaded.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "loaded.tsv").read_bytes()
+
+    def test_failed_save_keeps_previous_vocabulary(self, tmp_path, monkeypatch):
+        """A save that the disk cuts off halfway through its bytes leaves the
+        previous file byte-identical: a cut at a line boundary would load as a
+        smaller vocabulary without error."""
+        path = tmp_path / "vocab.tsv"
+        build_vocabulary({"alpha": 3, "beta": 2}, k=2).save(path)
+        before = path.read_bytes()
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(vocab_module, "open",
+                            lambda file, mode, **kw: HalfWritten(open(file, mode, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            build_vocabulary({"alpha": 3, "beta": 2, "gamma": 1}, k=3).save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.tsv"]
 
     # lowercasing is the one case rule: a header naming another is refused,
     # whatever words follow it
